@@ -38,7 +38,8 @@ def main():
 
     g, _ = gen_directed("dpah", 2000, 0.005, 0.2, 0.8, seed=1)
     describe("dpah: directed homophilic preferential attachment", g)
-    indeg, outdeg = g.degree_vector()
+    csr = g.csr()
+    indeg, outdeg = csr.in_degree(), csr.out_degree()
     print(f"indegree: mean {indeg.mean():.2f} max {indeg.max()}   "
           f"outdegree max {outdeg.max()}")
     print(f"activity-driven sources: {np.count_nonzero(outdeg)} nodes ever post")

@@ -47,7 +47,6 @@ __all__ = [
     "generate",
     "sample_activity",
     "activity_from_uniform",
-    "target_weights_undirected",
     "rebuild_graph",
 ]
 
@@ -200,35 +199,6 @@ def sample_activity(n: int, gamma_a: float, rng: np.random.Generator) -> np.ndar
 # ---------------------------------------------------------------------------
 # undirected growth family
 # ---------------------------------------------------------------------------
-
-def target_weights_undirected(
-    state: AttributedGraph,
-    newcomer_class: int,
-    eligible: np.ndarray,
-    H: MixingMatrix | None,
-    mode: str,
-) -> np.ndarray:
-    """Unnormalized attachment weights over ``eligible`` candidate nodes.
-
-    ``pa`` weights are the current degrees; ``pah`` multiplies each degree
-    by the affinity of the newcomer's class for the candidate's class.  A
-    zero total signals the caller to use the uniform fallback.
-    """
-    eligible = np.asarray(eligible, dtype=np.int64)
-    if eligible.size == 0:
-        raise ValueError("eligible set must be non-empty")
-    if mode not in ("pa", "pah"):
-        raise ValueError(f"mode must be 'pa' or 'pah', got {mode!r}")
-    deg = state.degree_vector() if not state.directed else None
-    if deg is None:
-        raise ValueError("undirected target weights need an undirected graph")
-    w = deg[eligible].astype(np.float64)
-    if mode == "pah":
-        if H is None:
-            raise ValueError("pah mode requires a mixing matrix")
-        w *= H.row(newcomer_class)[state.labels[eligible]]
-    return w
-
 
 def gen_pa(n: int, m: int, seed: int) -> tuple[AttributedGraph, GrowthTrace]:
     """Preferential-attachment growth; all nodes carry the majority label."""

@@ -10,23 +10,24 @@ afterwards, so it can be shared freely across ensemble workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .rng import sample_without_replacement
 
-__all__ = ["AttributedGraph", "MixingMatrix", "assign_classes"]
+__all__ = ["AttributedGraph", "CSR", "MixingMatrix", "assign_classes"]
 
 
 class AttributedGraph:
     """Simple graph with per-node binary class labels.
 
-    Maintains adjacency sets for O(1) edge tests and O(deg) neighbor
-    iteration, plus incrementally updated degree counters.
+    Maintains adjacency sets for O(1) edge tests while the graph is being
+    built; analyses read the frozen :meth:`csr` array form instead.
     """
 
-    __slots__ = ("directed", "_labels", "_adj", "_in_adj", "_deg", "_indeg", "_outdeg", "_n_edges")
+    __slots__ = ("directed", "_labels", "_adj", "_n_edges", "_csr")
 
     def __init__(self, directed: bool, labels: Sequence[int]):
         labels = np.asarray(labels, dtype=np.int8)
@@ -36,18 +37,9 @@ class AttributedGraph:
             raise ValueError("labels must be 0 (majority) or 1 (minority)")
         self.directed = bool(directed)
         self._labels = labels
-        n = labels.size
-        self._adj: list[set[int]] = [set() for _ in range(n)]
-        self._in_adj: list[set[int]] | None = [set() for _ in range(n)] if directed else None
-        if directed:
-            self._indeg = np.zeros(n, dtype=np.int64)
-            self._outdeg = np.zeros(n, dtype=np.int64)
-            self._deg = None
-        else:
-            self._deg = np.zeros(n, dtype=np.int64)
-            self._indeg = None
-            self._outdeg = None
+        self._adj: list[set[int]] = [set() for _ in range(labels.size)]
         self._n_edges = 0
+        self._csr: CSR | None = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -86,23 +78,13 @@ class AttributedGraph:
         """
         self._check_node(u)
         self._check_node(v)
-        if u == v:
+        if u == v or v in self._adj[u]:
             return False
-        if self.directed:
-            if v in self._adj[u]:
-                return False
-            self._adj[u].add(v)
-            self._in_adj[v].add(u)
-            self._outdeg[u] += 1
-            self._indeg[v] += 1
-        else:
-            if v in self._adj[u]:
-                return False
-            self._adj[u].add(v)
+        self._adj[u].add(v)
+        if not self.directed:
             self._adj[v].add(u)
-            self._deg[u] += 1
-            self._deg[v] += 1
         self._n_edges += 1
+        self._csr = None
         return True
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -114,41 +96,51 @@ class AttributedGraph:
         """Neighbor set (out-neighbors when directed); do not mutate."""
         return self._adj[u]
 
-    def out_neighbors(self, u: int) -> set[int]:
-        if not self.directed:
-            raise ValueError("out_neighbors requires a directed graph")
-        return self._adj[u]
+    def csr(self) -> "CSR":
+        """The graph's read-only array form, built on first use and cached.
 
-    def in_neighbors(self, u: int) -> set[int]:
-        if not self.directed:
-            raise ValueError("in_neighbors requires a directed graph")
-        return self._in_adj[u]
+        Row u lists the neighbors of u (out-neighbors when directed) in
+        ascending id order; an undirected edge appears in both rows.
+        :meth:`add_edge` drops the cached form.
+        """
+        if self._csr is None:
+            lengths = np.fromiter(map(len, self._adj), dtype=np.int64, count=self.n)
+            indptr = np.zeros(self.n + 1, dtype=np.int64)
+            np.cumsum(lengths, out=indptr[1:])
+            targets = np.fromiter(chain.from_iterable(self._adj), dtype=np.int64, count=int(indptr[-1]))
+            # sort each row: (row, target) keys sort row-major
+            keys = np.repeat(np.arange(self.n, dtype=np.int64), lengths) * self.n + targets
+            keys.sort()
+            indices = keys % self.n
+            indptr.setflags(write=False)
+            indices.setflags(write=False)
+            self._csr = CSR(indptr, indices)
+        return self._csr
+
+    def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sources and targets of every edge in canonical sorted order.
+
+        Undirected edges appear once as (u, v) with u < v; rows are sorted
+        by source, then target.
+        """
+        csr = self.csr()
+        src = np.repeat(np.arange(self.n, dtype=np.int64), csr.out_degree())
+        if self.directed:
+            return src, csr.indices
+        keep = src < csr.indices
+        return src[keep], csr.indices[keep]
 
     def edges(self) -> Iterator[tuple[int, int]]:
-        """Edges in canonical form: (u, v) with u < v when undirected."""
-        if self.directed:
-            for u, nbrs in enumerate(self._adj):
-                for v in nbrs:
-                    yield (u, v)
-        else:
-            for u, nbrs in enumerate(self._adj):
-                for v in nbrs:
-                    if u < v:
-                        yield (u, v)
-
-    # -- degrees --------------------------------------------------------------
-
-    def degree_vector(self) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
-        """Degrees per node; (indeg, outdeg) pair when directed."""
-        if self.directed:
-            return self._indeg.copy(), self._outdeg.copy()
-        return self._deg.copy()
+        """Edges in canonical sorted order: (u, v) with u < v when undirected."""
+        src, dst = self.edge_arrays()
+        return zip(src.tolist(), dst.tolist())
 
     def total_degree_vector(self) -> np.ndarray:
         """deg for undirected graphs, indeg+outdeg for directed ones."""
+        csr = self.csr()
         if self.directed:
-            return self._indeg + self._outdeg
-        return self._deg.copy()
+            return csr.out_degree() + csr.in_degree()
+        return csr.out_degree()
 
     # -- comparison ------------------------------------------------------------
 
@@ -166,6 +158,37 @@ class AttributedGraph:
     def __repr__(self) -> str:
         kind = "directed" if self.directed else "undirected"
         return f"AttributedGraph({kind}, n={self.n}, edges={self.num_edges})"
+
+
+@dataclass(frozen=True)
+class CSR:
+    """Compressed sparse rows: row u is ``indices[indptr[u]:indptr[u + 1]]``.
+
+    Both arrays are int64 and read-only; each row is sorted ascending.
+    """
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def row(self, u: int) -> np.ndarray:
+        return self.indices[self.indptr[u]:self.indptr[u + 1]]
+
+    def rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Concatenated rows of the int array ``nodes``: (owning node, neighbor) per entry."""
+        starts = self.indptr[nodes]
+        lengths = self.indptr[nodes + 1] - starts
+        ends = lengths.cumsum()  # where each row ends in the output
+        total = int(ends[-1]) if ends.size else 0
+        offsets = np.arange(total) + np.repeat(starts - ends + lengths, lengths)
+        return np.repeat(nodes, lengths), self.indices[offsets]
+
+    def out_degree(self) -> np.ndarray:
+        """Row lengths: the degree, or the out-degree when directed."""
+        return np.diff(self.indptr)
+
+    def in_degree(self) -> np.ndarray:
+        """Column counts: the degree, or the in-degree when directed."""
+        return np.bincount(self.indices, minlength=self.indptr.size - 1)
 
 
 @dataclass(frozen=True)

@@ -83,17 +83,10 @@ def mixing_counts(g: AttributedGraph) -> np.ndarray:
     counts and both off-diagonal cells hold the (single) cross-class count,
     so |E| = c[0,0] + c[1,1] + c[0,1].
     """
-    counts = np.zeros((2, 2), dtype=np.int64)
-    labels = g.labels
-    for u, v in g.edges():
-        a, b = labels[u], labels[v]
-        if g.directed:
-            counts[a, b] += 1
-        elif a == b:
-            counts[a, a] += 1
-        else:
-            counts[0, 1] += 1
-            counts[1, 0] += 1
+    src, dst = g.edge_arrays()
+    counts = np.bincount(2 * g.labels[src] + g.labels[dst], minlength=4).reshape(2, 2)
+    if not g.directed:
+        counts[0, 1] = counts[1, 0] = counts[0, 1] + counts[1, 0]
     return counts
 
 
@@ -651,29 +644,22 @@ def trace_from_graph(g: AttributedGraph, seed: int = 0) -> GrowthTrace:
     The resulting trace carries ``order_assumed=True``.
     """
     if g.directed:
-        edges = sorted(g.edges())
-        rng = make_rng(seed)
-        order = sample_without_replacement(rng, len(edges), len(edges))
-        srcs = np.array([edges[i][0] for i in order], dtype=np.int64)
-        tgts = np.array([edges[i][1] for i in order], dtype=np.int64)
-        kinds = np.full(len(edges), int(EventKind.DIRECTED_PICK), dtype=np.int8)
+        srcs, tgts = g.edge_arrays()
+        order = sample_without_replacement(make_rng(seed), srcs.size, srcs.size)
         return GrowthTrace(
-            directed=True, labels=g.labels, sources=srcs, targets=tgts,
-            kinds=kinds, order_assumed=True,
+            directed=True, labels=g.labels, sources=srcs[order], targets=tgts[order],
+            kinds=np.full(srcs.size, int(EventKind.DIRECTED_PICK), dtype=np.int8),
+            order_assumed=True,
         )
-    srcs_l: list[int] = []
-    tgts_l: list[int] = []
-    for v in range(g.n):
-        for u in sorted(g.neighbors(v)):
-            if u < v:
-                srcs_l.append(v)
-                tgts_l.append(u)
+    csr = g.csr()
+    owner = np.repeat(np.arange(g.n, dtype=np.int64), csr.out_degree())
+    lower = csr.indices < owner
     return GrowthTrace(
         directed=False,
         labels=g.labels,
-        sources=np.asarray(srcs_l, dtype=np.int64),
-        targets=np.asarray(tgts_l, dtype=np.int64),
-        kinds=np.full(len(srcs_l), int(EventKind.PAH_PICK), dtype=np.int8),
+        sources=owner[lower],
+        targets=csr.indices[lower],
+        kinds=np.full(int(lower.sum()), int(EventKind.PAH_PICK), dtype=np.int8),
         m=None,
         order_assumed=True,
     )

@@ -57,8 +57,7 @@ def write_network(g: AttributedGraph, prefix: str | Path) -> tuple[Path, Path]:
         lines.append(f"{i},{labels[i]}")
     nodes_path.write_text("\n".join(lines) + "\n", newline="\n")
     lines = ["source,target"]
-    for u, v in sorted(g.edges()):
-        lines.append(f"{u},{v}")
+    lines += [f"{u},{v}" for u, v in g.edges()]
     edges_path.write_text("\n".join(lines) + "\n", newline="\n")
     return nodes_path, edges_path
 

@@ -70,25 +70,16 @@ def pagerank(
     n = g.n
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must lie in [0, 1), got {damping}")
-    src_l: list[int] = []
-    dst_l: list[int] = []
-    for u, v in g.edges():
-        src_l.append(u)
-        dst_l.append(v)
-        if not g.directed:
-            src_l.append(v)
-            dst_l.append(u)
-    src = np.asarray(src_l, dtype=np.int64)
-    dst = np.asarray(dst_l, dtype=np.int64)
-    outdeg = np.bincount(src, minlength=n).astype(np.float64)
-    dangling = outdeg == 0.0
-    outdeg_safe = np.where(dangling, 1.0, outdeg)
+    csr = g.csr()
+    outdeg = csr.out_degree()
+    dangling = outdeg == 0
+    outdeg_safe = np.maximum(outdeg, 1)
 
     pr = np.full(n, 1.0 / n)
     base = (1.0 - damping) / n
     for it in range(1, max_iter + 1):
         contrib = pr / outdeg_safe
-        flow = np.bincount(dst, weights=contrib[src], minlength=n)
+        flow = np.bincount(csr.indices, weights=np.repeat(contrib, outdeg), minlength=n)
         dangling_mass = float(pr[dangling].sum())
         new = base + damping * (flow + dangling_mass / n)
         delta = float(np.abs(new - pr).sum())
@@ -104,17 +95,19 @@ def _metric_scores(g: AttributedGraph, metric: str) -> np.ndarray:
     if metric == "indegree":
         if not g.directed:
             raise ValueError("indegree ranking requires a directed graph")
-        indeg, _ = g.degree_vector()
-        return indeg.astype(np.float64)
+        return g.csr().in_degree().astype(np.float64)
     if metric == "pagerank":
         return pagerank(g).scores
     raise ValueError(f"unknown metric {metric!r}; expected degree, indegree, or pagerank")
 
 
+def _order(scores: np.ndarray) -> np.ndarray:
+    return np.lexsort((np.arange(scores.size), -scores)).astype(np.int64)
+
+
 def rank_nodes(g: AttributedGraph, metric: str) -> np.ndarray:
     """Node ids sorted by metric score, descending; ties by ascending id."""
-    scores = _metric_scores(g, metric)
-    return np.lexsort((np.arange(g.n), -scores)).astype(np.int64)
+    return _order(_metric_scores(g, metric))
 
 
 def visibility(g: AttributedGraph, metric: str) -> VisibilityCurve:
@@ -123,10 +116,14 @@ def visibility(g: AttributedGraph, metric: str) -> VisibilityCurve:
     Requires both classes to be present; the k=100 entry equals the
     population minority fraction by construction.
     """
+    return _curve(g, metric, _metric_scores(g, metric))
+
+
+def _curve(g: AttributedGraph, metric: str, scores: np.ndarray) -> VisibilityCurve:
     counts = g.class_counts()
     if counts[0] == 0 or counts[1] == 0:
         raise ValueError("visibility needs both classes present in the graph")
-    order = rank_nodes(g, metric)
+    order = _order(scores)
     labels = g.labels
     n = g.n
     fractions = np.empty(len(VISIBILITY_KS))
@@ -167,8 +164,8 @@ def gini(values: np.ndarray) -> float:
 
 def rank_report(g: AttributedGraph, metric: str) -> RankReport:
     """Visibility curve plus inequality (gini) and inequity (ME) summaries."""
-    curve = visibility(g, metric)
     scores = _metric_scores(g, metric)
+    curve = _curve(g, metric, scores)
     below = curve.ks < 100
     me = float((curve.fractions[below] - curve.f_m).mean())
     return RankReport(curve=curve, gini=gini(scores), me=me)

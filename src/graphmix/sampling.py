@@ -134,24 +134,24 @@ def _uniform_fill(sampled: set[int], n: int, size: int, rng) -> None:
 
 
 def _sample_uniform_edge(g: AttributedGraph, size: int, rng) -> list[int]:
-    edges = sorted(g.edges())
+    src, dst = g.edge_arrays()
+    covered = int(np.count_nonzero(g.total_degree_vector()))
     sampled: set[int] = set()
-    if edges:
-        covered = {u for e in edges for u in e}
-        while len(sampled) < size:
-            if covered <= sampled:
-                break  # only isolated nodes remain
-            u, v = edges[rand_below(rng, len(edges))]
-            for node in (u, v):
-                if len(sampled) >= size:
-                    break
-                sampled.add(node)
+    # sampled only ever holds edge endpoints, so it covers them all once it
+    # is as large as the covered set; then only isolated nodes remain
+    while len(sampled) < min(size, covered):
+        i = rand_below(rng, src.size)
+        for node in (int(src[i]), int(dst[i])):
+            if len(sampled) >= size:
+                break
+            sampled.add(node)
     if len(sampled) < size:
         _uniform_fill(sampled, g.n, size, rng)
     return list(sampled)
 
 
 def _sample_snowball(g: AttributedGraph, size: int, rng) -> list[int]:
+    csr = g.csr()
     sampled: set[int] = set()
     queue: deque[int] = deque()
     while len(sampled) < size:
@@ -163,7 +163,7 @@ def _sample_snowball(g: AttributedGraph, size: int, rng) -> list[int]:
             if len(sampled) >= size:
                 break
         u = queue.popleft()
-        for v in sorted(g.neighbors(u)):
+        for v in csr.row(u).tolist():
             if v not in sampled:
                 sampled.add(v)
                 queue.append(v)
@@ -173,6 +173,7 @@ def _sample_snowball(g: AttributedGraph, size: int, rng) -> list[int]:
 
 
 def _sample_random_walk(g: AttributedGraph, size: int, rng) -> list[int]:
+    csr = g.csr()
     n = g.n
     current = rand_below(rng, n)
     sampled: set[int] = {current}
@@ -180,9 +181,9 @@ def _sample_random_walk(g: AttributedGraph, size: int, rng) -> list[int]:
         if rng.random() < RESTART_PROB:
             current = rand_below(rng, n)
         else:
-            nbrs = sorted(g.neighbors(current))
-            if nbrs:
-                current = nbrs[rand_below(rng, len(nbrs))]
+            nbrs = csr.row(current)
+            if nbrs.size:
+                current = int(nbrs[rand_below(rng, nbrs.size)])
             else:
                 current = rand_below(rng, n)
         sampled.add(current)
@@ -197,6 +198,12 @@ def cell_seed(base_seed: int, strategy: str, budget: int, rep: int) -> int:
     """
     digest = hashlib.sha256(f"{strategy}|{budget}|{rep}".encode()).digest()
     return (base_seed ^ int.from_bytes(digest[:8], "little")) & (2**64 - 1)
+
+
+def _spread(biases: np.ndarray) -> float:
+    """Population std (ddof=0); exactly 0.0 when every repetition agrees,
+    where np.std can leave rounding residue of the mean."""
+    return 0.0 if (biases == biases[0]).all() else float(biases.std())
 
 
 def benchmark(
@@ -250,9 +257,9 @@ def benchmark(
                     budget=budget,
                     reps=reps,
                     minority_bias=float(fm_bias.mean()),
-                    minority_bias_std=float(fm_bias.std()),
+                    minority_bias_std=_spread(fm_bias),
                     degree_bias=float(deg_bias.mean()),
-                    degree_bias_std=float(deg_bias.std()),
+                    degree_bias_std=_spread(deg_bias),
                 )
             )
     return BiasReport(f_m=f_m, mean_degree=mean_degree, records=records, cells=cells)

@@ -21,7 +21,7 @@ import numpy as np
 
 from .graph import AttributedGraph
 from .ranking import rank_nodes
-from .rng import rand_below, sample_without_replacement
+from .rng import sample_without_replacement
 
 __all__ = [
     "CascadeTrace",
@@ -94,12 +94,11 @@ def _fractions_from_times(times: np.ndarray, labels: np.ndarray) -> tuple[np.nda
     horizon = int(times.max()) if times.size else 0
     horizon = max(horizon, 0)
     rows = np.zeros((horizon + 1, 2))
-    for t in range(horizon + 1):
-        informed = (times >= 0) & (times <= t)
-        if n0:
-            rows[t, 0] = float((informed & (labels == 0)).sum()) / n0
-        if n1:
-            rows[t, 1] = float((informed & (labels == 1)).sum()) / n1
+    informed = times >= 0
+    for c, size in ((0, n0), (1, n1)):
+        if size:
+            per_step = np.bincount(times[informed & (labels == c)], minlength=horizon + 1)
+            rows[:, c] = np.cumsum(per_step) / size
     return rows, (n0, n1)
 
 
@@ -118,27 +117,23 @@ def cascade(
     seeds = _check_seeds(g, seeds)
     if max_steps is None:
         max_steps = 10 * g.n
+    csr = g.csr()
     labels = g.labels
     times = np.full(g.n, -1, dtype=np.int64)
     times[seeds] = 0
-    frontier = list(seeds)
+    frontier = seeds
 
     t = 0
-    while frontier and t < max_steps:
+    while frontier.size and t < max_steps:
         t += 1
-        inactive_at_start = times < 0
-        newly: list[int] = []
-        for u in frontier:
-            lu = labels[u]
-            for v in sorted(g.neighbors(u)):
-                if not inactive_at_start[v]:
-                    continue
-                roll = rng.random()
-                p = p_in if labels[v] == lu else p_out
-                if roll < p and times[v] < 0:
-                    times[v] = t
-                    newly.append(v)
-        frontier = sorted(newly)
+        # one roll per (frontier node, inactive neighbor) attempt, in the
+        # documented order: the same draws as one scalar draw per attempt
+        src, dst = csr.rows(frontier)
+        attempt = times[dst] < 0
+        src, dst = src[attempt], dst[attempt]
+        p = np.where(labels[dst] == labels[src], p_in, p_out)
+        frontier = np.unique(dst[rng.random(dst.size) < p])
+        times[frontier] = t
 
     rows, counts = _fractions_from_times(times, labels)
     return CascadeTrace(
@@ -169,36 +164,27 @@ def threshold_cascade(
         max_steps = 10 * g.n
 
     n = g.n
-    src_l: list[int] = []
-    dst_l: list[int] = []
-    for u, v in g.edges():
-        src_l.append(u)
-        dst_l.append(v)
-        if not g.directed:
-            src_l.append(v)
-            dst_l.append(u)
-    src = np.asarray(src_l, dtype=np.int64)
-    dst = np.asarray(dst_l, dtype=np.int64)
-    relevant_deg = np.bincount(dst, minlength=n).astype(np.float64)
-    has_nbrs = relevant_deg > 0
-
+    csr = g.csr()
+    relevant_deg = csr.in_degree()
+    needed = theta * relevant_deg - 1e-12
+    active_in = np.zeros(n, dtype=np.int64)
     times = np.full(n, -1, dtype=np.int64)
     times[seeds] = 0
-    active = times == 0
+    newly = seeds
     for t in range(1, max_steps + 1):
-        if src.size:
-            active_in = np.bincount(dst, weights=active[src].astype(np.float64), minlength=n)
-        else:
-            active_in = np.zeros(n)
-        ready = (
-            ~active
-            & has_nbrs
-            & (active_in >= theta * relevant_deg - 1e-12)
-        )
-        if not ready.any():
+        _, nbrs = csr.rows(newly)
+        nbrs, hits = np.unique(nbrs, return_counts=True)
+        active_in[nbrs] += hits
+        # after step 1 only the out-neighbors of the nodes activated last
+        # step have a changed count, so only they can turn ready; step 1
+        # tests every node, since a threshold within the 1e-12 tolerance
+        # of zero needs no active in-neighbor
+        candidates = nbrs if t > 1 else np.flatnonzero(relevant_deg)
+        candidates = candidates[times[candidates] < 0]
+        newly = candidates[active_in[candidates] >= needed[candidates]]
+        if not newly.size:
             break
-        times[ready] = t
-        active |= ready
+        times[newly] = t
 
     rows, counts = _fractions_from_times(times, g.labels)
     return CascadeTrace(

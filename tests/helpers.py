@@ -146,3 +146,58 @@ def random_graph(n: int, directed: bool, p: float, rng: np.random.Generator) -> 
             if rng.random() < p:
                 g.add_edge(u, v)
     return g
+
+
+def naive_threshold_times(g: AttributedGraph, seeds, theta: float, max_steps: int) -> list[int]:
+    """Synchronous threshold contagion recounting every node at every step.
+
+    Reads the adjacency sets, not the array form: a node's relevant
+    neighbours are its in-neighbours (all neighbours when undirected), and
+    an inactive node with at least one of them activates once the active
+    share reaches theta (within the 1e-12 tolerance).
+    """
+    n = g.n
+    in_nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u in range(n):
+        for v in g.neighbors(u):
+            in_nbrs[v].append(u)
+    times = [-1] * n
+    for s in seeds:
+        times[int(s)] = 0
+    for t in range(1, max_steps + 1):
+        ready = [
+            v for v in range(n)
+            if times[v] < 0 and in_nbrs[v]
+            and sum(times[u] >= 0 for u in in_nbrs[v]) >= theta * len(in_nbrs[v]) - 1e-12
+        ]
+        if not ready:
+            break
+        for v in ready:
+            times[v] = t
+    return times
+
+
+def naive_cascade_times(g: AttributedGraph, seeds, p_in: float, p_out: float, rng, max_steps: int) -> list[int]:
+    """Independent cascade with one scalar draw per attempt, in the
+    documented order: frontier ascending, then sorted neighbour sets."""
+    labels = g.labels
+    times = [-1] * g.n
+    for s in seeds:
+        times[int(s)] = 0
+    frontier = sorted({int(s) for s in seeds})
+    t = 0
+    while frontier and t < max_steps:
+        t += 1
+        inactive_at_start = [x < 0 for x in times]
+        newly = []
+        for u in frontier:
+            for v in sorted(g.neighbors(u)):
+                if not inactive_at_start[v]:
+                    continue
+                roll = rng.random()
+                p = p_in if labels[v] == labels[u] else p_out
+                if roll < p and times[v] < 0:
+                    times[v] = t
+                    newly.append(v)
+        frontier = sorted(newly)
+    return times

@@ -15,7 +15,6 @@ from graphmix.generate import (
     generate,
     rebuild_graph,
     sample_activity,
-    target_weights_undirected,
 )
 from graphmix.graph import AttributedGraph, MixingMatrix
 from graphmix.rng import make_rng
@@ -179,29 +178,6 @@ def test_activity_minimum_is_one():
 def test_activity_rejects_gamma_at_or_below_one():
     with pytest.raises(ValueError):
         activity_from_uniform(0.5, 1.0)
-
-
-# -- weights op -----------------------------------------------------------------
-
-
-def test_target_weights_pa_and_pah():
-    g = AttributedGraph(False, [0, 1, 0])
-    g.add_edge(0, 1)
-    g.add_edge(0, 2)
-    eligible = np.array([0, 1, 2])
-    w_pa = target_weights_undirected(g, 0, eligible, None, "pa")
-    assert w_pa.tolist() == [2.0, 1.0, 1.0]
-    H = MixingMatrix.symmetric(0.8)
-    w_pah = target_weights_undirected(g, 1, eligible, H, "pah")
-    assert w_pah.tolist() == pytest.approx([0.4, 0.8, 0.2])
-
-
-def test_target_weights_validation():
-    g = AttributedGraph(False, [0, 0])
-    with pytest.raises(ValueError):
-        target_weights_undirected(g, 0, np.array([], dtype=np.int64), None, "pa")
-    with pytest.raises(ValueError):
-        target_weights_undirected(g, 0, np.array([0]), None, "nope")
 
 
 # -- params / dispatcher ---------------------------------------------------------

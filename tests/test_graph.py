@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from graphmix.graph import AttributedGraph, MixingMatrix, assign_classes
 from graphmix.rng import make_rng
 
+from helpers import random_graph
+
 
 def test_add_edge_and_degree_bookkeeping():
     g = AttributedGraph(False, [0, 0, 1, 1])
@@ -16,7 +18,6 @@ def test_add_edge_and_degree_bookkeeping():
     assert g.num_edges == 2
     assert g.has_edge(0, 1) and g.has_edge(1, 0)
     assert sorted(g.edges()) == [(0, 1), (0, 2)]
-    assert g.degree_vector().tolist() == [2, 1, 1, 0]
     assert g.total_degree_vector().tolist() == [2, 1, 1, 0]
 
 
@@ -25,12 +26,11 @@ def test_directed_edges_are_ordered_pairs():
     assert g.add_edge(0, 1)
     assert g.add_edge(1, 0)  # reverse direction is a distinct edge
     assert not g.add_edge(0, 1)
-    indeg, outdeg = g.degree_vector()
-    assert indeg.tolist() == [1, 1]
-    assert outdeg.tolist() == [1, 1]
+    csr = g.csr()
+    assert csr.in_degree().tolist() == [1, 1]
+    assert csr.out_degree().tolist() == [1, 1]
     assert g.total_degree_vector().tolist() == [2, 2]
-    assert g.out_neighbors(0) == {1}
-    assert g.in_neighbors(0) == {1}
+    assert csr.row(0).tolist() == [1]
 
 
 def test_add_edge_rejects_out_of_range():
@@ -72,8 +72,40 @@ def test_undirected_neighbors_symmetric():
     g.add_edge(1, 2)
     assert g.neighbors(1) == {2}
     assert g.neighbors(2) == {1}
-    with pytest.raises(ValueError):
-        g.out_neighbors(1)
+
+
+@given(st.integers(1, 30), st.booleans(), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_csr_matches_adjacency_sets(n, directed, p, seed):
+    g = random_graph(n, directed, p, make_rng(seed))
+    csr = g.csr()
+    assert csr.indptr.size == n + 1 and csr.indptr[0] == 0
+    assert not csr.indptr.flags.writeable and not csr.indices.flags.writeable
+    for u in range(n):
+        assert csr.row(u).tolist() == sorted(g.neighbors(u))
+    nodes = np.arange(n)[::-2]
+    owners, nbrs = csr.rows(nodes)
+    assert nbrs.tolist() == [v for u in nodes for v in sorted(g.neighbors(u))]
+    assert owners.tolist() == [u for u in nodes for _ in g.neighbors(u)]
+
+    # the values the incremental degree counters of add_edge used to hold
+    outdeg = [len(g.neighbors(u)) for u in range(n)]
+    indeg = [sum(v in g.neighbors(u) for u in range(n)) for v in range(n)]
+    assert csr.out_degree().tolist() == outdeg
+    assert csr.in_degree().tolist() == indeg
+    total = [o + i for o, i in zip(outdeg, indeg)] if directed else outdeg
+    assert g.total_degree_vector().tolist() == total
+    canonical = sorted((u, v) for u in range(n) for v in g.neighbors(u) if directed or u < v)
+    assert list(g.edges()) == canonical
+
+    assert g.csr() is csr
+    absent = [(u, v) for u in range(n) for v in range(n) if u != v and not g.has_edge(u, v)]
+    if absent:
+        u, v = absent[len(absent) // 2]
+        assert g.add_edge(u, v)
+        fresh = g.csr()
+        assert v in fresh.row(u).tolist()
+        assert fresh.indices.size == csr.indices.size + (1 if directed else 2)
 
 
 # -- mixing matrix -----------------------------------------------------------

@@ -205,3 +205,18 @@ def test_rank_report_me_and_bounds():
 def test_rank_report_periphery_has_negative_me():
     rep = rank_report(_two_hub_graph(False), "degree")
     assert rep.me < 0
+
+
+def test_rank_report_computes_pagerank_once(monkeypatch):
+    import graphmix.ranking as ranking
+
+    calls = []
+
+    def counted(g, *args, **kwargs):
+        calls.append(g)
+        return pagerank(g, *args, **kwargs)
+
+    monkeypatch.setattr(ranking, "pagerank", counted)
+    rep = rank_report(_two_hub_graph(True), "pagerank")
+    assert len(calls) == 1
+    assert rep.gini == gini(pagerank(_two_hub_graph(True)).scores)

@@ -149,6 +149,15 @@ def test_benchmark_full_budget_has_zero_bias():
         assert cell.minority_bias_std == 0.0
 
 
+def test_constant_cell_reports_exactly_zero_spread():
+    # top-degree ignores the seed, so all ten repetitions give the same
+    # biases; np.std of those ten equal values leaves 2.2e-16
+    g = random_graph(5, directed=False, p=0.3, rng=make_rng(0))
+    cell = benchmark(g, ["top-degree"], [1], reps=10, seed=0).cells[0]
+    assert cell.degree_bias_std == 0.0
+    assert cell.minority_bias_std == 0.0
+
+
 def test_benchmark_shapes_and_determinism():
     g = random_graph(40, directed=False, p=0.1, rng=make_rng(5))
     a = benchmark(g, ["uniform-node", "snowball"], [5, 10], reps=4, seed=9)

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmix.graph import AttributedGraph
-from graphmix.rng import make_rng
+from graphmix.rng import make_rng, sample_without_replacement
 from graphmix.spreading import (
     SEED_CONDITIONS,
     cascade,
@@ -12,7 +14,7 @@ from graphmix.spreading import (
     threshold_cascade,
 )
 
-from helpers import random_graph
+from helpers import naive_cascade_times, naive_threshold_times, random_graph
 
 
 def _graph(directed, labels, edges):
@@ -105,7 +107,38 @@ def test_directed_cascade_follows_edge_direction():
     assert trace.activation_time.tolist() == [0, 1, -1]
 
 
+@given(st.integers(2, 25), st.booleans(), st.floats(0.05, 0.5), st.floats(0.0, 1.0),
+       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 30))
+@settings(max_examples=60, deadline=None)
+def test_cascade_matches_scalar_draw_reference(n, directed, p, p_in, p_out, seed, n_seeds, max_steps):
+    g = random_graph(n, directed, p, make_rng(seed))
+    seeds = sample_without_replacement(make_rng(seed + 1), n, min(n_seeds, n))
+    rng, ref_rng = make_rng(seed + 2), make_rng(seed + 2)
+    trace = cascade(g, seeds, p_in, p_out, rng, max_steps=max_steps)
+    assert trace.activation_time.tolist() == naive_cascade_times(g, seeds, p_in, p_out, ref_rng, max_steps)
+    assert rng.random() == ref_rng.random()  # same number of draws consumed
+
+
 # -- threshold cascade -------------------------------------------------------------
+
+
+@given(st.integers(2, 25), st.booleans(), st.floats(0.05, 0.5),
+       st.sampled_from([1e-13, 0.1, 0.25, 1 / 3, 0.5, 0.75, 1.0]),
+       st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 30))
+@settings(max_examples=60, deadline=None)
+def test_threshold_matches_full_recount_reference(n, directed, p, theta, seed, n_seeds, max_steps):
+    g = random_graph(n, directed, p, make_rng(seed))
+    seeds = sample_without_replacement(make_rng(seed + 1), n, min(n_seeds, n))
+    trace = threshold_cascade(g, seeds, theta, max_steps=max_steps)
+    expected = naive_threshold_times(g, seeds, theta, max_steps)
+    assert trace.activation_time.tolist() == expected
+    labels = g.labels.tolist()
+    for t in range(trace.n_steps + 1):
+        for c in (0, 1):
+            size = labels.count(c)
+            informed = sum(1 for v in range(n) if labels[v] == c and 0 <= expected[v] <= t)
+            assert trace.class_fractions[t, c] == (informed / size if size else 0.0)
+
 
 
 def test_threshold_half_spreads_along_a_path():
