@@ -24,6 +24,7 @@ within 1e-12; ``--seeds`` additionally accepts a comma list.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
 
@@ -206,7 +207,7 @@ _HELP = {
     "seed_condition": "seeding condition: " + ", ".join(SEED_CONDITIONS),
     "seed_count": "number of cascade seed nodes",
     "max_steps": "step cap (default 10*n)",
-    "workers": "parallel workers for sweep cells",
+    "workers": "parallel workers for sweep runs, at least 1; capped at the CPU count and the run count",
     "h00": "mixing matrix entry H[0][0] (overrides --h together with h01/h10/h11)",
     "h01": "mixing matrix entry H[0][1]",
     "h10": "mixing matrix entry H[1][0]",
@@ -483,6 +484,8 @@ def _sweep_job(job):
 def _cmd_sweep(args) -> int:
     cfg = _resolve(args, "sweep")
     _require(cfg, "model", "n")
+    if cfg["workers"] < 1:
+        raise _UsageError(f"--workers must be >= 1, got {cfg['workers']}")
     model = cfg["model"]
     varied = [p for p in _SWEEP_PARAM_ORDER if isinstance(cfg[p], list) and len(cfg[p]) > 1]
     axes = {p: cfg[p] if isinstance(cfg[p], list) else [cfg[p]] for p in _SWEEP_PARAM_ORDER}
@@ -508,7 +511,7 @@ def _cmd_sweep(args) -> int:
             params.validate()
             jobs.append((cell, params))
 
-    workers = cfg["workers"]
+    workers = min(cfg["workers"], os.cpu_count() or 1, len(jobs))
     if workers > 1:
         import multiprocessing
 

@@ -29,7 +29,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .graph import AttributedGraph, MixingMatrix, assign_classes
+from .graph import AttributedGraph, EdgeError, MixingMatrix, assign_classes
 from .rng import make_rng, pick_from_cumulative, rand_below, weighted_pick
 
 __all__ = [
@@ -267,10 +267,8 @@ def _grow(
     (without-replacement multi-pick).
     """
     n = labels.size
-    g = AttributedGraph(False, labels)
-    for i in range(m):
-        for j in range(i + 1, m):
-            g.add_edge(i, j)
+    # neighbour sets only for triadic closure, which draws from them
+    nbrs = [set(range(m)) - {i} if i < m else set() for i in range(n)] if p_tc else None
     deg = np.zeros(n, dtype=np.float64)
     deg[:m] = m - 1
 
@@ -292,7 +290,7 @@ def _grow(
                 if attempt_tc:
                     tc_set = set()
                     for u in chosen:
-                        tc_set |= g.neighbors(u)
+                        tc_set |= nbrs[u]
                     tc_set.discard(v)
                     tc_set.difference_update(chosen)
                     if tc_set:
@@ -311,10 +309,12 @@ def _grow(
             srcs.append(v)
             tgts.append(target)
             kinds.append(int(kind))
-        for t in chosen:
-            g.add_edge(v, t)
-            deg[t] += 1.0
+        deg[chosen] += 1.0
         deg[v] = m
+        if nbrs is not None:
+            nbrs[v].update(chosen)
+            for t in chosen:
+                nbrs[t].add(v)
 
     trace = GrowthTrace(
         directed=False,
@@ -324,7 +324,7 @@ def _grow(
         kinds=np.asarray(kinds, dtype=np.int8),
         m=m,
     )
-    return g, trace
+    return rebuild_graph(trace), trace
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +369,7 @@ def gen_directed(
     activity = sample_activity(n, gamma_a, rng)
     activity_cum = np.cumsum(activity)
 
-    g = AttributedGraph(True, labels)
+    out_nbrs: list[set[int]] = [set() for _ in range(n)]
     ind1 = np.ones(n, dtype=np.float64)  # indeg + 1 smoothing
     if H is not None:
         affinity = [H.row(0)[labels], H.row(1)[labels]]
@@ -377,7 +377,7 @@ def gen_directed(
     srcs: list[int] = []
     tgts: list[int] = []
     failures = 0
-    while g.num_edges < target_edges:
+    while len(srcs) < target_edges:
         s = pick_from_cumulative(rng, activity_cum)
         if model == "dpa":
             w = ind1.copy()
@@ -386,12 +386,12 @@ def gen_directed(
         else:
             w = affinity[labels[s]] * ind1
         w[s] = 0.0
-        out = g.neighbors(s)
+        out = out_nbrs[s]
         if out:
             w[list(out)] = 0.0
         if w.sum() > 0.0:
             t = weighted_pick(rng, w)
-            g.add_edge(s, t)
+            out.add(t)
             ind1[t] += 1.0
             srcs.append(s)
             tgts.append(t)
@@ -399,7 +399,7 @@ def gen_directed(
         else:
             failures += 1
             if failures >= SATURATION_RETRIES:
-                raise SaturationError(g.num_edges, target_edges)
+                raise SaturationError(len(srcs), target_edges)
 
     trace = GrowthTrace(
         directed=True,
@@ -408,7 +408,7 @@ def gen_directed(
         targets=np.asarray(tgts, dtype=np.int64),
         kinds=np.full(len(srcs), int(EventKind.DIRECTED_PICK), dtype=np.int8),
     )
-    return g, trace
+    return rebuild_graph(trace), trace
 
 
 # ---------------------------------------------------------------------------
@@ -416,13 +416,11 @@ def gen_directed(
 # ---------------------------------------------------------------------------
 
 def rebuild_graph(trace: GrowthTrace) -> AttributedGraph:
-    """Reconstruct the final graph from a trace; raises on corrupt traces."""
-    g = AttributedGraph(trace.directed, trace.labels)
-    if not trace.directed and trace.m:
-        for i in range(trace.m):
-            for j in range(i + 1, trace.m):
-                g.add_edge(i, j)
-    for s, t, _ in trace.events():
-        if not g.add_edge(s, t):
-            raise ValueError(f"trace replays an invalid edge ({s}, {t})")
-    return g
+    """Reconstruct the final graph from a trace; raises ValueError on corrupt traces."""
+    m = 0 if trace.directed else trace.m or 0
+    start = np.column_stack(np.triu_indices(m, 1))
+    edges = np.concatenate((start, np.column_stack((trace.sources, trace.targets))))
+    try:
+        return AttributedGraph(trace.directed, trace.labels, edges)
+    except EdgeError as exc:
+        raise ValueError(f"trace replays an invalid edge: {exc.reason}") from None

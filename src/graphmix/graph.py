@@ -2,44 +2,77 @@
 
 Graphs are simple (no self-loops, no duplicate edges), directed or
 undirected, with a binary class label per node: 0 is the majority class,
-1 the minority.  Node ids are dense integers ``0..n-1``.  A graph is
-mutable while it is being built and treated as an immutable value
-afterwards, so it can be shared freely across ensemble workers.
+1 the minority.  Node ids are dense integers ``0..n-1``.  A graph is an
+immutable value built once from an edge array, so it can be shared freely
+across ensemble workers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from .rng import sample_without_replacement
 
-__all__ = ["AttributedGraph", "CSR", "MixingMatrix", "assign_classes"]
+__all__ = ["AttributedGraph", "CSR", "EdgeError", "MixingMatrix", "assign_classes"]
+
+
+class EdgeError(ValueError):
+    """The edge at position ``index`` of an edge list is invalid for ``reason``."""
+
+    def __init__(self, index: int, reason: str):
+        self.index, self.reason = index, reason
+        super().__init__(f"edge {index}: {reason}")
 
 
 class AttributedGraph:
-    """Simple graph with per-node binary class labels.
+    """Simple graph with per-node binary class labels, frozen as a :class:`CSR`."""
 
-    Maintains adjacency sets for O(1) edge tests while the graph is being
-    built; analyses read the frozen :meth:`csr` array form instead.
-    """
+    __slots__ = ("directed", "_labels", "_csr")
 
-    __slots__ = ("directed", "_labels", "_adj", "_n_edges", "_csr")
+    def __init__(self, directed: bool, labels: Sequence[int], edges):
+        """Build the graph from ``edges``, an (E, 2) array-like of (source, target) ids.
 
-    def __init__(self, directed: bool, labels: Sequence[int]):
+        An undirected edge may be given in either orientation.  Raises
+        :class:`EdgeError` for the first edge that references a node outside
+        ``0..n-1``, is a self-loop, or repeats an earlier edge in either
+        orientation when undirected.
+        """
         labels = np.asarray(labels, dtype=np.int8)
         if labels.size == 0:
             raise ValueError("label list must be non-empty")
         if not np.isin(labels, (0, 1)).all():
             raise ValueError("labels must be 0 (majority) or 1 (minority)")
+        edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+        n = labels.size
+        src, dst = edges[:, 0], edges[:, 1]
+        # row-major (row, column) keys; an undirected edge is stored in both
+        # rows, interleaved so that equal keys keep their edge order
+        keys = src * n + dst
+        if not directed:
+            keys = np.column_stack((keys, dst * n + src)).ravel()
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        repeat = np.zeros(len(edges), dtype=bool)
+        repeat[order[1:][keys[1:] == keys[:-1]] // (1 if directed else 2)] = True
+        outside = ((edges < 0) | (edges >= n)).any(axis=1)
+        loop = src == dst
+        bad = np.flatnonzero(outside | loop | repeat)
+        if bad.size:
+            i = int(bad[0])
+            u, v = edges[i].tolist()
+            if outside[i]:
+                raise EdgeError(i, f"edge ({u},{v}) references a node outside 0..{n - 1}")
+            raise EdgeError(i, f"self-loop ({u},{v})" if loop[i] else f"duplicate edge ({u},{v})")
+        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+        indices = keys % n
+        indptr.setflags(write=False)
+        indices.setflags(write=False)
         self.directed = bool(directed)
         self._labels = labels
-        self._adj: list[set[int]] = [set() for _ in range(labels.size)]
-        self._n_edges = 0
-        self._csr: CSR | None = None
+        self._csr = CSR(indptr, indices)
 
     # -- basic accessors ----------------------------------------------------
 
@@ -49,7 +82,7 @@ class AttributedGraph:
 
     @property
     def num_edges(self) -> int:
-        return self._n_edges
+        return self._csr.indices.size if self.directed else self._csr.indices.size // 2
 
     @property
     def labels(self) -> np.ndarray:
@@ -64,57 +97,15 @@ class AttributedGraph:
     def minority_fraction(self) -> float:
         return float(self._labels.mean())
 
-    def _check_node(self, u: int) -> None:
-        if not 0 <= u < self.n:
-            raise ValueError(f"node id {u} out of range [0, {self.n})")
-
     # -- edges ---------------------------------------------------------------
 
-    def add_edge(self, u: int, v: int) -> bool:
-        """Insert edge u-v (u->v when directed); False if rejected.
-
-        Self-loops and existing edges are rejected without modifying the
-        graph; undirected insertion is order-insensitive.
-        """
-        self._check_node(u)
-        self._check_node(v)
-        if u == v or v in self._adj[u]:
-            return False
-        self._adj[u].add(v)
-        if not self.directed:
-            self._adj[v].add(u)
-        self._n_edges += 1
-        self._csr = None
-        return True
-
-    def has_edge(self, u: int, v: int) -> bool:
-        self._check_node(u)
-        self._check_node(v)
-        return v in self._adj[u]
-
-    def neighbors(self, u: int) -> set[int]:
-        """Neighbor set (out-neighbors when directed); do not mutate."""
-        return self._adj[u]
-
     def csr(self) -> "CSR":
-        """The graph's read-only array form, built on first use and cached.
+        """The graph's read-only array form.
 
-        Row u lists the neighbors of u (out-neighbors when directed) in
-        ascending id order; an undirected edge appears in both rows.
-        :meth:`add_edge` drops the cached form.
+        Row u lists the nodes adjacent to u (the targets of u's edges when
+        directed) in ascending id order; an undirected edge appears in both
+        rows.
         """
-        if self._csr is None:
-            lengths = np.fromiter(map(len, self._adj), dtype=np.int64, count=self.n)
-            indptr = np.zeros(self.n + 1, dtype=np.int64)
-            np.cumsum(lengths, out=indptr[1:])
-            targets = np.fromiter(chain.from_iterable(self._adj), dtype=np.int64, count=int(indptr[-1]))
-            # sort each row: (row, target) keys sort row-major
-            keys = np.repeat(np.arange(self.n, dtype=np.int64), lengths) * self.n + targets
-            keys.sort()
-            indices = keys % self.n
-            indptr.setflags(write=False)
-            indices.setflags(write=False)
-            self._csr = CSR(indptr, indices)
         return self._csr
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
@@ -123,7 +114,7 @@ class AttributedGraph:
         Undirected edges appear once as (u, v) with u < v; rows are sorted
         by source, then target.
         """
-        csr = self.csr()
+        csr = self._csr
         src = np.repeat(np.arange(self.n, dtype=np.int64), csr.out_degree())
         if self.directed:
             return src, csr.indices
@@ -137,7 +128,7 @@ class AttributedGraph:
 
     def total_degree_vector(self) -> np.ndarray:
         """deg for undirected graphs, indeg+outdeg for directed ones."""
-        csr = self.csr()
+        csr = self._csr
         if self.directed:
             return csr.out_degree() + csr.in_degree()
         return csr.out_degree()
@@ -150,7 +141,8 @@ class AttributedGraph:
         return (
             self.directed == other.directed
             and np.array_equal(self._labels, other._labels)
-            and self._adj == other._adj
+            and np.array_equal(self._csr.indptr, other._csr.indptr)
+            and np.array_equal(self._csr.indices, other._csr.indices)
         )
 
     __hash__ = None

@@ -23,8 +23,9 @@ from .generate import (
     EVENT_KIND_NAMES,
     EventKind,
     GrowthTrace,
+    rebuild_graph,
 )
-from .graph import AttributedGraph
+from .graph import AttributedGraph, EdgeError
 
 __all__ = [
     "NetworkFormatError",
@@ -62,7 +63,8 @@ def write_network(g: AttributedGraph, prefix: str | Path) -> tuple[Path, Path]:
     return nodes_path, edges_path
 
 
-def _read_rows(path: Path, header: str) -> list[tuple[int, list[str]]]:
+def _read_rows(path: Path, header: str) -> list[list[str]]:
+    """Comma-split rows, each as wide as ``header``, of a file that starts with it; row i is line i + 2."""
     try:
         text = path.read_text()
     except FileNotFoundError:
@@ -72,14 +74,30 @@ def _read_rows(path: Path, header: str) -> list[tuple[int, list[str]]]:
         lines.pop()
     if not lines or lines[0] != header:
         raise _err(path, 1, f"expected header {header!r}")
-    return [(i + 2, line.split(",")) for i, line in enumerate(lines[1:])]
+    rows = [line.split(",") for line in lines[1:]]
+    width = header.count(",") + 1
+    short = next((i for i, row in enumerate(rows) if len(row) != width), None)
+    if short is not None:
+        raise _err(path, short + 2, f"expected {width} fields, got {len(rows[short])}")
+    return rows
 
 
-def _int_field(path, lineno: int, name: str, raw: str) -> int:
+def _int_columns(path, rows: list[list[str]], names: tuple[str, ...]) -> np.ndarray:
+    """The leading ``len(names)`` fields of every row as an int64 array of shape (rows, len(names))."""
+    k = len(names)
+    fields = [raw for row in rows for raw in row[:k]]
     try:
-        return int(raw)
-    except ValueError:
-        raise _err(path, lineno, f"{name} must be an integer, got {raw!r}") from None
+        return np.array([int(raw) for raw in fields], dtype=np.int64).reshape(-1, k)
+    except (ValueError, OverflowError):
+        for i, raw in enumerate(fields):  # name the first offending field
+            lineno, name = i // k + 2, names[i % k]
+            try:
+                value = int(raw)
+            except ValueError:
+                raise _err(path, lineno, f"{name} must be an integer, got {raw!r}") from None
+            if value.bit_length() > 63:
+                raise _err(path, lineno, f"{name} {raw} does not fit in 64 bits") from None
+        raise
 
 
 def read_network(prefix: str | Path, directed: bool) -> AttributedGraph:
@@ -87,41 +105,35 @@ def read_network(prefix: str | Path, directed: bool) -> AttributedGraph:
 
     Violations (missing header, non-dense ids, bad class labels, self-loops,
     duplicates, non-canonical undirected rows) raise
-    :class:`NetworkFormatError` naming the offending line.
+    :class:`NetworkFormatError` naming the offending line.  Field-count and
+    integer-parse errors are reported before the other violations.
     """
     prefix = Path(prefix)
     nodes_path = prefix.parent / (prefix.name + "_nodes.csv")
     edges_path = prefix.parent / (prefix.name + "_edges.csv")
 
-    labels: list[int] = []
-    for lineno, fields in _read_rows(nodes_path, "id,class"):
-        if len(fields) != 2:
-            raise _err(nodes_path, lineno, f"expected 2 fields, got {len(fields)}")
-        node_id = _int_field(nodes_path, lineno, "id", fields[0])
-        cls = _int_field(nodes_path, lineno, "class", fields[1])
-        if node_id != len(labels):
-            raise _err(nodes_path, lineno, f"ids must be dense and ascending; expected {len(labels)}, got {node_id}")
-        if cls not in (0, 1):
-            raise _err(nodes_path, lineno, f"class must be 0 or 1, got {cls}")
-        labels.append(cls)
-    if not labels:
+    rows = _read_rows(nodes_path, "id,class")
+    if not rows:
         raise _err(nodes_path, 1, "node file lists no nodes")
+    ids, labels = _int_columns(nodes_path, rows, ("id", "class")).T
+    bad = np.flatnonzero((ids != np.arange(ids.size)) | ((labels != 0) & (labels != 1)))
+    if bad.size:
+        i = int(bad[0])
+        if ids[i] != i:
+            raise _err(nodes_path, i + 2, f"ids must be dense and ascending; expected {i}, got {ids[i]}")
+        raise _err(nodes_path, i + 2, f"class must be 0 or 1, got {labels[i]}")
 
-    g = AttributedGraph(directed, np.asarray(labels, dtype=np.int8))
-    n = g.n
-    for lineno, fields in _read_rows(edges_path, "source,target"):
-        if len(fields) != 2:
-            raise _err(edges_path, lineno, f"expected 2 fields, got {len(fields)}")
-        u = _int_field(edges_path, lineno, "source", fields[0])
-        v = _int_field(edges_path, lineno, "target", fields[1])
-        if not (0 <= u < n and 0 <= v < n):
-            raise _err(edges_path, lineno, f"edge ({u},{v}) references a node outside 0..{n - 1}")
-        if u == v:
-            raise _err(edges_path, lineno, f"self-loop ({u},{v})")
-        if not directed and u > v:
-            raise _err(edges_path, lineno, f"undirected edge must satisfy source < target, got ({u},{v})")
-        if not g.add_edge(u, v):
-            raise _err(edges_path, lineno, f"duplicate edge ({u},{v})")
+    edges = _int_columns(edges_path, _read_rows(edges_path, "source,target"), ("source", "target"))
+    # the graph checks the rows up to the first reversed one, so the earliest bad line is reported
+    flipped = np.flatnonzero(edges[:, 0] > edges[:, 1]) if not directed else ()
+    stop = int(flipped[0]) + 1 if len(flipped) else len(edges)
+    try:
+        g = AttributedGraph(directed, labels, edges[:stop])
+    except EdgeError as exc:
+        raise _err(edges_path, exc.index + 2, exc.reason) from None
+    if len(flipped):
+        u, v = edges[stop - 1]
+        raise _err(edges_path, stop + 1, f"undirected edge must satisfy source < target, got ({u},{v})")
     return g
 
 
@@ -140,40 +152,36 @@ def read_trace(path: str | Path, g: AttributedGraph) -> GrowthTrace:
 
     The trace inherits labels and directedness from ``g``.  For undirected
     traces the per-arrival edge count m is inferred from the first source id
-    (growth starts from a complete graph on 0..m-1); event-structure
-    validation happens when the trace is scored.
+    (growth starts from a complete graph on 0..m-1).  A trace whose replay
+    does not rebuild ``g`` exactly is rejected; the per-arrival event
+    structure is validated when the trace is scored.
     """
-    srcs: list[int] = []
-    tgts: list[int] = []
-    kinds: list[int] = []
     path = Path(path)
-    for lineno, fields in _read_rows(path, "source,target,kind"):
-        if len(fields) != 3:
-            raise _err(path, lineno, f"expected 3 fields, got {len(fields)}")
-        s = _int_field(path, lineno, "source", fields[0])
-        t = _int_field(path, lineno, "target", fields[1])
-        if fields[2] not in EVENT_KIND_FROM_NAME:
-            raise _err(path, lineno, f"unknown event kind {fields[2]!r}")
-        kind = EVENT_KIND_FROM_NAME[fields[2]]
-        directed_kind = kind is EventKind.DIRECTED_PICK
-        if directed_kind != g.directed:
-            raise _err(path, lineno, f"event kind {fields[2]!r} does not match graph directedness")
-        if not (0 <= s < g.n and 0 <= t < g.n):
-            raise _err(path, lineno, f"event ({s},{t}) references a node outside 0..{g.n - 1}")
-        srcs.append(s)
-        tgts.append(t)
-        kinds.append(int(kind))
-    if not srcs:
+    rows = _read_rows(path, "source,target,kind")
+    if not rows:
         raise _err(path, 1, "trace file lists no events")
-    m = None if g.directed else srcs[0]
-    return GrowthTrace(
-        directed=g.directed,
-        labels=g.labels,
-        sources=np.asarray(srcs, dtype=np.int64),
-        targets=np.asarray(tgts, dtype=np.int64),
-        kinds=np.asarray(kinds, dtype=np.int8),
-        m=m,
-    )
+    events = _int_columns(path, rows, ("source", "target"))
+    kinds = np.array([EVENT_KIND_FROM_NAME.get(row[2], -1) for row in rows], dtype=np.int8)
+    wrong_kind = (kinds == EventKind.DIRECTED_PICK) != g.directed
+    bad = np.flatnonzero((kinds < 0) | wrong_kind | ((events < 0) | (events >= g.n)).any(axis=1))
+    if bad.size:
+        i = int(bad[0])
+        if kinds[i] < 0:
+            raise _err(path, i + 2, f"unknown event kind {rows[i][2]!r}")
+        if wrong_kind[i]:
+            raise _err(path, i + 2, f"event kind {rows[i][2]!r} does not match graph directedness")
+        raise _err(path, i + 2, f"event ({events[i, 0]},{events[i, 1]}) references a node outside 0..{g.n - 1}")
+    sources, targets = np.ascontiguousarray(events.T)
+    m = None if g.directed else int(sources[0])
+    trace = GrowthTrace(directed=g.directed, labels=g.labels, sources=sources, targets=targets, kinds=kinds, m=m)
+    try:
+        # counting edges first also bounds the start clique that a rebuild allocates
+        same = len(sources) + (m * (m - 1) // 2 if m else 0) == g.num_edges and rebuild_graph(trace) == g
+    except ValueError as exc:
+        raise NetworkFormatError(f"{path}: {exc}") from None
+    if not same:
+        raise NetworkFormatError(f"{path}: trace does not rebuild the network it was read with")
+    return trace
 
 
 def format_value(value) -> str:

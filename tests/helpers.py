@@ -138,28 +138,37 @@ def power_law_alpha(degrees: np.ndarray, x_min: int = 10) -> float | None:
 def random_graph(n: int, directed: bool, p: float, rng: np.random.Generator) -> AttributedGraph:
     """Erdos-Renyi-style labeled graph for io and property tests."""
     labels = (rng.random(n) < 0.3).astype(np.int8)
-    g = AttributedGraph(directed, labels)
-    for u in range(n):
-        for v in range(n if directed else u):
-            if u == v:
-                continue
-            if rng.random() < p:
-                g.add_edge(u, v)
-    return g
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(n if directed else u)
+        if u != v and rng.random() < p
+    ]
+    return AttributedGraph(directed, labels, edges)
+
+
+def adjacency_lists(g: AttributedGraph) -> list[list[int]]:
+    """Sorted neighbour lists (out-neighbours when directed) from the canonical edge list."""
+    adj: list[list[int]] = [[] for _ in range(g.n)]
+    for u, v in g.edges():
+        adj[u].append(v)
+        if not g.directed:
+            adj[v].append(u)
+    return [sorted(row) for row in adj]
 
 
 def naive_threshold_times(g: AttributedGraph, seeds, theta: float, max_steps: int) -> list[int]:
     """Synchronous threshold contagion recounting every node at every step.
 
-    Reads the adjacency sets, not the array form: a node's relevant
-    neighbours are its in-neighbours (all neighbours when undirected), and
-    an inactive node with at least one of them activates once the active
-    share reaches theta (within the 1e-12 tolerance).
+    Reads the edge list, not the array form: a node's relevant neighbours
+    are its in-neighbours (all neighbours when undirected), and an inactive
+    node with at least one of them activates once the active share reaches
+    theta (within the 1e-12 tolerance).
     """
     n = g.n
     in_nbrs: list[list[int]] = [[] for _ in range(n)]
-    for u in range(n):
-        for v in g.neighbors(u):
+    for u, row in enumerate(adjacency_lists(g)):
+        for v in row:
             in_nbrs[v].append(u)
     times = [-1] * n
     for s in seeds:
@@ -179,7 +188,8 @@ def naive_threshold_times(g: AttributedGraph, seeds, theta: float, max_steps: in
 
 def naive_cascade_times(g: AttributedGraph, seeds, p_in: float, p_out: float, rng, max_steps: int) -> list[int]:
     """Independent cascade with one scalar draw per attempt, in the
-    documented order: frontier ascending, then sorted neighbour sets."""
+    documented order: frontier ascending, then sorted neighbour lists."""
+    adj = adjacency_lists(g)
     labels = g.labels
     times = [-1] * g.n
     for s in seeds:
@@ -191,7 +201,7 @@ def naive_cascade_times(g: AttributedGraph, seeds, p_in: float, p_out: float, rn
         inactive_at_start = [x < 0 for x in times]
         newly = []
         for u in frontier:
-            for v in sorted(g.neighbors(u)):
+            for v in adj[u]:
                 if not inactive_at_start[v]:
                     continue
                 roll = rng.random()

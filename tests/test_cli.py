@@ -127,6 +127,18 @@ def test_select_ranks_true_model_first(tmp_path):
     }
 
 
+@pytest.mark.parametrize("command,model_flag", [("fit", ["--model", "pah"]), ("select", ["--models", "pa,pah"])])
+def test_trace_of_another_network_is_rejected(tmp_path, capsys, command, model_flag):
+    a = _generate(tmp_path, "a", seed="1")
+    _generate(tmp_path, "b", seed="2")
+    assert run(
+        command, "--network", str(a), "--trace", str(tmp_path / "b_trace.csv"), *model_flag,
+        "--out", str(tmp_path), "--prefix", "out",
+    ) == 1
+    assert "trace does not rebuild the network" in capsys.readouterr().err
+    assert not (tmp_path / "out_selection.csv").exists()
+
+
 # -- rank -------------------------------------------------------------------------
 
 
@@ -248,6 +260,46 @@ def test_sweep_workers_match_serial(tmp_path):
         (tmp_path / "s1_sweep.csv").read_bytes()
         == (tmp_path / "s2_sweep.csv").read_bytes()
     )
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_rejects_workers_below_one(tmp_path, workers):
+    assert run(
+        "sweep", "--model", "pa", "--n", "60", "--m", "1", "--workers", workers,
+        "--out", str(tmp_path), "--prefix", "sw",
+    ) == 1
+    assert not (tmp_path / "sw_sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "workers,cpus,want",
+    [("8", 4, [3]), ("2", 4, [2]), ("8", None, []), ("3", 1, []), ("1", 4, [])],
+)
+def test_sweep_pool_is_capped_by_cpus_and_runs(tmp_path, monkeypatch, workers, cpus, want):
+    import multiprocessing
+
+    started = []
+
+    class RecordingPool:  # runs the jobs in this process, so no worker starts
+        def __init__(self, processes):
+            started.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return [fn(job) for job in jobs]
+
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert run(
+        "sweep", "--model", "pa", "--n", "60", "--m", "1", "--seeds", "0:2:1", "--workers", workers,
+        "--out", str(tmp_path), "--prefix", "sw",
+    ) == 0
+    assert started == want
 
 
 def test_sweep_bad_range_is_usage_error(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -54,6 +55,15 @@ def test_trace_rebuild_matches_generated_graph():
         gen_directed("dpah", 50, 0.02, 0.3, 0.7, seed=3),
     ]:
         assert rebuild_graph(trace) == g
+
+
+def test_package_attribute_is_the_generate_module():
+    import graphmix
+    import graphmix.generate as module
+
+    assert module is sys.modules["graphmix.generate"] is graphmix.generate
+    assert callable(module.weighted_pick) and callable(module.generate)
+    assert "generate" not in graphmix.__all__
 
 
 def test_generation_deterministic_per_seed():

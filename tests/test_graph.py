@@ -3,29 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from graphmix.graph import AttributedGraph, MixingMatrix, assign_classes
+from graphmix.graph import AttributedGraph, EdgeError, MixingMatrix, assign_classes
 from graphmix.rng import make_rng
 
-from helpers import random_graph
 
-
-def test_add_edge_and_degree_bookkeeping():
-    g = AttributedGraph(False, [0, 0, 1, 1])
-    assert g.add_edge(0, 1)
-    assert g.add_edge(2, 0)
-    assert not g.add_edge(1, 0)  # duplicate, canonicalized
-    assert not g.add_edge(2, 2)  # self-loop
+def test_undirected_edges_and_degrees():
+    g = AttributedGraph(False, [0, 0, 1, 1], [(0, 1), (2, 0)])
     assert g.num_edges == 2
-    assert g.has_edge(0, 1) and g.has_edge(1, 0)
-    assert sorted(g.edges()) == [(0, 1), (0, 2)]
+    assert list(g.edges()) == [(0, 1), (0, 2)]
     assert g.total_degree_vector().tolist() == [2, 1, 1, 0]
+    assert g.csr().row(0).tolist() == [1, 2]
+    assert g.csr().row(2).tolist() == [0]
 
 
 def test_directed_edges_are_ordered_pairs():
-    g = AttributedGraph(True, [0, 1])
-    assert g.add_edge(0, 1)
-    assert g.add_edge(1, 0)  # reverse direction is a distinct edge
-    assert not g.add_edge(0, 1)
+    g = AttributedGraph(True, [0, 1], [(0, 1), (1, 0)])  # reverse direction is a distinct edge
     csr = g.csr()
     assert csr.in_degree().tolist() == [1, 1]
     assert csr.out_degree().tolist() == [1, 1]
@@ -33,79 +25,120 @@ def test_directed_edges_are_ordered_pairs():
     assert csr.row(0).tolist() == [1]
 
 
-def test_add_edge_rejects_out_of_range():
-    g = AttributedGraph(False, [0, 0])
+@pytest.mark.parametrize(
+    "directed,edges,index,fragment",
+    [
+        (False, [(0, 1), (2, 2)], 1, "self-loop (2,2)"),
+        (True, [(1, 1)], 0, "self-loop (1,1)"),
+        (False, [(0, 1), (1, 2), (0, 1)], 2, "duplicate edge (0,1)"),
+        (False, [(0, 1), (1, 2), (2, 1)], 2, "duplicate edge (2,1)"),
+        (True, [(0, 1), (1, 0), (0, 1)], 2, "duplicate edge (0,1)"),
+        # the first bad edge is reported, whatever its fault
+        (False, [(0, 1), (1, 1), (0, 5)], 1, "self-loop"),
+        (False, [(1, 0), (2, 2), (0, 1)], 1, "self-loop"),
+    ],
+)
+def test_constructor_rejects_bad_edges(directed, edges, index, fragment):
+    with pytest.raises(EdgeError) as exc:
+        AttributedGraph(directed, [0, 1, 0], edges)
+    assert exc.value.index == index
+    assert fragment in exc.value.reason
+    assert str(exc.value).startswith(f"edge {index}: ")
+
+
+def test_constructor_rejects_out_of_range_ids():
+    cases = [(False, [(0, 1), (0, 3)], 1), (True, [(-1, 0)], 0), (True, [(0, 1), (1, 0), (9, 9)], 2)]
+    for directed, edges, index in cases:
+        with pytest.raises(EdgeError) as exc:
+            AttributedGraph(directed, [0, 1, 0], edges)
+        assert exc.value.index == index
+        assert "references a node outside 0..2" in exc.value.reason
+
+
+def test_constructor_rejects_edges_of_wrong_shape():
     with pytest.raises(ValueError):
-        g.add_edge(0, 2)
+        AttributedGraph(False, [0, 1, 0], [(0, 1, 2)])
+    with pytest.raises(ValueError):
+        AttributedGraph(False, [0, 1, 0], [0, 1])
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_empty_edge_list(directed):
+    for edges in ([], np.empty((0, 2), dtype=np.int64)):
+        g = AttributedGraph(directed, [0, 1, 1], edges)
+        assert g.num_edges == 0
+        assert list(g.edges()) == []
+        assert g.csr().indptr.tolist() == [0, 0, 0, 0]
+        assert g.csr().indices.size == 0
+        assert g.total_degree_vector().tolist() == [0, 0, 0]
 
 
 def test_labels_validated():
     with pytest.raises(ValueError):
-        AttributedGraph(False, [0, 2])
+        AttributedGraph(False, [0, 2], [])
     with pytest.raises(ValueError):
-        AttributedGraph(False, [])
+        AttributedGraph(False, [], [])
+
+
+def test_undirected_neighbors_symmetric():
+    g = AttributedGraph(False, [0, 0, 0], [(1, 2)])
+    assert g.csr().row(1).tolist() == [2]
+    assert g.csr().row(2).tolist() == [1]
 
 
 def test_class_counts_and_minority_fraction():
-    g = AttributedGraph(False, [0, 1, 1, 0, 0])
+    g = AttributedGraph(False, [0, 1, 1, 0, 0], [])
     assert g.class_counts() == (3, 2)
     assert g.minority_fraction == pytest.approx(0.4)
 
 
 def test_graph_equality_covers_structure_and_labels():
-    a = AttributedGraph(False, [0, 1])
-    b = AttributedGraph(False, [0, 1])
-    a.add_edge(0, 1)
-    assert a != b
-    b.add_edge(1, 0)
-    assert a == b
-    c = AttributedGraph(False, [1, 0])
-    c.add_edge(0, 1)
-    assert a != c
-    d = AttributedGraph(True, [0, 1])
-    d.add_edge(0, 1)
-    assert a != d
-
-
-def test_undirected_neighbors_symmetric():
-    g = AttributedGraph(False, [0, 0, 0])
-    g.add_edge(1, 2)
-    assert g.neighbors(1) == {2}
-    assert g.neighbors(2) == {1}
+    a = AttributedGraph(False, [0, 1], [(0, 1)])
+    assert a != AttributedGraph(False, [0, 1], [])
+    assert a == AttributedGraph(False, [0, 1], [(1, 0)])
+    assert a != AttributedGraph(False, [1, 0], [(0, 1)])
+    assert a != AttributedGraph(True, [0, 1], [(0, 1)])
+    assert AttributedGraph(True, [0, 1, 0], [(0, 1), (2, 1)]) == AttributedGraph(True, [0, 1, 0], [(2, 1), (0, 1)])
 
 
 @given(st.integers(1, 30), st.booleans(), st.floats(0.0, 0.6), st.integers(0, 2**32 - 1))
 @settings(max_examples=80, deadline=None)
 def test_csr_matches_adjacency_sets(n, directed, p, seed):
-    g = random_graph(n, directed, p, make_rng(seed))
+    rng = make_rng(seed)
+    labels = (rng.random(n) < 0.3).astype(np.int8)
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    edges = [pairs[i] for i in np.flatnonzero(rng.random(len(pairs)) < p)]
+    # hand the edges over shuffled, and undirected ones in either orientation
+    given_edges = [edges[i] for i in rng.permutation(len(edges))]
+    if not directed:
+        given_edges = [(v, u) if rng.random() < 0.5 else (u, v) for u, v in given_edges]
+    g = AttributedGraph(directed, labels, given_edges)
+
+    nbrs = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        if not directed:
+            nbrs[v].append(u)
+    nbrs = [sorted(row) for row in nbrs]
     csr = g.csr()
     assert csr.indptr.size == n + 1 and csr.indptr[0] == 0
     assert not csr.indptr.flags.writeable and not csr.indices.flags.writeable
     for u in range(n):
-        assert csr.row(u).tolist() == sorted(g.neighbors(u))
+        assert csr.row(u).tolist() == nbrs[u]
     nodes = np.arange(n)[::-2]
-    owners, nbrs = csr.rows(nodes)
-    assert nbrs.tolist() == [v for u in nodes for v in sorted(g.neighbors(u))]
-    assert owners.tolist() == [u for u in nodes for _ in g.neighbors(u)]
+    owners, got = csr.rows(nodes)
+    assert got.tolist() == [v for u in nodes for v in nbrs[u]]
+    assert owners.tolist() == [u for u in nodes for _ in nbrs[u]]
 
-    # the values the incremental degree counters of add_edge used to hold
-    outdeg = [len(g.neighbors(u)) for u in range(n)]
-    indeg = [sum(v in g.neighbors(u) for u in range(n)) for v in range(n)]
+    outdeg = [len(row) for row in nbrs]
+    indeg = [sum(v in nbrs[u] for u in range(n)) for v in range(n)]
     assert csr.out_degree().tolist() == outdeg
     assert csr.in_degree().tolist() == indeg
     total = [o + i for o, i in zip(outdeg, indeg)] if directed else outdeg
     assert g.total_degree_vector().tolist() == total
-    canonical = sorted((u, v) for u in range(n) for v in g.neighbors(u) if directed or u < v)
-    assert list(g.edges()) == canonical
-
-    assert g.csr() is csr
-    absent = [(u, v) for u in range(n) for v in range(n) if u != v and not g.has_edge(u, v)]
-    if absent:
-        u, v = absent[len(absent) // 2]
-        assert g.add_edge(u, v)
-        fresh = g.csr()
-        assert v in fresh.row(u).tolist()
-        assert fresh.indices.size == csr.indices.size + (1 if directed else 2)
+    assert g.num_edges == len(edges)
+    assert list(g.edges()) == sorted(edges)
+    assert g == AttributedGraph(directed, labels, edges)
 
 
 # -- mixing matrix -----------------------------------------------------------

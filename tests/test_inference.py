@@ -308,10 +308,7 @@ def test_mle_recovers_grid_point_on_small_sample():
 
 
 def test_mixing_counts_undirected_triangle():
-    g = AttributedGraph(False, [0, 0, 1])
-    g.add_edge(0, 1)
-    g.add_edge(0, 2)
-    g.add_edge(1, 2)
+    g = AttributedGraph(False, [0, 0, 1], [(0, 1), (0, 2), (1, 2)])
     counts = mixing_counts(g)
     assert counts[0, 0] == 1
     assert counts[1, 1] == 0
@@ -320,9 +317,7 @@ def test_mixing_counts_undirected_triangle():
 
 
 def test_mixing_counts_directed():
-    g = AttributedGraph(True, [0, 1])
-    g.add_edge(0, 1)
-    g.add_edge(1, 0)
+    g = AttributedGraph(True, [0, 1], [(0, 1), (1, 0)])
     counts = mixing_counts(g)
     assert counts[0, 1] == 1 and counts[1, 0] == 1
     assert counts.sum() == g.num_edges
@@ -330,7 +325,7 @@ def test_mixing_counts_directed():
 
 
 def test_homophily_estimate_none_without_edges():
-    g = AttributedGraph(False, [0, 1])
+    g = AttributedGraph(False, [0, 1], [])
     assert homophily_estimate(g) is None
 
 

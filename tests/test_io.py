@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from graphmix.generate import gen_directed, gen_pah
 from graphmix.graph import AttributedGraph
@@ -46,16 +48,14 @@ def test_network_roundtrip_generated(tmp_path):
 
 
 def test_undirected_edges_written_canonically(tmp_path):
-    g = AttributedGraph(False, [0, 1, 0])
-    g.add_edge(2, 0)  # stored as (0, 2)
-    g.add_edge(1, 0)
+    g = AttributedGraph(False, [0, 1, 0], [(2, 0), (1, 0)])  # stored as (0, 2) and (0, 1)
     write_network(g, tmp_path / "c")
     text = (tmp_path / "c_edges.csv").read_text()
     assert text == "source,target\n0,1\n0,2\n"
 
 
 def test_edgeless_graph_writes_header_only_edge_file(tmp_path):
-    g = AttributedGraph(False, [0, 1])
+    g = AttributedGraph(False, [0, 1], [])
     write_network(g, tmp_path / "e")
     assert (tmp_path / "e_edges.csv").read_text() == "source,target\n"
     assert _roundtrip(g, tmp_path, "e") == g
@@ -129,6 +129,43 @@ def test_directed_rows_may_go_both_ways(tmp_path):
     assert g.num_edges == 2
 
 
+_FAULTS = ("not-an-int", "field-count", "outside", "self-loop", "reversed", "duplicate")
+
+
+@given(st.data(), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_injected_edge_fault_is_reported_with_its_line(tmp_path_factory, data, directed, seed):
+    g = random_graph(8, directed, 0.4, make_rng(seed))
+    prefix = tmp_path_factory.mktemp("fault") / "f"
+    _, edges_path = write_network(g, prefix)
+    header, *lines = edges_path.read_text().splitlines()
+    assume(lines)
+    fault = data.draw(st.sampled_from([f for f in _FAULTS if not (directed and f == "reversed")]))
+    i = data.draw(st.integers(0, len(lines) - 1))
+    u, v = map(int, lines[i].split(","))
+    if fault == "not-an-int":
+        token = data.draw(st.sampled_from(["x", "1.5", "", " "]))
+        lines[i], want = f"{u},{token}", f"target must be an integer, got {token!r}"
+    elif fault == "field-count":
+        lines[i], want = data.draw(st.sampled_from([(f"{u}", "expected 2 fields, got 1"),
+                                                    (f"{u},{v},{v}", "expected 2 fields, got 3")]))
+    elif fault == "outside":
+        a, b = data.draw(st.sampled_from([(u, g.n + v), (-1 - u, v)]))
+        lines[i], want = f"{a},{b}", f"edge ({a},{b}) references a node outside 0..{g.n - 1}"
+    elif fault == "self-loop":
+        lines[i], want = f"{u},{u}", f"self-loop ({u},{u})"
+    elif fault == "reversed":
+        lines[i], want = f"{v},{u}", f"undirected edge must satisfy source < target, got ({v},{u})"
+    else:  # a copy of line i further down names the copy's line
+        j = data.draw(st.integers(i + 1, len(lines)))
+        lines.insert(j, lines[i])
+        i, want = j, f"duplicate edge ({u},{v})"
+    edges_path.write_text("\n".join([header, *lines]) + "\n")
+    with pytest.raises(NetworkFormatError) as exc:
+        read_network(prefix, directed)
+    assert str(exc.value) == f"{edges_path}:{i + 2}: {want}"
+
+
 # -- trace files --------------------------------------------------------------------
 
 
@@ -157,8 +194,8 @@ def test_trace_roundtrip_directed(tmp_path):
 
 
 def test_trace_kind_must_match_directedness(tmp_path):
-    und = AttributedGraph(False, [0, 1, 1])
-    dir_ = AttributedGraph(True, [0, 1, 1])
+    und = AttributedGraph(False, [0, 1, 1], [(0, 1)])
+    dir_ = AttributedGraph(True, [0, 1, 1], [(1, 0)])
     p = tmp_path / "tr.csv"
     p.write_text("source,target,kind\n1,0,directed-pick\n")
     with pytest.raises(NetworkFormatError) as exc:
@@ -170,7 +207,7 @@ def test_trace_kind_must_match_directedness(tmp_path):
 
 
 def test_trace_rejects_unknown_kind_and_bad_rows(tmp_path):
-    g = AttributedGraph(False, [0, 1, 1])
+    g = AttributedGraph(False, [0, 1, 1], [(0, 1)])
     p = tmp_path / "tr.csv"
     p.write_text("source,target,kind\n1,0,teleport\n")
     with pytest.raises(NetworkFormatError) as exc:
@@ -185,6 +222,32 @@ def test_trace_rejects_unknown_kind_and_bad_rows(tmp_path):
     p.write_text("source,target,kind\n")
     with pytest.raises(NetworkFormatError):
         read_trace(p, g)
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda seed: gen_pah(60, 2, 0.3, 0.8, seed=seed),
+        lambda seed: gen_directed("dh", 40, 0.02, 0.3, 0.7, seed=seed),
+    ],
+)
+def test_trace_must_rebuild_its_network(tmp_path, generate):
+    g, trace = generate(7)
+    write_trace(generate(8)[1], tmp_path / "other_trace.csv")
+    with pytest.raises(NetworkFormatError) as exc:
+        read_trace(tmp_path / "other_trace.csv", g)
+    assert "trace does not rebuild the network" in str(exc.value)
+
+    header, *lines = write_trace(trace, tmp_path / "t_trace.csv").read_text().splitlines()
+    (tmp_path / "short_trace.csv").write_text("\n".join([header, *lines[:-1]]) + "\n")
+    with pytest.raises(NetworkFormatError) as exc:
+        read_trace(tmp_path / "short_trace.csv", g)
+    assert "trace does not rebuild the network" in str(exc.value)
+
+    (tmp_path / "dup_trace.csv").write_text("\n".join([header, *lines[:-1], lines[0]]) + "\n")
+    with pytest.raises(NetworkFormatError) as exc:
+        read_trace(tmp_path / "dup_trace.csv", g)
+    assert "trace replays an invalid edge: duplicate edge" in str(exc.value)
 
 
 # -- config files -------------------------------------------------------------------

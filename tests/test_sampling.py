@@ -14,13 +14,6 @@ from graphmix.sampling import (
 from helpers import random_graph
 
 
-def _graph(directed, labels, edges):
-    g = AttributedGraph(directed, labels)
-    for u, v in edges:
-        g.add_edge(u, v)
-    return g
-
-
 def test_full_budget_returns_every_node():
     g = random_graph(12, directed=False, p=0.2, rng=make_rng(7))
     for strategy in STRATEGIES:
@@ -47,7 +40,7 @@ def test_sample_size_and_uniqueness_invariant():
 
 
 def test_top_degree_picks_the_hub():
-    g = _graph(False, [0, 0, 1, 0, 0], [(0, j) for j in range(1, 5)])
+    g = AttributedGraph(False, [0, 0, 1, 0, 0], [(0, j) for j in range(1, 5)])
     res = sample(g, "top-degree", budget=1, seed=99)
     assert res.nodes.tolist() == [0]
 
@@ -61,7 +54,7 @@ def test_top_degree_is_seed_free():
 
 def test_snowball_on_a_path_is_contiguous():
     n = 9
-    g = _graph(False, [0] * (n - 1) + [1], [(i, i + 1) for i in range(n - 1)])
+    g = AttributedGraph(False, [0] * (n - 1) + [1], [(i, i + 1) for i in range(n - 1)])
     for seed in range(6):
         res = sample(g, "snowball", budget=4, seed=seed)
         ids = res.nodes
@@ -71,26 +64,26 @@ def test_snowball_on_a_path_is_contiguous():
 def test_snowball_reseeds_across_components():
     # two disjoint triangles; budget 6 forces a re-seed
     edges = [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)]
-    g = _graph(False, [0, 0, 0, 1, 1, 1], edges)
+    g = AttributedGraph(False, [0, 0, 0, 1, 1, 1], edges)
     res = sample(g, "snowball", budget=6, seed=4)
     assert res.nodes.tolist() == list(range(6))
 
 
 def test_random_walk_handles_directed_sink():
-    g = _graph(True, [0, 1], [(0, 1)])
+    g = AttributedGraph(True, [0, 1], [(0, 1)])
     res = sample(g, "random-walk", budget=2, seed=5)
     assert res.nodes.tolist() == [0, 1]
 
 
 def test_uniform_edge_fills_from_isolated_nodes():
-    g = _graph(False, [0, 0, 1, 1], [(0, 1)])
+    g = AttributedGraph(False, [0, 0, 1, 1], [(0, 1)])
     res = sample(g, "uniform-edge", budget=4, seed=8)
     assert res.nodes.tolist() == [0, 1, 2, 3]
 
 
 def test_uniform_edge_prefers_incident_nodes():
     # high budget still below n: all edge-covered nodes enter before fill
-    g = _graph(False, [0] * 5 + [1], [(0, 1), (1, 2), (2, 3)])
+    g = AttributedGraph(False, [0] * 5 + [1], [(0, 1), (1, 2), (2, 3)])
     res = sample(g, "uniform-edge", budget=4, seed=2)
     assert set(res.nodes.tolist()) <= {0, 1, 2, 3}
 
@@ -111,7 +104,7 @@ def test_sampling_determinism_and_seed_sensitivity():
 
 
 def test_sample_validation():
-    g = _graph(False, [0, 1], [(0, 1)])
+    g = AttributedGraph(False, [0, 1], [(0, 1)])
     with pytest.raises(ValueError):
         sample(g, "bfs", 1, seed=0)
     with pytest.raises(ValueError):
@@ -191,9 +184,7 @@ def test_uniform_node_is_nearly_unbiased():
     rng = make_rng(10)
     labels = np.zeros(40, dtype=np.int8)
     labels[:10] = 1
-    g = AttributedGraph(False, labels)
-    for u in range(0, 40, 2):
-        g.add_edge(u, u + 1)
+    g = AttributedGraph(False, labels, [(u, u + 1) for u in range(0, 40, 2)])
     rep = benchmark(g, ["uniform-node"], [20], reps=400, seed=17)
     assert abs(rep.cells[0].minority_bias) < 0.03
 

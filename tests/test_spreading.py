@@ -17,16 +17,9 @@ from graphmix.spreading import (
 from helpers import naive_cascade_times, naive_threshold_times, random_graph
 
 
-def _graph(directed, labels, edges):
-    g = AttributedGraph(directed, labels)
-    for u, v in edges:
-        g.add_edge(u, v)
-    return g
-
-
 def _complete(labels):
     n = len(labels)
-    return _graph(False, labels, [(u, v) for u in range(n) for v in range(u + 1, n)])
+    return AttributedGraph(False, labels, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 # -- independent cascade ---------------------------------------------------------
@@ -49,13 +42,13 @@ def test_zero_transmission_keeps_seeds_only():
 
 
 def test_certain_transmission_on_path_gives_distance_times():
-    g = _graph(False, [0, 0, 1], [(0, 1), (1, 2)])
+    g = AttributedGraph(False, [0, 0, 1], [(0, 1), (1, 2)])
     trace = cascade(g, [0], p_in=1.0, p_out=1.0, rng=make_rng(3))
     assert trace.activation_time.tolist() == [0, 1, 2]
 
 
 def test_max_steps_truncates_the_cascade():
-    g = _graph(False, [0] * 5, [(i, i + 1) for i in range(4)])
+    g = AttributedGraph(False, [0] * 5, [(i, i + 1) for i in range(4)])
     trace = cascade(g, [0], 1.0, 1.0, rng=make_rng(1), max_steps=2)
     assert trace.activation_time.tolist() == [0, 1, 2, -1, -1]
 
@@ -78,9 +71,7 @@ def test_cascade_determinism_and_param_validation():
 def test_equal_rates_make_the_cascade_label_blind():
     rng = make_rng(11)
     base = random_graph(50, directed=False, p=0.12, rng=rng)
-    flipped = AttributedGraph(False, 1 - base.labels)
-    for u, v in base.edges():
-        flipped.add_edge(u, v)
+    flipped = AttributedGraph(False, 1 - base.labels, list(base.edges()))
     a = cascade(base, [3], 0.4, 0.4, rng=make_rng(5))
     b = cascade(flipped, [3], 0.4, 0.4, rng=make_rng(5))
     assert np.array_equal(a.activation_time, b.activation_time)
@@ -101,7 +92,7 @@ def test_fraction_series_is_monotone_and_seeded_at_zero():
 
 
 def test_directed_cascade_follows_edge_direction():
-    g = _graph(True, [0, 0, 0], [(0, 1), (2, 1)])
+    g = AttributedGraph(True, [0, 0, 0], [(0, 1), (2, 1)])
     trace = cascade(g, [0], 1.0, 1.0, rng=make_rng(0))
     # 1 is reachable from 0; 2 is not (its edge points the wrong way)
     assert trace.activation_time.tolist() == [0, 1, -1]
@@ -142,13 +133,13 @@ def test_threshold_matches_full_recount_reference(n, directed, p, theta, seed, n
 
 
 def test_threshold_half_spreads_along_a_path():
-    g = _graph(False, [0, 0, 1], [(0, 1), (1, 2)])
+    g = AttributedGraph(False, [0, 0, 1], [(0, 1), (1, 2)])
     trace = threshold_cascade(g, [0], theta=0.5)
     assert trace.activation_time.tolist() == [0, 1, 2]
 
 
 def test_threshold_leaves_follow_a_seeded_hub():
-    g = _graph(False, [1, 0, 0, 0, 0], [(0, j) for j in range(1, 5)])
+    g = AttributedGraph(False, [1, 0, 0, 0, 0], [(0, j) for j in range(1, 5)])
     trace = threshold_cascade(g, [0], theta=0.6)
     assert trace.activation_time.tolist() == [0, 1, 1, 1, 1]
 
@@ -161,7 +152,7 @@ def test_threshold_blocks_in_a_dense_clique():
 
 
 def test_threshold_boundary_counts_as_reached():
-    g = _graph(False, [0, 1, 0, 0], [(0, 1), (0, 2), (0, 3)])
+    g = AttributedGraph(False, [0, 1, 0, 0], [(0, 1), (0, 2), (0, 3)])
     trace = threshold_cascade(g, [1], theta=1 / 3)
     # hub 0 sees exactly 1/3 of its 3 neighbors: activates at t=1
     assert trace.activation_time.tolist() == [1, 0, 2, 2]
@@ -179,7 +170,7 @@ def test_threshold_is_deterministic_and_validates_theta():
 
 
 def test_threshold_ignores_isolated_nodes():
-    g = _graph(False, [0, 0, 1], [(0, 1)])
+    g = AttributedGraph(False, [0, 0, 1], [(0, 1)])
     trace = threshold_cascade(g, [0], theta=0.1)
     assert trace.activation_time.tolist() == [0, 1, -1]
 
@@ -197,7 +188,7 @@ def test_equality_report_full_coverage_is_one():
 
 
 def test_equality_report_one_sided_cascade():
-    g = _graph(False, [0, 0, 1, 1], [(0, 1)])
+    g = AttributedGraph(False, [0, 0, 1, 1], [(0, 1)])
     trace = cascade(g, [0], 1.0, 1.0, rng=make_rng(0))
     rep = equality_report(trace, g.labels)
     assert rep.equality.tolist() == [0.0, 0.0]
@@ -245,7 +236,7 @@ def test_seeding_conditions_respect_their_pools():
 
 
 def test_seeding_top_degree_is_deterministic():
-    g = _graph(False, [0, 0, 1, 0], [(0, 1), (0, 2), (0, 3), (1, 2)])
+    g = AttributedGraph(False, [0, 0, 1, 0], [(0, 1), (0, 2), (0, 3), (1, 2)])
     assert seeding(g, "top-degree", 2, make_rng(0)).tolist() == [0, 1]
     assert seeding(g, "top-degree", 2, make_rng(99)).tolist() == [0, 1]
 
