@@ -309,7 +309,6 @@ def _cmd_generate(args) -> int:
         f_m=cfg["fm"], H=_mixing_from_cfg(cfg), p_tc=cfg["ptc"],
         d=cfg["d"], gamma_a=cfg["gamma_a"],
     )
-    params.validate()
     g, trace = generate(params)
     prefix = _out_prefix(cfg)
     write_network(g, prefix)

@@ -23,9 +23,9 @@ likelihoods (see :mod:`graphmix.inference`).
 
 from __future__ import annotations
 
+from collections.abc import Container, Iterator, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
-from typing import Iterator
 
 import numpy as np
 
@@ -57,6 +57,11 @@ ALL_MODELS = UNDIRECTED_MODELS + DIRECTED_MODELS
 # Consecutive failed source draws tolerated before a directed generator
 # declares the density target unreachable.
 SATURATION_RETRIES = 1000
+
+# Rejected trials of the endpoint sampler before a pick switches to the
+# exact O(n) scan; any cap leaves the pick distribution unchanged.
+_MAX_REJECTIONS = 8
+_NO_ENTRIES = ((), ())  # a class with no entries of this kind
 
 
 class SaturationError(RuntimeError):
@@ -140,30 +145,24 @@ class GenParams:
         object.__setattr__(self, "model", self.model.lower())
 
     def validate(self) -> None:
+        """Reject unknown models, missing parameters and out-of-range values.
+
+        The range checks are the generators' own guards; ``f_m`` and the
+        entries of ``H`` are checked where labels and mixing matrices are
+        built.
+        """
         if self.model not in ALL_MODELS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {ALL_MODELS}")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
         if self.model in UNDIRECTED_MODELS:
-            if self.m is None or not 1 <= self.m < self.n:
-                raise ValueError(f"need 1 <= m < n for model {self.model}, got m={self.m}")
-            if self.model in ("pah", "patch"):
-                if self.f_m is None or self.H is None:
-                    raise ValueError(f"model {self.model} requires f_m and H")
-            if self.model == "patch":
-                if self.p_tc is None or not 0.0 <= self.p_tc <= 1.0:
-                    raise ValueError(f"p_tc must lie in [0, 1], got {self.p_tc}")
+            _check_growth_args(self.model, self.n, self.m, self.p_tc)
+            if self.model in ("pah", "patch") and (self.f_m is None or self.H is None):
+                raise ValueError(f"model {self.model} requires f_m and H")
         else:
-            if self.d is None or not 0.0 < self.d <= 1.0:
-                raise ValueError(f"density d must lie in (0, 1], got {self.d}")
-            if round(self.d * self.n * (self.n - 1)) < 1:
-                raise ValueError("density target round(d*n*(n-1)) must be >= 1")
+            _check_directed_args(self.n, self.d, self.gamma_a)
             if self.f_m is None:
                 raise ValueError(f"model {self.model} requires f_m")
             if self.model in ("dh", "dpah") and self.H is None:
                 raise ValueError(f"model {self.model} requires H")
-            if self.gamma_a is not None and self.gamma_a <= 1.0:
-                raise ValueError(f"gamma_a must be > 1, got {self.gamma_a}")
 
 
 def generate(params: GenParams) -> tuple[AttributedGraph, GrowthTrace]:
@@ -202,7 +201,7 @@ def sample_activity(n: int, gamma_a: float, rng: np.random.Generator) -> np.ndar
 
 def gen_pa(n: int, m: int, seed: int) -> tuple[AttributedGraph, GrowthTrace]:
     """Preferential-attachment growth; all nodes carry the majority label."""
-    _check_growth_args(n, m)
+    _check_growth_args("pa", n, m)
     rng = make_rng(seed)
     labels = np.zeros(n, dtype=np.int8)
     return _grow(labels, m, None, None, rng)
@@ -212,7 +211,7 @@ def gen_pah(
     n: int, m: int, f_m: float, H: MixingMatrix | float, seed: int
 ) -> tuple[AttributedGraph, GrowthTrace]:
     """Preferential attachment with class-affinity (homophily) weighting."""
-    _check_growth_args(n, m)
+    _check_growth_args("pah", n, m)
     H = _as_mixing(H)
     rng = make_rng(seed)
     labels = assign_classes(n, f_m, rng)
@@ -231,26 +230,59 @@ def gen_patch(
     affinity-weighted pick.  ``p_tc`` values of exactly 0 or 1 skip the
     branch draw, so ``p_tc=0`` reproduces ``gen_pah`` draw-for-draw.
     """
-    _check_growth_args(n, m)
-    if not 0.0 <= p_tc <= 1.0:
-        raise ValueError(f"p_tc must lie in [0, 1], got {p_tc}")
+    _check_growth_args("patch", n, m, p_tc)
     H = _as_mixing(H)
     rng = make_rng(seed)
     labels = assign_classes(n, f_m, rng)
     return _grow(labels, m, H, p_tc, rng)
 
 
-def _check_growth_args(n: int, m: int) -> None:
+def _check_growth_args(model: str, n: int, m: int | None, p_tc: float | None = None) -> None:
+    """Range checks of the undirected family (``p_tc`` only for ``patch``)."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    if not 1 <= m < n:
-        raise ValueError(f"need 1 <= m < n, got m={m}, n={n}")
+    if m is None or not 1 <= m < n:
+        raise ValueError(f"need 1 <= m < n for model {model}, got m={m}")
+    if model == "patch" and (p_tc is None or not 0.0 <= p_tc <= 1.0):
+        raise ValueError(f"p_tc must lie in [0, 1], got {p_tc}")
 
 
 def _as_mixing(H: MixingMatrix | float) -> MixingMatrix:
     if isinstance(H, MixingMatrix):
         return H
     return MixingMatrix.symmetric(float(H))
+
+
+def _endpoint_pick(
+    rng: np.random.Generator,
+    affinity: tuple[float, float],
+    heads: tuple[Sequence[int], Sequence[int]],
+    tails: tuple[Sequence[int], Sequence[int]],
+    excluded: Container[int],
+) -> int:
+    """One rejection-sampled target, or -1 after ``_MAX_REJECTIONS`` rejected trials.
+
+    Class c holds the entries ``heads[c] + tails[c]``, in which a node may
+    appear several times.  A trial draws class c with probability
+    proportional to ``affinity[c] * len(heads[c] + tails[c])``, then a
+    uniform entry of that class, so node u of class c comes up with
+    probability proportional to ``affinity[c]`` times its number of
+    entries; the trial is rejected when u is in ``excluded``.  Every trial
+    accepts with the same probability and an accepted node follows that
+    distribution restricted to the nodes not excluded.  The caller
+    guarantees that some class of positive affinity has entries.
+    """
+    w0 = affinity[0] * (len(heads[0]) + len(tails[0]))
+    w1 = affinity[1] * (len(heads[1]) + len(tails[1]))
+    for _ in range(_MAX_REJECTIONS):
+        # a class of zero weight never comes up, also when u * total rounds up to w0
+        c = 0 if rng.random() * (w0 + w1) < w0 or w1 == 0.0 else 1
+        head, tail = heads[c], tails[c]
+        i = rand_below(rng, len(head) + len(tail))
+        u = head[i] if i < len(head) else tail[i - len(head)]
+        if u not in excluded:
+            return u
+    return -1
 
 
 def _grow(
@@ -265,23 +297,47 @@ def _grow(
     Degrees seen by an arriving node are a snapshot taken before any of its
     own edges are inserted; the eligible set shrinks as its picks accumulate
     (without-replacement multi-pick).
+
+    A scored pick draws target u with probability proportional to
+    ``H[c_v, c_u] * deg(u)`` over the nodes not yet chosen in this arrival.
+    The sampler (Batagelj & Brandes, Phys. Rev. E 71, 036113, 2005, split by
+    class) keeps, per class, an endpoint list holding each node once per
+    unit of degree; an arrival's own edges are appended after it, so the
+    lists are the snapshot.  One trial draws class c with probability
+    proportional to ``H[c_v, c] * len(ends[c])`` and a uniform entry of
+    ``ends[c]``: node u comes up with probability proportional to
+    ``H[c_v, c_u] * deg(u)``, and the trial is rejected when u is already
+    chosen.  Every trial of a pick accepts with the same probability, and an
+    accepted target has the exact pick distribution, so after
+    ``_MAX_REJECTIONS`` rejected trials the pick can switch to the exact O(v)
+    scan (``weighted_pick`` over the full weight vector) without changing
+    that distribution.  Expected cost is O(1) per pick; only the rare scan
+    is O(v).
+
+    Whether any weight is left at all is decided on integers: class c has
+    weight left when ``H[c_v, c] > 0`` and its degree total exceeds the
+    degree of its chosen targets.  When no class has, the pick is a
+    ``FALLBACK_UNIFORM`` one over the unchosen nodes below v.
     """
     n = labels.size
     # neighbour sets only for triadic closure, which draws from them
     nbrs = [set(range(m)) - {i} if i < m else set() for i in range(n)] if p_tc else None
-    deg = np.zeros(n, dtype=np.float64)
-    deg[:m] = m - 1
+    affinity = np.ones((2, 2)) if H is None else H.matrix
+    aff_rows = affinity.tolist()
+    cls = labels.tolist()
+    deg = [m - 1] * m + [0] * (n - m)
+    ends: list[list[int]] = [[], []]  # one entry per unit of degree, by class
+    for u in range(m):
+        ends[cls[u]].extend([u] * (m - 1))
 
     srcs: list[int] = []
     tgts: list[int] = []
     kinds: list[int] = []
 
     for v in range(m, n):
-        if H is None:
-            w = deg[:v].copy()
-        else:
-            w = H.row(labels[v])[labels[:v]] * deg[:v]
+        a0, a1 = aff_rows[cls[v]]
         chosen: list[int] = []
+        chosen_mass = [0, 0]  # degree of the targets chosen so far, by class
         for j in range(m):
             kind = EventKind.PAH_PICK
             target = -1
@@ -298,19 +354,27 @@ def _grow(
                         target = candidates[rand_below(rng, len(candidates))]
                         kind = EventKind.TC_PICK
             if target < 0:
-                if w.sum() > 0.0:
-                    target = weighted_pick(rng, w)
+                if (a0 > 0.0 and len(ends[0]) > chosen_mass[0]) or (a1 > 0.0 and len(ends[1]) > chosen_mass[1]):
+                    target = _endpoint_pick(rng, (a0, a1), _NO_ENTRIES, ends, chosen)
+                    if target < 0:
+                        w = affinity[cls[v]][labels[:v]] * np.array(deg[:v], dtype=np.float64)
+                        w[chosen] = 0.0
+                        target = weighted_pick(rng, w)
                 else:
-                    eligible = [u for u in range(v) if u not in chosen]
-                    target = eligible[rand_below(rng, len(eligible))]
                     kind = EventKind.FALLBACK_UNIFORM
-            w[target] = 0.0
+                    target = rand_below(rng, v)
+                    while target in chosen:
+                        target = rand_below(rng, v)
             chosen.append(target)
+            chosen_mass[cls[target]] += deg[target]
             srcs.append(v)
             tgts.append(target)
             kinds.append(int(kind))
-        deg[chosen] += 1.0
+        for t in chosen:
+            deg[t] += 1
+            ends[cls[t]].append(t)
         deg[v] = m
+        ends[cls[v]].extend([v] * m)
         if nbrs is not None:
             nbrs[v].update(chosen)
             for t in chosen:
@@ -348,17 +412,25 @@ def gen_directed(
     (no self-loop, edge absent) under the model's weights.  A source draw
     whose admissible weights vanish is simply redrawn; the run aborts with
     :class:`SaturationError` after 1000 consecutive failures.
+
+    Target weight ``indeg+1`` is a mixture: the class-c total is
+    ``n_c + indeg_c``, so a uniform entry of the members of c followed by
+    one entry per unit of in-degree of c (the in-endpoint list) is node u
+    with probability ``(indeg(u)+1) / (n_c + indeg_c)``.  The target is
+    rejection-sampled like an undirected pick (see :func:`_grow`): class c
+    with probability proportional to ``H[c_s, c] * (n_c + indeg_c)`` (dpa:
+    affinity 1; dh: ``H[c_s, c] * n_c`` over the members alone), redrawn
+    when it is s or an existing out-neighbour, and after
+    ``_MAX_REJECTIONS`` rejected trials drawn by the exact O(n) scan.
+    Whether any admissible weight is left is decided on integers: class c
+    has some when its affinity is positive and it has a member that is
+    neither s nor an out-neighbour of s.
     """
     model = model.lower()
     if model not in DIRECTED_MODELS:
         raise ValueError(f"model must be one of {DIRECTED_MODELS}, got {model!r}")
-    if n < 2:
-        raise ValueError(f"directed models need n >= 2, got {n}")
-    if not 0.0 < d <= 1.0:
-        raise ValueError(f"density d must lie in (0, 1], got {d}")
+    _check_directed_args(n, d, gamma_a)
     target_edges = round(d * n * (n - 1))
-    if target_edges < 1:
-        raise ValueError("density target round(d*n*(n-1)) must be >= 1")
     if model in ("dh", "dpah"):
         if H is None:
             raise ValueError(f"model {model} requires a mixing matrix")
@@ -369,37 +441,43 @@ def gen_directed(
     activity = sample_activity(n, gamma_a, rng)
     activity_cum = np.cumsum(activity)
 
-    out_nbrs: list[set[int]] = [set() for _ in range(n)]
-    ind1 = np.ones(n, dtype=np.float64)  # indeg + 1 smoothing
-    if H is not None:
-        affinity = [H.row(0)[labels], H.row(1)[labels]]
+    cls = labels.tolist()
+    affinity = np.ones((2, 2)) if H is None else H.matrix
+    aff_rows = affinity.tolist()
+    members = ([u for u in range(n) if cls[u] == 0], [u for u in range(n) if cls[u] == 1])
+    in_ends: tuple[list[int], list[int]] = ([], [])  # one entry per unit of in-degree, by class
+    tails = _NO_ENTRIES if model == "dh" else in_ends
+    # each source's inadmissible targets (itself and its out-neighbours), as a set and by class
+    blocked: list[set[int]] = [{u} for u in range(n)]
+    blocked_count = [[1 - c, c] for c in cls]
+    ind1 = np.ones(n, dtype=np.float64)  # indeg + 1 smoothing, for the exact scan
 
     srcs: list[int] = []
     tgts: list[int] = []
     failures = 0
     while len(srcs) < target_edges:
         s = pick_from_cumulative(rng, activity_cum)
-        if model == "dpa":
-            w = ind1.copy()
-        elif model == "dh":
-            w = affinity[labels[s]].copy()
-        else:
-            w = affinity[labels[s]] * ind1
-        w[s] = 0.0
-        out = out_nbrs[s]
-        if out:
-            w[list(out)] = 0.0
-        if w.sum() > 0.0:
-            t = weighted_pick(rng, w)
-            out.add(t)
-            ind1[t] += 1.0
-            srcs.append(s)
-            tgts.append(t)
-            failures = 0
-        else:
+        a0, a1 = aff_rows[cls[s]]
+        b0, b1 = blocked_count[s]
+        if not ((a0 > 0.0 and len(members[0]) > b0) or (a1 > 0.0 and len(members[1]) > b1)):
             failures += 1
             if failures >= SATURATION_RETRIES:
                 raise SaturationError(len(srcs), target_edges)
+            continue
+        t = _endpoint_pick(rng, (a0, a1), members, tails, blocked[s])
+        if t < 0:
+            w = affinity[cls[s]][labels]
+            if model != "dh":
+                w = w * ind1
+            w[list(blocked[s])] = 0.0
+            t = weighted_pick(rng, w)
+        blocked[s].add(t)
+        blocked_count[s][cls[t]] += 1
+        in_ends[cls[t]].append(t)
+        ind1[t] += 1.0
+        srcs.append(s)
+        tgts.append(t)
+        failures = 0
 
     trace = GrowthTrace(
         directed=True,
@@ -409,6 +487,18 @@ def gen_directed(
         kinds=np.full(len(srcs), int(EventKind.DIRECTED_PICK), dtype=np.int8),
     )
     return rebuild_graph(trace), trace
+
+
+def _check_directed_args(n: int, d: float | None, gamma_a: float | None) -> None:
+    """Range checks of the directed family; ``gamma_a=None`` stands for the default."""
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    if d is None or not 0.0 < d <= 1.0:
+        raise ValueError(f"density d must lie in (0, 1], got {d}")
+    if round(d * n * (n - 1)) < 1:
+        raise ValueError("density target round(d*n*(n-1)) must be >= 1")
+    if gamma_a is not None and gamma_a <= 1.0:
+        raise ValueError(f"gamma_a must be > 1, got {gamma_a}")
 
 
 # ---------------------------------------------------------------------------

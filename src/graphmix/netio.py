@@ -150,9 +150,13 @@ def write_trace(trace: GrowthTrace, path: str | Path) -> Path:
 def read_trace(path: str | Path, g: AttributedGraph) -> GrowthTrace:
     """Read a trace file recorded for the given network.
 
-    The trace inherits labels and directedness from ``g``.  For undirected
-    traces the per-arrival edge count m is inferred from the first source id
-    (growth starts from a complete graph on 0..m-1).  A trace whose replay
+    The trace inherits labels and directedness from ``g``.  An undirected
+    trace is a growth trace, with per-arrival edge count m equal to its first
+    source id, when sources m..n-1 follow in order with exactly m events each
+    and ``g`` has the m(m-1)/2 edges of the start clique on 0..m-1 besides
+    them.  Any other undirected trace is read as order-assumed (``m=None``,
+    replayed from an empty start), the form
+    :func:`graphmix.inference.trace_from_graph` builds.  A trace whose replay
     does not rebuild ``g`` exactly is rejected; the per-arrival event
     structure is validated when the trace is scored.
     """
@@ -172,11 +176,21 @@ def read_trace(path: str | Path, g: AttributedGraph) -> GrowthTrace:
             raise _err(path, i + 2, f"event kind {rows[i][2]!r} does not match graph directedness")
         raise _err(path, i + 2, f"event ({events[i, 0]},{events[i, 1]}) references a node outside 0..{g.n - 1}")
     sources, targets = np.ascontiguousarray(events.T)
-    m = None if g.directed else int(sources[0])
-    trace = GrowthTrace(directed=g.directed, labels=g.labels, sources=sources, targets=targets, kinds=kinds, m=m)
+    m = int(sources[0])
+    # sizes first, so a large first source cannot make the layout or the start clique huge;
+    # an order-assumed rebuild has no start clique
+    growth = (
+        not g.directed
+        and len(sources) == (g.n - m) * m
+        and len(sources) + m * (m - 1) // 2 == g.num_edges
+        and np.array_equal(sources, np.repeat(np.arange(m, g.n), m))
+    )
+    trace = GrowthTrace(
+        directed=g.directed, labels=g.labels, sources=sources, targets=targets, kinds=kinds,
+        m=m if growth else None, order_assumed=not (growth or g.directed),
+    )
     try:
-        # counting edges first also bounds the start clique that a rebuild allocates
-        same = len(sources) + (m * (m - 1) // 2 if m else 0) == g.num_edges and rebuild_graph(trace) == g
+        same = rebuild_graph(trace) == g
     except ValueError as exc:
         raise NetworkFormatError(f"{path}: {exc}") from None
     if not same:

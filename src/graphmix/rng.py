@@ -51,7 +51,7 @@ def pick_from_cumulative(rng: np.random.Generator, cum: np.ndarray) -> int:
     total = cum[-1]
     if not total > 0.0:
         raise ValueError("total weight must be positive")
-    idx = int(np.searchsorted(cum, rng.random() * total, side="right"))
+    idx = int(cum.searchsorted(rng.random() * total, side="right"))
     if idx >= len(cum):
         # u*total rounded up to the total; step back to the last positive weight.
         idx = len(cum) - 1

@@ -3,7 +3,9 @@ import sys
 
 import numpy as np
 import pytest
+from scipy.stats import kstest
 
+import graphmix.generate
 from graphmix.generate import (
     EventKind,
     GenParams,
@@ -18,6 +20,7 @@ from graphmix.generate import (
     sample_activity,
 )
 from graphmix.graph import AttributedGraph, MixingMatrix
+from graphmix.inference import replay_event_probabilities
 from graphmix.rng import make_rng
 
 
@@ -168,6 +171,64 @@ def test_directed_argument_validation():
         gen_directed("dh", 10, 0.1, 0.2, None, seed=0)
     with pytest.raises(ValueError):
         gen_directed("nope", 10, 0.1, 0.2, seed=0)
+
+
+# -- exactness of the samplers --------------------------------------------------
+
+# (model, generator, model parameters for the replay); small networks, so that
+# rejected trials, the exact scan and fallback-uniform picks all occur
+EXACTNESS_CASES = {
+    "pa-m1": ("pa", lambda seed: gen_pa(30, 1, seed), {}),
+    "pa-m4": ("pa", lambda seed: gen_pa(30, 4, seed), {}),
+    "pah": ("pah", lambda seed: gen_pah(40, 2, 0.3, 0.8, seed), {"h": 0.8}),
+    "pah-h1": ("pah", lambda seed: gen_pah(40, 3, 0.3, 1.0, seed), {"h": 1.0}),
+    "patch": ("patch", lambda seed: gen_patch(40, 3, 0.3, 0.8, 0.5, seed), {"h": 0.8, "p_tc": 0.5}),
+    "dpa": ("dpa", lambda seed: gen_directed("dpa", 30, 0.3, 0.3, seed=seed), {}),
+    "dh": ("dh", lambda seed: gen_directed("dh", 30, 0.3, 0.3, 0.8, seed=seed), {"h": 0.8}),
+    "dpah": ("dpah", lambda seed: gen_directed("dpah", 30, 0.3, 0.3, 0.8, seed=seed), {"h": 0.8}),
+}
+
+
+def _randomised_pits(trace, model, params, rng):
+    """F(t-) + U * p_t of every event, nodes ordered by (probability, class, id)."""
+    pits = []
+    events = replay_event_probabilities(trace, model, **params)
+    for (eligible, probs), t in zip(events, trace.targets):
+        order = np.lexsort((eligible, trace.labels[eligible], probs))
+        eligible, probs = eligible[order], probs[order]
+        k = int(np.flatnonzero(eligible == t)[0])
+        assert probs[k] > 0.0
+        pits.append(probs[:k].sum() + rng.random() * probs[k])
+    return pits
+
+
+@pytest.mark.parametrize("path", ["sampler", "exact-scan"])
+@pytest.mark.parametrize("case", sorted(EXACTNESS_CASES))
+def test_generated_picks_follow_the_replayed_pick_distribution(case, path, monkeypatch):
+    # Under the exact per-event probabilities the randomised PIT of every
+    # event is an independent U(0, 1) draw, whatever the sampler does inside.
+    # With no rejected trial allowed, every scored pick takes the exact scan.
+    model, make, params = EXACTNESS_CASES[case]
+    scans = []
+    exact_scan = graphmix.generate.weighted_pick
+    monkeypatch.setattr(graphmix.generate, "weighted_pick", lambda rng, w: scans.append(1) or exact_scan(rng, w))
+    if path == "exact-scan":
+        monkeypatch.setattr(graphmix.generate, "_MAX_REJECTIONS", 0)
+    rng = np.random.default_rng(1)
+    pits = []
+    scored = 0
+    for seed in range(60):
+        _, trace = make(seed)
+        pits += _randomised_pits(trace, model, params, rng)
+        scored += int(np.isin(trace.kinds, (EventKind.PAH_PICK, EventKind.DIRECTED_PICK)).sum())
+    assert kstest(pits, "uniform").pvalue > 1e-3
+    if path == "exact-scan":
+        assert len(scans) == scored
+    elif case == "pa-m1":
+        # one pick per arrival has no chosen target to reject; node 0 starts with degree 0
+        assert not scans and trace.kinds[0] == EventKind.FALLBACK_UNIFORM
+    else:
+        assert 0 < len(scans) < scored / 4, "the exact scan never ran, or took over the sampler's work"
 
 
 # -- activity -------------------------------------------------------------------

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from graphmix.generate import gen_directed, gen_pah
 from graphmix.graph import AttributedGraph
-from graphmix.inference import replay_loglik
+from graphmix.inference import fit_model, replay_loglik, trace_from_graph
 from graphmix.netio import (
     NetworkFormatError,
     format_value,
@@ -16,7 +16,7 @@ from graphmix.netio import (
     write_network,
     write_trace,
 )
-from graphmix.rng import make_rng
+from graphmix.rng import make_rng, sample_without_replacement
 
 from helpers import random_graph
 
@@ -248,6 +248,29 @@ def test_trace_must_rebuild_its_network(tmp_path, generate):
     with pytest.raises(NetworkFormatError) as exc:
         read_trace(tmp_path / "dup_trace.csv", g)
     assert "trace replays an invalid edge: duplicate edge" in str(exc.value)
+
+
+def _two_lower_neighbours_graph(n=80):
+    # nodes 0 and 1 are not adjacent and every later node has two lower neighbours, so
+    # the order-assumed trace looks like m=2 growth without the start clique
+    rng = make_rng(5)
+    edges = [(v, int(u)) for v in range(2, n) for u in sample_without_replacement(rng, v, 2)]
+    return AttributedGraph(False, (np.arange(n) % 3 == 0).astype(int), edges)
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [lambda: gen_pah(200, 2, 0.3, 0.8, seed=1)[0], _two_lower_neighbours_graph],
+    ids=["pah", "first-source-2"],
+)
+def test_order_assumed_trace_roundtrips(tmp_path, graph):
+    g = graph()
+    synthesized = trace_from_graph(g)
+    read = read_trace(write_trace(synthesized, tmp_path / "t_trace.csv"), g)
+    assert read.m is None and read.order_assumed
+    assert np.array_equal(read.sources, synthesized.sources)
+    assert np.array_equal(read.targets, synthesized.targets)
+    assert fit_model(read, "pah").h_hat == fit_model(synthesized, "pah").h_hat
 
 
 # -- config files -------------------------------------------------------------------
