@@ -165,14 +165,24 @@ class CSR:
     def row(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
-    def rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated rows of the int array ``nodes``: (owning node, neighbor) per entry."""
+    def rows(self, nodes: np.ndarray, lengths: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+        """Concatenated rows of the int array ``nodes``: (owning node, neighbor) per entry.
+
+        With ``lengths``, row i is cut to its first ``lengths[i]`` entries.
+        """
         starts = self.indptr[nodes]
-        lengths = self.indptr[nodes + 1] - starts
+        if lengths is None:
+            lengths = self.indptr[nodes + 1] - starts
         ends = lengths.cumsum()  # where each row ends in the output
         total = int(ends[-1]) if ends.size else 0
         offsets = np.arange(total) + np.repeat(starts - ends + lengths, lengths)
         return np.repeat(nodes, lengths), self.indices[offsets]
+
+    def count_below(self, nodes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """For each i, how many entries of row ``nodes[i]`` are less than ``bounds[i]`` (at most n)."""
+        n = self.indptr.size - 1
+        keys = np.repeat(np.arange(n, dtype=np.int64) * n, self.out_degree()) + self.indices
+        return np.searchsorted(keys, nodes * n + bounds) - self.indptr[nodes]
 
     def out_degree(self) -> np.ndarray:
         """Row lengths: the degree, or the out-degree when directed."""

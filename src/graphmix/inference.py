@@ -18,15 +18,36 @@ probability under the candidate's weights is accumulated.  Scoring rules:
   the triadic component is uniform over the candidate triangle-closing set
   and collapses to the affinity pick when that set is empty.
 
-Replay is done once per trace to extract per-event sufficient statistics;
-evaluating the likelihood over a whole parameter grid is then a vectorized
-array computation, which is what makes the 101x101 grid MLE cheap.
+Replay is done once per trace, as array operations, to extract per-event
+sufficient statistics; evaluating the likelihood over a whole parameter grid
+is then a vectorized array computation.  A trace must rebuild a simple
+graph: one that repeats an edge (the same target twice in one arrival, or a
+directed pair twice) or leaves ``0..n-1`` raises ``ValueError`` before
+anything is scored.
+
+* Undirected: in a growth trace, and in the order-assumed trace of
+  :func:`trace_from_graph`, edge {u, w} exists before arrival v exactly when
+  max(u, w) < v.  So what arrival v sees of a node's neighbourhood is the
+  prefix below v of its row in the rebuilt graph's CSR: snapshot degrees are
+  one ``searchsorted``, class degree totals and the mass already chosen in
+  an arrival are (grouped) cumulative sums, and the triadic-closure sets
+  come from a stable sort of (arrival, exposed node) keys.  Cost:
+  O(E log E) plus the sum of the picked targets' snapshot degrees.
+* Directed: target in-degrees, class totals and excluded counts are
+  stable-sort ranks and grouped cumulative sums.  The (indeg + 1) mass of a
+  source's earlier targets is path dependent; it is summed over every pair
+  of one source's events, O(sum of squared out-degrees) sorted lookups done
+  in bounded chunks.
+* Grids are evaluated a few h rows (and p_tc rows) at a time into reused
+  buffers; pah and patch share one affinity pass.  Blocking changes no
+  result: every row still sums the same contiguous run of events, so grids,
+  fits and Bayes factors are byte-identical to an unblocked evaluation.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
@@ -37,8 +58,9 @@ from .generate import (
     UNDIRECTED_MODELS,
     EventKind,
     GrowthTrace,
+    rebuild_graph,
 )
-from .graph import AttributedGraph, MixingMatrix
+from .graph import AttributedGraph
 from .rng import make_rng, sample_without_replacement
 
 __all__ = [
@@ -134,168 +156,212 @@ class _DirectedStats:
     const_loglik: float = 0.0
 
 
-def _arrival_groups(trace: GrowthTrace) -> list[tuple[int, list[int]]]:
-    """Group event indices by source, validating growth order."""
-    groups: list[tuple[int, list[int]]] = []
-    sources = trace.sources
-    targets = trace.targets
-    prev = -1
-    for i in range(len(sources)):
-        s, t = int(sources[i]), int(targets[i])
-        if t >= s:
+# Event pairs handled at once by the chunked pair passes of the replay statistics.
+_PAIR_CHUNK = 1 << 16
+
+
+def _arrival_groups(trace: GrowthTrace) -> np.ndarray:
+    """Validate growth order; return where each source's run of events starts, then len(trace)."""
+    src, tgt = trace.sources, trace.targets
+    bad_target = tgt >= src
+    bad_order = src < np.concatenate(([-1], src[:-1]))
+    bad = np.flatnonzero(bad_target | bad_order)
+    if bad.size:
+        i = int(bad[0])
+        s, t = int(src[i]), int(tgt[i])
+        if bad_target[i]:
             raise ValueError(f"event {i}: target {t} not below source {s}; not a growth trace")
-        if s < prev:
-            raise ValueError(f"event {i}: source {s} out of arrival order")
-        if s == prev:
-            groups[-1][1].append(i)
-        else:
-            groups.append((s, [i]))
-            prev = s
-    if trace.m is not None:
-        expected = [(v, trace.m) for v in range(trace.m, trace.n)]
-        actual = [(s, len(idx)) for s, idx in groups]
-        if actual != expected:
-            raise ValueError("trace does not have m events per arrival for every node >= m")
-    return groups
+        raise ValueError(f"event {i}: source {s} out of arrival order")
+    if trace.m is not None and not np.array_equal(src, np.repeat(np.arange(trace.m, trace.n), trace.m)):
+        raise ValueError("trace does not have m events per arrival for every node >= m")
+    new = np.ones(src.size, dtype=bool)
+    new[1:] = src[1:] != src[:-1]
+    return np.append(np.flatnonzero(new), src.size)
+
+
+def _group_exclusive_cumsum(x: np.ndarray, first: np.ndarray) -> np.ndarray:
+    """Sum of ``x`` over the earlier positions of each position's group (``first``: group start)."""
+    before = np.cumsum(x) - x
+    return before - before[first]
+
+
+def _chunk_cuts(cum: np.ndarray) -> np.ndarray:
+    """Indices into ``cum``, the cumulative cost at each allowed cut (from 0),
+    that split it into runs of about _PAIR_CHUNK."""
+    cuts = np.searchsorted(cum, np.arange(_PAIR_CHUNK, cum[-1], _PAIR_CHUNK))
+    return np.unique(np.concatenate(([0], cuts, [cum.size - 1])))
 
 
 def _undirected_stats(trace: GrowthTrace) -> _UndirectedStats:
     if trace.directed:
         raise ValueError("trace is directed; undirected stats requested")
-    n = trace.n
-    labels = trace.labels
-    m = trace.m or 0
-    adj: list[set[int]] = [set() for _ in range(n)]
-    deg = np.zeros(n, dtype=np.float64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            adj[i].add(j)
-            adj[j].add(i)
-    deg[:m] = max(m - 1, 0)
+    starts = _arrival_groups(trace)
+    csr = rebuild_graph(trace).csr()
+    n, labels = trace.n, trace.labels
+    src = trace.sources.astype(np.int64)
+    tgt = trace.targets.astype(np.int64)
+    first = np.repeat(starts[:-1], np.diff(starts))  # first event of each event's arrival
+    n_elig = src - (np.arange(src.size) - first)
 
-    tot = [0.0, 0.0]  # degree sums over already-arrived nodes, by class
-    joined = 0
-
-    deg_t: list[float] = []
-    same: list[bool] = []
-    sum_same: list[float] = []
-    sum_diff: list[float] = []
-    n_elig: list[int] = []
-    mixture: list[bool] = []
-    tc_size: list[int] = []
-    tc_hit: list[bool] = []
-    n_fallback = 0
-    const = 0.0
-
-    for v, idxs in _arrival_groups(trace):
-        while joined < v:
-            tot[labels[joined]] += deg[joined]
-            joined += 1
-        cls_v = int(labels[v])
-        adj_used = [0.0, 0.0]  # degree mass of already-chosen targets, by class
-        chosen: list[int] = []
-        for j, i in enumerate(idxs):
-            t = int(trace.targets[i])
-            kind = EventKind(trace.kinds[i])
-            elig = v - len(chosen)
-            if kind is EventKind.FALLBACK_UNIFORM:
-                n_fallback += 1
-                const -= math.log(elig)
-            else:
-                deg_t.append(deg[t])
-                is_same = labels[t] == cls_v
-                same.append(bool(is_same))
-                s_own = tot[cls_v] - adj_used[cls_v]
-                s_oth = tot[1 - cls_v] - adj_used[1 - cls_v]
-                sum_same.append(s_own)
-                sum_diff.append(s_oth)
-                n_elig.append(elig)
-                if j == 0:
-                    mixture.append(False)
-                    tc_size.append(0)
-                    tc_hit.append(False)
-                else:
-                    tc = set()
-                    for u in chosen:
-                        tc |= adj[u]
-                    tc.discard(v)
-                    tc.difference_update(chosen)
-                    mixture.append(bool(tc))
-                    tc_size.append(len(tc))
-                    tc_hit.append(t in tc)
-            adj_used[labels[t]] += deg[t]
-            chosen.append(t)
-        for t in chosen:
-            adj[v].add(t)
-            adj[t].add(v)
-            deg[t] += 1.0
-            tot[labels[t]] += 1.0
-        deg[v] += float(len(chosen))
-
-    return _UndirectedStats(
-        n_events=len(deg_t),
-        n_fallback=n_fallback,
-        const_loglik=const,
-        deg_t=np.asarray(deg_t),
-        same=np.asarray(same, dtype=bool),
-        sum_same=np.asarray(sum_same),
-        sum_diff=np.asarray(sum_diff),
-        n_elig=np.asarray(n_elig, dtype=np.float64),
-        mixture=np.asarray(mixture, dtype=bool),
-        tc_size=np.asarray(tc_size, dtype=np.float64),
-        tc_hit=np.asarray(tc_hit, dtype=bool),
+    # An edge {u, w} exists before arrival v exactly when max(u, w) < v, so
+    # a target's neighbourhood at arrival v is its CSR row below v.
+    deg = csr.count_below(tgt, src)
+    cls_v = labels[src]
+    same = labels[tgt] == cls_v
+    # degree totals by class over the nodes below v: the endpoint classes of
+    # every edge, counted from its later endpoint on
+    later = np.repeat(np.arange(n, dtype=np.int64), csr.out_degree())
+    lower = csr.indices < later
+    later = later[lower]
+    ends = np.bincount(
+        np.concatenate((2 * later + labels[later], 2 * later + labels[csr.indices[lower]])),
+        minlength=2 * n,
     )
+    tot = np.zeros((n + 1, 2), dtype=np.int64)
+    tot[1:] = ends.reshape(n, 2).cumsum(axis=0)
+    # minus the degree mass the arrival has already chosen
+    sum_same = tot[src, cls_v] - _group_exclusive_cumsum(np.where(same, deg, 0), first)
+    sum_diff = tot[src, 1 - cls_v] - _group_exclusive_cumsum(np.where(same, 0, deg), first)
+    tc_size, tc_hit = _triadic_sets(csr, src, tgt, deg, starts)
+
+    fallback = trace.kinds == EventKind.FALLBACK_UNIFORM
+    const = 0.0
+    for elig in n_elig[fallback].tolist():  # summed in event order
+        const -= math.log(elig)
+    scored = ~fallback
+    return _UndirectedStats(
+        n_events=int(scored.sum()),
+        n_fallback=int(fallback.sum()),
+        const_loglik=const,
+        deg_t=deg[scored].astype(np.float64),
+        same=same[scored],
+        sum_same=sum_same[scored].astype(np.float64),
+        sum_diff=sum_diff[scored].astype(np.float64),
+        n_elig=n_elig[scored].astype(np.float64),
+        mixture=tc_size[scored] > 0,
+        tc_size=tc_size[scored].astype(np.float64),
+        tc_hit=tc_hit[scored],
+    )
+
+
+def _triadic_sets(csr, src, tgt, deg, starts) -> tuple[np.ndarray, np.ndarray]:
+    """Size of each pick's triadic-closure set, and whether the pick lies in it.
+
+    The set of a pick is the union of the below-v rows of its arrival's
+    earlier picks, minus those picks.  A node first exposed by event f and
+    picked by event c (the arrival's last event if never) is in the sets of
+    events f+1..c.  Each node's first exposure comes from a stable sort of
+    (v, node) keys, whole arrivals at a time.
+    """
+    n_events = src.size
+    n = csr.indptr.size - 1
+    stop = np.repeat(starts[1:], np.diff(starts))
+    exposed = np.where(stop - np.arange(n_events) > 1, deg, 0)  # an arrival's last pick exposes nothing
+    pick_keys = src * n + tgt
+    pick_order = np.argsort(pick_keys)  # moves events only within their arrival
+    sorted_picks = pick_keys[pick_order]
+    diff = np.zeros(n_events + 1, dtype=np.int64)
+    hit = np.zeros(n_events, dtype=bool)
+    cuts = starts[_chunk_cuts(np.concatenate(([0], np.cumsum(exposed)))[starts])]
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        ev = lo + np.flatnonzero(exposed[lo:hi])
+        if not ev.size:
+            continue
+        lens = exposed[ev]
+        by = np.repeat(ev, lens)
+        keys = src[by] * n + csr.rows(tgt[ev], lens)[1]
+        order = np.argsort(keys, kind="stable")  # equal keys keep event order
+        keys = keys[order]
+        head = np.ones(keys.size, dtype=bool)
+        head[1:] = keys[1:] != keys[:-1]
+        keys, by = keys[head], by[order[head]]
+        at = lo + np.minimum(np.searchsorted(sorted_picks[lo:hi], keys), hi - lo - 1)
+        last = np.where(sorted_picks[at] == keys, pick_order[at], stop[by] - 1)
+        live = by < last
+        diff[lo:hi + 1] += np.bincount(by[live] + 1 - lo, minlength=hi - lo + 1)
+        diff[lo:hi + 1] -= np.bincount(last[live] + 1 - lo, minlength=hi - lo + 1)
+        at = np.minimum(np.searchsorted(keys, pick_keys[lo:hi]), keys.size - 1)
+        hit[lo:hi] = (keys[at] == pick_keys[lo:hi]) & (by[at] < np.arange(lo, hi))
+    return np.cumsum(diff[:-1]), hit
 
 
 def _directed_stats(trace: GrowthTrace) -> _DirectedStats:
     if not trace.directed:
         raise ValueError("trace is undirected; directed stats requested")
-    n = trace.n
-    labels = trace.labels
-    n_class = [int((labels == 0).sum()), int((labels == 1).sum())]
-    ind1 = np.ones(n, dtype=np.float64)
-    tot_ind1 = [float(n_class[0]), float(n_class[1])]
-    out_adj: list[set[int]] = [set() for _ in range(n)]
+    rebuild_graph(trace)  # rejects repeated and out-of-range edges
+    n, labels = trace.n, trace.labels
+    src = trace.sources.astype(np.int64)
+    tgt = trace.targets.astype(np.int64)
+    n_events = src.size
+    idx = np.arange(n_events)
+    n1 = int(labels.sum())
+    n_class = np.array([n - n1, n1])
+    cls_s = labels[src]
+    same = labels[tgt] == cls_s
 
-    same: list[bool] = []
-    ind1_t: list[float] = []
-    sum_same: list[float] = []
-    sum_diff: list[float] = []
-    cnt_same: list[float] = []
-    cnt_diff: list[float] = []
+    # indeg(u) + 1 before event i: 1 + u's earlier events as a target
+    by_target = np.argsort(tgt, kind="stable")
+    tkeys = tgt[by_target] * n_events + by_target
+    tstart = np.searchsorted(tkeys, np.arange(n + 1) * n_events)
+    ind1_t = 1 + np.searchsorted(tkeys, tgt * n_events + idx) - tstart[tgt]
+    ind1_s = 1 + np.searchsorted(tkeys, src * n_events + idx) - tstart[src]
+    # (indeg + 1) totals by class: one per node plus the earlier picks of the class
+    picks1 = np.cumsum(labels[tgt]) - labels[tgt]
+    own1 = cls_s == 1
+    tot_own = n_class[cls_s] + np.where(own1, picks1, idx - picks1)
+    tot_oth = n_class[1 - cls_s] + np.where(own1, idx - picks1, picks1)
 
-    for i in range(len(trace)):
-        s, t = int(trace.sources[i]), int(trace.targets[i])
-        cs = int(labels[s])
-        excl_sum = [0.0, 0.0]
-        excl_cnt = [0, 0]
-        for u in out_adj[s]:
-            cu = labels[u]
-            excl_sum[cu] += ind1[u]
-            excl_cnt[cu] += 1
-        s_own = tot_ind1[cs] - ind1[s] - excl_sum[cs]
-        s_oth = tot_ind1[1 - cs] - excl_sum[1 - cs]
-        c_own = n_class[cs] - 1 - excl_cnt[cs]
-        c_oth = n_class[1 - cs] - excl_cnt[1 - cs]
-        same.append(labels[t] == cs)
-        ind1_t.append(ind1[t])
-        sum_same.append(s_own)
-        sum_diff.append(s_oth)
-        cnt_same.append(float(c_own))
-        cnt_diff.append(float(c_oth))
-        out_adj[s].add(t)
-        ind1[t] += 1.0
-        tot_ind1[labels[t]] += 1.0
+    # the source's earlier targets by class: their count and their (indeg + 1) mass
+    by_source = np.argsort(src, kind="stable")
+    first = np.searchsorted(src[by_source], src[by_source])
+    same_sorted = same[by_source]
+    excl_own, excl_oth = np.empty((2, n_events), dtype=np.int64)
+    excl_own[by_source] = _group_exclusive_cumsum(same_sorted, first)
+    excl_oth[by_source] = _group_exclusive_cumsum(~same_sorted, first)
+    mass_own, mass_oth = _excluded_mass(tgt, same, by_source, first, tkeys, tstart)
 
     return _DirectedStats(
-        n_events=len(same),
-        same=np.asarray(same, dtype=bool),
-        ind1_t=np.asarray(ind1_t),
-        sum_same=np.asarray(sum_same),
-        sum_diff=np.asarray(sum_diff),
-        cnt_same=np.asarray(cnt_same),
-        cnt_diff=np.asarray(cnt_diff),
+        n_events=n_events,
+        same=same,
+        ind1_t=ind1_t.astype(np.float64),
+        sum_same=(tot_own - ind1_s - mass_own).astype(np.float64),
+        sum_diff=(tot_oth - mass_oth).astype(np.float64),
+        cnt_same=(n_class[cls_s] - 1 - excl_own).astype(np.float64),
+        cnt_diff=(n_class[1 - cls_s] - excl_oth).astype(np.float64),
     )
+
+
+def _excluded_mass(tgt, same, by_source, first, tkeys, tstart) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of indeg(u) + 1 at event i over the source's earlier targets u, own class and other.
+
+    Pair scheme: every pair (k, i) of events of one source with k < i
+    looks up indeg(t_k) before i, O(sum of squared out-degrees) lookups
+    in chunks of about _PAIR_CHUNK pairs.
+    """
+    n_events = tgt.size
+    rank = np.arange(n_events) - first  # earlier events of the same source
+    cum = np.concatenate(([0], np.cumsum(rank)))
+    mass = np.zeros((2, n_events), dtype=np.int64)
+    cuts = _chunk_cuts(cum)
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        r = rank[lo:hi]
+        later = np.repeat(np.arange(lo, hi), r)
+        earlier = first[later] + np.arange(later.size) - np.repeat(cum[lo:hi] - cum[lo], r)
+        i, k = by_source[later], by_source[earlier]
+        u = tgt[k]
+        needles = u * n_events + i
+        order = np.argsort(needles)
+        val = np.empty(needles.size, dtype=np.int64)
+        val[order] = np.searchsorted(tkeys, needles[order])
+        val += 1 - tstart[u]
+        own = same[k]
+        seg = np.concatenate(([0], np.cumsum(r)))
+        for c, w in ((0, own), (1, ~own)):
+            cs = np.concatenate(([0], np.cumsum(val * w)))
+            mass[c, lo:hi] = cs[seg[1:]] - cs[seg[:-1]]
+    out = np.empty_like(mass)
+    out[:, by_source] = mass
+    return out[0], out[1]
 
 
 def _stats_for(trace: GrowthTrace):
@@ -306,18 +372,62 @@ def _stats_for(trace: GrowthTrace):
 # grid likelihood evaluation
 # ---------------------------------------------------------------------------
 
-def _aff_pick_logprob(stats: _UndirectedStats, h: np.ndarray) -> np.ndarray:
+# Bytes of one block of grid rows; a block's few temporaries stay in cache.
+_BLOCK_BYTES = 1 << 19
+
+
+def _block_rows(row_len: int) -> int:
+    return max(1, _BLOCK_BYTES // (8 * max(row_len, 1)))
+
+
+def _affinity_logp(h, same, weight, den_same, den_diff, fill, by_den: bool, row_sums: bool):
+    """ln P of each event under affinity weighting, one block of h rows at a time.
+
+    P = a * weight / (h * den_same + (1 - h) * den_diff), where a is h for a
+    same-class target and 1 - h otherwise.  Where the denominator
+    (``by_den``) or else the target weight is not positive, ln P is
+    ``fill``.  Returns the (len(h), n_events) array, or its row sums.
+    """
+    n_rows, n_cols = h.size, same.size
+    step = _block_rows(n_cols)
+    out = np.empty(n_rows) if row_sums else np.empty((n_rows, n_cols))
+    bufs = np.empty((3, min(step, n_rows), n_cols))
+    cut = np.empty(bufs.shape[1:], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in range(0, n_rows, step):
+            b = min(a + step, n_rows)
+            hc = h[a:b, None]
+            w = bufs[0, :b - a] if row_sums else out[a:b]
+            den, tmp, bad = bufs[1, :b - a], bufs[2, :b - a], cut[:b - a]
+            np.copyto(w, 1.0 - hc)
+            np.copyto(w, hc, where=same)
+            if weight is not None:
+                w *= weight
+            np.multiply(hc, den_same, out=den)
+            np.multiply(1.0 - hc, den_diff, out=tmp)
+            den += tmp
+            np.less_equal(den if by_den else w, 0.0, out=bad)
+            np.log(w, out=w)
+            np.log(den, out=den)
+            w -= den
+            np.copyto(w, fill, where=bad)
+            if row_sums:
+                out[a:b] = w.sum(axis=1)
+    return out
+
+
+def _aff_pick_logprob(stats: _UndirectedStats, h: np.ndarray, row_sums: bool = False) -> np.ndarray:
     """ln P of each scored event under affinity-weighted attachment.
 
-    Shape (len(h), n_events).  A zero denominator means the candidate's own
-    weights vanish, which triggers the model's uniform fallback.
+    Shape (len(h), n_events), or its row sums.  A zero denominator means
+    the candidate's own weights vanish, which triggers the model's uniform
+    fallback.
     """
-    hc = h[:, None]
-    wsel = np.where(stats.same[None, :], hc, 1.0 - hc) * stats.deg_t[None, :]
-    den = hc * stats.sum_same[None, :] + (1.0 - hc) * stats.sum_diff[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = np.where(den > 0.0, np.log(wsel) - np.log(den), -np.log(stats.n_elig)[None, :])
-    return logp
+    with np.errstate(divide="ignore"):
+        fallback = -np.log(stats.n_elig)
+    return _affinity_logp(
+        h, stats.same, stats.deg_t, stats.sum_same, stats.sum_diff, fallback, True, row_sums
+    )
 
 
 def _pa_logprob(stats: _UndirectedStats) -> np.ndarray:
@@ -331,15 +441,25 @@ def _loglik_grid_undirected(
     model: str,
     h_values: np.ndarray,
     ptc_values: np.ndarray | None = None,
+    logp_aff: np.ndarray | None = None,
 ) -> np.ndarray:
+    """Log-likelihood over h_values (x ptc_values for patch).
+
+    ``logp_aff`` is ``_aff_pick_logprob(stats, h_values)`` when the caller
+    already has it.
+    """
     if stats.n_events == 0:
         raise ValueError("trace has zero scoreable events")
     if model == "pa":
         return np.asarray(stats.const_loglik + _pa_logprob(stats).sum())
     if model == "pah":
-        return stats.const_loglik + _aff_pick_logprob(stats, h_values).sum(axis=1)
+        if logp_aff is None:
+            return stats.const_loglik + _aff_pick_logprob(stats, h_values, row_sums=True)
+        return stats.const_loglik + logp_aff.sum(axis=1)
     if model != "patch":
         raise ValueError(f"not an undirected model: {model!r}")
+    if logp_aff is None:
+        logp_aff = _aff_pick_logprob(stats, h_values)
 
     ptc = PTC_GRID if ptc_values is None else ptc_values
     pure = ~stats.mixture
@@ -348,24 +468,28 @@ def _loglik_grid_undirected(
     n_miss = int(miss.sum())
     with np.errstate(divide="ignore"):
         log_ptc_off = np.log(1.0 - ptc)  # -inf at p_tc = 1
-    tc_prob_hit = 1.0 / stats.tc_size[hit]
-
-    logp_aff = _aff_pick_logprob(stats, h_values)
+    miss_term = n_miss * log_ptc_off if n_miss else np.zeros_like(ptc)
+    # p_tc * P_tc + (1 - p_tc) * P_aff of each hit event, a block of p_tc rows at a time
+    tc_part = ptc[:, None] * (1.0 / stats.tc_size[hit])[None, :]
+    aff_share = (1.0 - ptc)[:, None]
+    step = _block_rows(tc_part.shape[1])
+    buf = np.empty((min(step, ptc.size), tc_part.shape[1]))
+    hit_term = np.empty(ptc.size)
     out = np.empty((h_values.size, ptc.size))
     for hi in range(h_values.size):
         row = logp_aff[hi]
         base = stats.const_loglik + row[pure].sum()
         if n_miss:
             base = base + row[miss].sum()
-            miss_term = n_miss * log_ptc_off
-        else:
-            miss_term = np.zeros_like(ptc)
         p_aff_hit = np.exp(row[hit])
         with np.errstate(divide="ignore", invalid="ignore"):
-            hit_term = np.log(
-                ptc[:, None] * tc_prob_hit[None, :]
-                + (1.0 - ptc)[:, None] * p_aff_hit[None, :]
-            ).sum(axis=1)
+            for a in range(0, ptc.size, step):
+                b = min(a + step, ptc.size)
+                mix = buf[:b - a]
+                np.multiply(aff_share[a:b], p_aff_hit, out=mix)
+                mix += tc_part[a:b]
+                np.log(mix, out=mix)
+                hit_term[a:b] = mix.sum(axis=1)
         out[hi] = base + miss_term + hit_term
     return out
 
@@ -375,23 +499,19 @@ def _loglik_grid_directed(
 ) -> np.ndarray:
     if stats.n_events == 0:
         raise ValueError("trace has zero scoreable events")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        if model == "dpa":
-            den = stats.sum_same + stats.sum_diff
+    if model == "dpa":
+        den = stats.sum_same + stats.sum_diff
+        with np.errstate(divide="ignore", invalid="ignore"):
             return np.asarray((np.log(stats.ind1_t) - np.log(den)).sum())
-        hc = h_values[:, None]
-        if model == "dh":
-            wsel = np.where(stats.same[None, :], hc, 1.0 - hc)
-            den = hc * stats.cnt_same[None, :] + (1.0 - hc) * stats.cnt_diff[None, :]
-        elif model == "dpah":
-            wsel = np.where(stats.same[None, :], hc, 1.0 - hc) * stats.ind1_t[None, :]
-            den = hc * stats.sum_same[None, :] + (1.0 - hc) * stats.sum_diff[None, :]
-        else:
-            raise ValueError(f"not a directed model: {model!r}")
-        # den >= wsel, so wsel == 0 covers both the zero-probability-target
-        # case and the no-candidate-has-weight case (no fallback when directed)
-        logp = np.where(wsel > 0, np.log(wsel) - np.log(den), -np.inf)
-        return logp.sum(axis=1)
+    if model == "dh":
+        weight, den_same, den_diff = None, stats.cnt_same, stats.cnt_diff
+    elif model == "dpah":
+        weight, den_same, den_diff = stats.ind1_t, stats.sum_same, stats.sum_diff
+    else:
+        raise ValueError(f"not a directed model: {model!r}")
+    # den >= wsel, so wsel == 0 covers both the zero-probability-target
+    # case and the no-candidate-has-weight case (no fallback when directed)
+    return _affinity_logp(h_values, stats.same, weight, den_same, den_diff, -np.inf, False, True)
 
 
 def _check_family(trace: GrowthTrace, model: str) -> None:
@@ -530,10 +650,14 @@ def _fit_from_grid(model: str, grid: np.ndarray, stats, order_assumed: bool) -> 
     )
 
 
-def _model_grid(stats, model: str) -> np.ndarray:
+def _model_grids(stats, models) -> dict[str, np.ndarray]:
+    """Grid of each model; pah and patch share one affinity pass."""
     if isinstance(stats, _DirectedStats):
-        return _loglik_grid_directed(stats, model, H_GRID)
-    return _loglik_grid_undirected(stats, model, H_GRID)
+        return {m: _loglik_grid_directed(stats, m, H_GRID) for m in models}
+    logp_aff = None
+    if "pah" in models and "patch" in models and stats.n_events:
+        logp_aff = _aff_pick_logprob(stats, H_GRID)
+    return {m: _loglik_grid_undirected(stats, m, H_GRID, logp_aff=logp_aff) for m in models}
 
 
 def fit_model(trace: GrowthTrace, model: str) -> FitReport:
@@ -541,7 +665,7 @@ def fit_model(trace: GrowthTrace, model: str) -> FitReport:
     model = model.lower()
     _check_family(trace, model)
     stats = _stats_for(trace)
-    grid = _model_grid(stats, model)
+    grid = _model_grids(stats, [model])[model]
     return _fit_from_grid(model, grid, stats, trace.order_assumed)
 
 
@@ -585,9 +709,9 @@ def bayes_factor(trace: GrowthTrace, model_a: str, model_b: str) -> float:
     model_a, model_b = model_a.lower(), model_b.lower()
     _check_family(trace, model_a)
     _check_family(trace, model_b)
-    stats = _stats_for(trace)
-    za = _log_marginal(model_a, _model_grid(stats, model_a))
-    zb = _log_marginal(model_b, _model_grid(stats, model_b))
+    grids = _model_grids(_stats_for(trace), [model_a, model_b])
+    za = _log_marginal(model_a, grids[model_a])
+    zb = _log_marginal(model_b, grids[model_b])
     return (za - zb) / math.log(10.0)
 
 
@@ -612,7 +736,7 @@ def select_model(
         _check_family(trace, c)
 
     stats = _stats_for(trace)
-    grids = {c: _model_grid(stats, c) for c in candidates}
+    grids = _model_grids(stats, candidates)
     fits = {c: _fit_from_grid(c, grids[c], stats, trace.order_assumed) for c in candidates}
     marginals = {c: _log_marginal(c, grids[c]) for c in candidates}
 
@@ -690,30 +814,28 @@ def replay_event_probabilities(
     if model == "patch":
         p_tc = _check_param("p_tc", p_tc)
     if trace.directed:
+        rebuild_graph(trace)  # rejects repeated and out-of-range edges
         return _replay_vectors_directed(trace, model, h)
-    return _replay_vectors_undirected(trace, model, h, p_tc)
+    starts = _arrival_groups(trace)
+    return _replay_vectors_undirected(trace, model, h, p_tc, starts, rebuild_graph(trace).csr())
 
 
-def _replay_vectors_undirected(trace, model, h, p_tc):
-    n = trace.n
+def _replay_vectors_undirected(trace, model, h, p_tc, starts, csr):
     labels = trace.labels
     m = trace.m or 0
-    adj: list[set[int]] = [set() for _ in range(n)]
-    deg = np.zeros(n, dtype=np.float64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            adj[i].add(j)
-            adj[j].add(i)
+    deg = np.zeros(trace.n, dtype=np.float64)
     deg[:m] = max(m - 1, 0)
     aff = None if h is None else np.array([h, 1.0 - h])
 
-    for v, idxs in _arrival_groups(trace):
-        chosen: list[int] = []
+    for lo, hi in zip(starts[:-1].tolist(), starts[1:].tolist()):
+        v = int(trace.sources[lo])
         cls_v = int(labels[v])
-        for j, i in enumerate(idxs):
+        free = np.ones(v, dtype=bool)   # not yet chosen in this arrival
+        near = np.zeros(v, dtype=bool)  # below-v neighbours of the chosen targets
+        for i in range(lo, hi):
             t = int(trace.targets[i])
             kind = EventKind(trace.kinds[i])
-            eligible = np.array([u for u in range(v) if u not in chosen], dtype=np.int64)
+            eligible = np.flatnonzero(free)
             if kind is EventKind.FALLBACK_UNIFORM:
                 probs = np.full(eligible.size, 1.0 / eligible.size)
             else:
@@ -722,28 +844,20 @@ def _replay_vectors_undirected(trace, model, h, p_tc):
                 else:
                     w = aff[np.where(labels[eligible] == cls_v, 0, 1)] * deg[eligible]
                 total = w.sum()
-                base = w / total if total > 0.0 else np.full(eligible.size, 1.0 / eligible.size)
-                if model == "patch" and j >= 1:
-                    tc = set()
-                    for u in chosen:
-                        tc |= adj[u]
-                    tc.discard(v)
-                    tc.difference_update(chosen)
-                    if tc:
-                        probs = (1.0 - p_tc) * base
-                        pos = np.isin(eligible, sorted(tc))
-                        probs[pos] += p_tc / len(tc)
-                    else:
-                        probs = base
-                else:
-                    probs = base
+                probs = w / total if total > 0.0 else np.full(eligible.size, 1.0 / eligible.size)
+                if model == "patch":
+                    tc = near & free
+                    tc_size = int(np.count_nonzero(tc))
+                    if tc_size:
+                        probs *= 1.0 - p_tc
+                        probs[tc[eligible]] += p_tc / tc_size
             yield eligible, probs
-            chosen.append(t)
-        for t in chosen:
-            adj[v].add(t)
-            adj[t].add(v)
-            deg[t] += 1.0
-        deg[v] += float(len(chosen))
+            free[t] = False
+            if model == "patch":
+                row = csr.row(t)
+                near[row[:np.searchsorted(row, v)]] = True
+        deg[trace.targets[lo:hi]] += 1.0
+        deg[v] += float(hi - lo)
 
 
 def _replay_vectors_directed(trace, model, h):

@@ -129,6 +129,11 @@ def test_csr_matches_adjacency_sets(n, directed, p, seed):
     owners, got = csr.rows(nodes)
     assert got.tolist() == [v for u in nodes for v in nbrs[u]]
     assert owners.tolist() == [u for u in nodes for _ in nbrs[u]]
+    bounds = rng.integers(0, n + 1, size=nodes.size)
+    below = csr.count_below(nodes, bounds)
+    assert below.tolist() == [sum(v < b for v in nbrs[u]) for u, b in zip(nodes, bounds)]
+    _, got = csr.rows(nodes, below)
+    assert got.tolist() == [v for u, b in zip(nodes, bounds) for v in nbrs[u] if v < b]
 
     outdeg = [len(row) for row in nbrs]
     indeg = [sum(v in nbrs[u] for u in range(n)) for v in range(n)]

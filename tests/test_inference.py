@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 from graphmix.generate import (
     EventKind,
     GrowthTrace,
+    SaturationError,
     gen_directed,
     gen_pa,
     gen_pah,
@@ -220,6 +223,25 @@ def test_corrupt_traces_rejected():
     )
     with pytest.raises(ValueError):
         replay_loglik(wrong_arity, "pa")
+    # an edge repeated within an arrival would be scored with its degree counted twice
+    repeated_target = GrowthTrace(
+        directed=False, labels=labels,
+        sources=np.array([2, 2, 3, 3]), targets=np.array([0, 0, 0, 1]),
+        kinds=np.array([0, 0, 0, 0], dtype=np.int8), m=2,
+    )
+    with pytest.raises(ValueError, match="duplicate edge"):
+        replay_loglik(repeated_target, "pa")
+    with pytest.raises(ValueError, match="duplicate edge"):
+        replay_event_probabilities(repeated_target, "pa")
+    repeated_pair = GrowthTrace(
+        directed=True, labels=labels,
+        sources=np.array([0, 1, 0]), targets=np.array([1, 2, 1]),
+        kinds=np.full(3, int(EventKind.DIRECTED_PICK), dtype=np.int8),
+    )
+    with pytest.raises(ValueError, match="duplicate edge"):
+        replay_loglik(repeated_pair, "dpa")
+    with pytest.raises(ValueError, match="duplicate edge"):
+        replay_event_probabilities(repeated_pair, "dpa")
 
 
 # -- neutrality -----------------------------------------------------------------
@@ -357,3 +379,133 @@ def test_trace_from_graph_matches_brute_force():
     want, _ = brute_force_loglik(trace, "pah", h=0.8)
     got, _ = replay_loglik(trace, "pah", h=0.8)
     assert got == pytest.approx(want, abs=1e-9)
+
+
+# -- frozen selection at benchmark-like sizes ------------------------------------------
+
+
+def _fx(text):
+    return None if text is None else float.fromhex(text)
+
+
+# (model, h_hat, p_tc_hat, log_lik, k, n_events, n_fallback, aic, bic, order_assumed) in
+# ranked order, then (model_a, model_b, log10_bf); recorded from the per-event replay loop
+# that the array kernel replaced.  These sizes run every grid block, p_tc block and pair
+# chunk more than once.
+_FROZEN_SELECTIONS = {
+    "patch": (
+        [
+            ("patch", "0x1.999999999999ap-1", "0x1.f5c28f5c28f5cp-2", "-0x1.8aafb289737c2p+15",
+             2, 8991, 0, "0x1.8ab3b289737c2p+16", "0x1.8ac1e7c63bb6fp+16", False),
+            ("pah", "0x1.7ae147ae147aep-1", None, "-0x1.ccfdfe227a674p+15",
+             1, 8991, 0, "0x1.ccfffe227a674p+16", "0x1.cd0718c0de84bp+16", False),
+            ("pa", None, None, "-0x1.d38d3192dd704p+15",
+             0, 8991, 0, "0x1.d38d3192dd704p+16", "0x1.d38d3192dd704p+16", False),
+        ],
+        [("pa", "pah", "-0x1.6ad9989734df4p+8"), ("pa", "patch", "-0x1.f9e214d9ed4a1p+11"),
+         ("pah", "patch", "-0x1.cc86e1c706ae3p+11")],
+    ),
+    "order-assumed": (
+        [
+            ("patch", "0x1.8a3d70a3d70a4p-1", "0x1.e147ae147ae14p-2", "-0x1.91fcbf4110c5dp+15",
+             2, 8994, 0, "0x1.9200bf4110c5dp+16", "0x1.920ef4a993244p+16", True),
+            ("pah", "0x1.7ae147ae147aep-1", None, "-0x1.ccdd32d081081p+15",
+             1, 8994, 0, "0x1.ccdf32d081081p+16", "0x1.cce64d84c2375p+16", True),
+            ("pa", None, None, "-0x1.d36fa81e4dbc2p+15",
+             0, 8994, 0, "0x1.d36fa81e4dbc2p+16", "0x1.d36fa81e4dbc2p+16", True),
+        ],
+        [("pa", "pah", "-0x1.6b914b28c26bfp+8"), ("pa", "patch", "-0x1.c65bb794bbb1dp+11"),
+         ("pah", "patch", "-0x1.98e98e2fa3645p+11")],
+    ),
+    "dpah": (
+        [
+            ("dpah", "0x1.999999999999ap-1", None, "-0x1.f7a1ccc74ca19p+15",
+             1, 9990, 0, "0x1.f7a3ccc74ca19p+16", "0x1.f7ab025e98e00p+16", False),
+            ("dpa", None, None, "-0x1.01454d19242acp+16",
+             0, 9990, 0, "0x1.01454d19242acp+17", "0x1.01454d19242acp+17", False),
+            ("dh", "0x1.947ae147ae148p-1", None, "-0x1.077c392fe4267p+16",
+             1, 9990, 0, "0x1.077d392fe4267p+17", "0x1.0780d3fb8a45bp+17", False),
+        ],
+        [("dpa", "dh", "0x1.5a6dff18532d0p+9"), ("dpa", "dpah", "-0x1.2e530010e18c0p+9"),
+         ("dh", "dpah", "-0x1.44607f949a5c8p+10")],
+    ),
+}
+
+
+def test_select_model_frozen_values_at_benchmark_like_sizes():
+    g, patch = gen_patch(3000, 3, 0.3, 0.8, 0.5, seed=1)
+    _, dpah = gen_directed("dpah", 1000, 0.01, 0.3, 0.8, gamma_a=3.5, seed=1)
+    cases = {
+        "patch": (patch, ["pa", "pah", "patch"]),
+        "order-assumed": (trace_from_graph(g), ["pa", "pah", "patch"]),
+        "dpah": (dpah, ["dpa", "dh", "dpah"]),
+    }
+    for name, (trace, models) in cases.items():
+        fits, comparisons = _FROZEN_SELECTIONS[name]
+        table = select_model(trace, models)
+        assert [
+            (f.model, f.h_hat, f.p_tc_hat, f.log_lik, f.k, f.n_events, f.n_fallback, f.aic, f.bic,
+             f.order_assumed)
+            for f in table.fits
+        ] == [
+            (m, _fx(h), _fx(p), _fx(ll), k, ne, nf, _fx(aic), _fx(bic), oa)
+            for m, h, p, ll, k, ne, nf, aic, bic, oa in fits
+        ], name
+        assert [(c.model_a, c.model_b, c.log10_bf) for c in table.comparisons] == [
+            (a, b, _fx(bf)) for a, b, bf in comparisons
+        ], name
+
+
+# -- differential check against the brute-force oracle ---------------------------------
+
+
+_UNIT = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+@given(
+    st.sampled_from(["pa", "pah", "patch", "dpa", "dh", "dpah"]),
+    st.integers(5, 80),
+    st.integers(1, 3),
+    st.one_of(st.just(0.0), st.floats(0.0, 0.5)),
+    _UNIT,
+    _UNIT,
+    st.booleans(),
+    st.data(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_replay_matches_brute_force_on_random_traces(gen, n, m, f_m, h, p_tc, from_graph, data, seed):
+    if gen in ("dpa", "dh", "dpah"):
+        d = data.draw(st.floats(0.05, 0.25))
+        try:
+            g, trace = gen_directed(gen, n, d, f_m, None if gen == "dpa" else h, seed=seed)
+        except SaturationError:
+            reject()
+        models = ["dpa", "dh", "dpah"]
+    else:
+        g, trace = {
+            "pa": lambda: gen_pa(n, m, seed=seed),
+            "pah": lambda: gen_pah(n, m, f_m, h, seed=seed),
+            "patch": lambda: gen_patch(n, m, f_m, h, p_tc, seed=seed),
+        }[gen]()
+        models = ["pa", "pah", "patch"]
+    if from_graph:
+        trace = trace_from_graph(g, seed=seed)
+    model = data.draw(st.sampled_from(models))
+    kwargs = {}
+    if model not in ("pa", "dpa"):
+        kwargs["h"] = data.draw(_UNIT)
+    if model == "patch":
+        kwargs["p_tc"] = data.draw(_UNIT)
+    want, want_n = brute_force_loglik(trace, model, **kwargs)
+    if want_n == 0:
+        with pytest.raises(ValueError, match="zero scoreable events"):
+            replay_loglik(trace, model, **kwargs)
+        return
+    got, got_n = replay_loglik(trace, model, **kwargs)
+    assert got_n == want_n
+    if math.isinf(want):
+        assert got == want
+    else:
+        # near-zero affinities give |logL| ~ 1e5, where summation order alone moves ~1e-9
+        assert got == pytest.approx(want, rel=1e-12, abs=1e-9)
