@@ -417,19 +417,16 @@ def _cmd_spread(args) -> int:
         raise _UsageError(f"mode must be 'ic' or 'threshold', got {cfg['mode']!r}")
     report = equality_report(trace, g.labels)
     prefix = _out_prefix(cfg)
-    overall = trace.overall_fractions()
+    series = np.column_stack([trace.class_fractions, trace.overall_fractions()])
     _write_table(
         prefix.parent / (prefix.name + "_series.csv"),
         "t,frac_class0,frac_class1,frac_all",
-        [
-            [t, trace.class_fractions[t, 0], trace.class_fractions[t, 1], overall[t]]
-            for t in range(trace.n_steps + 1)
-        ],
+        [[t, *row] for t, row in enumerate(series.tolist())],
     )
     _write_table(
         prefix.parent / (prefix.name + "_equality.csv"),
         "t,equality",
-        [[t, report.equality[t]] for t in range(report.equality.size)],
+        [[t, e] for t, e in enumerate(report.equality.tolist())],
     )
     _write_table(
         prefix.parent / (prefix.name + "_summary.csv"),

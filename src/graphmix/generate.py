@@ -23,7 +23,7 @@ likelihoods (see :mod:`graphmix.inference`).
 
 from __future__ import annotations
 
-from collections.abc import Container, Iterator, Sequence
+from collections.abc import Container, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
 
@@ -118,10 +118,6 @@ class GrowthTrace:
 
     def __len__(self) -> int:
         return self.sources.size
-
-    def events(self) -> Iterator[tuple[int, int, EventKind]]:
-        for s, t, k in zip(self.sources, self.targets, self.kinds):
-            yield int(s), int(t), EventKind(k)
 
 
 @dataclass(frozen=True)
@@ -435,6 +431,8 @@ def gen_directed(
         if H is None:
             raise ValueError(f"model {model} requires a mixing matrix")
         H = _as_mixing(H)
+    elif H is not None:
+        raise ValueError(f"model {model} takes no mixing matrix")
 
     rng = make_rng(seed)
     labels = assign_classes(n, f_m, rng)

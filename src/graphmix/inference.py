@@ -862,26 +862,32 @@ def _replay_vectors_undirected(trace, model, h, p_tc, starts, csr):
 
 def _replay_vectors_directed(trace, model, h):
     n = trace.n
-    labels = trace.labels
     ind1 = np.ones(n, dtype=np.float64)
-    out_adj: list[set[int]] = [set() for _ in range(n)]
-    aff = None if h is None else np.array([h, 1.0 - h])
+    # target weights by source class, kept current as in-degrees grow
+    if model == "dpa":
+        weights = (ind1, ind1)
+    else:
+        aff = np.array([h, 1.0 - h])
+        class_aff = tuple(aff[np.where(trace.labels == c, 0, 1)] for c in (0, 1))
+        weights = class_aff if model == "dh" else tuple(a * ind1 for a in class_aff)
+    # the out-neighbours of s before event i are the targets of s's earlier events:
+    # a prefix of s's row when the events are grouped by source in event order
+    order = np.argsort(trace.sources, kind="stable")
+    by_source = trace.targets[order]
+    row_start = np.searchsorted(trace.sources[order], trace.sources).tolist()
+    row_pos = np.empty(len(order), dtype=np.int64)
+    row_pos[order] = np.arange(len(order))
 
-    for s, t, _ in trace.events():
-        cs = int(labels[s])
+    for s, t, lo, hi in zip(trace.sources.tolist(), trace.targets.tolist(), row_start, row_pos.tolist()):
         mask = np.ones(n, dtype=bool)
         mask[s] = False
-        if out_adj[s]:
-            mask[list(out_adj[s])] = False
-        eligible = np.nonzero(mask)[0]
-        if model == "dpa":
-            w = ind1[eligible].copy()
-        elif model == "dh":
-            w = aff[np.where(labels[eligible] == cs, 0, 1)].copy()
-        else:
-            w = aff[np.where(labels[eligible] == cs, 0, 1)] * ind1[eligible]
+        mask[by_source[lo:hi]] = False
+        eligible = mask.nonzero()[0]
+        w = weights[trace.labels[s]][eligible]
         total = w.sum()
         probs = w / total if total > 0.0 else np.zeros(eligible.size)
         yield eligible, probs
-        out_adj[s].add(t)
         ind1[t] += 1.0
+        if model == "dpah":
+            for w_c, a_c in zip(weights, class_aff):
+                w_c[t] = a_c[t] * ind1[t]

@@ -10,10 +10,21 @@ newline, written deterministically:
   event per row, in event order;
 * config files           -- ``key=value`` lines; blank lines and ``#``
   comments are skipped.
+
+The node, edge and trace readers take one of two paths to the same
+result.  A file as graphmix writes it -- the expected header, then one or
+more LF-terminated rows of plain ASCII digits and commas (a trace's kind
+names aside), no blank line and no field of 19 or more digits -- is parsed
+by numpy's C parser.  Any other file goes to the line-naming reader, which
+splits and converts every field in Python and is the only code that words
+a format error.  On text that passes the guard, Python's ``int()`` and the
+C parser read the same numbers, so both paths accept exactly the same files
+and report exactly the same errors.
 """
 
 from __future__ import annotations
 
+import io
 from pathlib import Path
 
 import numpy as np
@@ -53,14 +64,67 @@ def write_network(g: AttributedGraph, prefix: str | Path) -> tuple[Path, Path]:
     nodes_path = prefix.parent / (prefix.name + "_nodes.csv")
     edges_path = prefix.parent / (prefix.name + "_edges.csv")
     lines = ["id,class"]
-    labels = g.labels
-    for i in range(g.n):
-        lines.append(f"{i},{labels[i]}")
+    lines += [f"{i},{c}" for i, c in enumerate(g.labels.tolist())]
     nodes_path.write_text("\n".join(lines) + "\n", newline="\n")
     lines = ["source,target"]
     lines += [f"{u},{v}" for u, v in g.edges()]
     edges_path.write_text("\n".join(lines) + "\n", newline="\n")
     return nodes_path, edges_path
+
+
+_PLAIN = b"0123456789,\n"
+_DIGITS_AS_ZERO = bytes.maketrans(b"123456789", b"000000000")
+_LONG_FIELD = b"0" * 19  # 18 digits always fit in int64
+_KIND_CODES = tuple((f",{name}\n".encode(), f",{kind:d}\n".encode()) for kind, name in EVENT_KIND_NAMES.items())
+
+
+def _read_table(path: Path, header: str, names: tuple[str, ...]) -> np.ndarray:
+    """The rows of a file that starts with ``header`` as an int64 array; row i is line i + 2.
+
+    Columns ``names`` hold integers.  A trace's extra last column holds the
+    event-kind code, -1 for an unknown name.
+    """
+    table = _parse_plain(path, header, names)
+    return _parse_lines(path, header, names) if table is None else table
+
+
+def _parse_plain(path: Path, header: str, names: tuple[str, ...]) -> np.ndarray | None:
+    """numpy's parse of a file in the form graphmix writes; None for any other file."""
+    try:
+        data = path.read_bytes()
+    except OSError:
+        return None  # the line-naming reader words the fault
+    head = header.encode() + b"\n"
+    if not data.startswith(head):
+        return None
+    body = data[len(head):]
+    width = header.count(",") + 1
+    if width > len(names):
+        unnamed = body.count(b"\n")  # rows whose last field is not a kind name
+        for name, code in _KIND_CODES:
+            unnamed -= body.count(name)
+            body = body.replace(name, code)
+        if unnamed:
+            return None
+    # loadtxt skips blank lines and warns on empty input; int() reads more than these bytes
+    if (not body.endswith(b"\n") or body.startswith(b"\n") or b"\n\n" in body
+            or body.translate(None, _PLAIN) or _LONG_FIELD in body.translate(_DIGITS_AS_ZERO)):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(body.decode("ascii")), dtype=np.int64, delimiter=",", ndmin=2)
+    except ValueError:  # an empty field, or rows of different widths
+        return None
+    return table if table.shape[1] == width else None
+
+
+def _parse_lines(path: Path, header: str, names: tuple[str, ...]) -> np.ndarray:
+    """:func:`_read_table` by splitting and converting every field in Python, naming the first fault."""
+    rows = _read_rows(path, header)
+    table = _int_columns(path, rows, names)
+    if header.count(",") + 1 > len(names):
+        kinds = np.array([EVENT_KIND_FROM_NAME.get(row[-1], -1) for row in rows], dtype=np.int64)
+        table = np.column_stack([table, kinds])
+    return table
 
 
 def _read_rows(path: Path, header: str) -> list[list[str]]:
@@ -112,10 +176,9 @@ def read_network(prefix: str | Path, directed: bool) -> AttributedGraph:
     nodes_path = prefix.parent / (prefix.name + "_nodes.csv")
     edges_path = prefix.parent / (prefix.name + "_edges.csv")
 
-    rows = _read_rows(nodes_path, "id,class")
-    if not rows:
+    ids, labels = _read_table(nodes_path, "id,class", ("id", "class")).T
+    if not ids.size:
         raise _err(nodes_path, 1, "node file lists no nodes")
-    ids, labels = _int_columns(nodes_path, rows, ("id", "class")).T
     bad = np.flatnonzero((ids != np.arange(ids.size)) | ((labels != 0) & (labels != 1)))
     if bad.size:
         i = int(bad[0])
@@ -123,7 +186,7 @@ def read_network(prefix: str | Path, directed: bool) -> AttributedGraph:
             raise _err(nodes_path, i + 2, f"ids must be dense and ascending; expected {i}, got {ids[i]}")
         raise _err(nodes_path, i + 2, f"class must be 0 or 1, got {labels[i]}")
 
-    edges = _int_columns(edges_path, _read_rows(edges_path, "source,target"), ("source", "target"))
+    edges = _read_table(edges_path, "source,target", ("source", "target"))
     # the graph checks the rows up to the first reversed one, so the earliest bad line is reported
     flipped = np.flatnonzero(edges[:, 0] > edges[:, 1]) if not directed else ()
     stop = int(flipped[0]) + 1 if len(flipped) else len(edges)
@@ -137,12 +200,18 @@ def read_network(prefix: str | Path, directed: bool) -> AttributedGraph:
     return g
 
 
+_TRACE_HEADER = "source,target,kind"
+
+
 def write_trace(trace: GrowthTrace, path: str | Path) -> Path:
     """Write the event list as ``source,target,kind`` rows in event order."""
     path = Path(path)
-    lines = ["source,target,kind"]
-    for s, t, kind in trace.events():
-        lines.append(f"{s},{t},{EVENT_KIND_NAMES[kind]}")
+    names = [EVENT_KIND_NAMES[kind] for kind in EventKind]  # indexed by code
+    lines = [_TRACE_HEADER]
+    lines += [
+        f"{s},{t},{names[k]}"
+        for s, t, k in zip(trace.sources.tolist(), trace.targets.tolist(), trace.kinds.tolist())
+    ]
     path.write_text("\n".join(lines) + "\n", newline="\n")
     return path
 
@@ -161,19 +230,19 @@ def read_trace(path: str | Path, g: AttributedGraph) -> GrowthTrace:
     structure is validated when the trace is scored.
     """
     path = Path(path)
-    rows = _read_rows(path, "source,target,kind")
-    if not rows:
+    table = _read_table(path, _TRACE_HEADER, ("source", "target"))
+    if not len(table):
         raise _err(path, 1, "trace file lists no events")
-    events = _int_columns(path, rows, ("source", "target"))
-    kinds = np.array([EVENT_KIND_FROM_NAME.get(row[2], -1) for row in rows], dtype=np.int8)
+    events, kinds = table[:, :2], table[:, 2].astype(np.int8)
     wrong_kind = (kinds == EventKind.DIRECTED_PICK) != g.directed
     bad = np.flatnonzero((kinds < 0) | wrong_kind | ((events < 0) | (events >= g.n)).any(axis=1))
     if bad.size:
         i = int(bad[0])
-        if kinds[i] < 0:
-            raise _err(path, i + 2, f"unknown event kind {rows[i][2]!r}")
+        if kinds[i] < 0:  # only the line-naming reader lets an unknown name through; quote it
+            raise _err(path, i + 2, f"unknown event kind {_read_rows(path, _TRACE_HEADER)[i][2]!r}")
         if wrong_kind[i]:
-            raise _err(path, i + 2, f"event kind {rows[i][2]!r} does not match graph directedness")
+            name = EVENT_KIND_NAMES[EventKind(kinds[i])]
+            raise _err(path, i + 2, f"event kind {name!r} does not match graph directedness")
         raise _err(path, i + 2, f"event ({events[i, 0]},{events[i, 1]}) references a node outside 0..{g.n - 1}")
     sources, targets = np.ascontiguousarray(events.T)
     m = int(sources[0])

@@ -29,6 +29,11 @@ def brute_force_loglik(
     return _brute_undirected(trace, model, labels, h, p_tc)
 
 
+def _log_ratio(num: float, den: float) -> float:
+    """log(num / den) from the two logs: the quotient underflows to 0 for a subnormal affinity."""
+    return math.log(num) - math.log(den) if num > 0.0 else float("-inf")
+
+
 def _brute_undirected(trace, model, labels, h, p_tc):
     n = len(labels)
     m = trace.m or 0
@@ -68,18 +73,19 @@ def _brute_undirected(trace, model, labels, h, p_tc):
                         for u in eligible
                     }
                 wsum = sum(w.values())
-                base = w[t] / wsum if wsum > 0.0 else 1.0 / len(eligible)
-                p = base
+                log_p = _log_ratio(w[t], wsum) if wsum > 0.0 else -math.log(len(eligible))
                 if model == "patch" and j >= 1:
                     tcs: set[int] = set()
                     for c in chosen:
                         tcs |= nbrs[c]
                     tcs.discard(v)
                     tcs -= set(chosen)
-                    if tcs:
-                        hit = 1.0 / len(tcs) if t in tcs else 0.0
-                        p = p_tc * hit + (1.0 - p_tc) * base
-                total += math.log(p) if p > 0.0 else float("-inf")
+                    if tcs and t in tcs:
+                        p = p_tc / len(tcs) + (1.0 - p_tc) * math.exp(log_p)
+                        log_p = math.log(p) if p > 0.0 else float("-inf")
+                    elif tcs:
+                        log_p += _log_ratio(1.0 - p_tc, 1.0)
+                total += log_p
             chosen.append(t)
         for t in chosen:
             nbrs[v].add(t)
@@ -106,9 +112,7 @@ def _brute_directed(trace, model, labels, h):
                 u: (h if labels[u] == labels[s] else 1.0 - h) * (indeg[u] + 1.0)
                 for u in eligible
             }
-        wsum = sum(w.values())
-        p = w[t] / wsum if wsum > 0.0 else 0.0
-        total += math.log(p) if p > 0.0 else float("-inf")
+        total += _log_ratio(w[t], sum(w.values()))
         scored += 1
         out[s].add(t)
         indeg[t] += 1

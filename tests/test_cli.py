@@ -344,6 +344,14 @@ def test_bad_flag_value_is_exit_1(tmp_path):
                "--out", str(tmp_path)) == 1
 
 
+def test_dpa_with_h_is_exit_1(tmp_path, capsys):
+    argv = ["generate", "--model", "dpa", "--n", "300", "--d", "0.02", "--fm", "0.3", "--seed", "1"]
+    assert run(*argv, "--h", "1.0", "--out", str(tmp_path)) == 1
+    assert "model dpa takes no mixing matrix" in capsys.readouterr().err
+    assert not (tmp_path / "run_edges.csv").exists()
+    assert run(*argv, "--out", str(tmp_path)) == 0
+
+
 def test_h_conflicts_with_mixing_cells(tmp_path):
     assert run(
         "generate", "--model", "pah", "--n", "100", "--m", "1", "--fm", "0.3",

@@ -103,10 +103,8 @@ def test_patch_ptc_one_closes_triangles_when_possible():
 
 def test_pah_h1_scored_picks_stay_same_class():
     g, trace = gen_pah(150, 2, 0.3, 1.0, seed=6)
-    labels = trace.labels
-    for s, t, kind in trace.events():
-        if kind is EventKind.PAH_PICK:
-            assert labels[s] == labels[t]
+    scored = trace.kinds == EventKind.PAH_PICK
+    assert np.array_equal(trace.labels[trace.sources[scored]], trace.labels[trace.targets[scored]])
 
 
 def test_trace_sources_shape():
@@ -171,6 +169,12 @@ def test_directed_argument_validation():
         gen_directed("dh", 10, 0.1, 0.2, None, seed=0)
     with pytest.raises(ValueError):
         gen_directed("nope", 10, 0.1, 0.2, seed=0)
+
+
+@pytest.mark.parametrize("H", [1.0, MixingMatrix.symmetric(1.0)], ids=["float", "matrix"])
+def test_dpa_rejects_a_mixing_matrix(H):
+    with pytest.raises(ValueError, match="model dpa takes no mixing matrix"):
+        gen_directed("dpa", 30, 0.05, 0.3, H, seed=0)
 
 
 # -- exactness of the samplers --------------------------------------------------

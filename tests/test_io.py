@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -8,6 +10,9 @@ from graphmix.graph import AttributedGraph
 from graphmix.inference import fit_model, replay_loglik, trace_from_graph
 from graphmix.netio import (
     NetworkFormatError,
+    _parse_lines,
+    _parse_plain,
+    _read_table,
     format_value,
     read_config,
     read_network,
@@ -164,6 +169,132 @@ def test_injected_edge_fault_is_reported_with_its_line(tmp_path_factory, data, d
     with pytest.raises(NetworkFormatError) as exc:
         read_network(prefix, directed)
     assert str(exc.value) == f"{edges_path}:{i + 2}: {want}"
+
+
+# -- the numpy parse and the line-naming reader -------------------------------------
+
+_KIND_NAMES = ("pah-pick", "tc-pick", "fallback-uniform", "directed-pick")
+_TABLES = {  # header: (integer columns, the regex of exactly the plain form of such a file)
+    "id,class": (("id", "class"), r"id,class\n(?:[0-9]{1,18},[0-9]{1,18}\n)+"),
+    "source,target": (("source", "target"), r"source,target\n(?:[0-9]{1,18},[0-9]{1,18}\n)+"),
+    "source,target,kind": (
+        ("source", "target"),
+        rf"source,target,kind\n(?:[0-9]{{1,18}},[0-9]{{1,18}},(?:{'|'.join(_KIND_NAMES)})\n)+",
+    ),
+}
+_ODD_FIELDS = (
+    "", "-1", "+3", "1_0", " 2", "3 ", "4\r", "\u0663", "x", "1.5", "0x1",
+    "123456789012345678", "1234567890123456789", "9223372036854775807", "98765432109876543210",
+    "0000000000000000012",
+)
+_ODD_KINDS = ("", "teleport", "PAH-PICK", "pah-pick ", "pah-pick\r", "0", "3")
+
+
+def _outcome(read, *args):
+    try:
+        return read(*args)
+    except NetworkFormatError as exc:
+        return str(exc)
+
+
+@st.composite
+def _table_text(draw, header):
+    """A file in the plain form with up to two faults, each of which int() may or may not accept."""
+    width = header.count(",") + 1
+    kinds = header.endswith("kind")
+    plain = st.integers(0, 999).map(str)
+    rows = draw(st.lists(st.lists(plain, min_size=width, max_size=width), max_size=5))
+    if kinds:
+        for row in rows:
+            row[-1] = draw(st.sampled_from(_KIND_NAMES))
+    head, end = header, "\n"
+    for fault in draw(st.lists(st.sampled_from(["field", "kind", "width", "widths", "blank", "head", "end"]),
+                               max_size=2)):
+        i = draw(st.integers(0, max(len(rows) - 1, 0)))
+        row = rows[i] if rows else []
+        if fault == "field" and len(row) > kinds:
+            row[draw(st.integers(0, len(row) - 1 - kinds))] = draw(st.sampled_from(_ODD_FIELDS))
+        elif fault == "kind" and row and kinds:
+            row[-1] = draw(st.sampled_from(_ODD_KINDS))
+        elif fault == "width" and rows:
+            rows[i] = row[:-1] if draw(st.booleans()) else row + [draw(plain)]
+        elif fault == "widths":  # every row one field short, or one too many
+            rows = [row[:-1] for row in rows] if draw(st.booleans()) else [row + ["0"] for row in rows]
+        elif fault == "blank":
+            rows.insert(draw(st.integers(0, len(rows))), [])
+        elif fault == "head":
+            head = draw(st.sampled_from([header + " ", header.upper(), "x"]))
+        elif fault == "end":
+            end = draw(st.sampled_from(["", "\r\n", "\n\n"]))
+    return "\n".join([head, *(",".join(row) for row in rows)]) + end
+
+
+@given(st.data(), st.sampled_from(sorted(_TABLES)))
+@settings(max_examples=300, deadline=None)
+def test_numpy_parse_agrees_with_the_line_naming_reader(tmp_path_factory, data, header):
+    names, plain_form = _TABLES[header]
+    text = data.draw(_table_text(header))
+    path = tmp_path_factory.mktemp("table") / "t.csv"
+    path.write_bytes(text.encode())
+    fast = _parse_plain(path, header, names)
+    slow = _outcome(_parse_lines, path, header, names)
+    # the numpy parse takes exactly the plain files, and reads them as the line reader does
+    assert (fast is not None) == bool(re.fullmatch(plain_form, text))
+    if fast is not None:
+        assert isinstance(slow, np.ndarray) and fast.dtype == slow.dtype == np.int64
+        assert np.array_equal(fast, slow)
+    combined = _outcome(_read_table, path, header, names)
+    if isinstance(slow, str):
+        assert combined == slow
+    else:
+        assert np.array_equal(combined, slow) and combined.shape == slow.shape
+
+
+@pytest.mark.parametrize(
+    "edges,want",
+    [
+        ("source,target\n", []),  # header only: an edgeless graph
+        ("source,target\n0,1\n1,2", [(0, 1), (1, 2)]),  # no final LF
+        ("source,target\n0,1\n\n1,2\n", "3: expected 2 fields, got 1"),  # a blank line
+    ],
+    ids=["header-only", "no-final-lf", "blank-line"],
+)
+def test_unplain_edge_files_take_the_line_reader(tmp_path, edges, want):
+    prefix = _write_pair(tmp_path, "id,class\n0,0\n1,1\n2,0\n", edges)
+    assert _parse_plain(tmp_path / "x_edges.csv", "source,target", ("source", "target")) is None
+    got = _outcome(read_network, prefix, False)
+    if isinstance(want, str):
+        assert got == f"{tmp_path / 'x_edges.csv'}:{want}"
+    else:
+        assert got == AttributedGraph(False, [0, 1, 0], want)
+
+
+@pytest.mark.parametrize(
+    "header,text",
+    [
+        ("id,class", "id,class\n1234567890123456789,0\n"),  # fits in int64, but has 19 digits
+        ("id,class", "id,class\n0000000000000000000,0\n"),
+        ("source,target", "source,target\n\n0,1\n"),  # a blank first row
+        ("source,target", "source,target\n0,1,2\n1,2,0\n"),  # every row too wide
+        ("source,target,kind", "source,target,kind\n1,0,0\n"),  # a kind written as its code
+        ("source,target,kind", "source,target,kind\n1,0,pah-pick\n2,0,3\n"),
+    ],
+)
+def test_near_plain_files_take_the_line_reader(tmp_path, header, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    names = ("id", "class") if header == "id,class" else ("source", "target")
+    assert _parse_plain(path, header, names) is None
+
+
+def test_written_files_take_the_numpy_parse(tmp_path):
+    for g, trace in (gen_pah(60, 2, 0.3, 0.8, seed=7), gen_directed("dpah", 40, 0.05, 0.3, 0.7, seed=8)):
+        nodes, edges = write_network(g, tmp_path / "w")
+        path = write_trace(trace, tmp_path / "w_trace.csv")
+        assert _parse_plain(nodes, "id,class", ("id", "class")) is not None
+        assert _parse_plain(edges, "source,target", ("source", "target")) is not None
+        table = _parse_plain(path, "source,target,kind", ("source", "target"))
+        assert np.array_equal(table, np.column_stack([trace.sources, trace.targets, trace.kinds]))
 
 
 # -- trace files --------------------------------------------------------------------
