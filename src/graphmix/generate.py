@@ -30,7 +30,7 @@ from enum import IntEnum
 import numpy as np
 
 from .graph import AttributedGraph, EdgeError, MixingMatrix, assign_classes
-from .rng import make_rng, pick_from_cumulative, rand_below, weighted_pick
+from .rng import UniformStream, make_rng, pick_from_cumulative, rand_below, weighted_pick
 
 __all__ = [
     "EventKind",
@@ -250,7 +250,7 @@ def _as_mixing(H: MixingMatrix | float) -> MixingMatrix:
 
 
 def _endpoint_pick(
-    rng: np.random.Generator,
+    rng: UniformStream,
     affinity: tuple[float, float],
     heads: tuple[Sequence[int], Sequence[int]],
     tails: tuple[Sequence[int], Sequence[int]],
@@ -314,10 +314,22 @@ def _grow(
     weight left when ``H[c_v, c] > 0`` and its degree total exceeds the
     degree of its chosen targets.  When no class has, the pick is a
     ``FALLBACK_UNIFORM`` one over the unchosen nodes below v.
+
+    Triadic closure keeps each node's neighbours as a list in ascending
+    order: a node's own targets, sorted when it arrives, then each later
+    arrival that picks it, appended.  The triangle-closing set of a second
+    pick is the first target's list as it stands (no node in it is the
+    arrival or the first target), so it is drawn from directly; later picks
+    draw from the sorted union of the chosen targets' lists minus those
+    targets.
+
+    ``rng`` is drawn from as a :class:`UniformStream`; the caller gives up
+    the generator.
     """
+    rng = UniformStream(rng)
     n = labels.size
-    # neighbour sets only for triadic closure, which draws from them
-    nbrs = [set(range(m)) - {i} if i < m else set() for i in range(n)] if p_tc else None
+    # ascending neighbour lists only for triadic closure, which draws from them
+    nbrs = [[u for u in range(m) if u != i] if i < m else [] for i in range(n)] if p_tc else None
     affinity = np.ones((2, 2)) if H is None else H.matrix
     aff_rows = affinity.tolist()
     cls = labels.tolist()
@@ -340,13 +352,15 @@ def _grow(
             if p_tc is not None and j >= 1 and p_tc > 0.0:
                 attempt_tc = True if p_tc >= 1.0 else rng.random() < p_tc
                 if attempt_tc:
-                    tc_set = set()
-                    for u in chosen:
-                        tc_set |= nbrs[u]
-                    tc_set.discard(v)
-                    tc_set.difference_update(chosen)
-                    if tc_set:
+                    if j == 1:
+                        candidates = nbrs[chosen[0]]
+                    else:
+                        tc_set = set()
+                        for u in chosen:
+                            tc_set.update(nbrs[u])
+                        tc_set.difference_update(chosen)
                         candidates = sorted(tc_set)
+                    if candidates:
                         target = candidates[rand_below(rng, len(candidates))]
                         kind = EventKind.TC_PICK
             if target < 0:
@@ -372,9 +386,9 @@ def _grow(
         deg[v] = m
         ends[cls[v]].extend([v] * m)
         if nbrs is not None:
-            nbrs[v].update(chosen)
+            nbrs[v] = sorted(chosen)
             for t in chosen:
-                nbrs[t].add(v)
+                nbrs[t].append(v)
 
     trace = GrowthTrace(
         directed=False,
@@ -437,7 +451,8 @@ def gen_directed(
     rng = make_rng(seed)
     labels = assign_classes(n, f_m, rng)
     activity = sample_activity(n, gamma_a, rng)
-    activity_cum = np.cumsum(activity)
+    activity_cum = np.cumsum(activity).tolist()
+    rng = UniformStream(rng)
 
     cls = labels.tolist()
     affinity = np.ones((2, 2)) if H is None else H.matrix

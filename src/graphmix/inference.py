@@ -61,7 +61,7 @@ from .generate import (
     rebuild_graph,
 )
 from .graph import AttributedGraph
-from .rng import make_rng, sample_without_replacement
+from .rng import UniformStream, make_rng, sample_without_replacement
 
 __all__ = [
     "H_GRID",
@@ -436,6 +436,9 @@ def _pa_logprob(stats: _UndirectedStats) -> np.ndarray:
         return np.where(den > 0.0, np.log(stats.deg_t) - np.log(den), -np.log(stats.n_elig))
 
 
+_TINY = np.finfo(np.float64).tiny  # the smallest normal double
+
+
 def _loglik_grid_undirected(
     stats: _UndirectedStats,
     model: str,
@@ -481,7 +484,11 @@ def _loglik_grid_undirected(
         base = stats.const_loglik + row[pure].sum()
         if n_miss:
             base = base + row[miss].sum()
-        p_aff_hit = np.exp(row[hit])
+        logp_aff_hit = row[hit]
+        p_aff_hit = np.exp(logp_aff_hit)
+        # where P_aff underflows below the normal range (to a subnormal or 0)
+        # but ln P_aff is finite, mix in log space
+        under = np.flatnonzero((p_aff_hit < _TINY) & (logp_aff_hit > -np.inf))
         with np.errstate(divide="ignore", invalid="ignore"):
             for a in range(0, ptc.size, step):
                 b = min(a + step, ptc.size)
@@ -489,6 +496,11 @@ def _loglik_grid_undirected(
                 np.multiply(aff_share[a:b], p_aff_hit, out=mix)
                 mix += tc_part[a:b]
                 np.log(mix, out=mix)
+                if under.size:
+                    mix[:, under] = np.logaddexp(
+                        np.log(tc_part[a:b, under]),
+                        np.log1p(-ptc[a:b])[:, None] + logp_aff_hit[under],
+                    )
                 hit_term[a:b] = mix.sum(axis=1)
         out[hi] = base + miss_term + hit_term
     return out
@@ -769,7 +781,7 @@ def trace_from_graph(g: AttributedGraph, seed: int = 0) -> GrowthTrace:
     """
     if g.directed:
         srcs, tgts = g.edge_arrays()
-        order = sample_without_replacement(make_rng(seed), srcs.size, srcs.size)
+        order = sample_without_replacement(UniformStream(make_rng(seed)), srcs.size, srcs.size)
         return GrowthTrace(
             directed=True, labels=g.labels, sources=srcs[order], targets=tgts[order],
             kinds=np.full(srcs.size, int(EventKind.DIRECTED_PICK), dtype=np.int8),

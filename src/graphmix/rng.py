@@ -4,14 +4,31 @@ All randomness flows through numpy's PCG64 bit generator, and every decision
 is derived from uniform doubles (``Generator.random()``) only.  Pinning the
 bit generator and the sole primitive keeps draw sequences identical across
 runs and platforms for a given seed, so seeds are portable artifacts.
+
+A :class:`UniformStream` hands out the same doubles as scalar
+``rng.random()`` calls, drawn from the generator in blocks, which costs a
+fraction of a scalar call per double.  A block draws ahead of what the
+stream has handed out, so the generator's state no longer matches the
+doubles used.  A stream is therefore used only where the callee owns the
+generator from :func:`make_rng` until it returns: the generators (after
+the labels and activities are drawn), each ``sampling.sample`` call and the
+directed branch of ``trace_from_graph``.  A generator that is passed on
+keeps scalar draws, for example the one ``graphmix spread`` shares between
+``seeding`` and ``cascade``: the cascade draws its rolls as arrays, which
+must start where the seeding's draws ended.  The helpers below take either
+a generator or a stream, as they only call ``.random()``.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
+from collections.abc import Sequence
 
 import numpy as np
 
 __all__ = [
     "make_rng",
+    "UniformStream",
     "rand_below",
     "weighted_pick",
     "pick_from_cumulative",
@@ -19,6 +36,11 @@ __all__ = [
 ]
 
 _MAX_SEED = 2**64
+
+# A stream's blocks double from _FIRST_BLOCK up to STREAM_BLOCK_CAP doubles,
+# so a caller that needs a few hundred doubles draws few more than that.
+_FIRST_BLOCK = 16
+STREAM_BLOCK_CAP = 4096
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -30,14 +52,40 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(int(seed)))
 
 
-def rand_below(rng: np.random.Generator, k: int) -> int:
+class UniformStream:
+    """The doubles of successive ``rng.random()`` calls, drawn in blocks.
+
+    ``rng.random(size)`` fills its array with the doubles that ``size``
+    scalar calls return, so ``stream.random()`` returns exactly what
+    ``rng.random()`` would.  The stream draws ahead from ``rng``, which the
+    caller must not use afterwards.
+    """
+
+    __slots__ = ("_rng", "_block", "_left")
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng = rng
+        self._block = _FIRST_BLOCK
+        self._left = iter(())
+
+    def random(self) -> float:
+        try:
+            return next(self._left)
+        except StopIteration:
+            size = min(self._block, STREAM_BLOCK_CAP)
+            self._block = 2 * size
+            self._left = iter(self._rng.random(size).tolist())
+            return next(self._left)
+
+
+def rand_below(rng: np.random.Generator | UniformStream, k: int) -> int:
     """Uniform integer in [0, k) from a single double draw."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     return int(rng.random() * k)
 
 
-def weighted_pick(rng: np.random.Generator, weights: np.ndarray) -> int:
+def weighted_pick(rng: np.random.Generator | UniformStream, weights: np.ndarray) -> int:
     """Index drawn proportionally to non-negative ``weights`` (one draw).
 
     Inverse-CDF sampling on the cumulative sum; zero-weight entries are
@@ -46,12 +94,18 @@ def weighted_pick(rng: np.random.Generator, weights: np.ndarray) -> int:
     return pick_from_cumulative(rng, np.cumsum(weights))
 
 
-def pick_from_cumulative(rng: np.random.Generator, cum: np.ndarray) -> int:
-    """Like :func:`weighted_pick` but from a precomputed cumulative sum."""
+def pick_from_cumulative(
+    rng: np.random.Generator | UniformStream, cum: Sequence[float] | np.ndarray
+) -> int:
+    """Like :func:`weighted_pick` but from a precomputed cumulative sum.
+
+    ``cum`` may be a list or an array; a list bisects faster.  The index
+    is that of ``searchsorted(u * total, side="right")``.
+    """
     total = cum[-1]
     if not total > 0.0:
         raise ValueError("total weight must be positive")
-    idx = int(cum.searchsorted(rng.random() * total, side="right"))
+    idx = bisect_right(cum, rng.random() * total)
     if idx >= len(cum):
         # u*total rounded up to the total; step back to the last positive weight.
         idx = len(cum) - 1
@@ -60,7 +114,9 @@ def pick_from_cumulative(rng: np.random.Generator, cum: np.ndarray) -> int:
     return idx
 
 
-def sample_without_replacement(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
+def sample_without_replacement(
+    rng: np.random.Generator | UniformStream, n: int, k: int
+) -> np.ndarray:
     """k distinct uniform indices from range(n), via partial Fisher-Yates."""
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")

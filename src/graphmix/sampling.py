@@ -18,7 +18,7 @@ import numpy as np
 
 from .graph import AttributedGraph
 from .ranking import rank_nodes
-from .rng import make_rng, rand_below, sample_without_replacement
+from .rng import UniformStream, make_rng, rand_below, sample_without_replacement
 
 __all__ = [
     "STRATEGIES",
@@ -109,7 +109,7 @@ def sample(g: AttributedGraph, strategy: str, budget: int, seed: int) -> SampleR
         raise ValueError(f"budget must be >= 1, got {budget}")
     n = g.n
     size = min(budget, n)
-    rng = make_rng(seed)
+    rng = UniformStream(make_rng(seed))
 
     if strategy == "uniform-node":
         nodes = sample_without_replacement(rng, n, size)
@@ -126,14 +126,14 @@ def sample(g: AttributedGraph, strategy: str, budget: int, seed: int) -> SampleR
     return SampleResult(strategy=strategy, budget=budget, nodes=out, seed=seed)
 
 
-def _uniform_fill(sampled: set[int], n: int, size: int, rng) -> None:
+def _uniform_fill(sampled: set[int], n: int, size: int, rng: UniformStream) -> None:
     pool = sorted(set(range(n)) - sampled)
     need = size - len(sampled)
     for i in sample_without_replacement(rng, len(pool), need):
         sampled.add(pool[i])
 
 
-def _sample_uniform_edge(g: AttributedGraph, size: int, rng) -> list[int]:
+def _sample_uniform_edge(g: AttributedGraph, size: int, rng: UniformStream) -> list[int]:
     src, dst = g.edge_arrays()
     covered = int(np.count_nonzero(g.total_degree_vector()))
     sampled: set[int] = set()
@@ -150,14 +150,17 @@ def _sample_uniform_edge(g: AttributedGraph, size: int, rng) -> list[int]:
     return list(sampled)
 
 
-def _sample_snowball(g: AttributedGraph, size: int, rng) -> list[int]:
+def _sample_snowball(g: AttributedGraph, size: int, rng: UniformStream) -> list[int]:
     csr = g.csr()
     sampled: set[int] = set()
     queue: deque[int] = deque()
     while len(sampled) < size:
         if not queue:
-            pool = sorted(set(range(g.n)) - sampled)
-            start = pool[rand_below(rng, len(pool))]
+            if sampled:
+                pool = sorted(set(range(g.n)) - sampled)
+                start = pool[rand_below(rng, len(pool))]
+            else:  # the pool is all of range(n)
+                start = rand_below(rng, g.n)
             sampled.add(start)
             queue.append(start)
             if len(sampled) >= size:
@@ -172,7 +175,7 @@ def _sample_snowball(g: AttributedGraph, size: int, rng) -> list[int]:
     return list(sampled)
 
 
-def _sample_random_walk(g: AttributedGraph, size: int, rng) -> list[int]:
+def _sample_random_walk(g: AttributedGraph, size: int, rng: UniformStream) -> list[int]:
     csr = g.csr()
     n = g.n
     current = rand_below(rng, n)

@@ -34,6 +34,12 @@ def _log_ratio(num: float, den: float) -> float:
     return math.log(num) - math.log(den) if num > 0.0 else float("-inf")
 
 
+def _log_add(a: float, b: float) -> float:
+    """log(exp(a) + exp(b)), without leaving log space."""
+    hi, lo = max(a, b), min(a, b)
+    return hi if lo == float("-inf") else hi + math.log1p(math.exp(lo - hi))
+
+
 def _brute_undirected(trace, model, labels, h, p_tc):
     n = len(labels)
     m = trace.m or 0
@@ -81,8 +87,7 @@ def _brute_undirected(trace, model, labels, h, p_tc):
                     tcs.discard(v)
                     tcs -= set(chosen)
                     if tcs and t in tcs:
-                        p = p_tc / len(tcs) + (1.0 - p_tc) * math.exp(log_p)
-                        log_p = math.log(p) if p > 0.0 else float("-inf")
+                        log_p = _log_add(_log_ratio(p_tc, len(tcs)), _log_ratio(1.0 - p_tc, 1.0) + log_p)
                     elif tcs:
                         log_p += _log_ratio(1.0 - p_tc, 1.0)
                 total += log_p

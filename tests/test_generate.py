@@ -1,5 +1,7 @@
+import importlib.util
 import math
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -152,6 +154,28 @@ def test_dh_pure_homophily_saturates():
         gen_directed("dh", 4, 1.0, 0.5, 1.0, seed=0)
     assert err.value.placed == 4
     assert err.value.target == 12
+
+
+def _bench_tracer():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_source_draws_equal_the_directed_event_count():
+    # The benchmark's tracer counts source draws by wrapping the name
+    # pick_from_cumulative in graphmix.generate, so the generator must look
+    # it up there on every draw; this network needs no source redraw.
+    tracing = _bench_tracer()
+    tracer = tracing.Tracer()
+    tracing.install(tracer)
+    try:
+        _, trace = gen_directed("dpah", 300, 0.02, 0.3, 0.8, 3.5, seed=1)
+    finally:
+        tracer.restore()
+    assert tracer.summary().count("rng.pick_from_cumulative") == len(trace) > 0
 
 
 def test_dpah_h1_edges_same_class_only():

@@ -125,6 +125,21 @@ def test_replay_matches_brute_force(model, kwargs, maker):
             assert got == pytest.approx(want, abs=1e-9)
 
 
+def test_patch_at_ptc_zero_matches_pah_when_the_affinity_underflows():
+    # At a subnormal h the affinity probability of some triadic hits is
+    # below the normal range; mixing it with the triadic share in
+    # probability space would lose it (at p_tc = 0 the sum was -inf).
+    _, trace = gen_pah(30, 2, 0.4, 0.5, seed=0)
+    want, want_n = replay_loglik(trace, "pah", h=5e-324)
+    got, got_n = replay_loglik(trace, "patch", h=5e-324, p_tc=0.0)
+    assert math.isfinite(got) and got_n == want_n
+    assert got == pytest.approx(want, rel=1e-12)
+    for p_tc in (0.0, 1e-300, 0.3):
+        oracle, _ = brute_force_loglik(trace, "patch", h=5e-324, p_tc=p_tc)
+        got, _ = replay_loglik(trace, "patch", h=5e-324, p_tc=p_tc)
+        assert got == pytest.approx(oracle, rel=1e-12)
+
+
 def test_cross_model_scoring_matches_brute_force():
     # score traces under models other than their generator
     _, trace = gen_patch(70, 2, 0.3, 0.8, 0.5, seed=3)

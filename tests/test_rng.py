@@ -3,13 +3,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import graphmix.rng
+from graphmix.generate import gen_directed, gen_pa, gen_pah, gen_patch
+from graphmix.graph import AttributedGraph
+from graphmix.inference import trace_from_graph
 from graphmix.rng import (
+    UniformStream,
     make_rng,
     pick_from_cumulative,
     rand_below,
     sample_without_replacement,
     weighted_pick,
 )
+from graphmix.sampling import STRATEGIES, sample
 
 
 def test_make_rng_deterministic():
@@ -94,3 +100,110 @@ def test_sample_without_replacement_properties(n, data):
 def test_sample_without_replacement_rejects_oversize():
     with pytest.raises(ValueError):
         sample_without_replacement(make_rng(0), 3, 4)
+
+
+# -- blocked uniform stream ------------------------------------------------------
+
+@pytest.mark.parametrize("cap", [1, 7, None])
+def test_uniform_stream_matches_scalar_draws(cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(graphmix.rng, "STREAM_BLOCK_CAP", cap)
+    # 10 000 doubles cross every doubling block boundary and several at the cap
+    stream = UniformStream(make_rng(17))
+    scalar = make_rng(17)
+    assert [stream.random() for _ in range(10_000)] == [scalar.random() for _ in range(10_000)]
+
+
+def test_uniform_stream_blocks_double_up_to_the_cap():
+    class Counting:
+        def __init__(self):
+            self.sizes = []
+            self.rng = make_rng(0)
+
+        def random(self, size):
+            self.sizes.append(size)
+            return self.rng.random(size)
+
+    source = Counting()
+    stream = UniformStream(source)
+    for _ in range(20_000):
+        stream.random()
+    cap = graphmix.rng.STREAM_BLOCK_CAP
+    assert source.sizes[0] < 100  # a call that needs few doubles draws few
+    assert all(b == min(2 * a, cap) for a, b in zip(source.sizes, source.sizes[1:]))
+    assert source.sizes[-1] == cap
+
+
+class _Fixed:
+    """Stands in for a generator whose next double is fixed."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+def test_pick_from_cumulative_list_and_array_agree():
+    rng = make_rng(4)
+    for _ in range(200):
+        w = rng.random(int(rng.integers(1, 12)))
+        w[rng.random(w.size) < 0.4] = 0.0
+        w[-1] = 1.0 if not w.any() else w[-1]
+        cum = np.cumsum(w)
+        for _ in range(20):
+            u = rng.random()
+            expect = int(cum.searchsorted(u * cum[-1], side="right"))
+            assert pick_from_cumulative(_Fixed(u), cum) == expect
+            assert pick_from_cumulative(_Fixed(u), cum.tolist()) == expect
+
+
+@pytest.mark.parametrize("as_list", [False, True])
+def test_pick_from_cumulative_round_up_skips_trailing_zero_weights(as_list):
+    # u * total rounds up to a subnormal total: the largest double below 1
+    # times 3 * 2**-1074 is 3 * 2**-1074 again
+    tiny = 2.0**-1074
+    u = 1.0 - 2.0**-53
+    assert u * (3 * tiny) == 3 * tiny
+    cum = np.array([tiny, 3 * tiny, 3 * tiny, 3 * tiny])
+    assert pick_from_cumulative(_Fixed(u), cum.tolist() if as_list else cum) == 1
+
+
+GENERATOR_CASES = {
+    "pa": lambda: gen_pa(300, 2, 5),
+    "pah": lambda: gen_pah(300, 3, 0.3, 0.8, 5),
+    "patch": lambda: gen_patch(300, 3, 0.3, 0.8, 0.5, 5),
+    "patch-ptc1": lambda: gen_patch(300, 4, 0.3, 0.2, 1.0, 5),
+    "dpa": lambda: gen_directed("dpa", 80, 0.05, 0.3, seed=5),
+    "dh": lambda: gen_directed("dh", 80, 0.05, 0.3, 0.9, seed=5),
+    "dpah": lambda: gen_directed("dpah", 80, 0.05, 0.3, 0.8, seed=5),
+}
+
+
+def _generated(make):
+    g, trace = make()
+    parts = [trace.labels, trace.sources, trace.targets, trace.kinds]
+    if g.directed:
+        order = trace_from_graph(g, seed=3)
+        parts += [order.sources, order.targets]
+    return parts
+
+
+@pytest.mark.parametrize("case", sorted(GENERATOR_CASES))
+def test_generators_draw_the_same_doubles_at_any_block_cap(case, monkeypatch):
+    # a cap of 1 draws one double per block, as scalar rng.random() calls do
+    default = _generated(GENERATOR_CASES[case])
+    monkeypatch.setattr(graphmix.rng, "STREAM_BLOCK_CAP", 1)
+    one = _generated(GENERATOR_CASES[case])
+    assert all(np.array_equal(a, b) for a, b in zip(default, one))
+
+
+@pytest.mark.parametrize("strategy", STRATEGIES)
+def test_samplers_draw_the_same_doubles_at_any_block_cap(strategy, monkeypatch):
+    # isolated nodes make uniform-edge fill up and snowball re-seed
+    g = AttributedGraph(False, np.zeros(120, dtype=np.int8), [(i, i + 1) for i in range(0, 80, 3)])
+    budgets = (1, 10, 60, 100, 120)
+    default = [sample(g, strategy, b, seed=b).nodes for b in budgets]
+    monkeypatch.setattr(graphmix.rng, "STREAM_BLOCK_CAP", 1)
+    one = [sample(g, strategy, b, seed=b).nodes for b in budgets]
+    assert all(np.array_equal(a, b) for a, b in zip(default, one))
