@@ -39,9 +39,12 @@ anything is scored.
   of one source's events, O(sum of squared out-degrees) sorted lookups done
   in bounded chunks.
 * Grids are evaluated a few h rows (and p_tc rows) at a time into reused
-  buffers; pah and patch share one affinity pass.  Blocking changes no
-  result: every row still sums the same contiguous run of events, so grids,
-  fits and Bayes factors are byte-identical to an unblocked evaluation.
+  buffers; pah and patch share one affinity pass.  The patch grid holds
+  only the cells that can reach an output, found by a search along the
+  concave p_tc rows (see :func:`_loglik_grid_undirected`); the others are
+  ``-inf``.  Neither changes a result: every cell still sums the same
+  contiguous run of events, so fits, LRTs and Bayes factors are
+  byte-identical to a full, unblocked evaluation.
 """
 
 from __future__ import annotations
@@ -438,6 +441,85 @@ def _pa_logprob(stats: _UndirectedStats) -> np.ndarray:
 
 _TINY = np.finfo(np.float64).tiny  # the smallest normal double
 
+# A patch cell this far below the grid's peak adds exactly 0.0 to both trapz
+# passes of the marginal likelihood and is never the argmax: float64 exp(x)
+# is 0.0 for x < -745.14 (below half the smallest subnormal, 2**-1075).
+_UNDERFLOW_CUT = 800.0
+
+# Hit terms (cells x hit events) per call of the patch search: a row's first
+# window and each widening step take at least 3 cells and about this many
+# terms, so a row of a short trace is one call.
+_CELL_BATCH = 1 << 14
+
+
+class _PatchCells:
+    """Patch log-likelihood cells, one h row and any run of p_tc values at a time.
+
+    A cell is ``base_h + n_miss * log(1 - p_tc)`` plus, over the hit
+    events, ``log(p_tc / |tc| + (1 - p_tc) * P_aff)``.  Every run is
+    evaluated by the same elementwise operations and one contiguous row sum
+    per cell, so a cell's bits do not depend on the cells evaluated with it.
+    """
+
+    def __init__(self, stats: _UndirectedStats, logp_aff: np.ndarray, ptc: np.ndarray):
+        self.const, self.logp_aff, self.ptc = stats.const_loglik, logp_aff, ptc
+        # a row gathered by event indices is the same 1-D copy as by a
+        # boolean mask, at a fraction of the cost
+        self.pure = np.flatnonzero(~stats.mixture)
+        self.hit = np.flatnonzero(stats.mixture & stats.tc_hit)
+        self.miss = np.flatnonzero(stats.mixture & ~stats.tc_hit)
+        n_miss = self.miss.size
+        with np.errstate(divide="ignore"):
+            log_ptc_off = np.log(1.0 - ptc)  # -inf at p_tc = 1
+        self.miss_term = n_miss * log_ptc_off if n_miss else np.zeros_like(ptc)
+        self.inv_tc = 1.0 / stats.tc_size[self.hit]
+        # p_tc * P_tc of each hit event, a p_tc row computed when first used
+        self.tc_part = np.empty((ptc.size, self.inv_tc.size))
+        self.tc_todo = np.ones(ptc.size, dtype=bool)
+        self.aff_share = (1.0 - ptc)[:, None]
+        self.step = _block_rows(self.inv_tc.size)
+        self.buf = np.empty((min(self.step, ptc.size), self.inv_tc.size))
+        self.current = -1
+
+    def base(self, hi: int) -> float:
+        """Make h row ``hi`` current; return its p_tc-free part."""
+        if hi != self.current:
+            row = self.logp_aff[hi]
+            base = self.const + row[self.pure].sum()
+            if self.miss.size:
+                base = base + row[self.miss].sum()
+            self._base, self.current = base, hi
+            self.logp_aff_hit = row[self.hit]
+            self.p_aff_hit = np.exp(self.logp_aff_hit)
+            # where P_aff underflows below the normal range (to a subnormal
+            # or 0) but ln P_aff is finite, mix in log space
+            self.under = np.flatnonzero((self.p_aff_hit < _TINY) & (self.logp_aff_hit > -np.inf))
+        return self._base
+
+    def cells(self, hi: int, a: int, b: int) -> np.ndarray:
+        """Row ``hi``'s cells at p_tc values a..b-1, a block of p_tc rows at a time."""
+        base, ptc, tc_part, under = self.base(hi), self.ptc, self.tc_part, self.under
+        todo = a + np.flatnonzero(self.tc_todo[a:b])
+        if todo.size:
+            tc_part[todo] = ptc[todo, None] * self.inv_tc
+            self.tc_todo[todo] = False
+        hit_term = np.empty(b - a)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for c in range(a, b, self.step):
+                d = min(c + self.step, b)
+                # p_tc * P_tc + (1 - p_tc) * P_aff of each hit event
+                mix = self.buf[:d - c]
+                np.multiply(self.aff_share[c:d], self.p_aff_hit, out=mix)
+                mix += tc_part[c:d]
+                np.log(mix, out=mix)
+                if under.size:
+                    mix[:, under] = np.logaddexp(
+                        np.log(tc_part[c:d, under]),
+                        np.log1p(-ptc[c:d])[:, None] + self.logp_aff_hit[under],
+                    )
+                hit_term[c - a:d - a] = mix.sum(axis=1)
+        return base + self.miss_term[a:b] + hit_term
+
 
 def _loglik_grid_undirected(
     stats: _UndirectedStats,
@@ -450,6 +532,23 @@ def _loglik_grid_undirected(
 
     ``logp_aff`` is ``_aff_pick_logprob(stats, h_values)`` when the caller
     already has it.
+
+    The patch grid (``ptc_values`` ascending) holds only the cells that can
+    reach an output; every other cell is ``-inf``.  Its consumers are the
+    argmax with its log-likelihood, and the two trapz passes over
+    ``exp(grid - peak)`` of the marginal.  At a fixed h a cell is a
+    constant plus ``n_miss * log(1 - p)`` plus a sum of ``log(p / |tc| +
+    (1 - p) * P_aff)``: logs of affine functions of p, so the row is
+    concave in p and falls monotonically on both sides of its maximum.
+    Pass 1 climbs each row to its maximum from the previous row's argmax.
+    Pass 2 widens each row whose maximum reaches ``peak - _UNDERFLOW_CUT``
+    until the outermost cell on each side falls below that cut; by
+    concavity every cell beyond is lower still.  A skipped cell is then
+    more than 745.14 below the peak, where ``exp`` is exactly 0.0, so it
+    adds 0.0 to the marginal as ``-inf`` does, and it is not the argmax.
+    Each computed cell has the bits of a full evaluation, so fits, LRTs and
+    Bayes factors are byte-identical to one.  A row whose base is ``-inf``
+    is ``-inf`` throughout (no cell term is ``+inf`` or NaN).
     """
     if stats.n_events == 0:
         raise ValueError("trace has zero scoreable events")
@@ -463,46 +562,56 @@ def _loglik_grid_undirected(
         raise ValueError(f"not an undirected model: {model!r}")
     if logp_aff is None:
         logp_aff = _aff_pick_logprob(stats, h_values)
+    cells = _PatchCells(stats, logp_aff, PTC_GRID if ptc_values is None else ptc_values)
+    n_p = cells.ptc.size
+    out = np.full((h_values.size, n_p), -np.inf)
+    width = min(n_p, max(3, _CELL_BATCH // max(cells.inv_tc.size, 1)))
 
-    ptc = PTC_GRID if ptc_values is None else ptc_values
-    pure = ~stats.mixture
-    hit = stats.mixture & stats.tc_hit
-    miss = stats.mixture & ~stats.tc_hit
-    n_miss = int(miss.sum())
-    with np.errstate(divide="ignore"):
-        log_ptc_off = np.log(1.0 - ptc)  # -inf at p_tc = 1
-    miss_term = n_miss * log_ptc_off if n_miss else np.zeros_like(ptc)
-    # p_tc * P_tc + (1 - p_tc) * P_aff of each hit event, a block of p_tc rows at a time
-    tc_part = ptc[:, None] * (1.0 / stats.tc_size[hit])[None, :]
-    aff_share = (1.0 - ptc)[:, None]
-    step = _block_rows(tc_part.shape[1])
-    buf = np.empty((min(step, ptc.size), tc_part.shape[1]))
-    hit_term = np.empty(ptc.size)
-    out = np.empty((h_values.size, ptc.size))
+    def widen(hi: int, lo: int, up: int, new_lo: int, new_up: int) -> tuple[int, int]:
+        if new_lo < lo:
+            out[hi, new_lo:lo] = cells.cells(hi, new_lo, lo)
+        if up < new_up:
+            out[hi, up:new_up] = cells.cells(hi, up, new_up)
+        return new_lo, new_up
+
+    # pass 1: each row's [lo, up) of computed cells holds its maximum
+    spans = {}
+    top = n_p // 2
     for hi in range(h_values.size):
-        row = logp_aff[hi]
-        base = stats.const_loglik + row[pure].sum()
-        if n_miss:
-            base = base + row[miss].sum()
-        logp_aff_hit = row[hit]
-        p_aff_hit = np.exp(logp_aff_hit)
-        # where P_aff underflows below the normal range (to a subnormal or 0)
-        # but ln P_aff is finite, mix in log space
-        under = np.flatnonzero((p_aff_hit < _TINY) & (logp_aff_hit > -np.inf))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for a in range(0, ptc.size, step):
-                b = min(a + step, ptc.size)
-                mix = buf[:b - a]
-                np.multiply(aff_share[a:b], p_aff_hit, out=mix)
-                mix += tc_part[a:b]
-                np.log(mix, out=mix)
-                if under.size:
-                    mix[:, under] = np.logaddexp(
-                        np.log(tc_part[a:b, under]),
-                        np.log1p(-ptc[a:b])[:, None] + logp_aff_hit[under],
-                    )
-                hit_term[a:b] = mix.sum(axis=1)
-        out[hi] = base + miss_term + hit_term
+        if cells.base(hi) == -np.inf:
+            continue
+        lo = max(0, min(top - width // 2, n_p - width))
+        lo, up = widen(hi, lo, lo, lo, lo + width)
+        step = width
+        while True:
+            top = lo + int(np.argmax(out[hi, lo:up]))
+            if top == up - 1 and up < n_p:
+                lo, up = widen(hi, lo, up, lo, min(up + step, n_p))
+            elif top == lo and lo > 0:
+                lo, up = widen(hi, lo, up, max(lo - step, 0), up)
+            else:
+                break
+            step *= 2
+        spans[hi] = (lo, up)
+
+    # pass 2: widen the rows that reach the cut.  Rows are taken towards the
+    # peak's row from either end, each first widened to the span of the one
+    # before, which is about the same or a little narrower: the same cells
+    # as steps of `width` alone, in fewer calls.
+    row_max = out.max(axis=1)
+    cut = float(row_max.max()) - _UNDERFLOW_CUT
+    top = int(np.argmax(row_max))
+    for rows in ([hi for hi in spans if hi <= top], [hi for hi in reversed(spans) if hi > top]):
+        left, right = n_p, 0
+        for hi in rows:
+            lo, up = spans[hi]
+            if row_max[hi] < cut:
+                continue
+            while lo > 0 and out[hi, lo] >= cut:
+                lo, up = widen(hi, lo, up, max(min(lo - width, left), 0), up)
+            while up < n_p and out[hi, up - 1] >= cut:
+                lo, up = widen(hi, lo, up, lo, min(max(up + width, right), n_p))
+            left, right = lo, up
     return out
 
 

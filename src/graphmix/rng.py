@@ -117,11 +117,18 @@ def pick_from_cumulative(
 def sample_without_replacement(
     rng: np.random.Generator | UniformStream, n: int, k: int
 ) -> np.ndarray:
-    """k distinct uniform indices from range(n), via partial Fisher-Yates."""
+    """k distinct uniform indices from range(n), via partial Fisher-Yates.
+
+    The pool is sparse: a dict holds only the positions a swap has moved,
+    so time and memory are O(k) whatever n is.
+    """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
-    pool = np.arange(n)
+    moved: dict[int, int] = {}
+    get, random = moved.get, rng.random
+    out = []
     for i in range(k):
-        j = i + rand_below(rng, n - i)
-        pool[i], pool[j] = pool[j], pool[i]
-    return pool[:k].copy()
+        j = i + int(random() * (n - i))  # rand_below(rng, n - i)
+        out.append(get(j, j))
+        moved[j] = get(i, i)
+    return np.array(out, dtype=np.int_)

@@ -11,6 +11,7 @@ sit from the population values.
 from __future__ import annotations
 
 import hashlib
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -154,14 +155,22 @@ def _sample_snowball(g: AttributedGraph, size: int, rng: UniformStream) -> list[
     csr = g.csr()
     sampled: set[int] = set()
     queue: deque[int] = deque()
+    unsampled: list[int] | None = None  # ascending, built at the first re-seed
+    crawled: list[int] = []  # sampled since the last re-seed
     while len(sampled) < size:
         if not queue:
-            if sampled:
-                pool = sorted(set(range(g.n)) - sampled)
-                start = pool[rand_below(rng, len(pool))]
-            else:  # the pool is all of range(n)
+            if not sampled:  # the pool is all of range(n)
                 start = rand_below(rng, g.n)
+            else:
+                if unsampled is None:
+                    unsampled = [v for v in range(g.n) if v not in sampled]
+                else:
+                    for v in crawled:
+                        del unsampled[bisect_left(unsampled, v)]
+                start = unsampled[rand_below(rng, len(unsampled))]
+            crawled.clear()
             sampled.add(start)
+            crawled.append(start)
             queue.append(start)
             if len(sampled) >= size:
                 break
@@ -169,6 +178,7 @@ def _sample_snowball(g: AttributedGraph, size: int, rng: UniformStream) -> list[
         for v in csr.row(u).tolist():
             if v not in sampled:
                 sampled.add(v)
+                crawled.append(v)
                 queue.append(v)
                 if len(sampled) >= size:
                     break

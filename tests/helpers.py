@@ -6,11 +6,22 @@ the graph state event by event and computes each pick probability from the
 full weight map.  Agreement between the two implementations is what the
 oracle-equivalence tests check, so this module must not call into the
 vectorized scoring paths.
+
+``full_patch_grid`` is the other kind of oracle: the patch likelihood grid
+evaluated at every cell by the full blocked loop, from the library's own
+replay statistics.  The library evaluates only the cells that can reach an
+output; the pruned-grid tests compare it cell for cell with this one.
+
+``array_sample_without_replacement`` and ``rebuilt_pool_snowball`` are the
+earlier, slower forms of two samplers (swaps on a full index array, and a
+snowball that rebuilds its sorted re-seed pool from scratch); the library's
+samplers must draw the same indices and nodes.
 """
 
 from __future__ import annotations
 
 import math
+from collections import deque
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -18,6 +29,8 @@ from scipy.special import zeta
 
 from graphmix.generate import EventKind, GrowthTrace
 from graphmix.graph import AttributedGraph
+from graphmix.inference import _TINY, PTC_GRID, _aff_pick_logprob, _block_rows
+from graphmix.rng import rand_below
 
 
 def brute_force_loglik(
@@ -100,6 +113,53 @@ def _brute_undirected(trace, model, labels, h, p_tc):
     return total, scored
 
 
+def full_patch_grid(stats, h_values, ptc_values=None, logp_aff=None) -> np.ndarray:
+    """The patch log-likelihood at every (h, p_tc) cell, a block of p_tc rows at a time."""
+    if logp_aff is None:
+        logp_aff = _aff_pick_logprob(stats, h_values)
+
+    ptc = PTC_GRID if ptc_values is None else ptc_values
+    pure = ~stats.mixture
+    hit = stats.mixture & stats.tc_hit
+    miss = stats.mixture & ~stats.tc_hit
+    n_miss = int(miss.sum())
+    with np.errstate(divide="ignore"):
+        log_ptc_off = np.log(1.0 - ptc)  # -inf at p_tc = 1
+    miss_term = n_miss * log_ptc_off if n_miss else np.zeros_like(ptc)
+    # p_tc * P_tc + (1 - p_tc) * P_aff of each hit event, a block of p_tc rows at a time
+    tc_part = ptc[:, None] * (1.0 / stats.tc_size[hit])[None, :]
+    aff_share = (1.0 - ptc)[:, None]
+    step = _block_rows(tc_part.shape[1])
+    buf = np.empty((min(step, ptc.size), tc_part.shape[1]))
+    hit_term = np.empty(ptc.size)
+    out = np.empty((h_values.size, ptc.size))
+    for hi in range(h_values.size):
+        row = logp_aff[hi]
+        base = stats.const_loglik + row[pure].sum()
+        if n_miss:
+            base = base + row[miss].sum()
+        logp_aff_hit = row[hit]
+        p_aff_hit = np.exp(logp_aff_hit)
+        # where P_aff underflows below the normal range (to a subnormal or 0)
+        # but ln P_aff is finite, mix in log space
+        under = np.flatnonzero((p_aff_hit < _TINY) & (logp_aff_hit > -np.inf))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for a in range(0, ptc.size, step):
+                b = min(a + step, ptc.size)
+                mix = buf[:b - a]
+                np.multiply(aff_share[a:b], p_aff_hit, out=mix)
+                mix += tc_part[a:b]
+                np.log(mix, out=mix)
+                if under.size:
+                    mix[:, under] = np.logaddexp(
+                        np.log(tc_part[a:b, under]),
+                        np.log1p(-ptc[a:b])[:, None] + logp_aff_hit[under],
+                    )
+                hit_term[a:b] = mix.sum(axis=1)
+        out[hi] = base + miss_term + hit_term
+    return out
+
+
 def _brute_directed(trace, model, labels, h):
     n = len(labels)
     out = {i: set() for i in range(n)}
@@ -142,6 +202,41 @@ def power_law_alpha(degrees: np.ndarray, x_min: int = 10) -> float | None:
 
     res = minimize_scalar(neg_loglik, bounds=(1.05, 6.0), method="bounded")
     return float(res.x)
+
+
+def array_sample_without_replacement(rng, n: int, k: int) -> np.ndarray:
+    """Partial Fisher-Yates swapping the items of a full index array."""
+    pool = np.arange(n)
+    for i in range(k):
+        j = i + rand_below(rng, n - i)
+        pool[i], pool[j] = pool[j], pool[i]
+    return pool[:k].copy()
+
+
+def rebuilt_pool_snowball(g: AttributedGraph, size: int, rng) -> list[int]:
+    """Snowball crawl that re-seeds from ``sorted(set(range(n)) - sampled)``, rebuilt each time."""
+    csr = g.csr()
+    sampled: set[int] = set()
+    queue: deque[int] = deque()
+    while len(sampled) < size:
+        if not queue:
+            if sampled:
+                pool = sorted(set(range(g.n)) - sampled)
+                start = pool[rand_below(rng, len(pool))]
+            else:
+                start = rand_below(rng, g.n)
+            sampled.add(start)
+            queue.append(start)
+            if len(sampled) >= size:
+                break
+        u = queue.popleft()
+        for v in csr.row(u).tolist():
+            if v not in sampled:
+                sampled.add(v)
+                queue.append(v)
+                if len(sampled) >= size:
+                    break
+    return list(sampled)
 
 
 def random_graph(n: int, directed: bool, p: float, rng: np.random.Generator) -> AttributedGraph:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
+import graphmix.inference as inference
 from graphmix.generate import (
     EventKind,
     GrowthTrace,
@@ -30,7 +31,7 @@ from graphmix.inference import (
     trace_from_graph,
 )
 
-from helpers import brute_force_loglik
+from helpers import brute_force_loglik, full_patch_grid
 
 
 def test_grid_definition():
@@ -469,6 +470,96 @@ def test_select_model_frozen_values_at_benchmark_like_sizes():
         assert [(c.model_a, c.model_b, c.log10_bf) for c in table.comparisons] == [
             (a, b, _fx(bf)) for a, b, bf in comparisons
         ], name
+
+
+# -- pruned patch grid against the full evaluation -------------------------------------
+
+# traces scored under patch: pah and patch growth across p_tc, one with
+# fallback-uniform events (h = 0), and a longer one where most cells are pruned
+_GRID_TRACES = {
+    "pah": lambda: gen_pah(400, 2, 0.3, 0.7, seed=3),
+    **{f"patch-ptc-{p}": (lambda p=p: gen_patch(400, 2, 0.3, 0.7, p, seed=3)) for p in (0.0, 0.2, 0.9, 1.0)},
+    "fallback": lambda: gen_patch(300, 2, 0.2, 0.0, 0.5, seed=2),
+    "long": lambda: gen_patch(2000, 3, 0.3, 0.8, 0.5, seed=1),
+}
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).view(np.int64)
+
+
+def _assert_pruned_grid_matches(stats, h_values):
+    """Every computed cell has the full evaluation's bits; every skipped one cannot reach an output."""
+    logp_aff = inference._aff_pick_logprob(stats, h_values)
+    full = full_patch_grid(stats, h_values, logp_aff=logp_aff)
+    got = inference._loglik_grid_undirected(stats, "patch", h_values, logp_aff=logp_aff)
+    kept = got > -np.inf
+    assert np.array_equal(_bits(got[kept]), _bits(full[kept]))
+    skipped = full[~kept]
+    assert ((skipped == -np.inf) | (skipped < full.max() - 745.2)).all()
+    assert inference._fit_from_grid("patch", got, stats, False) == inference._fit_from_grid(
+        "patch", full, stats, False)
+    assert repr(inference._log_marginal("patch", got)) == repr(inference._log_marginal("patch", full))
+    return int(np.count_nonzero(~kept & (full > -np.inf)))
+
+
+@pytest.mark.parametrize("narrow", [False, True])
+@pytest.mark.parametrize("name", list(_GRID_TRACES))
+def test_pruned_patch_grid_matches_the_full_evaluation(name, narrow, monkeypatch):
+    if narrow:  # 3-cell windows, so that every row's search climbs and widens
+        monkeypatch.setattr(inference, "_CELL_BATCH", 1)
+    _, trace = _GRID_TRACES[name]()
+    stats = inference._undirected_stats(trace)
+    if name == "fallback":
+        assert stats.n_fallback > 0
+    pruned = _assert_pruned_grid_matches(stats, H_GRID)
+    if name == "long":
+        assert pruned > H_GRID.size * PTC_GRID.size // 2  # the search does skip cells
+    if narrow:
+        return
+
+    got = (select_model(trace, ["pa", "pah", "patch"]), fit_model(trace, "patch"),
+           bayes_factor(trace, "pah", "patch"))
+    grid = inference._loglik_grid_undirected
+
+    def full_grid(stats, model, h_values, ptc_values=None, logp_aff=None):
+        if model == "patch":
+            return full_patch_grid(stats, h_values, ptc_values, logp_aff)
+        return grid(stats, model, h_values, ptc_values, logp_aff)
+
+    monkeypatch.setattr(inference, "_loglik_grid_undirected", full_grid)
+    want = (select_model(trace, ["pa", "pah", "patch"]), fit_model(trace, "patch"),
+            bayes_factor(trace, "pah", "patch"))
+    assert repr(got) == repr(want)
+
+
+def test_pruned_patch_grid_with_an_underflowing_affinity():
+    # at a subnormal h some hit events mix in log space
+    _, trace = gen_pah(30, 2, 0.4, 0.5, seed=0)
+    stats = inference._undirected_stats(trace)
+    _assert_pruned_grid_matches(stats, np.array([5e-324, 1e-300, 0.3, 0.5]))
+    for h_values, ptc_values in ((np.array([5e-324]), np.array([0.0])), (np.array([0.4]), np.array([0.7]))):
+        one = inference._loglik_grid_undirected(stats, "patch", h_values, ptc_values)
+        full = full_patch_grid(stats, h_values, ptc_values)
+        assert one.shape == (1, 1) and _bits(one) == _bits(full)
+
+
+@pytest.mark.parametrize("h", [5e-324, 0.37, 0.8])
+def test_patch_cells_have_the_same_bits_in_any_block_height(h):
+    # the grid evaluates a few p_tc rows at a time; each cell's row sum must
+    # not depend on how many rows share its block
+    _, trace = gen_patch(500, 3, 0.3, 0.7, 0.5, seed=4)
+    stats = inference._undirected_stats(trace)
+    h_values = np.array([h])
+    cells = inference._PatchCells(stats, inference._aff_pick_logprob(stats, h_values), PTC_GRID)
+    assert cells.step >= PTC_GRID.size  # all 101 rows in one block
+    whole = cells.cells(0, 0, PTC_GRID.size)
+    if h == 5e-324:
+        assert cells.under.size
+    for height in range(1, 7):
+        for a in range(0, PTC_GRID.size, height):
+            b = min(a + height, PTC_GRID.size)
+            assert np.array_equal(_bits(cells.cells(0, a, b)), _bits(whole[a:b])), (height, a)
 
 
 # -- differential check against the brute-force oracle ---------------------------------

@@ -17,6 +17,8 @@ from graphmix.rng import (
 )
 from graphmix.sampling import STRATEGIES, sample
 
+from helpers import array_sample_without_replacement
+
 
 def test_make_rng_deterministic():
     a = make_rng(42).random(10)
@@ -95,6 +97,19 @@ def test_sample_without_replacement_properties(n, data):
     assert got.size == k
     assert len(set(got.tolist())) == k
     assert got.min() >= 0 and got.max() < n
+
+
+@pytest.mark.parametrize("stream", [False, True])
+def test_sample_without_replacement_matches_the_array_swaps(stream):
+    def draw(sampler, seed, n, k):
+        rng = make_rng(seed)
+        return sampler(UniformStream(rng) if stream else rng, n, k)
+
+    for n, k in [(0, 0), (1, 0), (1, 1), (7, 3), (7, 7), (1000, 0), (1000, 10), (1000, 999), (1000, 1000)]:
+        for seed in range(4):
+            got = draw(sample_without_replacement, seed, n, k)
+            want = draw(array_sample_without_replacement, seed, n, k)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (n, k, seed)
 
 
 def test_sample_without_replacement_rejects_oversize():

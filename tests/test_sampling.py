@@ -3,7 +3,7 @@ import pytest
 
 from graphmix.generate import gen_pah
 from graphmix.graph import AttributedGraph
-from graphmix.rng import make_rng
+from graphmix.rng import UniformStream, make_rng
 from graphmix.sampling import (
     STRATEGIES,
     benchmark,
@@ -11,7 +11,7 @@ from graphmix.sampling import (
     sample,
 )
 
-from helpers import random_graph
+from helpers import random_graph, rebuilt_pool_snowball
 
 
 def test_full_budget_returns_every_node():
@@ -67,6 +67,20 @@ def test_snowball_reseeds_across_components():
     g = AttributedGraph(False, [0, 0, 0, 1, 1, 1], edges)
     res = sample(g, "snowball", budget=6, seed=4)
     assert res.nodes.tolist() == list(range(6))
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_snowball_reseeds_like_a_rebuilt_pool(directed):
+    # mostly isolated nodes and short paths: many re-seeds per sample
+    rng = make_rng(5)
+    for n in (50, 400, 1200):
+        starts = rng.permutation(n - 1)[: n // 8]
+        g = AttributedGraph(directed, np.zeros(n, dtype=np.int8), [(int(u), int(u) + 1) for u in starts])
+        for budget in (1, n // 3, n // 2 + 1, n):
+            for seed in range(3):
+                want = rebuilt_pool_snowball(g, budget, UniformStream(make_rng(seed)))
+                got = sample(g, "snowball", budget, seed).nodes
+                assert got.tolist() == sorted(want), (n, budget, seed)
 
 
 def test_random_walk_handles_directed_sink():
