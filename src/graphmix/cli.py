@@ -81,6 +81,13 @@ def _write_table(path: Path, header: str, rows: list[list]) -> None:
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
+def _write_series(path: Path, header: str, columns: list[np.ndarray]) -> None:
+    """``_write_table`` of rows ``t, columns[0][t], ...`` for float columns,
+    built column by column: the same text as ``format_value`` per cell."""
+    cells = [map(str, range(len(columns[0]))), *(map(float.__repr__, col.tolist()) for col in columns)]
+    path.write_text("\n".join([header, *map(",".join, zip(*cells))]) + "\n", newline="\n")
+
+
 def _parse_scalar(raw: str, kind: str):
     try:
         if kind == "int":
@@ -417,16 +424,13 @@ def _cmd_spread(args) -> int:
         raise _UsageError(f"mode must be 'ic' or 'threshold', got {cfg['mode']!r}")
     report = equality_report(trace, g.labels)
     prefix = _out_prefix(cfg)
-    series = np.column_stack([trace.class_fractions, trace.overall_fractions()])
-    _write_table(
+    _write_series(
         prefix.parent / (prefix.name + "_series.csv"),
         "t,frac_class0,frac_class1,frac_all",
-        [[t, *row] for t, row in enumerate(series.tolist())],
+        [trace.class_fractions[:, 0], trace.class_fractions[:, 1], report.overall],
     )
-    _write_table(
-        prefix.parent / (prefix.name + "_equality.csv"),
-        "t,equality",
-        [[t, e] for t, e in enumerate(report.equality.tolist())],
+    _write_series(
+        prefix.parent / (prefix.name + "_equality.csv"), "t,equality", [report.equality]
     )
     _write_table(
         prefix.parent / (prefix.name + "_summary.csv"),

@@ -11,7 +11,6 @@ sit from the population values.
 from __future__ import annotations
 
 import hashlib
-from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 
@@ -151,11 +150,48 @@ def _sample_uniform_edge(g: AttributedGraph, size: int, rng: UniformStream) -> l
     return list(sampled)
 
 
+class _UnsampledPool:
+    """Order statistics of the nodes not yet sampled: a Fenwick tree over
+    the 0/1 indicator, so taking the k-th remaining node (ascending) and
+    removing a node each cost O(log n)."""
+
+    def __init__(self, n: int, sampled: set[int]):
+        # a power of two above n, so the descent needs no bound checks;
+        # the total, tree[size], is never read and not kept
+        size = 1 << n.bit_length()
+        flags = np.zeros(size, dtype=np.int64)
+        flags[:n] = 1
+        flags[list(sampled)] = 0
+        prefix = np.concatenate([[0], np.cumsum(flags)])
+        i = np.arange(1, size)
+        # tree[i] counts the remaining nodes among ids i - lowbit(i) .. i - 1
+        self.tree = [0, *(prefix[i] - prefix[i - (i & -i)]).tolist()]
+
+    def remove(self, nodes: list[int]) -> None:
+        tree = self.tree
+        size = len(tree)
+        for v in nodes:
+            i = v + 1
+            while i < size:
+                tree[i] -= 1
+                i += i & -i
+
+    def kth(self, k: int) -> int:
+        tree = self.tree
+        pos, step = 0, len(tree) >> 1
+        while step:
+            if tree[pos + step] <= k:
+                pos += step
+                k -= tree[pos]
+            step >>= 1
+        return pos
+
+
 def _sample_snowball(g: AttributedGraph, size: int, rng: UniformStream) -> list[int]:
     csr = g.csr()
     sampled: set[int] = set()
     queue: deque[int] = deque()
-    unsampled: list[int] | None = None  # ascending, built at the first re-seed
+    unsampled: _UnsampledPool | None = None  # built at the first re-seed
     crawled: list[int] = []  # sampled since the last re-seed
     while len(sampled) < size:
         if not queue:
@@ -163,11 +199,10 @@ def _sample_snowball(g: AttributedGraph, size: int, rng: UniformStream) -> list[
                 start = rand_below(rng, g.n)
             else:
                 if unsampled is None:
-                    unsampled = [v for v in range(g.n) if v not in sampled]
+                    unsampled = _UnsampledPool(g.n, sampled)
                 else:
-                    for v in crawled:
-                        del unsampled[bisect_left(unsampled, v)]
-                start = unsampled[rand_below(rng, len(unsampled))]
+                    unsampled.remove(crawled)
+                start = unsampled.kth(rand_below(rng, g.n - len(sampled)))
             crawled.clear()
             sampled.add(start)
             crawled.append(start)

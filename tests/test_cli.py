@@ -3,11 +3,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graphmix
 from graphmix.cli import main
-from graphmix.netio import read_config
+from graphmix.graph import AttributedGraph
+from graphmix.netio import format_value, read_config, write_network
+from graphmix.spreading import equality_report, threshold_cascade
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_PARENT = str(Path(graphmix.__file__).resolve().parents[1])
@@ -220,6 +223,54 @@ def test_spread_threshold_mode(tmp_path):
         "--out", str(tmp_path), "--prefix", "th",
     ) == 0
     assert (tmp_path / "th_summary.csv").is_file()
+
+
+def test_spread_rejects_a_negative_step_cap(tmp_path, capsys):
+    prefix = _generate(tmp_path)
+    base = ["spread", "--network", str(prefix), "--out", str(tmp_path), "--prefix", "x", "--max-steps", "-3"]
+    assert run(*base, "--mode", "threshold", "--theta", "0.2") == 1
+    assert run(*base, "--mode", "ic", "--p-in", "0.4", "--p-out", "0.4") == 1
+    assert "max_steps must be >= 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "x_series.csv").exists()
+
+
+def test_spread_tables_match_a_row_writer_on_a_long_cascade(tmp_path):
+    # threshold 1/2 on a ring with 2 neighbors per side advances one node
+    # per side and step: 24 998 steps, and class fractions as small as
+    # 2 / 33 333 (a float that prints as 6.0...e-05)
+    n, block = 50_000, 4
+    i = np.repeat(np.arange(n), 2)
+    j = (i + np.tile([1, 2], n)) % n
+    edges = np.unique(np.column_stack([np.minimum(i, j), np.maximum(i, j)]), axis=0)
+    g = AttributedGraph(False, (np.arange(n) % 3 == 0).astype(np.int8), edges.tolist())
+    write_network(g, tmp_path / "ring")
+    assert run(
+        "spread", "--network", str(tmp_path / "ring"), "--mode", "threshold", "--theta", "0.5",
+        "--seed-condition", "top-degree", "--seed-count", str(block),
+        "--out", str(tmp_path), "--prefix", "ring",
+    ) == 0
+
+    trace = threshold_cascade(g, np.arange(block), 0.5)
+    report = equality_report(trace, g.labels)
+    assert trace.n_steps == (n - block) // 2
+
+    def table(header, rows):
+        text = "\n".join([header, *(",".join(format_value(c) for c in row) for row in rows)]) + "\n"
+        # compared as lists of lines: a failure names the first differing
+        # line instead of diffing a megabyte of text
+        return text.encode().split(b"\n")
+
+    fr = trace.class_fractions
+    series = table(
+        "t,frac_class0,frac_class1,frac_all",
+        [[t, float(a), float(b), float(c)] for t, (a, b, c) in enumerate(zip(fr[:, 0], fr[:, 1], trace.overall_fractions()))],
+    )
+    equality = table("t,equality", [[t, float(e)] for t, e in enumerate(report.equality)])
+    written = (tmp_path / "ring_series.csv").read_bytes().split(b"\n")
+    assert written == series
+    assert (tmp_path / "ring_equality.csv").read_bytes().split(b"\n") == equality
+    assert written[1].split(b",")[:2] == [b"0", repr(2 / 33_333).encode()]
+    assert written[-2].startswith(f"{trace.n_steps},".encode()) and written[-1] == b""
 
 
 def test_spread_requires_mode_params(tmp_path):

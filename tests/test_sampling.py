@@ -83,6 +83,19 @@ def test_snowball_reseeds_like_a_rebuilt_pool(directed):
                 assert got.tolist() == sorted(want), (n, budget, seed)
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_snowball_reseeds_like_a_rebuilt_pool_on_many_components(directed):
+    # about 1800 components: a re-seed after almost every crawled node
+    rng = make_rng(6)
+    n = 2000
+    starts = rng.permutation(n - 1)[: n // 10]
+    g = AttributedGraph(directed, np.zeros(n, dtype=np.int8), [(int(u), int(u) + 1) for u in starts])
+    for budget in (n // 2 + 1, n - 1, n):
+        want = rebuilt_pool_snowball(g, budget, UniformStream(make_rng(budget)))
+        got = sample(g, "snowball", budget, budget).nodes
+        assert got.tolist() == sorted(want), budget
+
+
 def test_random_walk_handles_directed_sink():
     g = AttributedGraph(True, [0, 1], [(0, 1)])
     res = sample(g, "random-walk", budget=2, seed=5)

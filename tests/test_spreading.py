@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from graphmix.graph import AttributedGraph
 from graphmix.rng import make_rng, sample_without_replacement
 from graphmix.spreading import (
+    _SCALAR_STEP_ENTRIES,
     SEED_CONDITIONS,
     cascade,
     crossing_time,
@@ -51,6 +52,18 @@ def test_max_steps_truncates_the_cascade():
     g = AttributedGraph(False, [0] * 5, [(i, i + 1) for i in range(4)])
     trace = cascade(g, [0], 1.0, 1.0, rng=make_rng(1), max_steps=2)
     assert trace.activation_time.tolist() == [0, 1, 2, -1, -1]
+
+
+def test_negative_step_caps_are_rejected():
+    g = AttributedGraph(False, [0, 0, 1], [(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="max_steps must be >= 0, got -3"):
+        cascade(g, [0], 1.0, 1.0, rng=make_rng(0), max_steps=-3)
+    with pytest.raises(ValueError, match="max_steps must be >= 0, got -1"):
+        threshold_cascade(g, [0], 0.5, max_steps=-1)
+    # a cap of 0 keeps the seeds only, also for nodes that need no neighbor
+    assert cascade(g, [0], 1.0, 1.0, rng=make_rng(0), max_steps=0).activation_time.tolist() == [0, -1, -1]
+    assert threshold_cascade(g, [0], 1e-13, max_steps=0).activation_time.tolist() == [0, -1, -1]
+    assert threshold_cascade(g, [0], 1e-13, max_steps=1).activation_time.tolist() == [0, 1, 1]
 
 
 def test_cascade_determinism_and_param_validation():
@@ -130,6 +143,72 @@ def test_threshold_matches_full_recount_reference(n, directed, p, theta, seed, n
             informed = sum(1 for v in range(n) if labels[v] == c and 0 <= expected[v] <= t)
             assert trace.class_fractions[t, c] == (informed / size if size else 0.0)
 
+
+
+def _hub_and_chain(directed: bool, hub_size: int, chain: int, rng) -> AttributedGraph:
+    """Node 0 links to 1..hub_size; a chain runs on from hub_size, with a few random chords."""
+    n = hub_size + chain
+    edges = {(0, j) for j in range(1, hub_size + 1)}
+    edges |= {(j, j + 1) for j in range(hub_size, n - 1)}
+    edges |= {(int(u), int(v)) for u, v in rng.integers(1, n, size=(n // 20, 2)) if u != v}
+    if directed:  # the chain also runs back, so a chain seed reaches the hub
+        edges |= {(j + 1, j) for j in range(hub_size, n - 1)} | {(hub_size, 0)}
+    else:
+        edges = {(min(u, v), max(u, v)) for u, v in edges}
+    return AttributedGraph(directed, (rng.random(n) < 0.3).astype(np.int8), sorted(edges))
+
+
+def _frontier_entries(g: AttributedGraph, times: list[int]) -> list[int]:
+    """Row entries each step reads: the out-rows of the nodes active since the step before."""
+    out_deg = g.csr().out_degree()
+    t = np.asarray(times)
+    return [int(out_deg[t == s].sum()) for s in range(max(t.max(), 0) + 1)]
+
+
+_BOUNDARY_THETAS = (1e-13, 1 / 7, 2 / 7, 0.25, 1 / 3, 0.4, 0.5, 3 / 7, 0.6, 2 / 3, 0.75, 1.0)
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_threshold_step_forms_match_the_recount_reference_across_the_switch(directed):
+    rng = make_rng(21 if directed else 20)
+    graphs = [
+        _hub_and_chain(directed, 150, 250, rng),
+        _hub_and_chain(directed, 70, 300, rng),
+        random_graph(220, directed, 0.03, rng),
+        random_graph(300, directed, 0.08, rng),
+    ]
+    small = large = 0
+    for gi, g in enumerate(graphs):
+        seed_sets = [[0], [g.n - 1], [5, 9], sample_without_replacement(rng, g.n, 6)]
+        for seeds in seed_sets:
+            for theta in _BOUNDARY_THETAS:
+                full = naive_threshold_times(g, seeds, theta, 10 * g.n)
+                entries = _frontier_entries(g, full)
+                small += sum(e < _SCALAR_STEP_ENTRIES for e in entries[:-1])
+                large += sum(e >= _SCALAR_STEP_ENTRIES for e in entries[:-1])
+                horizon = max(full)
+                # caps landing on either step form, plus the fixed point
+                for cap in sorted({0, 1, 2, horizon // 2, max(horizon - 1, 0), horizon, 10 * g.n}):
+                    want = full if cap >= horizon else naive_threshold_times(g, seeds, theta, cap)
+                    got = threshold_cascade(g, seeds, theta, max_steps=cap).activation_time.tolist()
+                    assert got == want, (gi, list(seeds), theta, cap)
+    # the battery runs both step forms many times
+    assert small > 50 and large > 50, (small, large)
+
+
+def test_threshold_on_a_ring_lattice_follows_ring_distance():
+    # theta 1/2 with 2 neighbors per side: the first inactive node past
+    # either end of the active block sees 2 of its 4 neighbors active, so
+    # the block grows by one node per side and step
+    n, block = 1000, 4
+    edges = sorted({(min(i, (i + d) % n), max(i, (i + d) % n)) for i in range(n) for d in (1, 2)})
+    labels = (np.arange(n) % 3 == 0).astype(np.int8)
+    g = AttributedGraph(False, labels, edges)
+    trace = threshold_cascade(g, list(range(block)), 0.5)
+    i = np.arange(n)
+    dist = np.where(i < block, 0, np.minimum(i - (block - 1), n - i))
+    assert trace.activation_time.tolist() == dist.tolist()
+    assert trace.n_steps == dist.max() == (n - block) // 2
 
 
 def test_threshold_half_spreads_along_a_path():
