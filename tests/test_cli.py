@@ -486,3 +486,55 @@ def test_module_invocation_matches_console_script(tmp_path):
     assert a.returncode == 0, a.stderr
     assert b.returncode == 0, b.stderr
     assert (tmp_path / "mi_edges.csv").read_bytes() == (tmp_path / "cs_edges.csv").read_bytes()
+
+
+# -- runtime dependencies ----------------------------------------------------------------
+
+
+def test_cli_import_loads_nothing_beyond_numpy_and_the_stdlib():
+    code = (
+        "import sys; before = set(sys.modules); import graphmix.cli; "
+        "tops = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(*sorted(tops - set(sys.stdlib_module_names)))"
+    )
+    proc = _run_same_package([sys.executable, "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["graphmix", "numpy"]
+
+
+def test_cli_chain_runs_with_scipy_blocked(tmp_path):
+    out = ["--out", str(tmp_path)]
+    chain = [
+        ["generate", "--model", "pah", "--n", "300", "--m", "2", "--fm", "0.3",
+         "--h", "0.8", "--seed", "1", *out, "--prefix", "u"],
+        ["select", "--network", str(tmp_path / "u"), "--trace", str(tmp_path / "u_trace.csv"),
+         "--models", "pa,pah,patch", *out, "--prefix", "us"],
+        ["generate", "--model", "dpah", "--n", "300", "--d", "0.01", "--fm", "0.25",
+         "--h", "0.7", "--seed", "1", *out, "--prefix", "d"],
+        ["select", "--network", str(tmp_path / "d"), "--trace", str(tmp_path / "d_trace.csv"),
+         "--directed", "--models", "dpa,dh,dpah", *out, "--prefix", "ds"],
+        ["rank", "--network", str(tmp_path / "d"), "--directed", "--metric", "pagerank",
+         *out, "--prefix", "rk"],
+        ["sample", "--network", str(tmp_path / "u"), "--strategies", "uniform-node,snowball",
+         "--budgets", "30", "--reps", "2", *out, "--prefix", "sm"],
+        ["spread", "--network", str(tmp_path / "u"), "--mode", "ic", "--p-in", "0.3",
+         "--p-out", "0.3", "--seed-condition", "top-degree", "--seed-count", "3",
+         *out, "--prefix", "sp"],
+    ]
+    # a None entry in sys.modules makes every later `import scipy...` raise ImportError
+    code = (
+        "import sys; sys.modules['scipy'] = None; from graphmix.cli import main\n"
+        f"for argv in {chain!r}:\n"
+        "    if main(argv) != 0: sys.exit(f'{argv[0]} failed')\n"
+    )
+    proc = _run_same_package([sys.executable, "-c", code])
+    assert proc.returncode == 0, proc.stderr
+    for name, nested in (("us", {("pa", "pah"), ("pa", "patch"), ("pah", "patch")}),
+                         ("ds", {("dpa", "dpah")})):
+        header, rows = _rows(tmp_path / f"{name}_comparisons.csv")
+        col = header.split(",").index("lrt_p")
+        tested = {(r[0], r[1]) for r in rows if r[col]}
+        assert tested == nested
+        assert all(0.0 <= float(r[col]) <= 1.0 for r in rows if r[col])
+    for suffix in ("rk_visibility.csv", "sm_bias.csv", "sp_series.csv"):
+        assert (tmp_path / suffix).is_file()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
+from scipy.special import gammaincc
 
 import graphmix.inference as inference
 from graphmix.generate import (
@@ -83,6 +84,30 @@ def test_lrt_clamps_negative_statistics():
     stat, df, p = lrt(nested, full)
     assert stat == 0.0
     assert p == 1.0
+
+
+@pytest.mark.parametrize("nested_model, full_model, df", [("pa", "pah", 1), ("pa", "patch", 2)])
+def test_lrt_tail_matches_the_incomplete_gamma_oracle(nested_model, full_model, df):
+    stats = np.concatenate(
+        [np.geomspace(1e-12, 1.0, 2001), np.linspace(0.0, 1400.0, 20001), [np.inf]]
+    )
+    nested = FitReport.build(nested_model, None, None, 0.0, 100, 0)
+    for stat in stats.tolist():
+        full = FitReport.build(full_model, 0.5, None, stat / 2.0, 100, 0)
+        got_stat, got_df, p = lrt(nested, full)
+        assert (got_stat, got_df) == (stat, df)
+        want = float(gammaincc(df / 2.0, stat / 2.0))
+        if want == 0.0:
+            assert p == 0.0, stat
+        else:
+            assert abs(p - want) <= 1e-12 * want, (stat, p, want)
+
+
+def test_nested_pairs_have_a_closed_form_tail():
+    # lrt's closed forms cover df 1 and 2 only
+    for nested_model, full_model in inference.NESTED_PAIRS:
+        df = inference._MODEL_K[full_model] - inference._MODEL_K[nested_model]
+        assert df in (1, 2), (nested_model, full_model, df)
 
 
 def test_lrt_rejects_non_nested_pairs():
