@@ -102,8 +102,9 @@ def _parse_plain(path: Path, header: str, names: tuple[str, ...]) -> np.ndarray 
     if width > len(names):
         unnamed = body.count(b"\n")  # rows whose last field is not a kind name
         for name, code in _KIND_CODES:
-            unnamed -= body.count(name)
-            body = body.replace(name, code)
+            size = len(body)
+            body = body.replace(name, code)  # the names replaced, from the length it lost
+            unnamed -= (size - len(body)) // (len(name) - len(code))
         if unnamed:
             return None
     # loadtxt skips blank lines and warns on empty input; int() reads more than these bytes

@@ -9,8 +9,14 @@ vectorized scoring paths.
 
 ``full_patch_grid`` is the other kind of oracle: the patch likelihood grid
 evaluated at every cell by the full blocked loop, from the library's own
-replay statistics.  The library evaluates only the cells that can reach an
-output; the pruned-grid tests compare it cell for cell with this one.
+replay statistics and the full (h rows, events) array of
+``reference_affinity_logp``.  The library evaluates only the cells that can
+reach an output, and never holds that array; the pruned-grid tests compare
+it cell for cell with this one.
+
+``reference_affinity_logp`` is the affinity kernel as masked copies, one
+``log`` of ``a(h) * weight`` per event; the library's lookup kernel must
+return the same bits.
 
 ``array_sample_without_replacement`` and ``rebuilt_pool_snowball`` are the
 earlier, slower forms of two samplers (swaps on a full index array, and a
@@ -29,7 +35,7 @@ from scipy.special import zeta
 
 from graphmix.generate import EventKind, GrowthTrace
 from graphmix.graph import AttributedGraph
-from graphmix.inference import _TINY, PTC_GRID, _aff_pick_logprob, _block_rows
+from graphmix.inference import _TINY, PTC_GRID, _block_rows
 from graphmix.rng import rand_below
 
 
@@ -113,10 +119,52 @@ def _brute_undirected(trace, model, labels, h, p_tc):
     return total, scored
 
 
-def full_patch_grid(stats, h_values, ptc_values=None, logp_aff=None) -> np.ndarray:
+def reference_affinity_logp(h, same, weight, den_same, den_diff, fill, by_den: bool) -> np.ndarray:
+    """ln P of each event under affinity weighting, shape (len(h), n_events).
+
+    P = a * weight / (h * den_same + (1 - h) * den_diff), where a is h for a
+    same-class target and 1 - h otherwise (``weight`` None: 1).  Where the
+    denominator (``by_den``) or else the numerator is not positive, ln P is
+    ``fill``.  Built a block of h rows at a time by masked copies.
+    """
+    n_rows, n_cols = h.size, same.size
+    step = _block_rows(n_cols)
+    out = np.empty((n_rows, n_cols))
+    bufs = np.empty((2, min(step, n_rows), n_cols))
+    cut = np.empty(bufs.shape[1:], dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for a in range(0, n_rows, step):
+            b = min(a + step, n_rows)
+            hc = h[a:b, None]
+            w = out[a:b]
+            den, tmp, bad = bufs[0, :b - a], bufs[1, :b - a], cut[:b - a]
+            np.copyto(w, 1.0 - hc)
+            np.copyto(w, hc, where=same)
+            if weight is not None:
+                w *= weight
+            np.multiply(hc, den_same, out=den)
+            np.multiply(1.0 - hc, den_diff, out=tmp)
+            den += tmp
+            np.less_equal(den if by_den else w, 0.0, out=bad)
+            np.log(w, out=w)
+            np.log(den, out=den)
+            w -= den
+            np.copyto(w, fill, where=bad)
+    return out
+
+
+def reference_aff_pick_logprob(stats, h_values) -> np.ndarray:
+    """ln P of each scored event of undirected replay statistics under the affinity pick."""
+    with np.errstate(divide="ignore"):
+        fallback = -np.log(stats.n_elig)
+    return reference_affinity_logp(
+        h_values, stats.same, stats.deg_t, stats.sum_same, stats.sum_diff, fallback, True
+    )
+
+
+def full_patch_grid(stats, h_values, ptc_values=None) -> np.ndarray:
     """The patch log-likelihood at every (h, p_tc) cell, a block of p_tc rows at a time."""
-    if logp_aff is None:
-        logp_aff = _aff_pick_logprob(stats, h_values)
+    logp_aff = reference_aff_pick_logprob(stats, h_values)
 
     ptc = PTC_GRID if ptc_values is None else ptc_values
     pure = ~stats.mixture

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +33,12 @@ from graphmix.inference import (
     trace_from_graph,
 )
 
-from helpers import brute_force_loglik, full_patch_grid
+from helpers import (
+    brute_force_loglik,
+    full_patch_grid,
+    reference_aff_pick_logprob,
+    reference_affinity_logp,
+)
 
 
 def test_grid_definition():
@@ -515,9 +521,8 @@ def _bits(x):
 
 def _assert_pruned_grid_matches(stats, h_values):
     """Every computed cell has the full evaluation's bits; every skipped one cannot reach an output."""
-    logp_aff = inference._aff_pick_logprob(stats, h_values)
-    full = full_patch_grid(stats, h_values, logp_aff=logp_aff)
-    got = inference._loglik_grid_undirected(stats, "patch", h_values, logp_aff=logp_aff)
+    full = full_patch_grid(stats, h_values)
+    got = inference._loglik_grid_undirected(stats, "patch", h_values)
     kept = got > -np.inf
     assert np.array_equal(_bits(got[kept]), _bits(full[kept]))
     skipped = full[~kept]
@@ -547,10 +552,10 @@ def test_pruned_patch_grid_matches_the_full_evaluation(name, narrow, monkeypatch
            bayes_factor(trace, "pah", "patch"))
     grid = inference._loglik_grid_undirected
 
-    def full_grid(stats, model, h_values, ptc_values=None, logp_aff=None):
+    def full_grid(stats, model, h_values, ptc_values=None, sums=None):
         if model == "patch":
-            return full_patch_grid(stats, h_values, ptc_values, logp_aff)
-        return grid(stats, model, h_values, ptc_values, logp_aff)
+            return full_patch_grid(stats, h_values, ptc_values)
+        return grid(stats, model, h_values, ptc_values, sums)
 
     monkeypatch.setattr(inference, "_loglik_grid_undirected", full_grid)
     want = (select_model(trace, ["pa", "pah", "patch"]), fit_model(trace, "patch"),
@@ -576,7 +581,8 @@ def test_patch_cells_have_the_same_bits_in_any_block_height(h):
     _, trace = gen_patch(500, 3, 0.3, 0.7, 0.5, seed=4)
     stats = inference._undirected_stats(trace)
     h_values = np.array([h])
-    cells = inference._PatchCells(stats, inference._aff_pick_logprob(stats, h_values), PTC_GRID)
+    sums = inference._aff_sums(stats, h_values, patch=True)
+    cells = inference._PatchCells(stats, h_values, PTC_GRID, sums)
     assert cells.step >= PTC_GRID.size  # all 101 rows in one block
     whole = cells.cells(0, 0, PTC_GRID.size)
     if h == 5e-324:
@@ -585,6 +591,73 @@ def test_patch_cells_have_the_same_bits_in_any_block_height(h):
         for a in range(0, PTC_GRID.size, height):
             b = min(a + height, PTC_GRID.size)
             assert np.array_equal(_bits(cells.cells(0, a, b)), _bits(whole[a:b])), (height, a)
+
+
+# -- the lookup affinity kernel against the masked-copy reference ---------------------
+
+# h rows with the bad-entry path (0 and 1), subnormal and tiny affinities
+_KERNEL_H = np.concatenate((H_GRID, [5e-324, 1e-300, 1.0 - 2.0**-53]))
+
+_KERNEL_TRACES = {
+    "pah": lambda: gen_pah(400, 2, 0.3, 0.7, seed=3),
+    "patch": lambda: gen_patch(400, 2, 0.3, 0.7, 0.5, seed=3),
+    "fallback": lambda: gen_patch(300, 2, 0.2, 0.0, 0.5, seed=2),
+    "dh": lambda: gen_directed("dh", 200, 0.05, 0.3, 0.7, seed=1),
+    "dpah": lambda: gen_directed("dpah", 300, 0.03, 0.3, 0.6, seed=4),
+}
+
+
+def _kernel_rows(kernel, h_values):
+    out = np.empty((h_values.size, kernel.code.size))
+    for a, b, logp in kernel.blocks(h_values):
+        out[a:b] = logp
+    return out
+
+
+@pytest.mark.parametrize("rows_per_block", [None, 3])
+@pytest.mark.parametrize("name", list(_KERNEL_TRACES))
+def test_affinity_kernel_has_the_reference_bits(name, rows_per_block, monkeypatch):
+    _, trace = _KERNEL_TRACES[name]()
+    stats = inference._stats_for(trace)
+    if rows_per_block:  # many blocks, the last one short
+        monkeypatch.setattr(inference, "_BLOCK_BYTES", 8 * rows_per_block * stats.n_events)
+    if trace.directed:
+        weight, den_same, den_diff = {
+            "dh": (None, stats.cnt_same, stats.cnt_diff),
+            "dpah": (stats.ind1_t, stats.sum_same, stats.sum_diff),
+        }[name]
+        kernel = inference._Affinity(stats.same, weight, den_same, den_diff, -np.inf, False)
+        want = reference_affinity_logp(_KERNEL_H, stats.same, weight, den_same, den_diff, -np.inf, False)
+        assert kernel.weights.size == (1 if weight is None else np.unique(weight).size)
+        assert (want[0] == -np.inf).any() and np.isfinite(want[50]).all()  # the -inf fill at h = 0
+        parts = ()
+    else:
+        kernel = inference._aff_kernel(stats)
+        want = reference_aff_pick_logprob(stats, _KERNEL_H)
+        # events whose denominator vanishes at h = 0 or 1 take the fallback fill
+        assert ((stats.sum_diff <= 0) | (stats.sum_same <= 0)).any()
+        assert (stats.n_fallback > 0) == (name == "fallback")
+        parts = inference._patch_events(stats)
+        for part in parts:  # the patch hit rows evaluate the kernel on a subset
+            sub = _kernel_rows(inference._aff_kernel(stats, part), _KERNEL_H)
+            assert np.array_equal(_bits(sub), _bits(want[:, part]))
+    assert np.array_equal(_bits(_kernel_rows(kernel, _KERNEL_H)), _bits(want))
+    sums = kernel.sums(_KERNEL_H, parts)
+    assert np.array_equal(_bits(sums[0]), _bits(want.sum(axis=1)))
+    for j, part in enumerate(parts, 1):
+        assert np.array_equal(_bits(sums[j]), _bits([row[part].sum() for row in want]))
+
+
+def test_select_memory_stays_below_one_grid_array():
+    # pah with patch once held a 101 x (scored events) float64 array
+    _, trace = gen_patch(20000, 3, 0.3, 0.8, 0.5, seed=1)
+    tracemalloc.start()
+    try:
+        select_model(trace, ["pa", "pah", "patch"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < H_GRID.size * 8 * len(trace.sources), peak / len(trace.sources)
 
 
 # -- differential check against the brute-force oracle ---------------------------------
