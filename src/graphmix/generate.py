@@ -181,7 +181,7 @@ def generate(params: GenParams) -> tuple[AttributedGraph, GrowthTrace]:
 
 def activity_from_uniform(u: np.ndarray | float, gamma_a: float) -> np.ndarray | float:
     """Inverse-CDF map from uniform [0,1) draws to Pareto(x_min=1) activity."""
-    if gamma_a <= 1.0:
+    if not gamma_a > 1.0:  # NaN included
         raise ValueError(f"gamma_a must be > 1, got {gamma_a}")
     return (1.0 - np.asarray(u, dtype=np.float64)) ** (-1.0 / (gamma_a - 1.0))
 
@@ -510,7 +510,7 @@ def _check_directed_args(n: int, d: float | None, gamma_a: float | None) -> None
         raise ValueError(f"density d must lie in (0, 1], got {d}")
     if round(d * n * (n - 1)) < 1:
         raise ValueError("density target round(d*n*(n-1)) must be >= 1")
-    if gamma_a is not None and gamma_a <= 1.0:
+    if gamma_a is not None and not gamma_a > 1.0:  # NaN included
         raise ValueError(f"gamma_a must be > 1, got {gamma_a}")
 
 

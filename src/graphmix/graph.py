@@ -204,7 +204,7 @@ class MixingMatrix:
         m = np.asarray(self.matrix, dtype=np.float64)
         if m.shape != (2, 2):
             raise ValueError(f"mixing matrix must be 2x2, got shape {m.shape}")
-        if (m < 0.0).any() or (m > 1.0).any():
+        if not ((m >= 0.0) & (m <= 1.0)).all():  # NaN fails both comparisons
             raise ValueError("mixing matrix entries must lie in [0, 1]")
         object.__setattr__(self, "matrix", m)
 

@@ -38,6 +38,10 @@ anything is scored.
   source's earlier targets is path dependent; it is summed over every pair
   of one source's events, O(sum of squared out-degrees) sorted lookups done
   in bounded chunks.
+* Every model's grid has one shape: h rows x p_tc columns, with a
+  length-1 axis for each parameter the model lacks (``_PARAMS``).  pa and
+  dpa are 1 x 1, pah, dh and dpah 101 x 1, patch 101 x 101, so one argmax,
+  one marginal and one fixed-parameter replay serve all six models.
 * Grids are evaluated a few h rows (and p_tc rows) at a time into reused
   buffers, and no (h rows, events) array exists.  pah and patch share one
   affinity pass that keeps per row only the sums over all events (pah) and
@@ -46,11 +50,11 @@ anything is scored.
   ln(a(h) * weight) takes 2 x (distinct weights) values per row, so each
   row logs that table and reads it by event code.  The patch grid holds
   only the cells that can reach an output, found by a search along the
-  concave p_tc rows (see :func:`_loglik_grid_undirected`); the others are
-  ``-inf``.  None of this changes a result: every term is the same double
-  and every cell still sums the same contiguous run of events, so fits,
-  LRTs and Bayes factors are byte-identical to a full, unblocked
-  evaluation.  ``select_model`` with pa, pah and patch on
+  concave p_tc rows (see :func:`_patch_grid`); the others are ``-inf``.
+  None of this changes a result: every term is the same double and every
+  cell still sums the same contiguous run of events, so fits, LRTs and
+  Bayes factors are byte-identical to a full, unblocked evaluation.
+  ``select_model`` with pa, pah and patch on
   ``gen_patch(100000, 3, 0.3, 0.8, 0.5, seed=1)`` peaks at 106 MB RSS in
   1.1 s on a 2-vCPU host; holding the 101 x events array took 337 MB and
   1.5-1.7 s.
@@ -66,7 +70,6 @@ import numpy as np
 
 from .generate import (
     DIRECTED_MODELS,
-    UNDIRECTED_MODELS,
     EventKind,
     GrowthTrace,
     rebuild_graph,
@@ -96,7 +99,11 @@ __all__ = [
 H_GRID = np.round(np.linspace(0.0, 1.0, 101), 2)
 PTC_GRID = H_GRID
 
-_MODEL_K = {"pa": 0, "pah": 1, "patch": 2, "dpa": 0, "dh": 1, "dpah": 1}
+# The free parameters of each model, in grid-axis order: h indexes a
+# likelihood grid's rows and p_tc its columns, and each parameter a model
+# lacks is a length-1 axis.
+_PARAMS = {"pa": (), "pah": ("h",), "patch": ("h", "p_tc"), "dpa": (), "dh": ("h",), "dpah": ("h",)}
+_MODEL_K = {model: len(params) for model, params in _PARAMS.items()}
 
 # Pairs (nested, full) differing only by neutralizing parameters.
 NESTED_PAIRS = {("pa", "pah"), ("pa", "patch"), ("pah", "patch"), ("dpa", "dpah")}
@@ -396,20 +403,23 @@ class _Affinity:
 
     P = a * weight / (h * den_same + (1 - h) * den_diff), where a is h for a
     same-class target and 1 - h otherwise (``weight`` None: 1).  Where the
-    denominator (``by_den``) or else the numerator is not positive, ln P is
-    ``fill``.  ln(a * weight) takes at most 2 x (distinct weights) values in
-    a row, so each row logs that table once and reads it by a per-event
-    code: the same doubles as one log per event.
+    denominator is not positive, ln P is ``fill``.  The denominator sums
+    the target's own weight too, so it is at least the numerator: where it
+    is positive, a zero numerator logs to ``-inf`` by itself, which is the
+    impossible-target score of both families and the directed family's
+    fill.  ln(a * weight) takes at most 2 x (distinct weights) values in a
+    row, so each row logs that table once and reads it by a per-event code:
+    the same doubles as one log per event.
     """
 
-    def __init__(self, same, weight, den_same, den_diff, fill, by_den: bool):
+    def __init__(self, same, weight, den_same, den_diff, fill):
         if weight is None:
             self.weights, code = np.ones(1), np.zeros(same.size, dtype=np.intp)
         else:
             self.weights, code = np.unique(weight, return_inverse=True)
         # a row's table: h * weights, then (1 - h) * weights
         self.code = np.where(same, code, code + self.weights.size)
-        self.den_same, self.den_diff, self.fill, self.by_den = den_same, den_diff, fill, by_den
+        self.den_same, self.den_diff, self.fill = den_same, den_diff, fill
 
     def blocks(self, h: np.ndarray):
         """Yield ``(a, b, logp)``: ln P at h rows a..b-1, in a buffer reused by the next block."""
@@ -427,19 +437,12 @@ class _Affinity:
                 np.multiply(hc, self.den_same, out=d)
                 np.multiply(1.0 - hc, self.den_diff, out=t)
                 d += t
-                if self.by_den:
-                    np.less_equal(d, 0.0, out=cut)
-                    any_bad = cut.any()
-                else:
-                    num_bad = num <= 0.0
-                    any_bad = num_bad.any()
-                    if any_bad:
-                        np.take(num_bad, self.code, axis=1, out=cut, mode="clip")
+                np.less_equal(d, 0.0, out=cut)
                 np.log(num, out=num)
                 np.take(num, self.code, axis=1, out=w, mode="clip")
                 np.log(d, out=d)
                 w -= d
-                if any_bad:
+                if cut.any():
                     np.copyto(w, self.fill, where=cut)
                 yield a, b, w
 
@@ -467,8 +470,7 @@ def _aff_kernel(stats: _UndirectedStats, events=slice(None)) -> _Affinity:
     with np.errstate(divide="ignore"):
         fallback = -np.log(stats.n_elig[events])
     return _Affinity(
-        stats.same[events], stats.deg_t[events], stats.sum_same[events], stats.sum_diff[events],
-        fallback, True,
+        stats.same[events], stats.deg_t[events], stats.sum_same[events], stats.sum_diff[events], fallback
     )
 
 
@@ -485,16 +487,32 @@ def _patch_events(stats: _UndirectedStats) -> tuple[np.ndarray, np.ndarray, np.n
     )
 
 
-def _aff_sums(stats: _UndirectedStats, h: np.ndarray, patch: bool) -> np.ndarray:
-    """The affinity pass of pah and patch: per h row, ln P summed over every
-    event and, with ``patch``, over its pure and its miss events."""
+def _aff_sums(stats: _UndirectedStats, h: np.ndarray) -> np.ndarray:
+    """The affinity pass shared by pah and patch: per h row, ln P summed
+    over every event, then over patch's pure and its miss events."""
     pure, _, miss = _patch_events(stats)
-    return _aff_kernel(stats).sums(h, (pure, miss) if patch else ())
+    return _aff_kernel(stats).sums(h, (pure, miss))
 
 
-def _pa_logprob(stats: _UndirectedStats) -> np.ndarray:
+def _affinity(stats, model: str) -> _Affinity:
+    """The affinity pick of every scored event under pah, dh or dpah.
+
+    The directed family has no fallback: an event no candidate can take
+    scores ``-inf``.
+    """
+    if model == "dh":
+        return _Affinity(stats.same, None, stats.cnt_same, stats.cnt_diff, -np.inf)
+    if model == "dpah":
+        return _Affinity(stats.same, stats.ind1_t, stats.sum_same, stats.sum_diff, -np.inf)
+    return _aff_kernel(stats)
+
+
+def _pa_logprob(stats) -> np.ndarray:
+    """ln P of each scored event under pa (weight: degree) or dpa (in-degree + 1)."""
     den = stats.sum_same + stats.sum_diff
     with np.errstate(divide="ignore", invalid="ignore"):
+        if isinstance(stats, _DirectedStats):
+            return np.log(stats.ind1_t) - np.log(den)
         return np.where(den > 0.0, np.log(stats.deg_t) - np.log(den), -np.log(stats.n_elig))
 
 
@@ -516,7 +534,7 @@ class _PatchCells:
 
     A cell is ``base_h + n_miss * log(1 - p_tc)`` plus, over the hit
     events, ``log(p_tc / |tc| + (1 - p_tc) * P_aff)``.  The bases come from
-    ``sums``, the affinity pass ``_aff_sums(stats, h, patch=True)``; a row's
+    ``sums``, the affinity pass ``_aff_sums(stats, h)``; a row's
     hit ``ln P_aff`` is evaluated on the hit events alone when the row is
     first used.  Every run is evaluated by the same elementwise operations
     and one contiguous row sum per cell, so a cell's bits do not depend on
@@ -579,48 +597,47 @@ class _PatchCells:
         return base + self.miss_term[a:b] + hit_term
 
 
-def _loglik_grid_undirected(
-    stats: _UndirectedStats,
-    model: str,
-    h_values: np.ndarray,
-    ptc_values: np.ndarray | None = None,
-    sums: np.ndarray | None = None,
-) -> np.ndarray:
-    """Log-likelihood over h_values (x ptc_values for patch).
+def _loglik_grid(stats, model: str, h_values=H_GRID, ptc_values=PTC_GRID, sums=None) -> np.ndarray:
+    """Log-likelihood of ``model`` over h_values (rows) x ptc_values (columns).
 
-    ``sums`` is ``_aff_sums(stats, h_values, patch=True)`` when the caller
-    already has it.
+    An axis of a parameter the model lacks has length 1 and its values are
+    not read: pa and dpa give 1 x 1, pah, dh and dpah len(h_values) x 1.
+    ``sums`` is ``_aff_sums(stats, h_values)`` when the caller already has
+    it (pah and patch).
+    """
+    if stats.n_events == 0:
+        raise ValueError("trace has zero scoreable events")
+    if model == "patch":
+        return _patch_grid(stats, h_values, ptc_values, sums)
+    if not _PARAMS[model]:
+        return np.full((1, 1), stats.const_loglik + _pa_logprob(stats).sum())
+    if sums is None:
+        sums = _affinity(stats, model).sums(h_values)
+    return (stats.const_loglik + sums[0])[:, None]
 
-    The patch grid (``ptc_values`` ascending) holds only the cells that can
-    reach an output; every other cell is ``-inf``.  Its consumers are the
-    argmax with its log-likelihood, and the two trapz passes over
-    ``exp(grid - peak)`` of the marginal.  At a fixed h a cell is a
-    constant plus ``n_miss * log(1 - p)`` plus a sum of ``log(p / |tc| +
-    (1 - p) * P_aff)``: logs of affine functions of p, so the row is
-    concave in p and falls monotonically on both sides of its maximum.
-    Pass 1 climbs each row to its maximum from the previous row's argmax.
-    Pass 2 widens each row whose maximum reaches ``peak - _UNDERFLOW_CUT``
-    until the outermost cell on each side falls below that cut; by
-    concavity every cell beyond is lower still.  A skipped cell is then
-    more than 745.14 below the peak, where ``exp`` is exactly 0.0, so it
-    adds 0.0 to the marginal as ``-inf`` does, and it is not the argmax.
+
+def _patch_grid(stats: _UndirectedStats, h_values, ptc_values, sums) -> np.ndarray:
+    """The patch log-likelihood grid (``ptc_values`` ascending).
+
+    It holds only the cells that can reach an output; every other cell is
+    ``-inf``.  Its consumers are the argmax with its log-likelihood, and
+    the two trapz passes over ``exp(grid - peak)`` of the marginal.  At a
+    fixed h a cell is a constant plus ``n_miss * log(1 - p)`` plus a sum of
+    ``log(p / |tc| + (1 - p) * P_aff)``: logs of affine functions of p, so
+    the row is concave in p and falls monotonically on both sides of its
+    maximum.  Pass 1 climbs each row to its maximum from the previous row's
+    argmax.  Pass 2 widens each row whose maximum reaches ``peak -
+    _UNDERFLOW_CUT`` until the outermost cell on each side falls below that
+    cut; by concavity every cell beyond is lower still.  A skipped cell is
+    then more than 745.14 below the peak, where ``exp`` is exactly 0.0, so
+    it adds 0.0 to the marginal as ``-inf`` does, and it is not the argmax.
     Each computed cell has the bits of a full evaluation, so fits, LRTs and
     Bayes factors are byte-identical to one.  A row whose base is ``-inf``
     is ``-inf`` throughout (no cell term is ``+inf`` or NaN).
     """
-    if stats.n_events == 0:
-        raise ValueError("trace has zero scoreable events")
-    if model == "pa":
-        return np.asarray(stats.const_loglik + _pa_logprob(stats).sum())
-    if model == "pah":
-        if sums is None:
-            sums = _aff_sums(stats, h_values, patch=False)
-        return stats.const_loglik + sums[0]
-    if model != "patch":
-        raise ValueError(f"not an undirected model: {model!r}")
     if sums is None:
-        sums = _aff_sums(stats, h_values, patch=True)
-    cells = _PatchCells(stats, h_values, PTC_GRID if ptc_values is None else ptc_values, sums)
+        sums = _aff_sums(stats, h_values)
+    cells = _PatchCells(stats, h_values, ptc_values, sums)
     n_p = cells.ptc.size
     out = np.full((h_values.size, n_p), -np.inf)
     width = min(n_p, max(3, _CELL_BATCH // max(cells.inv_tc.size, 1)))
@@ -673,36 +690,13 @@ def _loglik_grid_undirected(
     return out
 
 
-def _loglik_grid_directed(
-    stats: _DirectedStats, model: str, h_values: np.ndarray
-) -> np.ndarray:
-    if stats.n_events == 0:
-        raise ValueError("trace has zero scoreable events")
-    if model == "dpa":
-        den = stats.sum_same + stats.sum_diff
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.asarray((np.log(stats.ind1_t) - np.log(den)).sum())
-    if model == "dh":
-        weight, den_same, den_diff = None, stats.cnt_same, stats.cnt_diff
-    elif model == "dpah":
-        weight, den_same, den_diff = stats.ind1_t, stats.sum_same, stats.sum_diff
-    else:
-        raise ValueError(f"not a directed model: {model!r}")
-    # den >= wsel, so wsel == 0 covers both the zero-probability-target
-    # case and the no-candidate-has-weight case (no fallback when directed)
-    return _Affinity(stats.same, weight, den_same, den_diff, -np.inf, False).sums(h_values)[0]
-
-
 def _check_family(trace: GrowthTrace, model: str) -> None:
-    model = model.lower()
-    if model in UNDIRECTED_MODELS:
-        if trace.directed:
-            raise ValueError(f"model {model} is undirected but the trace is directed")
-    elif model in DIRECTED_MODELS:
-        if not trace.directed:
-            raise ValueError(f"model {model} is directed but the trace is undirected")
-    else:
+    if model not in _PARAMS:
         raise ValueError(f"unknown model {model!r}")
+    directed = model in DIRECTED_MODELS
+    if directed != trace.directed:
+        kind = ("undirected", "directed")
+        raise ValueError(f"model {model} is {kind[directed]} but the trace is {kind[trace.directed]}")
 
 
 def _check_param(name: str, value: float | None) -> float:
@@ -711,6 +705,12 @@ def _check_param(name: str, value: float | None) -> float:
     if not 0.0 <= value <= 1.0:
         raise ValueError(f"parameter {name} must lie in [0, 1], got {value}")
     return float(value)
+
+
+def _checked_params(model: str, h: float | None, p_tc: float | None) -> tuple:
+    """``(h, p_tc)``: each checked if ``model`` has it, else None."""
+    values = (("h", h), ("p_tc", p_tc))
+    return tuple(_check_param(name, v) if name in _PARAMS[model] else None for name, v in values)
 
 
 def replay_loglik(
@@ -728,23 +728,10 @@ def replay_loglik(
     model = model.lower()
     _check_family(trace, model)
     stats = _stats_for(trace)
-    if model in ("pa", "dpa"):
-        grid = (
-            _loglik_grid_directed(stats, model, H_GRID)
-            if model == "dpa"
-            else _loglik_grid_undirected(stats, model, H_GRID)
-        )
-        return float(grid), stats.n_events
-    hv = np.array([_check_param("h", h)])
-    if model == "patch":
-        pv = np.array([_check_param("p_tc", p_tc)])
-        grid = _loglik_grid_undirected(stats, model, hv, pv)
-        return float(grid[0, 0]), stats.n_events
-    if model == "pah":
-        grid = _loglik_grid_undirected(stats, model, hv)
-    else:
-        grid = _loglik_grid_directed(stats, model, hv)
-    return float(grid[0]), stats.n_events
+    h, p_tc = _checked_params(model, h, p_tc)
+    # a 1 x 1 grid; the value None stands on an axis the model lacks, which is not read
+    grid = _loglik_grid(stats, model, np.array([h]), np.array([p_tc]))
+    return float(grid[0, 0]), stats.n_events
 
 
 # ---------------------------------------------------------------------------
@@ -812,40 +799,49 @@ class SelectionTable:
 
 
 def _fit_from_grid(model: str, grid: np.ndarray, stats, order_assumed: bool) -> FitReport:
-    if model in ("pa", "dpa"):
-        h_hat = p_hat = None
-        logl = float(grid)
-    elif model == "patch":
-        flat = int(np.argmax(grid))
-        hi, pi = divmod(flat, grid.shape[1])
-        h_hat, p_hat = float(H_GRID[hi]), float(PTC_GRID[pi])
-        logl = float(grid[hi, pi])
-    else:
-        hi = int(np.argmax(grid))
-        h_hat, p_hat = float(H_GRID[hi]), None
-        logl = float(grid[hi])
+    hi, pi = divmod(int(np.argmax(grid)), grid.shape[1])
+    params = _PARAMS[model]
+    h_hat = float(H_GRID[hi]) if "h" in params else None
+    p_hat = float(PTC_GRID[pi]) if "p_tc" in params else None
     return FitReport.build(
-        model, h_hat, p_hat, logl, stats.n_events, stats.n_fallback, order_assumed
+        model, h_hat, p_hat, grid[hi, pi], stats.n_events, stats.n_fallback, order_assumed
     )
 
 
-def _model_grids(stats, models) -> dict[str, np.ndarray]:
-    """Grid of each model; pah and patch share one affinity pass."""
-    if isinstance(stats, _DirectedStats):
-        return {m: _loglik_grid_directed(stats, m, H_GRID) for m in models}
+def _log_marginal(grid: np.ndarray) -> float:
+    """Log marginal likelihood under a uniform prior over the grid range."""
+    peak = float(np.max(grid))
+    if peak == -np.inf:
+        return -np.inf
+    z = np.exp(grid - peak)
+    for axis in (1, 0):  # p_tc, then h; the axis of a parameter the model lacks has one value
+        z = _trapz(z, dx=0.01, axis=axis) if z.shape[axis] > 1 else z.take(0, axis)
+    return peak + math.log(float(z))
+
+
+def _fit_models(trace: GrowthTrace, models: list[str]) -> tuple[dict, dict]:
+    """The grid fit and the log marginal likelihood of each (lower-case) model.
+
+    One replay serves every model, and pah and patch share one affinity pass.
+    """
+    for model in models:
+        _check_family(trace, model)
+    stats = _stats_for(trace)
     sums = None
     if "pah" in models and "patch" in models and stats.n_events:
-        sums = _aff_sums(stats, H_GRID, patch=True)
-    return {m: _loglik_grid_undirected(stats, m, H_GRID, sums=sums) for m in models}
+        sums = _aff_sums(stats, H_GRID)
+    fits, marginals = {}, {}
+    for model in models:
+        grid = _loglik_grid(stats, model, sums=sums)
+        fits[model] = _fit_from_grid(model, grid, stats, trace.order_assumed)
+        marginals[model] = _log_marginal(grid)
+    return fits, marginals
 
 
 def fit_model(trace: GrowthTrace, model: str) -> FitReport:
     """Grid maximum-likelihood fit of one model to one trace."""
     model = model.lower()
-    _check_family(trace, model)
-    stats = _stats_for(trace)
-    grid = _model_grids(stats, [model])[model]
-    return _fit_from_grid(model, grid, stats, trace.order_assumed)
+    return _fit_models(trace, [model])[0][model]
 
 
 def lrt(nested: FitReport, full: FitReport) -> tuple[float, int, float]:
@@ -863,35 +859,11 @@ def lrt(nested: FitReport, full: FitReport) -> tuple[float, int, float]:
     return stat, df, p
 
 
-def _log_trapz(logf: np.ndarray, dx: float) -> float:
-    peak = float(np.max(logf))
-    if peak == -np.inf:
-        return -np.inf
-    return peak + math.log(float(_trapz(np.exp(logf - peak), dx=dx)))
-
-
-def _log_marginal(model: str, grid: np.ndarray) -> float:
-    """Log marginal likelihood under a uniform prior over the grid range."""
-    if model in ("pa", "dpa"):
-        return float(grid)
-    if model == "patch":
-        peak = float(np.max(grid))
-        if peak == -np.inf:
-            return -np.inf
-        inner = _trapz(np.exp(grid - peak), dx=0.01, axis=1)
-        return peak + math.log(float(_trapz(inner, dx=0.01)))
-    return _log_trapz(grid, dx=0.01)
-
-
 def bayes_factor(trace: GrowthTrace, model_a: str, model_b: str) -> float:
     """log10 Bayes factor of model_a over model_b on one trace."""
     model_a, model_b = model_a.lower(), model_b.lower()
-    _check_family(trace, model_a)
-    _check_family(trace, model_b)
-    grids = _model_grids(_stats_for(trace), [model_a, model_b])
-    za = _log_marginal(model_a, grids[model_a])
-    zb = _log_marginal(model_b, grids[model_b])
-    return (za - zb) / math.log(10.0)
+    z = _fit_models(trace, [model_a, model_b])[1]
+    return (z[model_a] - z[model_b]) / math.log(10.0)
 
 
 def select_model(
@@ -911,13 +883,7 @@ def select_model(
         raise ValueError("candidate list contains duplicates")
     if criterion not in ("bic", "aic"):
         raise ValueError(f"criterion must be 'bic' or 'aic', got {criterion!r}")
-    for c in candidates:
-        _check_family(trace, c)
-
-    stats = _stats_for(trace)
-    grids = _model_grids(stats, candidates)
-    fits = {c: _fit_from_grid(c, grids[c], stats, trace.order_assumed) for c in candidates}
-    marginals = {c: _log_marginal(c, grids[c]) for c in candidates}
+    fits, marginals = _fit_models(trace, candidates)
 
     ordered = sorted(candidates, key=lambda c: (_MODEL_K[c], c))
     comparisons = []
@@ -988,10 +954,7 @@ def replay_event_probabilities(
     """
     model = model.lower()
     _check_family(trace, model)
-    if model in ("pah", "patch", "dh", "dpah"):
-        h = _check_param("h", h)
-    if model == "patch":
-        p_tc = _check_param("p_tc", p_tc)
+    h, p_tc = _checked_params(model, h, p_tc)
     if trace.directed:
         rebuild_graph(trace)  # rejects repeated and out-of-range edges
         return _replay_vectors_directed(trace, model, h)

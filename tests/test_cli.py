@@ -403,6 +403,24 @@ def test_dpa_with_h_is_exit_1(tmp_path, capsys):
     assert run(*argv, "--out", str(tmp_path)) == 0
 
 
+def test_nan_mixing_cell_is_exit_1(tmp_path, capsys):
+    assert run(
+        "generate", "--model", "pah", "--n", "200", "--m", "2", "--fm", "0.3",
+        "--h00", "nan", "--h01", "0.5", "--h10", "0.5", "--h11", "0.5", "--out", str(tmp_path),
+    ) == 1
+    assert "mixing matrix entries must lie in [0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "run_edges.csv").exists()
+
+
+def test_nan_gamma_is_exit_1(tmp_path, capsys):
+    assert run(
+        "generate", "--model", "dpa", "--n", "200", "--d", "0.02", "--fm", "0.3",
+        "--gamma-a", "nan", "--out", str(tmp_path),
+    ) == 1
+    assert "gamma_a must be > 1, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "run_edges.csv").exists()
+
+
 def test_h_conflicts_with_mixing_cells(tmp_path):
     assert run(
         "generate", "--model", "pah", "--n", "100", "--m", "1", "--fm", "0.3",

@@ -277,6 +277,13 @@ def test_activity_minimum_is_one():
 def test_activity_rejects_gamma_at_or_below_one():
     with pytest.raises(ValueError):
         activity_from_uniform(0.5, 1.0)
+    with pytest.raises(ValueError, match="gamma_a must be > 1, got nan"):
+        activity_from_uniform(0.5, float("nan"))
+
+
+def test_gen_directed_rejects_nan_gamma():
+    with pytest.raises(ValueError, match="gamma_a must be > 1, got nan"):
+        gen_directed("dpa", 200, 0.02, 0.3, None, gamma_a=float("nan"), seed=1)
 
 
 # -- params / dispatcher ---------------------------------------------------------

@@ -163,6 +163,8 @@ def test_mixing_matrix_validation():
         MixingMatrix(np.array([[1.2, 0.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
         MixingMatrix.symmetric(-0.1)
+    with pytest.raises(ValueError, match=r"mixing matrix entries must lie in \[0, 1\]"):
+        MixingMatrix(np.array([[np.nan, 0.5], [0.5, 0.5]]))
 
 
 def test_mixing_matrix_asymmetric_entries_kept():

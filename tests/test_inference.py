@@ -367,6 +367,22 @@ def test_bayes_factor_antisymmetric_and_directional():
     assert bayes_factor(trace, "pa", "pah") == pytest.approx(-bf, abs=1e-9)
 
 
+@pytest.mark.parametrize("make, models", [
+    (lambda: gen_patch(400, 2, 0.3, 0.7, 0.5, seed=3), ["pa", "pah", "patch"]),
+    (lambda: gen_directed("dpah", 300, 0.03, 0.3, 0.6, seed=4), ["dpa", "dh", "dpah"]),
+], ids=["undirected", "directed"])
+def test_fit_bayes_factor_and_selection_agree(make, models):
+    # fit_model, bayes_factor and select_model share one fit path
+    _, trace = make()
+    for model in models:
+        assert fit_model(trace, model) == select_model(trace, [model]).best
+    comparisons = select_model(trace, models).comparisons
+    assert len(comparisons) == 3
+    for c in comparisons:
+        assert bayes_factor(trace, c.model_a, c.model_b) == c.log10_bf
+        assert bayes_factor(trace, c.model_b, c.model_a) == -c.log10_bf
+
+
 def test_mle_recovers_grid_point_on_small_sample():
     _, trace = gen_pah(1200, 2, 0.3, 0.2, seed=10)
     fit = fit_model(trace, "pah")
@@ -522,14 +538,14 @@ def _bits(x):
 def _assert_pruned_grid_matches(stats, h_values):
     """Every computed cell has the full evaluation's bits; every skipped one cannot reach an output."""
     full = full_patch_grid(stats, h_values)
-    got = inference._loglik_grid_undirected(stats, "patch", h_values)
+    got = inference._loglik_grid(stats, "patch", h_values)
     kept = got > -np.inf
     assert np.array_equal(_bits(got[kept]), _bits(full[kept]))
     skipped = full[~kept]
     assert ((skipped == -np.inf) | (skipped < full.max() - 745.2)).all()
     assert inference._fit_from_grid("patch", got, stats, False) == inference._fit_from_grid(
         "patch", full, stats, False)
-    assert repr(inference._log_marginal("patch", got)) == repr(inference._log_marginal("patch", full))
+    assert repr(inference._log_marginal(got)) == repr(inference._log_marginal(full))
     return int(np.count_nonzero(~kept & (full > -np.inf)))
 
 
@@ -550,14 +566,14 @@ def test_pruned_patch_grid_matches_the_full_evaluation(name, narrow, monkeypatch
 
     got = (select_model(trace, ["pa", "pah", "patch"]), fit_model(trace, "patch"),
            bayes_factor(trace, "pah", "patch"))
-    grid = inference._loglik_grid_undirected
+    grid = inference._loglik_grid
 
-    def full_grid(stats, model, h_values, ptc_values=None, sums=None):
+    def full_grid(stats, model, h_values=H_GRID, ptc_values=PTC_GRID, sums=None):
         if model == "patch":
             return full_patch_grid(stats, h_values, ptc_values)
         return grid(stats, model, h_values, ptc_values, sums)
 
-    monkeypatch.setattr(inference, "_loglik_grid_undirected", full_grid)
+    monkeypatch.setattr(inference, "_loglik_grid", full_grid)
     want = (select_model(trace, ["pa", "pah", "patch"]), fit_model(trace, "patch"),
             bayes_factor(trace, "pah", "patch"))
     assert repr(got) == repr(want)
@@ -569,7 +585,7 @@ def test_pruned_patch_grid_with_an_underflowing_affinity():
     stats = inference._undirected_stats(trace)
     _assert_pruned_grid_matches(stats, np.array([5e-324, 1e-300, 0.3, 0.5]))
     for h_values, ptc_values in ((np.array([5e-324]), np.array([0.0])), (np.array([0.4]), np.array([0.7]))):
-        one = inference._loglik_grid_undirected(stats, "patch", h_values, ptc_values)
+        one = inference._loglik_grid(stats, "patch", h_values, ptc_values)
         full = full_patch_grid(stats, h_values, ptc_values)
         assert one.shape == (1, 1) and _bits(one) == _bits(full)
 
@@ -581,7 +597,7 @@ def test_patch_cells_have_the_same_bits_in_any_block_height(h):
     _, trace = gen_patch(500, 3, 0.3, 0.7, 0.5, seed=4)
     stats = inference._undirected_stats(trace)
     h_values = np.array([h])
-    sums = inference._aff_sums(stats, h_values, patch=True)
+    sums = inference._aff_sums(stats, h_values)
     cells = inference._PatchCells(stats, h_values, PTC_GRID, sums)
     assert cells.step >= PTC_GRID.size  # all 101 rows in one block
     whole = cells.cells(0, 0, PTC_GRID.size)
@@ -626,7 +642,7 @@ def test_affinity_kernel_has_the_reference_bits(name, rows_per_block, monkeypatc
             "dh": (None, stats.cnt_same, stats.cnt_diff),
             "dpah": (stats.ind1_t, stats.sum_same, stats.sum_diff),
         }[name]
-        kernel = inference._Affinity(stats.same, weight, den_same, den_diff, -np.inf, False)
+        kernel = inference._Affinity(stats.same, weight, den_same, den_diff, -np.inf)
         want = reference_affinity_logp(_KERNEL_H, stats.same, weight, den_same, den_diff, -np.inf, False)
         assert kernel.weights.size == (1 if weight is None else np.unique(weight).size)
         assert (want[0] == -np.inf).any() and np.isfinite(want[50]).all()  # the -inf fill at h = 0
