@@ -24,6 +24,7 @@ within 1e-12; ``--seeds`` additionally accepts a comma list.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -104,12 +105,16 @@ def _parse_scalar(raw: str, kind: str):
 
 
 def _parse_range(raw: str, kind: str) -> list:
-    """Parse ``start:stop:step`` (inclusive) or a comma list or a scalar."""
-    if ":" in raw:
-        parts = raw.split(":")
-        if len(parts) != 3:
-            raise _UsageError(f"range must be start:stop:step, got {raw!r}")
-        start, stop, step = (float(_parse_scalar(p, "float")) for p in parts)
+    """Parse ``start:stop:step`` (inclusive) or a comma list or a scalar, all finite."""
+    ranged = ":" in raw
+    parts = raw.split(":" if ranged else ",")
+    if ranged and len(parts) != 3:
+        raise _UsageError(f"range must be start:stop:step, got {raw!r}")
+    values = [_parse_scalar(p, "float") for p in parts]
+    if not all(map(math.isfinite, values)):
+        raise _UsageError(f"expected finite numbers, got {raw!r}")
+    if ranged:
+        start, stop, step = values
         if step <= 0:
             raise _UsageError(f"range step must be positive, got {raw!r}")
         values = []
@@ -122,10 +127,6 @@ def _parse_range(raw: str, kind: str) -> list:
             i += 1
         if not values:
             raise _UsageError(f"range {raw!r} is empty")
-    elif "," in raw:
-        values = [float(_parse_scalar(p, "float")) for p in raw.split(",")]
-    else:
-        values = [float(_parse_scalar(raw, "float"))]
     if kind == "int":
         out = []
         for v in values:
@@ -279,7 +280,8 @@ def _require(cfg, *names):
             raise _UsageError(f"missing required option --{name.replace('_', '-')}")
 
 
-def _mixing_from_cfg(cfg) -> MixingMatrix | None:
+def _mixing_from_cfg(cfg) -> MixingMatrix | float | None:
+    """The four ``--hXY`` cells as one matrix, else ``--h`` as given."""
     cells = [cfg.get(k) for k in ("h00", "h01", "h10", "h11")]
     have_cells = [c is not None for c in cells]
     if any(have_cells):
@@ -288,9 +290,15 @@ def _mixing_from_cfg(cfg) -> MixingMatrix | None:
         if cfg.get("h") is not None:
             raise _UsageError("--h conflicts with explicit --h00..--h11 entries")
         return MixingMatrix(np.array(cells, dtype=np.float64).reshape(2, 2))
-    if cfg.get("h") is not None:
-        return MixingMatrix.symmetric(cfg["h"])
-    return None
+    return cfg["h"]
+
+
+def _gen_params(values: dict) -> GenParams:
+    """The generator parameters of one run from its flag values; ``h`` may be a matrix."""
+    return GenParams(
+        model=values["model"], n=values["n"], seed=values["seed"], m=values["m"], f_m=values["fm"],
+        H=values["h"], p_tc=values["ptc"], d=values["d"], gamma_a=values["gamma_a"],
+    )
 
 
 def _load_network(cfg):
@@ -311,12 +319,7 @@ def _load_trace(cfg, g):
 def _cmd_generate(args) -> int:
     cfg = _resolve(args, "generate")
     _require(cfg, "model", "n")
-    params = GenParams(
-        model=cfg["model"], n=cfg["n"], seed=cfg["seed"], m=cfg["m"],
-        f_m=cfg["fm"], H=_mixing_from_cfg(cfg), p_tc=cfg["ptc"],
-        d=cfg["d"], gamma_a=cfg["gamma_a"],
-    )
-    g, trace = generate(params)
+    g, trace = generate(_gen_params(dict(cfg, h=_mixing_from_cfg(cfg))))
     prefix = _out_prefix(cfg)
     write_network(g, prefix)
     write_trace(trace, prefix.parent / (prefix.name + "_trace.csv"))
@@ -486,7 +489,6 @@ def _cmd_sweep(args) -> int:
     _require(cfg, "model", "n")
     if cfg["workers"] < 1:
         raise _UsageError(f"--workers must be >= 1, got {cfg['workers']}")
-    model = cfg["model"]
     varied = [p for p in _SWEEP_PARAM_ORDER if isinstance(cfg[p], list) and len(cfg[p]) > 1]
     axes = {p: cfg[p] if isinstance(cfg[p], list) else [cfg[p]] for p in _SWEEP_PARAM_ORDER}
 
@@ -497,18 +499,8 @@ def _cmd_sweep(args) -> int:
     jobs = []
     for cell in cells:
         for seed in cfg["seeds"]:
-            params = GenParams(
-                model=model,
-                n=int(cell["n"]) if cell["n"] is not None else None,
-                seed=int(seed),
-                m=int(cell["m"]) if cell["m"] is not None else None,
-                f_m=cell["fm"],
-                H=None if cell["h"] is None else MixingMatrix.symmetric(cell["h"]),
-                p_tc=cell["ptc"],
-                d=cell["d"],
-                gamma_a=cell["gamma_a"],
-            )
-            params.validate()
+            params = _gen_params(dict(cell, model=cfg["model"], seed=seed))
+            params.validate()  # a bad cell fails before any job runs
             jobs.append((cell, params))
 
     workers = min(cfg["workers"], os.cpu_count() or 1, len(jobs))

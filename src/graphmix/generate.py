@@ -120,11 +120,27 @@ class GrowthTrace:
         return self.sources.size
 
 
+# The parameters each model reads besides n and seed: the only model -> parameter table.
+_MODEL_PARAMS = {
+    "pa": ("m",),
+    "pah": ("m", "f_m", "H"),
+    "patch": ("m", "f_m", "H", "p_tc"),
+    "dpa": ("d", "f_m", "gamma_a"),
+    "dh": ("d", "f_m", "H", "gamma_a"),
+    "dpah": ("d", "f_m", "H", "gamma_a"),
+}
+_PARAM_NOUNS = {"m": "m", "f_m": "minority fraction", "H": "mixing matrix",
+                "p_tc": "p_tc", "d": "density d", "gamma_a": "gamma_a"}
+
+
 @dataclass(frozen=True)
 class GenParams:
     """Full parameter record for any of the six models.
 
-    Parameters irrelevant to the chosen model may be left ``None``.
+    A model reads ``n``, ``seed`` and the parameters ``_MODEL_PARAMS`` lists
+    for it; the others stay ``None``.  The model name is lower-cased, a float
+    ``H`` stands for ``MixingMatrix.symmetric(H)``, and a directed model's
+    ``gamma_a`` defaults to 2.5.
     """
 
     model: str
@@ -132,47 +148,58 @@ class GenParams:
     seed: int = 0
     m: int | None = None
     f_m: float | None = None
-    H: MixingMatrix | None = None
+    H: MixingMatrix | float | None = None
     p_tc: float | None = None
     d: float | None = None
     gamma_a: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "model", self.model.lower())
+        if self.H is not None and not isinstance(self.H, MixingMatrix):
+            object.__setattr__(self, "H", MixingMatrix.symmetric(float(self.H)))
+        if self.gamma_a is None and "gamma_a" in _MODEL_PARAMS.get(self.model, ()):
+            object.__setattr__(self, "gamma_a", 2.5)
 
     def validate(self) -> None:
-        """Reject unknown models, missing parameters and out-of-range values.
+        """Reject an unknown model, a missing or unread parameter, and out-of-range values.
 
-        The range checks are the generators' own guards; ``f_m`` and the
-        entries of ``H`` are checked where labels and mixing matrices are
-        built.
+        The entries of ``H`` are checked where the mixing matrix is built.
         """
-        if self.model not in ALL_MODELS:
+        if self.model not in _MODEL_PARAMS:
             raise ValueError(f"unknown model {self.model!r}; expected one of {ALL_MODELS}")
-        if self.model in UNDIRECTED_MODELS:
-            _check_growth_args(self.model, self.n, self.m, self.p_tc)
-            if self.model in ("pah", "patch") and (self.f_m is None or self.H is None):
-                raise ValueError(f"model {self.model} requires f_m and H")
-        else:
-            _check_directed_args(self.n, self.d, self.gamma_a)
-            if self.f_m is None:
-                raise ValueError(f"model {self.model} requires f_m")
-            if self.model in ("dh", "dpah") and self.H is None:
-                raise ValueError(f"model {self.model} requires H")
+        reads = _MODEL_PARAMS[self.model]
+        for name, noun in _PARAM_NOUNS.items():
+            if name in reads and getattr(self, name) is None:
+                raise ValueError(f"model {self.model} requires {noun}")
+            if name not in reads and getattr(self, name) is not None:
+                raise ValueError(f"model {self.model} takes no {noun}")
+        n = self.n
+        if n is None or not n >= 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        if self.m is not None and not 1 <= self.m < n:
+            raise ValueError(f"need 1 <= m < n for model {self.model}, got m={self.m}")
+        if self.f_m is not None and not 0.0 <= self.f_m <= 0.5:
+            raise ValueError(f"minority fraction must lie in [0, 0.5], got {self.f_m}")
+        if self.p_tc is not None and not 0.0 <= self.p_tc <= 1.0:
+            raise ValueError(f"p_tc must lie in [0, 1], got {self.p_tc}")
+        if self.d is not None and not 0.0 < self.d <= 1.0:
+            raise ValueError(f"density d must lie in (0, 1], got {self.d}")
+        if self.d is not None and round(self.d * n * (n - 1)) < 1:
+            raise ValueError("density target round(d*n*(n-1)) must be >= 1")
+        if self.gamma_a is not None and not self.gamma_a > 1.0:  # NaN included
+            raise ValueError(f"gamma_a must be > 1, got {self.gamma_a}")
 
 
 def generate(params: GenParams) -> tuple[AttributedGraph, GrowthTrace]:
-    """Dispatch to the generator named by ``params.model``."""
+    """Validate ``params`` once, then grow its network; every ``gen_*`` function runs through here."""
     params.validate()
-    model = params.model
-    if model == "pa":
-        return gen_pa(params.n, params.m, params.seed)
-    if model == "pah":
-        return gen_pah(params.n, params.m, params.f_m, params.H, params.seed)
-    if model == "patch":
-        return gen_patch(params.n, params.m, params.f_m, params.H, params.p_tc, params.seed)
-    gamma_a = 2.5 if params.gamma_a is None else params.gamma_a
-    return gen_directed(model, params.n, params.d, params.f_m, params.H, gamma_a, params.seed)
+    rng = make_rng(params.seed)
+    if params.model == "pa":
+        return _grow(np.zeros(params.n, dtype=np.int8), params.m, None, None, rng)
+    labels = assign_classes(params.n, params.f_m, rng)
+    if params.model in UNDIRECTED_MODELS:
+        return _grow(labels, params.m, params.H, params.p_tc, rng)
+    return _place_directed(params, labels, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -197,21 +224,14 @@ def sample_activity(n: int, gamma_a: float, rng: np.random.Generator) -> np.ndar
 
 def gen_pa(n: int, m: int, seed: int) -> tuple[AttributedGraph, GrowthTrace]:
     """Preferential-attachment growth; all nodes carry the majority label."""
-    _check_growth_args("pa", n, m)
-    rng = make_rng(seed)
-    labels = np.zeros(n, dtype=np.int8)
-    return _grow(labels, m, None, None, rng)
+    return generate(GenParams("pa", n, seed, m=m))
 
 
 def gen_pah(
     n: int, m: int, f_m: float, H: MixingMatrix | float, seed: int
 ) -> tuple[AttributedGraph, GrowthTrace]:
     """Preferential attachment with class-affinity (homophily) weighting."""
-    _check_growth_args("pah", n, m)
-    H = _as_mixing(H)
-    rng = make_rng(seed)
-    labels = assign_classes(n, f_m, rng)
-    return _grow(labels, m, H, None, rng)
+    return generate(GenParams("pah", n, seed, m=m, f_m=f_m, H=H))
 
 
 def gen_patch(
@@ -226,27 +246,7 @@ def gen_patch(
     affinity-weighted pick.  ``p_tc`` values of exactly 0 or 1 skip the
     branch draw, so ``p_tc=0`` reproduces ``gen_pah`` draw-for-draw.
     """
-    _check_growth_args("patch", n, m, p_tc)
-    H = _as_mixing(H)
-    rng = make_rng(seed)
-    labels = assign_classes(n, f_m, rng)
-    return _grow(labels, m, H, p_tc, rng)
-
-
-def _check_growth_args(model: str, n: int, m: int | None, p_tc: float | None = None) -> None:
-    """Range checks of the undirected family (``p_tc`` only for ``patch``)."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if m is None or not 1 <= m < n:
-        raise ValueError(f"need 1 <= m < n for model {model}, got m={m}")
-    if model == "patch" and (p_tc is None or not 0.0 <= p_tc <= 1.0):
-        raise ValueError(f"p_tc must lie in [0, 1], got {p_tc}")
-
-
-def _as_mixing(H: MixingMatrix | float) -> MixingMatrix:
-    if isinstance(H, MixingMatrix):
-        return H
-    return MixingMatrix.symmetric(float(H))
+    return generate(GenParams("patch", n, seed, m=m, f_m=f_m, H=H, p_tc=p_tc))
 
 
 def _endpoint_pick(
@@ -436,21 +436,18 @@ def gen_directed(
     has some when its affinity is positive and it has a member that is
     neither s nor an out-neighbour of s.
     """
-    model = model.lower()
-    if model not in DIRECTED_MODELS:
+    if model.lower() not in DIRECTED_MODELS:
         raise ValueError(f"model must be one of {DIRECTED_MODELS}, got {model!r}")
-    _check_directed_args(n, d, gamma_a)
-    target_edges = round(d * n * (n - 1))
-    if model in ("dh", "dpah"):
-        if H is None:
-            raise ValueError(f"model {model} requires a mixing matrix")
-        H = _as_mixing(H)
-    elif H is not None:
-        raise ValueError(f"model {model} takes no mixing matrix")
+    return generate(GenParams(model, n, seed, f_m=f_m, H=H, d=d, gamma_a=gamma_a))
 
-    rng = make_rng(seed)
-    labels = assign_classes(n, f_m, rng)
-    activity = sample_activity(n, gamma_a, rng)
+
+def _place_directed(
+    params: GenParams, labels: np.ndarray, rng: np.random.Generator
+) -> tuple[AttributedGraph, GrowthTrace]:
+    """The edge placement loop of :func:`gen_directed`; gives up the generator ``rng``."""
+    model, n, H = params.model, params.n, params.H
+    target_edges = round(params.d * n * (n - 1))
+    activity = sample_activity(n, params.gamma_a, rng)
     activity_cum = np.cumsum(activity).tolist()
     rng = UniformStream(rng)
 
@@ -500,18 +497,6 @@ def gen_directed(
         kinds=np.full(len(srcs), int(EventKind.DIRECTED_PICK), dtype=np.int8),
     )
     return rebuild_graph(trace), trace
-
-
-def _check_directed_args(n: int, d: float | None, gamma_a: float | None) -> None:
-    """Range checks of the directed family; ``gamma_a=None`` stands for the default."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if d is None or not 0.0 < d <= 1.0:
-        raise ValueError(f"density d must lie in (0, 1], got {d}")
-    if round(d * n * (n - 1)) < 1:
-        raise ValueError("density target round(d*n*(n-1)) must be >= 1")
-    if gamma_a is not None and not gamma_a > 1.0:  # NaN included
-        raise ValueError(f"gamma_a must be > 1, got {gamma_a}")
 
 
 # ---------------------------------------------------------------------------

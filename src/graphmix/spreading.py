@@ -67,11 +67,6 @@ class CascadeTrace:
     def n_steps(self) -> int:
         return self.class_fractions.shape[0] - 1
 
-    def overall_fractions(self) -> np.ndarray:
-        n0, n1 = self.class_counts
-        n = n0 + n1
-        return (self.class_fractions[:, 0] * n0 + self.class_fractions[:, 1] * n1) / n
-
 
 @dataclass(frozen=True)
 class EqualityReport:

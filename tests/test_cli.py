@@ -263,7 +263,7 @@ def test_spread_tables_match_a_row_writer_on_a_long_cascade(tmp_path):
     fr = trace.class_fractions
     series = table(
         "t,frac_class0,frac_class1,frac_all",
-        [[t, float(a), float(b), float(c)] for t, (a, b, c) in enumerate(zip(fr[:, 0], fr[:, 1], trace.overall_fractions()))],
+        [[t, float(a), float(b), float(c)] for t, (a, b, c) in enumerate(zip(fr[:, 0], fr[:, 1], report.overall))],
     )
     equality = table("t,equality", [[t, float(e)] for t, e in enumerate(report.equality)])
     written = (tmp_path / "ring_series.csv").read_bytes().split(b"\n")
@@ -359,6 +359,24 @@ def test_sweep_bad_range_is_usage_error(tmp_path):
         "--out", str(tmp_path), "--prefix", "sw",
     ) == 1
 
+
+
+@pytest.mark.parametrize("flag,value", [("--h", "0.1:nan:0.1"), ("--seeds", "0:inf:1"), ("--n", "inf")])
+def test_sweep_non_finite_value_is_usage_error(tmp_path, capsys, flag, value):
+    # the two ranges once grew without bound; --n inf raised OverflowError
+    assert run(
+        "sweep", "--model", "pah", "--n", "50", "--m", "1", "--fm", "0.3", "--h", "0.5", flag, value,
+        "--out", str(tmp_path), "--prefix", "sw",
+    ) == 1
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "sw_config.txt").exists()
+
+
+@pytest.mark.parametrize("argv", [("generate", "--n", "100", "--m", "2"), ("sweep", "--n", "50", "--m", "1")])
+def test_flag_the_model_does_not_read_is_exit_1(tmp_path, capsys, argv):
+    assert run(*argv, "--model", "pa", "--fm", "0.3", "--out", str(tmp_path), "--prefix", "x") == 1
+    assert "model pa takes no minority fraction" in capsys.readouterr().err
+    assert not (tmp_path / "x_config.txt").exists()
 
 # -- config files and precedence -------------------------------------------------------
 

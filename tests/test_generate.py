@@ -311,3 +311,40 @@ def test_genparams_validation_messages():
 
 def test_genparams_model_case_insensitive():
     assert GenParams(model="PA", n=10, m=1).model == "pa"
+
+
+# what each model reads besides n and seed (the README model table), and a
+# valid value of every such parameter
+MODEL_READS = {
+    "pa": {"m"},
+    "pah": {"m", "f_m", "H"},
+    "patch": {"m", "f_m", "H", "p_tc"},
+    "dpa": {"d", "f_m", "gamma_a"},
+    "dh": {"d", "f_m", "H", "gamma_a"},
+    "dpah": {"d", "f_m", "H", "gamma_a"},
+}
+VALID_VALUES = {"m": 2, "f_m": 0.3, "H": 0.8, "p_tc": 0.5, "d": 0.05, "gamma_a": 3.0}
+
+
+@pytest.mark.parametrize("param", sorted(VALID_VALUES))
+@pytest.mark.parametrize("model", sorted(MODEL_READS))
+def test_genparams_rejects_missing_and_unread_parameters(model, param):
+    reads = {name: VALID_VALUES[name] for name in MODEL_READS[model]}
+    GenParams(model=model, n=40, **reads).validate()
+    if param not in MODEL_READS[model]:
+        with pytest.raises(ValueError, match=f"model {model} takes no "):
+            GenParams(model=model, n=40, **reads, **{param: VALID_VALUES[param]}).validate()
+    elif param == "gamma_a":
+        del reads[param]
+        assert GenParams(model=model, n=40, **reads).gamma_a == 2.5
+    else:
+        del reads[param]
+        with pytest.raises(ValueError, match=f"model {model} requires "):
+            GenParams(model=model, n=40, **reads).validate()
+
+
+def test_missing_minority_fraction_is_a_value_error():
+    with pytest.raises(ValueError, match="model pah requires minority fraction"):
+        gen_pah(50, 2, None, 0.8, 1)
+    with pytest.raises(ValueError, match="model patch requires p_tc"):
+        gen_patch(50, 2, 0.3, 0.8, None, 1)

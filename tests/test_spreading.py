@@ -99,7 +99,7 @@ def test_fraction_series_is_monotone_and_seeded_at_zero():
     assert np.all(
         (trace.activation_time[others] == -1) | (trace.activation_time[others] >= 1)
     )
-    overall = trace.overall_fractions()
+    overall = equality_report(trace, g.labels).overall
     assert overall.shape == (trace.n_steps + 1,)
     assert np.all((overall >= 0) & (overall <= 1))
 
