@@ -11,14 +11,20 @@ Seven subcommands tie the library into reproducible file-based runs:
 * ``sweep``     -- parameter-grid ensemble runs, tidy long-format output.
 
 Every subcommand accepts ``--config FILE`` with ``key=value`` lines
-mirroring its flags (flags given on the command line win) and writes the
-fully resolved configuration next to its outputs, so a run can be
-reproduced from the config copy alone.  Exit status: 0 on success, 1 on
-usage/config/input-format errors, 2 on runtime failures (directed-model
-saturation, filesystem errors).
+mirroring its flags (flags given on the command line win).  ``main`` is the
+one runner: it resolves the flags, calls the subcommand, which returns its
+outputs as ``(suffix, write)`` pairs, then makes ``--out`` and writes each
+output to ``<out>/<prefix><suffix>`` and the fully resolved configuration
+to ``<out>/<prefix>_config.txt`` last, so a run can be reproduced from the
+config copy alone.  A subcommand computes everything before anything is
+written: a run that fails leaves no file behind.  Exit status: 0 on
+success, 1 on usage/config/input-format errors, 2 on runtime failures
+(directed-model saturation, filesystem errors).
 
 Numeric sweep flags accept ``start:stop:step`` ranges, endpoints inclusive
-within 1e-12; ``--seeds`` additionally accepts a comma list.
+within 1e-12, or comma lists.  A sweep makes at most 100 000 runs (cells
+times seeds); a larger one is refused with exit 1, counted from the range
+bounds before a range is expanded or a run is built.
 """
 
 from __future__ import annotations
@@ -27,18 +33,13 @@ import argparse
 import math
 import os
 import sys
+from functools import partial
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .generate import (
-    ALL_MODELS,
-    DIRECTED_MODELS,
-    GenParams,
-    SaturationError,
-    UNDIRECTED_MODELS,
-    generate,
-)
+from .generate import ALL_MODELS, GenParams, SaturationError, generate
 from .graph import MixingMatrix
 from .inference import (
     fit_model,
@@ -47,7 +48,6 @@ from .inference import (
     trace_from_graph,
 )
 from .netio import (
-    NetworkFormatError,
     format_value,
     read_config,
     read_network,
@@ -56,7 +56,7 @@ from .netio import (
     write_network,
     write_trace,
 )
-from .ranking import rank_report, visibility
+from .ranking import rank_report
 from .rng import make_rng
 from .sampling import STRATEGIES, benchmark
 from .spreading import SEED_CONDITIONS, cascade, equality_report, seeding, threshold_cascade
@@ -75,14 +75,22 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _write_table(path: Path, header: str, rows: list[list]) -> None:
+# A subcommand's output: the runner calls ``write(<out>/<prefix><suffix>)``.
+Output = tuple[str, Callable[[Path], object]]
+
+
+def _write_table(header: str, rows: list[list], path: Path) -> None:
     lines = [header]
     for row in rows:
         lines.append(",".join("" if cell is None else format_value(cell) for cell in row))
     path.write_text("\n".join(lines) + "\n", newline="\n")
 
 
-def _write_series(path: Path, header: str, columns: list[np.ndarray]) -> None:
+def _table(suffix: str, header: str, rows: list[list]) -> Output:
+    return suffix, partial(_write_table, header, rows)
+
+
+def _write_series(header: str, columns: list[np.ndarray], path: Path) -> None:
     """``_write_table`` of rows ``t, columns[0][t], ...`` for float columns,
     built column by column: the same text as ``format_value`` per cell."""
     cells = [map(str, range(len(columns[0]))), *(map(float.__repr__, col.tolist()) for col in columns)]
@@ -104,8 +112,36 @@ def _parse_scalar(raw: str, kind: str):
     return raw
 
 
+# A sweep makes at most this many runs (cells times seeds).
+_MAX_SWEEP_RUNS = 100_000
+
+
+def _range_length(start: float, stop: float, step: float) -> int:
+    """How many values ``round(start + i*step, 12)``, i = 0, 1, ..., stay within ``stop + 1e-12``.
+
+    The values never decrease with i, so this is the first i past the stop,
+    found by doubling from the quotient and then bisecting, without listing
+    the values.  The count stops at about ``2**1000``: float rounding can
+    keep a range from ever passing its stop.
+    """
+
+    def past(i: int) -> bool:
+        return round(start + i * step, 12) > stop + 1e-12
+
+    lo, hi = -1, int(min(max((stop - start) / step, 0.0), 2.0**999)) + 1
+    while hi < 2**1000 and not past(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # past(hi) and not past(lo), where lo = -1 is before the first value
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if past(mid) else (mid, hi)
+    return hi
+
+
 def _parse_range(raw: str, kind: str) -> list:
-    """Parse ``start:stop:step`` (inclusive) or a comma list or a scalar, all finite."""
+    """Parse ``start:stop:step`` (inclusive) or a comma list or a scalar, all finite.
+
+    A range is counted before it is listed and refused past ``_MAX_SWEEP_RUNS`` values.
+    """
     ranged = ":" in raw
     parts = raw.split(":" if ranged else ",")
     if ranged and len(parts) != 3:
@@ -117,16 +153,12 @@ def _parse_range(raw: str, kind: str) -> list:
         start, stop, step = values
         if step <= 0:
             raise _UsageError(f"range step must be positive, got {raw!r}")
-        values = []
-        i = 0
-        while True:
-            v = round(start + i * step, 12)
-            if v > stop + 1e-12:
-                break
-            values.append(v)
-            i += 1
-        if not values:
+        count = _range_length(start, stop, step)
+        if not count:
             raise _UsageError(f"range {raw!r} is empty")
+        if count > _MAX_SWEEP_RUNS:
+            raise _UsageError(f"range {raw!r} has {count} values; a sweep makes at most {_MAX_SWEEP_RUNS} runs")
+        values = [round(start + i * step, 12) for i in range(count)]
     if kind == "int":
         out = []
         for v in values:
@@ -259,19 +291,8 @@ def _resolve(args, command: str) -> dict:
 
 
 def _config_record(command: str, cfg: dict) -> dict:
-    record = {"command": command}
-    for k, v in cfg.items():
-        if isinstance(v, list):
-            record[k] = ",".join(format_value(x) for x in v)
-        else:
-            record[k] = v
-    return record
-
-
-def _out_prefix(cfg) -> Path:
-    out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out / cfg["prefix"]
+    lists = {k: ",".join(map(format_value, v)) for k, v in cfg.items() if isinstance(v, list)}
+    return {"command": command, **cfg, **lists}
 
 
 def _require(cfg, *names):
@@ -313,107 +334,75 @@ def _load_trace(cfg, g):
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands: each maps its resolved config to its outputs and writes nothing
 # ---------------------------------------------------------------------------
 
-def _cmd_generate(args) -> int:
-    cfg = _resolve(args, "generate")
+def _cmd_generate(cfg) -> list[Output]:
     _require(cfg, "model", "n")
     g, trace = generate(_gen_params(dict(cfg, h=_mixing_from_cfg(cfg))))
-    prefix = _out_prefix(cfg)
-    write_network(g, prefix)
-    write_trace(trace, prefix.parent / (prefix.name + "_trace.csv"))
-    write_config(prefix.parent / (prefix.name + "_config.txt"), _config_record("generate", cfg))
-    return 0
+    return [("", partial(write_network, g)), ("_trace.csv", partial(write_trace, trace))]
 
 
-_SELECTION_HEADER = "model,h_hat,ptc_hat,logL,k,n_events,AIC,BIC,order_assumed"
+def _selection_table(fits) -> Output:
+    return _table(
+        "_selection.csv",
+        "model,h_hat,ptc_hat,logL,k,n_events,AIC,BIC,order_assumed",
+        [[f.model, f.h_hat, f.p_tc_hat, f.log_lik, f.k, f.n_events, f.aic, f.bic, f.order_assumed] for f in fits],
+    )
 
 
-def _selection_rows(fits) -> list[list]:
-    return [
-        [f.model, f.h_hat, f.p_tc_hat, f.log_lik, f.k, f.n_events, f.aic, f.bic, f.order_assumed]
-        for f in fits
-    ]
-
-
-def _cmd_fit(args) -> int:
-    cfg = _resolve(args, "fit")
+def _cmd_fit(cfg) -> list[Output]:
     _require(cfg, "model")
     g = _load_network(cfg)
-    trace = _load_trace(cfg, g)
-    fit = fit_model(trace, cfg["model"])
-    prefix = _out_prefix(cfg)
-    _write_table(prefix.parent / (prefix.name + "_selection.csv"), _SELECTION_HEADER, _selection_rows([fit]))
-    write_config(prefix.parent / (prefix.name + "_config.txt"), _config_record("fit", cfg))
-    return 0
+    return [_selection_table([fit_model(_load_trace(cfg, g), cfg["model"])])]
 
 
-def _cmd_select(args) -> int:
-    cfg = _resolve(args, "select")
+def _cmd_select(cfg) -> list[Output]:
     _require(cfg, "models")
     g = _load_network(cfg)
-    trace = _load_trace(cfg, g)
-    table = select_model(trace, cfg["models"].split(","), criterion=cfg["criterion"])
-    prefix = _out_prefix(cfg)
-    _write_table(
-        prefix.parent / (prefix.name + "_selection.csv"),
-        _SELECTION_HEADER,
-        _selection_rows(table.fits),
-    )
-    _write_table(
-        prefix.parent / (prefix.name + "_comparisons.csv"),
-        "model_a,model_b,log10_bf,lrt_stat,lrt_df,lrt_p",
-        [[c.model_a, c.model_b, c.log10_bf, c.lrt_stat, c.lrt_df, c.lrt_p] for c in table.comparisons],
-    )
-    write_config(prefix.parent / (prefix.name + "_config.txt"), _config_record("select", cfg))
-    return 0
-
-
-def _cmd_rank(args) -> int:
-    cfg = _resolve(args, "rank")
-    g = _load_network(cfg)
-    report = rank_report(g, cfg["metric"])
-    prefix = _out_prefix(cfg)
-    rows: list[list] = [
-        [int(k), float(frac)] for k, frac in zip(report.curve.ks, report.curve.fractions)
+    table = select_model(_load_trace(cfg, g), cfg["models"].split(","), criterion=cfg["criterion"])
+    return [
+        _selection_table(table.fits),
+        _table(
+            "_comparisons.csv",
+            "model_a,model_b,log10_bf,lrt_stat,lrt_df,lrt_p",
+            [[c.model_a, c.model_b, c.log10_bf, c.lrt_stat, c.lrt_df, c.lrt_p] for c in table.comparisons],
+        ),
     ]
-    rows.append(["gini", report.gini])
-    rows.append(["me", report.me])
-    _write_table(prefix.parent / (prefix.name + "_visibility.csv"), "k_percent,minority_fraction", rows)
-    write_config(prefix.parent / (prefix.name + "_config.txt"), _config_record("rank", cfg))
-    return 0
 
 
-def _cmd_sample(args) -> int:
-    cfg = _resolve(args, "sample")
+def _cmd_rank(cfg) -> list[Output]:
+    report = rank_report(_load_network(cfg), cfg["metric"])
+    rows: list[list] = [[int(k), float(frac)] for k, frac in zip(report.curve.ks, report.curve.fractions)]
+    rows += [["gini", report.gini], ["me", report.me]]
+    return [_table("_visibility.csv", "k_percent,minority_fraction", rows)]
+
+
+def _cmd_sample(cfg) -> list[Output]:
     _require(cfg, "budgets")
     g = _load_network(cfg)
-    strategies = cfg["strategies"].split(",")
     budgets = [int(_parse_scalar(b, "int")) for b in cfg["budgets"].split(",")]
-    report = benchmark(g, strategies, budgets, reps=cfg["reps"], seed=cfg["seed"])
-    prefix = _out_prefix(cfg)
-    _write_table(
-        prefix.parent / (prefix.name + "_bias.csv"),
-        "strategy,budget,reps,minority_bias,minority_bias_std,degree_bias,degree_bias_std,"
-        "population_fm,population_mean_degree",
-        [
-            [c.strategy, c.budget, c.reps, c.minority_bias, c.minority_bias_std,
-             c.degree_bias, c.degree_bias_std, report.f_m, report.mean_degree]
-            for c in report.cells
-        ],
-    )
-    _write_table(
-        prefix.parent / (prefix.name + "_bias_reps.csv"),
-        "strategy,budget,rep,minority_fraction,mean_degree",
-        [[r.strategy, r.budget, r.rep, r.minority_fraction, r.mean_degree] for r in report.records],
-    )
-    write_config(prefix.parent / (prefix.name + "_config.txt"), _config_record("sample", cfg))
-    return 0
+    report = benchmark(g, cfg["strategies"].split(","), budgets, reps=cfg["reps"], seed=cfg["seed"])
+    return [
+        _table(
+            "_bias.csv",
+            "strategy,budget,reps,minority_bias,minority_bias_std,degree_bias,degree_bias_std,"
+            "population_fm,population_mean_degree",
+            [
+                [c.strategy, c.budget, c.reps, c.minority_bias, c.minority_bias_std,
+                 c.degree_bias, c.degree_bias_std, report.f_m, report.mean_degree]
+                for c in report.cells
+            ],
+        ),
+        _table(
+            "_bias_reps.csv",
+            "strategy,budget,rep,minority_fraction,mean_degree",
+            [[r.strategy, r.budget, r.rep, r.minority_fraction, r.mean_degree] for r in report.records],
+        ),
+    ]
 
 
-def _cmd_spread(args) -> int:
-    cfg = _resolve(args, "spread")
+def _cmd_spread(cfg) -> list[Output]:
     g = _load_network(cfg)
     rng = make_rng(cfg["seed"])
     seeds = seeding(g, cfg["seed_condition"], cfg["seed_count"], rng)
@@ -426,27 +415,17 @@ def _cmd_spread(args) -> int:
     else:
         raise _UsageError(f"mode must be 'ic' or 'threshold', got {cfg['mode']!r}")
     report = equality_report(trace, g.labels)
-    prefix = _out_prefix(cfg)
-    _write_series(
-        prefix.parent / (prefix.name + "_series.csv"),
-        "t,frac_class0,frac_class1,frac_all",
-        [trace.class_fractions[:, 0], trace.class_fractions[:, 1], report.overall],
-    )
-    _write_series(
-        prefix.parent / (prefix.name + "_equality.csv"), "t,equality", [report.equality]
-    )
-    _write_table(
-        prefix.parent / (prefix.name + "_summary.csv"),
-        "key,value",
-        [
+    series = [trace.class_fractions[:, 0], trace.class_fractions[:, 1], report.overall]
+    return [
+        ("_series.csv", partial(_write_series, "t,frac_class0,frac_class1,frac_all", series)),
+        ("_equality.csv", partial(_write_series, "t,equality", [report.equality])),
+        _table("_summary.csv", "key,value", [
             ["efficiency", "never" if report.efficiency is None else report.efficiency],
             ["terminal_frac_class0", report.terminal_fractions[0]],
             ["terminal_frac_class1", report.terminal_fractions[1]],
             ["seeds", ";".join(str(s) for s in trace.seeds)],
-        ],
-    )
-    write_config(prefix.parent / (prefix.name + "_config.txt"), _config_record("spread", cfg))
-    return 0
+        ]),
+    ]
 
 
 # sweep ---------------------------------------------------------------------
@@ -458,24 +437,13 @@ def _sweep_cell_metrics(params: GenParams) -> list[tuple[str, float | None]]:
     g, _ = generate(params)
     metrics: list[tuple[str, float | None]] = [("edges", float(g.num_edges))]
     metrics.append(("homophily", homophily_estimate(g)))
-    report = None
     counts = g.class_counts()
     if counts[0] and counts[1]:
-        report = rank_report(g, "degree")
-        vis10 = float(report.curve.fractions[report.curve.ks.tolist().index(10)])
-        metrics += [
-            ("gini_degree", report.gini),
-            ("me_degree", report.me),
-            ("vis10_degree", vis10),
-        ]
-        if g.directed:
-            rep_in = rank_report(g, "indegree")
-            vis10_in = float(rep_in.curve.fractions[rep_in.curve.ks.tolist().index(10)])
-            metrics += [
-                ("gini_indegree", rep_in.gini),
-                ("me_indegree", rep_in.me),
-                ("vis10_indegree", vis10_in),
-            ]
+        for metric in ("degree", "indegree") if g.directed else ("degree",):
+            report = rank_report(g, metric)
+            vis10 = float(report.curve.fractions[report.curve.ks.tolist().index(10)])
+            metrics += [(f"gini_{metric}", report.gini), (f"me_{metric}", report.me),
+                        (f"vis10_{metric}", vis10)]
     return metrics
 
 
@@ -484,13 +452,15 @@ def _sweep_job(job):
     return cell, params.seed, _sweep_cell_metrics(params)
 
 
-def _cmd_sweep(args) -> int:
-    cfg = _resolve(args, "sweep")
+def _cmd_sweep(cfg) -> list[Output]:
     _require(cfg, "model", "n")
     if cfg["workers"] < 1:
         raise _UsageError(f"--workers must be >= 1, got {cfg['workers']}")
     varied = [p for p in _SWEEP_PARAM_ORDER if isinstance(cfg[p], list) and len(cfg[p]) > 1]
     axes = {p: cfg[p] if isinstance(cfg[p], list) else [cfg[p]] for p in _SWEEP_PARAM_ORDER}
+    runs = math.prod(map(len, axes.values())) * len(cfg["seeds"])
+    if runs > _MAX_SWEEP_RUNS:
+        raise _UsageError(f"sweep of {runs} runs; a sweep makes at most {_MAX_SWEEP_RUNS} runs")
 
     cells: list[dict] = [{}]
     for p in _SWEEP_PARAM_ORDER:
@@ -518,10 +488,7 @@ def _cmd_sweep(args) -> int:
         lead = [cell[p] for p in varied]
         for name, value in metrics:
             rows.append(lead + [seed, name, value])
-    prefix = _out_prefix(cfg)
-    _write_table(prefix.parent / (prefix.name + "_sweep.csv"), header, rows)
-    write_config(prefix.parent / (prefix.name + "_config.txt"), _config_record("sweep", cfg))
-    return 0
+    return [_table("_sweep.csv", header, rows)]
 
 
 _COMMANDS = {
@@ -536,22 +503,24 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one subcommand: resolve, compute, then make ``--out`` and write its outputs and config."""
     try:
-        args = parser.parse_args(argv)
-        return _COMMANDS[args.command](args)
-    except _UsageError as exc:
+        args = build_parser().parse_args(argv)
+        cfg = _resolve(args, args.command)
+        outputs = _COMMANDS[args.command](cfg)
+        outputs.append(("_config.txt", partial(write_config, values=_config_record(args.command, cfg))))
+        out = Path(cfg["out"])
+        out.mkdir(parents=True, exist_ok=True)
+        base = out / cfg["prefix"]  # split as write_network splits its prefix, so all outputs sit together
+        for suffix, write in outputs:
+            write(base.parent / (base.name + suffix))
+    except (_UsageError, ValueError) as exc:  # a NetworkFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (NetworkFormatError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SaturationError as exc:
+    except (SaturationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    return 0
 
 
 if __name__ == "__main__":

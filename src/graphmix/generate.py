@@ -26,6 +26,7 @@ from __future__ import annotations
 from collections.abc import Container, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
+from numbers import Integral
 
 import numpy as np
 
@@ -161,7 +162,8 @@ class GenParams:
             object.__setattr__(self, "gamma_a", 2.5)
 
     def validate(self) -> None:
-        """Reject an unknown model, a missing or unread parameter, and out-of-range values.
+        """Reject an unknown model, a missing or unread parameter, a size that is not an
+        integer (``bool`` included), and out-of-range values.
 
         The entries of ``H`` are checked where the mixing matrix is built.
         """
@@ -173,6 +175,10 @@ class GenParams:
                 raise ValueError(f"model {self.model} requires {noun}")
             if name not in reads and getattr(self, name) is not None:
                 raise ValueError(f"model {self.model} takes no {noun}")
+        for name in ("n", "m"):
+            value = getattr(self, name)
+            if value is not None and (isinstance(value, bool) or not isinstance(value, Integral)):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         n = self.n
         if n is None or not n >= 1:
             raise ValueError(f"n must be >= 1, got {n}")

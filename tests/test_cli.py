@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 import graphmix
+from graphmix import cli
 from graphmix.cli import main
+from graphmix.generate import gen_directed, gen_pa
 from graphmix.graph import AttributedGraph
 from graphmix.netio import format_value, read_config, write_network
 from graphmix.spreading import equality_report, threshold_cascade
@@ -378,6 +380,64 @@ def test_flag_the_model_does_not_read_is_exit_1(tmp_path, capsys, argv):
     assert "model pa takes no minority fraction" in capsys.readouterr().err
     assert not (tmp_path / "x_config.txt").exists()
 
+
+def _reference_range(start, stop, step):
+    """The range expansion as a plain loop: the values an accepted range must keep."""
+    values, i = [], 0
+    while (v := round(start + i * step, 12)) <= stop + 1e-12:
+        values.append(v)
+        i += 1
+    return values
+
+
+@pytest.mark.parametrize(
+    "raw", ["0:1:0.1", "0.1:0.9:0.1", "0:1:0.25", "-0.5:0.5:0.05", "0:1:0.3333333333333333",
+            "0.3:0.3:0.1", "1e-13:0:1", "0:1e-12:1e-13", "3:99999:1", "1e20:1e20:1"],
+)
+def test_accepted_range_keeps_the_loop_values(raw):
+    start, stop, step = map(float, raw.split(":"))
+    assert cli._parse_range(raw, "float") == _reference_range(start, stop, step)
+
+
+@pytest.mark.parametrize("seeds,count", [("0:3e6:1", "3000001"), ("0:1e9:1", "1000000001")])
+def test_sweep_range_past_the_run_cap_is_exit_1(tmp_path, capsys, seeds, count):
+    # the range is counted from its bounds, so neither is listed before the refusal
+    assert run(
+        "sweep", "--model", "pa", "--n", "50", "--m", "1", "--seeds", seeds,
+        "--out", str(tmp_path / "out"), "--prefix", "sw",
+    ) == 1
+    err = capsys.readouterr().err
+    assert f"has {count} values" in err and "at most 100000 runs" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_run_cap_counts_cells_times_seeds(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "_MAX_SWEEP_RUNS", 6)
+    argv = ["sweep", "--model", "pa", "--n", "50,60", "--m", "1", "--out", str(tmp_path)]
+    assert run(*argv, "--seeds", "0:2:1", "--prefix", "six") == 0  # 2 cells x 3 seeds
+    assert run(*argv, "--seeds", "0:3:1", "--prefix", "eight") == 1
+    assert "sweep of 8 runs; a sweep makes at most 6 runs" in capsys.readouterr().err
+    assert run(*argv, "--seeds", "0:6:1", "--prefix", "seven") == 1
+    assert "range '0:6:1' has 7 values" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["six_config.txt", "six_sweep.csv"]
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_pa(10.0, 2, 0),
+        lambda: gen_pa(10, 2.0, 0),
+        lambda: gen_pa(True, 1, 0),
+        lambda: gen_directed("dpa", 20.0, 0.1, 0.3),
+    ],
+    ids=["float-n", "float-m", "bool-n", "directed-float-n"],
+)
+def test_library_size_that_is_not_an_integer_is_a_value_error(make):
+    # the CLI parses n and m as int; a library caller once got a TypeError from numpy
+    with pytest.raises(ValueError, match="must be an integer"):
+        make()
+
+
 # -- config files and precedence -------------------------------------------------------
 
 
@@ -475,6 +535,35 @@ def test_missing_output_dir_is_created(tmp_path):
         "--out", str(tmp_path / "fresh" / "nested"), "--prefix", "x",
     ) == 0
     assert (tmp_path / "fresh" / "nested" / "x_nodes.csv").is_file()
+
+
+# -- the runner writes only after the command has computed everything -------------------
+
+
+def _rejected_after_parsing(command, inp):
+    """argv of one command that parses but fails in its computation, with its exit code."""
+    u, d = str(inp / "u"), str(inp / "d")
+    return {
+        "generate": (["--model", "dh", "--n", "4", "--d", "1.0", "--fm", "0.5", "--h", "1.0"], 2),
+        "fit": (["--network", u, "--model", "nope"], 1),
+        "select": (["--network", u, "--trace", str(inp / "d_trace.csv"), "--models", "pa,pah"], 1),
+        "rank": (["--network", u, "--metric", "indegree"], 1),
+        "sample": (["--network", u, "--budgets", "5000"], 1),
+        "spread": (["--network", u, "--mode", "bogus"], 1),
+        "sweep": (["--model", "pa", "--n", "50", "--m", "1:60:1"], 1),
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["generate", "fit", "select", "rank", "sample", "spread", "sweep"])
+def test_failed_command_leaves_no_file_under_out(tmp_path, capsys, command):
+    inp = tmp_path / "in"
+    _generate(inp, "u", n="200")
+    _generate(inp, "d", n="200", seed="2")  # another network: its trace does not rebuild u
+    argv, status = _rejected_after_parsing(command, inp)
+    out = tmp_path / "out"
+    assert run(command, *argv, "--out", str(out), "--prefix", "x") == status
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- console entry point ---------------------------------------------------------------

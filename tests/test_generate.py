@@ -309,6 +309,13 @@ def test_genparams_validation_messages():
         GenParams(model="dpa", n=10, d=0.1, f_m=0.2, gamma_a=1.0).validate()
 
 
+def test_genparams_takes_numpy_integer_sizes():
+    # the integer check admits every Integral but bool, numpy's integers included
+    assert gen_pa(np.int64(40), np.int32(2), 3)[0] == gen_pa(40, 2, 3)[0]
+    with pytest.raises(ValueError, match="m must be an integer"):
+        GenParams(model="pa", n=40, m=np.float64(2.0)).validate()
+
+
 def test_genparams_model_case_insensitive():
     assert GenParams(model="PA", n=10, m=1).model == "pa"
 
