@@ -16,10 +16,11 @@ one runner: it resolves the flags, calls the subcommand, which returns its
 outputs as ``(suffix, write)`` pairs, then makes ``--out`` and writes each
 output to ``<out>/<prefix><suffix>`` and the fully resolved configuration
 to ``<out>/<prefix>_config.txt`` last, so a run can be reproduced from the
-config copy alone.  A subcommand computes everything before anything is
-written: a run that fails leaves no file behind.  Exit status: 0 on
-success, 1 on usage/config/input-format errors, 2 on runtime failures
-(directed-model saturation, filesystem errors).
+config copy alone.  ``--prefix`` is a file name: an empty one or one with a
+directory part is refused before any work.  A subcommand computes
+everything before anything is written: a run that fails leaves no file
+behind.  Exit status: 0 on success, 1 on usage/config/input-format errors,
+2 on runtime failures (directed-model saturation, filesystem errors).
 
 Numeric sweep flags accept ``start:stop:step`` ranges, endpoints inclusive
 within 1e-12, or comma lists.  A sweep makes at most 100 000 runs (cells
@@ -255,19 +256,29 @@ _HELP = {
 }
 
 
-def build_parser() -> _Parser:
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every subcommand; with ``command``, only that subcommand gets its flags.
+
+    Each flag costs a help formatter, so ``main`` builds the flags of the
+    subcommand named first on its command line alone.
+    """
     parser = _Parser(prog="graphmix", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for command, spec in _SPECS.items():
-        p = sub.add_parser(command)
-        p.add_argument("--config", help="key=value config file; flags override it")
-        for name, (kind, _default) in spec.items():
-            flag = "--" + name.replace("_", "-")
-            if kind == "flag":
-                p.add_argument(flag, action="store_const", const="true", help=_HELP.get(name))
-            else:
-                p.add_argument(flag, type=str, help=_HELP.get(name))
+    for name, spec in _SPECS.items():
+        p = sub.add_parser(name)
+        if command is None or command == name:
+            _add_flags(p, spec)
     return parser
+
+
+def _add_flags(p: _Parser, spec: dict[str, tuple[str, object]]) -> None:
+    p.add_argument("--config", help="key=value config file; flags override it")
+    for name, (kind, _default) in spec.items():
+        flag = "--" + name.replace("_", "-")
+        if kind == "flag":
+            p.add_argument(flag, action="store_const", const="true", help=_HELP.get(name))
+        else:
+            p.add_argument(flag, type=str, help=_HELP.get(name))
 
 
 def _resolve(args, command: str) -> dict:
@@ -504,16 +515,19 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     """Run one subcommand: resolve, compute, then make ``--out`` and write its outputs and config."""
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         cfg = _resolve(args, args.command)
+        prefix = cfg["prefix"]
+        if not prefix or Path(prefix).name != prefix:
+            raise _UsageError(f"--prefix must be a non-empty file name with no directory part, got {prefix!r}")
         outputs = _COMMANDS[args.command](cfg)
         outputs.append(("_config.txt", partial(write_config, values=_config_record(args.command, cfg))))
         out = Path(cfg["out"])
         out.mkdir(parents=True, exist_ok=True)
-        base = out / cfg["prefix"]  # split as write_network splits its prefix, so all outputs sit together
         for suffix, write in outputs:
-            write(base.parent / (base.name + suffix))
+            write(out / (prefix + suffix))
     except (_UsageError, ValueError) as exc:  # a NetworkFormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -27,6 +27,26 @@ class EdgeError(ValueError):
         super().__init__(f"edge {index}: {reason}")
 
 
+def _first_bad_edge(edges: np.ndarray, n: int, directed: bool) -> EdgeError:
+    """The :class:`EdgeError` of the first edge that is outside ``0..n-1``, a self-loop or a repeat."""
+    src, dst = edges[:, 0], edges[:, 1]
+    # undirected keys are interleaved, so that equal keys keep their edge order under a stable sort
+    keys = src * n + dst
+    if not directed:
+        keys = np.column_stack((keys, dst * n + src)).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    repeat = np.zeros(len(edges), dtype=bool)
+    repeat[order[1:][keys[1:] == keys[:-1]] // (1 if directed else 2)] = True
+    outside = ((edges < 0) | (edges >= n)).any(axis=1)
+    loop = src == dst
+    i = int(np.flatnonzero(outside | loop | repeat)[0])
+    u, v = edges[i].tolist()
+    if outside[i]:
+        return EdgeError(i, f"edge ({u},{v}) references a node outside 0..{n - 1}")
+    return EdgeError(i, f"self-loop ({u},{v})" if loop[i] else f"duplicate edge ({u},{v})")
+
+
 class AttributedGraph:
     """Simple graph with per-node binary class labels, frozen as a :class:`CSR`."""
 
@@ -43,30 +63,21 @@ class AttributedGraph:
         labels = np.asarray(labels, dtype=np.int8)
         if labels.size == 0:
             raise ValueError("label list must be non-empty")
-        if not np.isin(labels, (0, 1)).all():
+        if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be 0 (majority) or 1 (minority)")
         edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
         n = labels.size
         src, dst = edges[:, 0], edges[:, 1]
-        # row-major (row, column) keys; an undirected edge is stored in both
-        # rows, interleaved so that equal keys keep their edge order
-        keys = src * n + dst
+        # row-major (row, column) keys; an undirected edge is stored in both rows
+        keys = src * n + dst if directed else np.concatenate((src * n + dst, dst * n + src))
+        keys.sort()  # a stable argsort is needed only to name a repeat
+        outside = edges.size and (edges.min() < 0 or edges.max() >= n)
+        if outside or (src == dst).any() or (keys[1:] == keys[:-1]).any():
+            raise _first_bad_edge(edges, n, directed)
+        row_sizes = np.bincount(src, minlength=n)
         if not directed:
-            keys = np.column_stack((keys, dst * n + src)).ravel()
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        repeat = np.zeros(len(edges), dtype=bool)
-        repeat[order[1:][keys[1:] == keys[:-1]] // (1 if directed else 2)] = True
-        outside = ((edges < 0) | (edges >= n)).any(axis=1)
-        loop = src == dst
-        bad = np.flatnonzero(outside | loop | repeat)
-        if bad.size:
-            i = int(bad[0])
-            u, v = edges[i].tolist()
-            if outside[i]:
-                raise EdgeError(i, f"edge ({u},{v}) references a node outside 0..{n - 1}")
-            raise EdgeError(i, f"self-loop ({u},{v})" if loop[i] else f"duplicate edge ({u},{v})")
-        indptr = np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n)
+            row_sizes += np.bincount(dst, minlength=n)
+        indptr = np.concatenate(([0], row_sizes.cumsum()))
         indices = keys % n
         indptr.setflags(write=False)
         indices.setflags(write=False)

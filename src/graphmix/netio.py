@@ -13,18 +13,21 @@ newline, written deterministically:
 
 The node, edge and trace readers take one of two paths to the same
 result.  A file as graphmix writes it -- the expected header, then one or
-more LF-terminated rows of plain ASCII digits and commas (a trace's kind
-names aside), no blank line and no field of 19 or more digits -- is parsed
-by numpy's C parser.  Any other file goes to the line-naming reader, which
-splits and converts every field in Python and is the only code that words
-a format error.  On text that passes the guard, Python's ``int()`` and the
-C parser read the same numbers, so both paths accept exactly the same files
-and report exactly the same errors.
+more LF-terminated rows of the header's width, each field 1 to 18 ASCII
+digits (a trace's last field one of the kind names) -- is parsed by numpy
+in a few passes over its bytes.  Those passes find every separator and
+check the form: an empty or 19-digit field, a blank line, a missing final
+LF, a kind that is not a name or any other byte sends the file to the
+line-naming reader.  The values are built one digit column at a time, and
+each kind name is matched whole.  The line-naming reader splits and
+converts every field in Python and is the only code that words a format
+error.  On text of the plain form, Python's ``int()`` reads the same
+numbers, so both paths accept exactly the same files and report exactly
+the same errors.
 """
 
 from __future__ import annotations
 
-import io
 from pathlib import Path
 
 import numpy as np
@@ -59,7 +62,13 @@ def _err(path, lineno: int, msg: str) -> NetworkFormatError:
 
 
 def write_network(g: AttributedGraph, prefix: str | Path) -> tuple[Path, Path]:
-    """Write ``<prefix>_nodes.csv`` and ``<prefix>_edges.csv``; returns paths."""
+    """Write ``<prefix>_nodes.csv`` and ``<prefix>_edges.csv``; returns paths.
+
+    ``prefix`` is split into its directory and its last name, and the files
+    go in that directory: ``"out/run"`` writes ``out/run_nodes.csv``.  The
+    directory must exist.  pathlib drops an empty or ``.`` last part, so
+    ``"out/"`` and ``"out/."`` write ``out_nodes.csv`` beside ``out``.
+    """
     prefix = Path(prefix)
     nodes_path = prefix.parent / (prefix.name + "_nodes.csv")
     edges_path = prefix.parent / (prefix.name + "_edges.csv")
@@ -72,10 +81,20 @@ def write_network(g: AttributedGraph, prefix: str | Path) -> tuple[Path, Path]:
     return nodes_path, edges_path
 
 
-_PLAIN = b"0123456789,\n"
-_DIGITS_AS_ZERO = bytes.maketrans(b"123456789", b"000000000")
-_LONG_FIELD = b"0" * 19  # 18 digits always fit in int64
-_KIND_CODES = tuple((f",{name}\n".encode(), f",{kind:d}\n".encode()) for kind, name in EVENT_KIND_NAMES.items())
+_MAX_DIGITS = 18  # 18 digits always fit in int64
+
+
+def _name_words(name: str) -> tuple[list[int], np.ndarray]:
+    """``name`` plus its LF as little-endian 8-byte words: the offsets 0, 8, ... and one word ending at the LF.
+
+    Every event-kind name is at least 7 bytes, so its words lie inside it.
+    """
+    text = name.encode() + b"\n"
+    offsets = sorted({*range(0, len(text) - 8, 8), len(text) - 8})
+    return offsets, np.frombuffer(b"".join(text[o:o + 8] for o in offsets), dtype="<u8")
+
+
+_KIND_WORDS = tuple((int(kind), len(name), *_name_words(name)) for kind, name in EVENT_KIND_NAMES.items())
 
 
 def _read_table(path: Path, header: str, names: tuple[str, ...]) -> np.ndarray:
@@ -89,7 +108,7 @@ def _read_table(path: Path, header: str, names: tuple[str, ...]) -> np.ndarray:
 
 
 def _parse_plain(path: Path, header: str, names: tuple[str, ...]) -> np.ndarray | None:
-    """numpy's parse of a file in the form graphmix writes; None for any other file."""
+    """The numpy parse of a file in the form graphmix writes; None for any other file."""
     try:
         data = path.read_bytes()
     except OSError:
@@ -97,25 +116,61 @@ def _parse_plain(path: Path, header: str, names: tuple[str, ...]) -> np.ndarray 
     head = header.encode() + b"\n"
     if not data.startswith(head):
         return None
-    body = data[len(head):]
-    width = header.count(",") + 1
-    if width > len(names):
-        unnamed = body.count(b"\n")  # rows whose last field is not a kind name
-        for name, code in _KIND_CODES:
-            size = len(body)
-            body = body.replace(name, code)  # the names replaced, from the length it lost
-            unnamed -= (size - len(body)) // (len(name) - len(code))
-        if unnamed:
+    body = np.frombuffer(data, dtype=np.uint8, offset=len(head))
+    width, k = header.count(",") + 1, len(names)
+    # every byte below "-" must be a separator: width - 1 commas, then the LF that ends the row
+    ends = np.flatnonzero(body < ord("-"))
+    if not ends.size or ends.size % width or ends[-1] != body.size - 1:
+        return None
+    lengths = np.empty_like(ends)  # the bytes between a field's separator and the one before
+    lengths[0] = ends[0]
+    np.subtract(ends[1:], ends[:-1], out=lengths[1:])
+    lengths[1:] -= 1
+    ends, lengths = ends.reshape(-1, width), lengths.reshape(-1, width)
+    if (body[ends] != np.frombuffer(b"," * (width - 1) + b"\n", dtype=np.uint8)).any():
+        return None
+    named = 0  # bytes of kind names
+    if width > k:
+        codes = _kind_codes(body, ends[:, -1], lengths[:, -1])
+        if (codes < 0).any():
             return None
-    # loadtxt skips blank lines and warns on empty input; int() reads more than these bytes
-    if (not body.endswith(b"\n") or body.startswith(b"\n") or b"\n\n" in body
-            or body.translate(None, _PLAIN) or _LONG_FIELD in body.translate(_DIGITS_AS_ZERO)):
+        named = int(lengths[:, -1].sum())
+    # the separators and kind names are the only bytes that are not digits
+    if np.count_nonzero(body < ord("0")) + np.count_nonzero(body > ord("9")) != ends.size + named:
         return None
-    try:
-        table = np.loadtxt(io.StringIO(body.decode("ascii")), dtype=np.int64, delimiter=",", ndmin=2)
-    except ValueError:  # an empty field, or rows of different widths
+    lengths = np.ascontiguousarray(lengths[:, :k])
+    longest = int(lengths.max())
+    if lengths.min() < 1 or longest > _MAX_DIGITS:
         return None
-    return table if table.shape[1] == width else None
+    # right-aligned digit columns, most significant first; a field shorter than the column adds a 0
+    lengths = lengths.astype(np.uint8)
+    pos = ends[:, :k] - longest  # at least 1 - longest: a short first field reads the body's tail, masked out
+    del ends  # frees the separator positions before the column loop
+    values = np.zeros(pos.shape, dtype=np.int64)
+    digits = np.empty(pos.shape, dtype=np.uint8)
+    for column in range(longest, 0, -1):
+        np.take(body, pos, out=digits)
+        digits -= ord("0")
+        np.multiply(digits, lengths >= column, out=digits)
+        values *= 10
+        values += digits
+        pos += 1
+    return values if width == k else np.column_stack([values, codes])
+
+
+def _kind_codes(body: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Event-kind codes of the fields of ``body`` that end at ``ends``; -1 for a field that is no kind name."""
+    # every 8-byte window of the body, so that one gather compares 8 bytes of each field
+    words = np.ndarray((max(body.size - 7, 0),), dtype="<u8", buffer=body, strides=(1,))
+    codes = np.full(ends.size, -1, dtype=np.int64)
+    for code, size, offsets, want in _KIND_WORDS:
+        rows = np.flatnonzero(lengths == size)
+        starts = ends[rows] - size
+        match = np.ones(rows.size, dtype=bool)
+        for offset, word in zip(offsets, want):
+            match &= words[starts + offset] == word
+        codes[rows[match]] = code
+    return codes
 
 
 def _parse_lines(path: Path, header: str, names: tuple[str, ...]) -> np.ndarray:

@@ -22,6 +22,11 @@ return the same bits.
 earlier, slower forms of two samplers (swaps on a full index array, and a
 snowball that rebuilds its sorted re-seed pool from scratch); the library's
 samplers must draw the same indices and nodes.
+
+``stable_argsort_csr`` is the graph build by one stable argsort of the
+row-major edge keys, which names every repeat as it sorts; the constructor
+sorts without it and must give the same CSR bits and the same
+``EdgeError``.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from scipy.optimize import minimize_scalar
 from scipy.special import zeta
 
 from graphmix.generate import EventKind, GrowthTrace
-from graphmix.graph import AttributedGraph
+from graphmix.graph import AttributedGraph, EdgeError
 from graphmix.inference import _TINY, PTC_GRID, _block_rows
 from graphmix.rng import rand_below
 
@@ -297,6 +302,31 @@ def random_graph(n: int, directed: bool, p: float, rng: np.random.Generator) -> 
         if u != v and rng.random() < p
     ]
     return AttributedGraph(directed, labels, edges)
+
+
+def stable_argsort_csr(directed: bool, n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the graph on 0..n-1 with these (E, 2) edges, or the first bad edge's EdgeError."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
+    src, dst = edges[:, 0], edges[:, 1]
+    # row-major (row, column) keys; an undirected edge is stored in both
+    # rows, interleaved so that equal keys keep their edge order
+    keys = src * n + dst
+    if not directed:
+        keys = np.column_stack((keys, dst * n + src)).ravel()
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    repeat = np.zeros(len(edges), dtype=bool)
+    repeat[order[1:][keys[1:] == keys[:-1]] // (1 if directed else 2)] = True
+    outside = ((edges < 0) | (edges >= n)).any(axis=1)
+    loop = src == dst
+    bad = np.flatnonzero(outside | loop | repeat)
+    if bad.size:
+        i = int(bad[0])
+        u, v = edges[i].tolist()
+        if outside[i]:
+            raise EdgeError(i, f"edge ({u},{v}) references a node outside 0..{n - 1}")
+        raise EdgeError(i, f"self-loop ({u},{v})" if loop[i] else f"duplicate edge ({u},{v})")
+    return np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n), keys % n
 
 
 def adjacency_lists(g: AttributedGraph) -> list[list[int]]:

@@ -566,6 +566,52 @@ def test_failed_command_leaves_no_file_under_out(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("prefix", ["", "sub/x", ".", "x/"], ids=["empty", "nested", "dot", "trailing-slash"])
+def test_prefix_that_is_not_a_file_name_is_exit_1_before_any_work(tmp_path, capsys, monkeypatch, prefix):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "generate", lambda params: pytest.fail("the command ran"))
+    assert run("generate", "--model", "pa", "--n", "20", "--m", "1", "--out", "X", "--prefix", prefix) == 1
+    assert f"--prefix must be a non-empty file name with no directory part, got {prefix!r}" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_prefix_from_a_config_file_is_checked_too(tmp_path, capsys):
+    cfgfile = tmp_path / "gen.cfg"
+    cfgfile.write_text("model=pa\nn=20\nm=1\nprefix=sub/x\n")
+    assert run("generate", "--config", str(cfgfile), "--out", str(tmp_path / "out")) == 1
+    assert "got 'sub/x'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+# -- the parser --------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", list(cli._SPECS))
+def test_parser_of_one_command_reads_its_flags_as_the_full_parser_does(command):
+    argv = [command, "--config", "c.cfg"]
+    for i, (name, (kind, _default)) in enumerate(cli._SPECS[command].items()):
+        argv += [f"--{name.replace('_', '-')}"] + ([] if kind == "flag" else [f"v{i}"])
+    assert vars(cli.build_parser(command).parse_args(argv)) == vars(cli.build_parser().parse_args(argv))
+
+
+@pytest.mark.parametrize("command", list(cli._SPECS))
+def test_command_help_lists_every_flag(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(command, "--help")
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    for name in ["config", *cli._SPECS[command]]:
+        assert f"--{name.replace('_', '-')}" in text
+
+
+def test_top_level_help_lists_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run("--help")
+    assert exc.value.code == 0
+    text = capsys.readouterr().out
+    assert all(command in text for command in cli._SPECS) and len(cli._SPECS) == 7
+
+
 # -- console entry point ---------------------------------------------------------------
 
 

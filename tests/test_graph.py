@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from graphmix.graph import AttributedGraph, EdgeError, MixingMatrix, assign_classes
 from graphmix.rng import make_rng
 
+from helpers import stable_argsort_csr
+
 
 def test_undirected_edges_and_degrees():
     g = AttributedGraph(False, [0, 0, 1, 1], [(0, 1), (2, 0)])
@@ -144,6 +146,51 @@ def test_csr_matches_adjacency_sets(n, directed, p, seed):
     assert g.num_edges == len(edges)
     assert list(g.edges()) == sorted(edges)
     assert g == AttributedGraph(directed, labels, edges)
+
+
+@st.composite
+def _edge_arrays(draw):
+    """(directed, n, edges): a simple graph's edges, shuffled, then up to three faults of any kind."""
+    n = draw(st.integers(1, 12))
+    directed = draw(st.booleans())
+    pairs = [(u, v) for u in range(n) for v in range(n) if u != v and (directed or u < v)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = [(v, u) if not directed and draw(st.booleans()) else (u, v) for u, v in edges]
+    for _ in range(draw(st.integers(0, 3))):
+        fault = draw(st.sampled_from(["repeat", "reversed-repeat", "self-loop", "below-0", "at-n", "above-n"]))
+        if fault.endswith("repeat"):
+            if not edges:
+                continue
+            u, v = draw(st.sampled_from(edges))
+            edge = (v, u) if fault == "reversed-repeat" else (u, v)
+        elif fault == "self-loop":
+            u = draw(st.integers(0, n - 1))
+            edge = (u, u)
+        else:
+            bad = {"below-0": st.integers(-3, -1), "at-n": st.just(n), "above-n": st.integers(n + 1, n + 3)}[fault]
+            edge = (draw(st.integers(0, n - 1)), draw(bad))
+            edge = edge[::-1] if draw(st.booleans()) else edge
+        edges.insert(draw(st.integers(0, len(edges))), edge)
+    return directed, n, edges
+
+
+@given(_edge_arrays())
+@settings(max_examples=400, deadline=None)
+def test_csr_build_matches_the_stable_argsort_build(case):
+    directed, n, edges = case
+    try:
+        want = stable_argsort_csr(directed, n, edges)
+    except EdgeError as exc:
+        want = (exc.index, exc.reason)
+    try:
+        csr = AttributedGraph(directed, np.zeros(n, dtype=np.int8), edges).csr()
+        got = csr.indptr, csr.indices
+    except EdgeError as exc:
+        got = (exc.index, exc.reason)
+    if isinstance(want[0], int):
+        assert got == want
+    else:
+        assert all(a.dtype == b.dtype == np.int64 and np.array_equal(a, b) for a, b in zip(got, want))
 
 
 # -- mixing matrix -----------------------------------------------------------

@@ -202,7 +202,8 @@ def _table_text(draw, header):
     """A file in the plain form with up to two faults, each of which int() may or may not accept."""
     width = header.count(",") + 1
     kinds = header.endswith("kind")
-    plain = st.integers(0, 999).map(str)
+    # short ids, and any run of 1 to 18 digits, leading zeros included
+    plain = st.one_of(st.integers(0, 999).map(str), st.from_regex(r"[0-9]{1,18}", fullmatch=True))
     rows = draw(st.lists(st.lists(plain, min_size=width, max_size=width), max_size=5))
     if kinds:
         for row in rows:
@@ -278,6 +279,7 @@ def test_unplain_edge_files_take_the_line_reader(tmp_path, edges, want):
         ("source,target", "source,target\n0,1,2\n1,2,0\n"),  # every row too wide
         ("source,target,kind", "source,target,kind\n1,0,0\n"),  # a kind written as its code
         ("source,target,kind", "source,target,kind\n1,0,pah-pick\n2,0,3\n"),
+        ("source,target,kind", "source,target,kind\n1,0,tc-pic\n"),  # a kind name cut short
     ],
 )
 def test_near_plain_files_take_the_line_reader(tmp_path, header, text):
@@ -285,6 +287,27 @@ def test_near_plain_files_take_the_line_reader(tmp_path, header, text):
     path.write_bytes(text.encode())
     names = ("id", "class") if header == "id,class" else ("source", "target")
     assert _parse_plain(path, header, names) is None
+
+
+@pytest.mark.parametrize(
+    "header,text",
+    [
+        ("id,class", "id,class\n0,0\n"),  # one row
+        ("source,target", "source,target\n999999999999999999,123456789012345678\n"),  # 18 digits
+        ("source,target", "source,target\n007,000000000000000001\n0000,1\n"),  # leading zeros
+        ("source,target,kind", "source,target,kind\n3,0,pah-pick\n"),  # one row
+        ("source,target,kind",
+         "source,target,kind\n3,0,pah-pick\n4,3,tc-pick\n5,1,fallback-uniform\n6,2,directed-pick\n"),
+    ],
+    ids=["one-row", "18-digits", "leading-zeros", "one-trace-row", "every-kind"],
+)
+def test_plain_edge_cases_take_the_numpy_parse(tmp_path, header, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode())
+    names = ("id", "class") if header == "id,class" else ("source", "target")
+    fast = _parse_plain(path, header, names)
+    assert fast is not None and fast.dtype == np.int64
+    assert np.array_equal(fast, _parse_lines(path, header, names))
 
 
 def test_written_files_take_the_numpy_parse(tmp_path):
