@@ -5,6 +5,12 @@ undirected, with a binary class label per node: 0 is the majority class,
 1 the minority.  Node ids are dense integers ``0..n-1``.  A graph is an
 immutable value built once from an edge array, so it can be shared freely
 across ensemble workers.
+
+The frozen graph holds its labels and its :class:`CSR` (``indptr`` and
+``indices``).  The canonical edge arrays of :meth:`AttributedGraph.edge_arrays`
+are built from the CSR at the first call and kept, read-only, for every
+later call: 16 bytes per edge, or 8 when directed, whose targets are the
+CSR's ``indices``.
 """
 
 from __future__ import annotations
@@ -50,7 +56,7 @@ def _first_bad_edge(edges: np.ndarray, n: int, directed: bool) -> EdgeError:
 class AttributedGraph:
     """Simple graph with per-node binary class labels, frozen as a :class:`CSR`."""
 
-    __slots__ = ("directed", "_labels", "_csr")
+    __slots__ = ("directed", "_labels", "_csr", "_edges")
 
     def __init__(self, directed: bool, labels: Sequence[int], edges):
         """Build the graph from ``edges``, an (E, 2) array-like of (source, target) ids.
@@ -60,11 +66,15 @@ class AttributedGraph:
         ``0..n-1``, is a self-loop, or repeats an earlier edge in either
         orientation when undirected.
         """
-        labels = np.asarray(labels, dtype=np.int8)
+        labels = np.asarray(labels)
+        if labels.ndim != 1:
+            raise ValueError(f"labels must be one per node, a flat list; got shape {labels.shape}")
         if labels.size == 0:
             raise ValueError("label list must be non-empty")
+        # on the values as given: a cast first would wrap 256 to 0 and cut 0.5 to 0
         if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be 0 (majority) or 1 (minority)")
+        labels = labels.astype(np.int8, copy=False)
         edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
         n = labels.size
         src, dst = edges[:, 0], edges[:, 1]
@@ -84,6 +94,7 @@ class AttributedGraph:
         self.directed = bool(directed)
         self._labels = labels
         self._csr = CSR(indptr, indices)
+        self._edges: tuple[np.ndarray, np.ndarray] | None = None
 
     # -- basic accessors ----------------------------------------------------
 
@@ -120,17 +131,22 @@ class AttributedGraph:
         return self._csr
 
     def edge_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sources and targets of every edge in canonical sorted order.
+        """Sources and targets of every edge in canonical sorted order, read-only.
 
         Undirected edges appear once as (u, v) with u < v; rows are sorted
-        by source, then target.
+        by source, then target.  Built once per graph, at the first call.
         """
-        csr = self._csr
-        src = np.repeat(np.arange(self.n, dtype=np.int64), csr.out_degree())
-        if self.directed:
-            return src, csr.indices
-        keep = src < csr.indices
-        return src[keep], csr.indices[keep]
+        if self._edges is None:
+            csr = self._csr
+            src = np.repeat(np.arange(self.n, dtype=np.int64), csr.out_degree())
+            dst = csr.indices
+            if not self.directed:
+                keep = src < dst
+                src, dst = src[keep], dst[keep]
+            src.setflags(write=False)
+            dst.setflags(write=False)
+            self._edges = (src, dst)
+        return self._edges
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges in canonical sorted order: (u, v) with u < v when undirected."""

@@ -22,6 +22,7 @@ __all__ = [
     "RankReport",
     "pagerank",
     "rank_nodes",
+    "top_degree_nodes",
     "visibility",
     "gini",
     "rank_report",
@@ -108,6 +109,23 @@ def _order(scores: np.ndarray) -> np.ndarray:
 def rank_nodes(g: AttributedGraph, metric: str) -> np.ndarray:
     """Node ids sorted by metric score, descending; ties by ascending id."""
     return _order(_metric_scores(g, metric))
+
+
+def top_degree_nodes(g: AttributedGraph, k: int) -> np.ndarray:
+    """The first k nodes of ``rank_nodes(g, "degree")``, in ascending id order.
+
+    An exact top-k in O(n): the keys ``(max degree - degree) * n + id`` are
+    distinct and order nodes as that ranking does, so the k smallest keys,
+    found by a partition and not a full sort, name the same set.
+    """
+    n = g.n
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in [1, n={n}], got {k}")
+    degree = g.total_degree_vector()
+    keys = (degree.max() - degree) * n + np.arange(n, dtype=np.int64)
+    if k < n:
+        keys = np.partition(keys, k - 1)[:k]
+    return np.sort(keys % n)
 
 
 def visibility(g: AttributedGraph, metric: str) -> VisibilityCurve:

@@ -16,13 +16,15 @@ directed branch of ``trace_from_graph``.  A generator that is passed on
 keeps scalar draws, for example the one ``graphmix spread`` shares between
 ``seeding`` and ``cascade``: the cascade draws its rolls as arrays, which
 must start where the seeding's draws ended.  The helpers below take either
-a generator or a stream, as they only call ``.random()``.
+a generator or a stream, as they only call ``.random()`` and
+``.random(size)``, which hand out the same doubles on both.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from collections.abc import Sequence
+from itertools import islice
 
 import numpy as np
 
@@ -57,7 +59,8 @@ class UniformStream:
 
     ``rng.random(size)`` fills its array with the doubles that ``size``
     scalar calls return, so ``stream.random()`` returns exactly what
-    ``rng.random()`` would.  The stream draws ahead from ``rng``, which the
+    ``rng.random()`` would, and ``stream.random(size)`` the next ``size``
+    of them as an array.  The stream draws ahead from ``rng``, which the
     caller must not use afterwards.
     """
 
@@ -68,14 +71,21 @@ class UniformStream:
         self._block = _FIRST_BLOCK
         self._left = iter(())
 
-    def random(self) -> float:
-        try:
-            return next(self._left)
-        except StopIteration:
-            size = min(self._block, STREAM_BLOCK_CAP)
-            self._block = 2 * size
-            self._left = iter(self._rng.random(size).tolist())
-            return next(self._left)
+    def random(self, size: int | None = None) -> float | np.ndarray:
+        if size is None:
+            try:
+                return next(self._left)
+            except StopIteration:
+                block = min(self._block, STREAM_BLOCK_CAP)
+                self._block = 2 * block
+                self._left = iter(self._rng.random(block).tolist())
+                return next(self._left)
+        # the rest of the current block, then the remainder straight from
+        # the generator: the doubles are the same whatever the block sizes
+        head = list(islice(self._left, size))
+        if len(head) == size:
+            return np.array(head, dtype=np.float64)
+        return np.concatenate((head, self._rng.random(size - len(head))))
 
 
 def rand_below(rng: np.random.Generator | UniformStream, k: int) -> int:
@@ -119,16 +129,20 @@ def sample_without_replacement(
 ) -> np.ndarray:
     """k distinct uniform indices from range(n), via partial Fisher-Yates.
 
-    The pool is sparse: a dict holds only the positions a swap has moved,
-    so time and memory are O(k) whatever n is.
+    Swap i takes position ``i + int(u_i * (n - i))``, u_i the i-th of k
+    doubles drawn in one ``random(k)`` call, which are the doubles of k
+    scalar calls.  The pool is sparse: a dict holds only the positions a
+    swap has moved, so time and memory are O(k) whatever n is.
     """
     if not 0 <= k <= n:
         raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    steps = np.arange(k, dtype=np.int64)
+    # float64 * (n - i) and the truncation toward zero are int(u * (n - i))
+    picks = steps + (rng.random(k) * (n - steps)).astype(np.int64)
     moved: dict[int, int] = {}
-    get, random = moved.get, rng.random
+    get = moved.get
     out = []
-    for i in range(k):
-        j = i + int(random() * (n - i))  # rand_below(rng, n - i)
+    for i, j in enumerate(picks.tolist()):
         out.append(get(j, j))
         moved[j] = get(i, i)
     return np.array(out, dtype=np.int_)

@@ -6,6 +6,15 @@ teleport restarts, and a top-degree oracle standing in for popularity-API
 access.  ``benchmark`` runs a (strategy, budget, repetition) factorial and
 reports how far sample estimates of the minority fraction and mean degree
 sit from the population values.
+
+A graph's canonical edge arrays are built once, O(E), when a
+uniform-edge sample first needs them, and kept on the frozen graph;
+after that a sample costs O(budget) steps in Python, and a walk one more
+per revisit (the crawls read rows of the CSR through memoryviews, and
+uniform-node draws its indices in one call) plus a few array calls over
+the n nodes: the degree vector (a count over the E targets when
+directed), the top-degree partition, and the pools of a uniform fill or
+a snowball re-seed.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import AttributedGraph
-from .ranking import rank_nodes
+from .ranking import top_degree_nodes
 from .rng import UniformStream, make_rng, rand_below, sample_without_replacement
 
 __all__ = [
@@ -120,31 +129,36 @@ def sample(g: AttributedGraph, strategy: str, budget: int, seed: int) -> SampleR
     elif strategy == "random-walk":
         nodes = _sample_random_walk(g, size, rng)
     else:
-        nodes = rank_nodes(g, "degree")[:size]
+        nodes = top_degree_nodes(g, size)
 
     out = np.sort(np.asarray(nodes, dtype=np.int64))
     return SampleResult(strategy=strategy, budget=budget, nodes=out, seed=seed)
 
 
 def _uniform_fill(sampled: set[int], n: int, size: int, rng: UniformStream) -> None:
-    pool = sorted(set(range(n)) - sampled)
+    free = np.ones(n, dtype=bool)
+    free[np.fromiter(sampled, dtype=np.int64, count=len(sampled))] = False
+    pool = np.flatnonzero(free)  # the unsampled ids, ascending
     need = size - len(sampled)
-    for i in sample_without_replacement(rng, len(pool), need):
-        sampled.add(pool[i])
+    sampled.update(pool[sample_without_replacement(rng, pool.size, need)].tolist())
 
 
 def _sample_uniform_edge(g: AttributedGraph, size: int, rng: UniformStream) -> list[int]:
-    src, dst = g.edge_arrays()
+    src, dst = (memoryview(a) for a in g.edge_arrays())
+    num_edges = len(src)
     covered = int(np.count_nonzero(g.total_degree_vector()))
+    random = rng.random
     sampled: set[int] = set()
+    add = sampled.add
     # sampled only ever holds edge endpoints, so it covers them all once it
     # is as large as the covered set; then only isolated nodes remain
-    while len(sampled) < min(size, covered):
-        i = rand_below(rng, src.size)
-        for node in (int(src[i]), int(dst[i])):
-            if len(sampled) >= size:
-                break
-            sampled.add(node)
+    target = min(size, covered)
+    while len(sampled) < target:
+        i = int(random() * num_edges)  # rand_below(rng, num_edges)
+        add(src[i])
+        # on overshoot the second endpoint is dropped
+        if len(sampled) < size:
+            add(dst[i])
     if len(sampled) < size:
         _uniform_fill(sampled, g.n, size, rng)
     return list(sampled)
@@ -189,6 +203,7 @@ class _UnsampledPool:
 
 def _sample_snowball(g: AttributedGraph, size: int, rng: UniformStream) -> list[int]:
     csr = g.csr()
+    ptr, idx = memoryview(csr.indptr), memoryview(csr.indices)
     sampled: set[int] = set()
     queue: deque[int] = deque()
     unsampled: _UnsampledPool | None = None  # built at the first re-seed
@@ -210,7 +225,7 @@ def _sample_snowball(g: AttributedGraph, size: int, rng: UniformStream) -> list[
             if len(sampled) >= size:
                 break
         u = queue.popleft()
-        for v in csr.row(u).tolist():
+        for v in idx[ptr[u]:ptr[u + 1]]:
             if v not in sampled:
                 sampled.add(v)
                 crawled.append(v)
@@ -222,18 +237,22 @@ def _sample_snowball(g: AttributedGraph, size: int, rng: UniformStream) -> list[
 
 def _sample_random_walk(g: AttributedGraph, size: int, rng: UniformStream) -> list[int]:
     csr = g.csr()
+    ptr, idx = memoryview(csr.indptr), memoryview(csr.indices)
     n = g.n
-    current = rand_below(rng, n)
+    random = rng.random
+    # each int(random() * k) below is rand_below(rng, k), with k >= 1
+    current = int(random() * n)
     sampled: set[int] = {current}
     while len(sampled) < size:
-        if rng.random() < RESTART_PROB:
-            current = rand_below(rng, n)
+        if random() < RESTART_PROB:
+            current = int(random() * n)
         else:
-            nbrs = csr.row(current)
-            if nbrs.size:
-                current = int(nbrs[rand_below(rng, nbrs.size)])
-            else:
-                current = rand_below(rng, n)
+            start = ptr[current]
+            degree = ptr[current + 1] - start
+            if degree:
+                current = idx[start + int(random() * degree)]
+            else:  # a sink forces a teleport
+                current = int(random() * n)
         sampled.add(current)
     return list(sampled)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import AttributedGraph
-from .ranking import rank_nodes
+from .ranking import top_degree_nodes
 from .rng import sample_without_replacement
 
 __all__ = [
@@ -306,7 +306,7 @@ def seeding(
     if condition == "top-degree":
         if count > g.n:
             raise ValueError(f"count {count} exceeds n={g.n}")
-        return np.sort(rank_nodes(g, "degree")[:count])
+        return top_degree_nodes(g, count)
     if condition == "uniform":
         pool = np.arange(g.n, dtype=np.int64)
     elif condition == "majority-only":

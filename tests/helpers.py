@@ -21,7 +21,11 @@ return the same bits.
 ``array_sample_without_replacement`` and ``rebuilt_pool_snowball`` are the
 earlier, slower forms of two samplers (swaps on a full index array, and a
 snowball that rebuilds its sorted re-seed pool from scratch); the library's
-samplers must draw the same indices and nodes.
+samplers must draw the same indices and nodes.  ``reference_uniform_edge``,
+``reference_snowball`` and ``reference_random_walk`` are the crawl kernels
+as they read the graph through numpy scalars and row slices, one
+``rand_below`` per decision, with a uniform fill from a Python set of
+``range(n)``; the library's kernels must return the same nodes.
 
 ``stable_argsort_csr`` is the graph build by one stable argsort of the
 row-major edge keys, which names every repeat as it sorts; the constructor
@@ -41,7 +45,8 @@ from scipy.special import zeta
 from graphmix.generate import EventKind, GrowthTrace
 from graphmix.graph import AttributedGraph, EdgeError
 from graphmix.inference import _TINY, PTC_GRID, _block_rows
-from graphmix.rng import rand_below
+from graphmix.rng import rand_below, sample_without_replacement
+from graphmix.sampling import RESTART_PROB, _UnsampledPool
 
 
 def brute_force_loglik(
@@ -289,6 +294,77 @@ def rebuilt_pool_snowball(g: AttributedGraph, size: int, rng) -> list[int]:
                 queue.append(v)
                 if len(sampled) >= size:
                     break
+    return list(sampled)
+
+
+def reference_uniform_edge(g: AttributedGraph, size: int, rng) -> list[int]:
+    """Uniform edges, both endpoints in until the budget; isolated nodes filled from ``set(range(n))``."""
+    src, dst = g.edge_arrays()
+    covered = int(np.count_nonzero(g.total_degree_vector()))
+    sampled: set[int] = set()
+    while len(sampled) < min(size, covered):
+        i = rand_below(rng, src.size)
+        for node in (int(src[i]), int(dst[i])):
+            if len(sampled) >= size:
+                break
+            sampled.add(node)
+    if len(sampled) < size:
+        pool = sorted(set(range(g.n)) - sampled)
+        for i in sample_without_replacement(rng, len(pool), size - len(sampled)):
+            sampled.add(pool[i])
+    return list(sampled)
+
+
+def reference_snowball(g: AttributedGraph, size: int, rng) -> list[int]:
+    """BFS in ascending id over ``csr.row(u).tolist()``, re-seeding through the Fenwick pool."""
+    csr = g.csr()
+    sampled: set[int] = set()
+    queue: deque[int] = deque()
+    unsampled = None
+    crawled: list[int] = []
+    while len(sampled) < size:
+        if not queue:
+            if not sampled:
+                start = rand_below(rng, g.n)
+            else:
+                if unsampled is None:
+                    unsampled = _UnsampledPool(g.n, sampled)
+                else:
+                    unsampled.remove(crawled)
+                start = unsampled.kth(rand_below(rng, g.n - len(sampled)))
+            crawled.clear()
+            sampled.add(start)
+            crawled.append(start)
+            queue.append(start)
+            if len(sampled) >= size:
+                break
+        u = queue.popleft()
+        for v in csr.row(u).tolist():
+            if v not in sampled:
+                sampled.add(v)
+                crawled.append(v)
+                queue.append(v)
+                if len(sampled) >= size:
+                    break
+    return list(sampled)
+
+
+def reference_random_walk(g: AttributedGraph, size: int, rng) -> list[int]:
+    """Walk over ``csr.row(current)`` with teleports, one ``rand_below`` per move."""
+    csr = g.csr()
+    n = g.n
+    current = rand_below(rng, n)
+    sampled: set[int] = {current}
+    while len(sampled) < size:
+        if rng.random() < RESTART_PROB:
+            current = rand_below(rng, n)
+        else:
+            nbrs = csr.row(current)
+            if nbrs.size:
+                current = int(nbrs[rand_below(rng, nbrs.size)])
+            else:
+                current = rand_below(rng, n)
+        sampled.add(current)
     return list(sampled)
 
 

@@ -82,6 +82,46 @@ def test_labels_validated():
         AttributedGraph(False, [], [])
 
 
+@pytest.mark.parametrize(
+    "labels",
+    [np.array([0, 256, 257]), [0.5, 1]],
+    ids=["wraps-in-int8", "fraction"],
+)
+def test_labels_are_checked_before_the_int8_cast(labels):
+    # int8 would wrap 256 to 0 and 257 to 1, and cut 0.5 to 0
+    with pytest.raises(ValueError, match="labels must be 0"):
+        AttributedGraph(False, labels, [])
+
+
+@pytest.mark.parametrize("labels", [[[0, 1], [1, 0]], 0], ids=["nested", "scalar"])
+def test_labels_must_be_a_flat_list(labels):
+    # a 2 x 2 table would count as n = 4 nodes and index by rows later
+    with pytest.raises(ValueError, match="flat list"):
+        AttributedGraph(False, labels, [])
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_edge_arrays_are_read_only_and_built_once(directed):
+    rng = make_rng(8)
+    n = 40
+    pairs = {(int(u), int(v)) for u, v in rng.integers(0, n, size=(120, 2)) if u != v}
+    if not directed:
+        pairs = {(min(e), max(e)) for e in pairs}
+    edges = sorted(pairs)
+    given = edges if directed else [(v, u) for u, v in edges]  # undirected ones reversed
+    g = AttributedGraph(directed, np.zeros(n, dtype=np.int8), given)
+    src, dst = g.edge_arrays()
+    # equal to a fresh build from the edges as given: sorted, undirected ones as (u, v) with u < v
+    assert list(zip(src.tolist(), dst.tolist())) == edges
+    assert src.dtype == dst.dtype == np.int64
+    assert not src.flags.writeable and not dst.flags.writeable
+    with pytest.raises(ValueError):
+        src[0] = 1
+    again = g.edge_arrays()
+    assert again[0] is src and again[1] is dst
+    assert list(g.edges()) == edges
+
+
 def test_undirected_neighbors_symmetric():
     g = AttributedGraph(False, [0, 0, 0], [(1, 2)])
     assert g.csr().row(1).tolist() == [2]

@@ -10,8 +10,12 @@ from graphmix.ranking import (
     pagerank,
     rank_nodes,
     rank_report,
+    top_degree_nodes,
     visibility,
 )
+from graphmix.rng import make_rng
+
+from helpers import random_graph
 
 
 # -- pagerank ---------------------------------------------------------------------
@@ -87,6 +91,26 @@ def test_rank_nodes_star_degree_and_pagerank_agree():
     g = AttributedGraph(False, labels, [(0, j) for j in range(1, 6)])
     assert rank_nodes(g, "degree")[0] == 0
     assert rank_nodes(g, "pagerank")[0] == 0
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_top_degree_nodes_are_the_head_of_the_degree_ranking(directed):
+    rng = make_rng(12)
+    # sparse graphs tie many degrees, isolated nodes included; n = 1 too
+    for n, p in [(1, 0.0), (2, 0.0), (2, 1.0), (9, 0.3), (40, 0.05), (40, 0.3), (200, 0.02)]:
+        g = random_graph(n, directed, p, rng)
+        order = rank_nodes(g, "degree")
+        for k in sorted({1, 2, n // 2, n - 1, n} & set(range(1, n + 1))):
+            got = top_degree_nodes(g, k)
+            assert got.dtype == np.int64
+            assert got.tolist() == np.sort(order[:k]).tolist(), (n, p, k)
+
+
+def test_top_degree_nodes_rejects_k_outside_1_to_n():
+    g = AttributedGraph(False, [0, 1, 0], [(0, 1)])
+    for k in (0, 4, -1):
+        with pytest.raises(ValueError, match="k must lie in"):
+            top_degree_nodes(g, k)
 
 
 def test_indegree_requires_directed():

@@ -129,6 +129,35 @@ def test_uniform_stream_matches_scalar_draws(cap, monkeypatch):
     assert [stream.random() for _ in range(10_000)] == [scalar.random() for _ in range(10_000)]
 
 
+@pytest.mark.parametrize("cap", [1, 7, None])
+def test_uniform_stream_arrays_match_scalar_draws(cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(graphmix.rng, "STREAM_BLOCK_CAP", cap)
+    # size 0, arrays before the first block, inside one, across one and
+    # across many, between scalar calls; then 400 random calls of either kind
+    sizes = [0, 3, None, 5, None, 0, 30, None, 2, 200, None, None, 0, 9000, None]
+    pick = np.random.default_rng(cap or 0)
+    sizes += [None if pick.random() < 0.5 else int(pick.integers(0, 40)) for _ in range(400)]
+    stream = UniformStream(make_rng(23))
+    scalar = make_rng(23)
+    for size in sizes:
+        if size is None:
+            assert stream.random() == scalar.random()
+        else:
+            got = stream.random(size)
+            assert got.dtype == np.float64 and got.shape == (size,)
+            assert got.tolist() == [scalar.random() for _ in range(size)], size
+
+
+def test_sample_without_replacement_leaves_a_generator_where_scalar_draws_do():
+    # a generator passed on (seeding, then cascade) must end where k scalar draws end
+    for n, k in [(0, 0), (5, 0), (5, 5), (1000, 37), (6000, 1000)]:
+        rng, ref = make_rng(n + k), make_rng(n + k)
+        assert np.array_equal(sample_without_replacement(rng, n, k), array_sample_without_replacement(ref, n, k))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        assert rng.random() == ref.random()
+
+
 def test_uniform_stream_blocks_double_up_to_the_cap():
     class Counting:
         def __init__(self):

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graphmix.generate import gen_pah
 from graphmix.graph import AttributedGraph
+from graphmix.ranking import rank_nodes
 from graphmix.rng import UniformStream, make_rng
 from graphmix.sampling import (
     STRATEGIES,
@@ -11,7 +14,14 @@ from graphmix.sampling import (
     sample,
 )
 
-from helpers import random_graph, rebuilt_pool_snowball
+from helpers import (
+    array_sample_without_replacement,
+    random_graph,
+    rebuilt_pool_snowball,
+    reference_random_walk,
+    reference_snowball,
+    reference_uniform_edge,
+)
 
 
 def test_full_budget_returns_every_node():
@@ -94,6 +104,43 @@ def test_snowball_reseeds_like_a_rebuilt_pool_on_many_components(directed):
         want = rebuilt_pool_snowball(g, budget, UniformStream(make_rng(budget)))
         got = sample(g, "snowball", budget, budget).nodes
         assert got.tolist() == sorted(want), budget
+
+
+@st.composite
+def _crawl_graphs(draw):
+    """Sparse graphs on 1-60 nodes: isolated nodes, and sinks when directed."""
+    n = draw(st.integers(1, 60))
+    directed = draw(st.booleans())
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=2 * n))
+    seen: set[tuple[int, int]] = set()
+    edges = []
+    for u, v in pairs:
+        key = (u, v) if directed else (min(u, v), max(u, v))
+        if u != v and key not in seen:
+            seen.add(key)
+            edges.append((u, v))
+    labels = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    return AttributedGraph(directed, labels, edges)
+
+
+_REFERENCE_KERNELS = {
+    "uniform-node": lambda g, size, rng: array_sample_without_replacement(rng, g.n, size).tolist(),
+    "uniform-edge": reference_uniform_edge,
+    "snowball": reference_snowball,
+    "random-walk": reference_random_walk,
+    "top-degree": lambda g, size, rng: rank_nodes(g, "degree")[:size].tolist(),
+}
+
+
+@given(_crawl_graphs(), st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_every_strategy_samples_the_reference_kernels_nodes(g, base_seed):
+    for strategy in STRATEGIES:
+        for budget in range(1, g.n + 1):
+            for seed in (base_seed, base_seed + 1):
+                want = _REFERENCE_KERNELS[strategy](g, budget, UniformStream(make_rng(seed)))
+                got = sample(g, strategy, budget, seed).nodes
+                assert got.tolist() == sorted(want), (strategy, budget, seed)
 
 
 def test_random_walk_handles_directed_sink():
