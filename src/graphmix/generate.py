@@ -23,7 +23,6 @@ likelihoods (see :mod:`graphmix.inference`).
 
 from __future__ import annotations
 
-from collections.abc import Container, Sequence
 from dataclasses import dataclass, field
 from enum import IntEnum
 from numbers import Integral
@@ -31,7 +30,7 @@ from numbers import Integral
 import numpy as np
 
 from .graph import AttributedGraph, EdgeError, MixingMatrix, assign_classes
-from .rng import UniformStream, make_rng, pick_from_cumulative, rand_below, weighted_pick
+from .rng import UniformStream, make_rng, pick_from_cumulative, weighted_pick
 
 __all__ = [
     "EventKind",
@@ -62,7 +61,6 @@ SATURATION_RETRIES = 1000
 # Rejected trials of the endpoint sampler before a pick switches to the
 # exact O(n) scan; any cap leaves the pick distribution unchanged.
 _MAX_REJECTIONS = 8
-_NO_ENTRIES = ((), ())  # a class with no entries of this kind
 
 
 class SaturationError(RuntimeError):
@@ -255,38 +253,6 @@ def gen_patch(
     return generate(GenParams("patch", n, seed, m=m, f_m=f_m, H=H, p_tc=p_tc))
 
 
-def _endpoint_pick(
-    rng: UniformStream,
-    affinity: tuple[float, float],
-    heads: tuple[Sequence[int], Sequence[int]],
-    tails: tuple[Sequence[int], Sequence[int]],
-    excluded: Container[int],
-) -> int:
-    """One rejection-sampled target, or -1 after ``_MAX_REJECTIONS`` rejected trials.
-
-    Class c holds the entries ``heads[c] + tails[c]``, in which a node may
-    appear several times.  A trial draws class c with probability
-    proportional to ``affinity[c] * len(heads[c] + tails[c])``, then a
-    uniform entry of that class, so node u of class c comes up with
-    probability proportional to ``affinity[c]`` times its number of
-    entries; the trial is rejected when u is in ``excluded``.  Every trial
-    accepts with the same probability and an accepted node follows that
-    distribution restricted to the nodes not excluded.  The caller
-    guarantees that some class of positive affinity has entries.
-    """
-    w0 = affinity[0] * (len(heads[0]) + len(tails[0]))
-    w1 = affinity[1] * (len(heads[1]) + len(tails[1]))
-    for _ in range(_MAX_REJECTIONS):
-        # a class of zero weight never comes up, also when u * total rounds up to w0
-        c = 0 if rng.random() * (w0 + w1) < w0 or w1 == 0.0 else 1
-        head, tail = heads[c], tails[c]
-        i = rand_below(rng, len(head) + len(tail))
-        u = head[i] if i < len(head) else tail[i - len(head)]
-        if u not in excluded:
-            return u
-    return -1
-
-
 def _grow(
     labels: np.ndarray,
     m: int,
@@ -314,7 +280,11 @@ def _grow(
     ``_MAX_REJECTIONS`` rejected trials the pick can switch to the exact O(v)
     scan (``weighted_pick`` over the full weight vector) without changing
     that distribution.  Expected cost is O(1) per pick; only the rare scan
-    is O(v).
+    is O(v).  A trial takes two doubles u and u': class 0 when
+    ``u * (w_0 + w_1) < w_0`` or ``w_1 == 0``, with ``w_c = H[c_v, c] *
+    len(ends[c])``, else class 1; then entry ``int(u' * len(ends[c]))``.
+    Every uniform index (a triadic-closure candidate, a fallback-uniform
+    node) is likewise ``int(u * k)`` of one double.
 
     Whether any weight is left at all is decided on integers: class c has
     weight left when ``H[c_v, c] > 0`` and its degree total exceeds the
@@ -333,6 +303,7 @@ def _grow(
     the generator.
     """
     rng = UniformStream(rng)
+    random = rng.random
     n = labels.size
     # ascending neighbour lists only for triadic closure, which draws from them
     nbrs = [[u for u in range(m) if u != i] if i < m else [] for i in range(n)] if p_tc else None
@@ -343,6 +314,9 @@ def _grow(
     ends: list[list[int]] = [[], []]  # one entry per unit of degree, by class
     for u in range(m):
         ends[cls[u]].extend([u] * (m - 1))
+    e0, e1 = ends
+    pah_pick, tc_pick = int(EventKind.PAH_PICK), int(EventKind.TC_PICK)
+    fallback_uniform = int(EventKind.FALLBACK_UNIFORM)
 
     srcs: list[int] = []
     tgts: list[int] = []
@@ -353,10 +327,10 @@ def _grow(
         chosen: list[int] = []
         chosen_mass = [0, 0]  # degree of the targets chosen so far, by class
         for j in range(m):
-            kind = EventKind.PAH_PICK
+            kind = pah_pick
             target = -1
             if p_tc is not None and j >= 1 and p_tc > 0.0:
-                attempt_tc = True if p_tc >= 1.0 else rng.random() < p_tc
+                attempt_tc = True if p_tc >= 1.0 else random() < p_tc
                 if attempt_tc:
                     if j == 1:
                         candidates = nbrs[chosen[0]]
@@ -367,25 +341,32 @@ def _grow(
                         tc_set.difference_update(chosen)
                         candidates = sorted(tc_set)
                     if candidates:
-                        target = candidates[rand_below(rng, len(candidates))]
-                        kind = EventKind.TC_PICK
+                        target = candidates[int(random() * len(candidates))]
+                        kind = tc_pick
             if target < 0:
-                if (a0 > 0.0 and len(ends[0]) > chosen_mass[0]) or (a1 > 0.0 and len(ends[1]) > chosen_mass[1]):
-                    target = _endpoint_pick(rng, (a0, a1), _NO_ENTRIES, ends, chosen)
-                    if target < 0:
+                if (a0 > 0.0 and len(e0) > chosen_mass[0]) or (a1 > 0.0 and len(e1) > chosen_mass[1]):
+                    w0 = a0 * len(e0)
+                    w1 = a1 * len(e1)
+                    for _ in range(_MAX_REJECTIONS):
+                        # a class of zero weight never comes up, also when u * total rounds up to w0
+                        e = e0 if random() * (w0 + w1) < w0 or w1 == 0.0 else e1
+                        target = e[int(random() * len(e))]
+                        if target not in chosen:
+                            break
+                    else:
                         w = affinity[cls[v]][labels[:v]] * np.array(deg[:v], dtype=np.float64)
                         w[chosen] = 0.0
                         target = weighted_pick(rng, w)
                 else:
-                    kind = EventKind.FALLBACK_UNIFORM
-                    target = rand_below(rng, v)
+                    kind = fallback_uniform
+                    target = int(random() * v)
                     while target in chosen:
-                        target = rand_below(rng, v)
+                        target = int(random() * v)
             chosen.append(target)
             chosen_mass[cls[target]] += deg[target]
             srcs.append(v)
             tgts.append(target)
-            kinds.append(int(kind))
+            kinds.append(kind)
         for t in chosen:
             deg[t] += 1
             ends[cls[t]].append(t)
@@ -437,7 +418,13 @@ def gen_directed(
     with probability proportional to ``H[c_s, c] * (n_c + indeg_c)`` (dpa:
     affinity 1; dh: ``H[c_s, c] * n_c`` over the members alone), redrawn
     when it is s or an existing out-neighbour, and after
-    ``_MAX_REJECTIONS`` rejected trials drawn by the exact O(n) scan.
+    ``_MAX_REJECTIONS`` rejected trials drawn by the exact O(n) scan.  A
+    trial draws the class from one double as in :func:`_grow` and entry
+    ``i = int(u' * (n_c + indeg_c))`` of class c from the next: member i
+    when ``i < n_c``, else in-endpoint ``i - n_c`` (dh: ``int(u' * n_c)``,
+    a member).  The scan weighs node u by ``H[c_s, c_u] * (indeg(u) + 1)``
+    (dh: ``H[c_s, c_u]``), the in-degrees counted from the targets placed
+    so far.
     Whether any admissible weight is left is decided on integers: class c
     has some when its affinity is positive and it has a member that is
     neither s nor an out-neighbour of s.
@@ -456,17 +443,21 @@ def _place_directed(
     activity = sample_activity(n, params.gamma_a, rng)
     activity_cum = np.cumsum(activity).tolist()
     rng = UniformStream(rng)
+    random = rng.random
 
     cls = labels.tolist()
     affinity = np.ones((2, 2)) if H is None else H.matrix
     aff_rows = affinity.tolist()
-    members = ([u for u in range(n) if cls[u] == 0], [u for u in range(n) if cls[u] == 1])
-    in_ends: tuple[list[int], list[int]] = ([], [])  # one entry per unit of in-degree, by class
-    tails = _NO_ENTRIES if model == "dh" else in_ends
+    members0 = [u for u in range(n) if cls[u] == 0]
+    members1 = [u for u in range(n) if cls[u] == 1]
+    n0, n1 = len(members0), len(members1)
+    # one entry per unit of in-degree, by class; dh weighs the members alone and leaves them empty
+    tails = ([], [])
+    tails0, tails1 = tails
+    count_indeg = model != "dh"
     # each source's inadmissible targets (itself and its out-neighbours), as a set and by class
     blocked: list[set[int]] = [{u} for u in range(n)]
     blocked_count = [[1 - c, c] for c in cls]
-    ind1 = np.ones(n, dtype=np.float64)  # indeg + 1 smoothing, for the exact scan
 
     srcs: list[int] = []
     tgts: list[int] = []
@@ -475,22 +466,37 @@ def _place_directed(
         s = pick_from_cumulative(rng, activity_cum)
         a0, a1 = aff_rows[cls[s]]
         b0, b1 = blocked_count[s]
-        if not ((a0 > 0.0 and len(members[0]) > b0) or (a1 > 0.0 and len(members[1]) > b1)):
+        if not ((a0 > 0.0 and n0 > b0) or (a1 > 0.0 and n1 > b1)):
             failures += 1
             if failures >= SATURATION_RETRIES:
                 raise SaturationError(len(srcs), target_edges)
             continue
-        t = _endpoint_pick(rng, (a0, a1), members, tails, blocked[s])
-        if t < 0:
+        excluded = blocked[s]
+        k0 = n0 + len(tails0)
+        k1 = n1 + len(tails1)
+        w0 = a0 * k0
+        w1 = a1 * k1
+        for _ in range(_MAX_REJECTIONS):
+            # a class of zero weight never comes up, also when u * total rounds up to w0
+            if random() * (w0 + w1) < w0 or w1 == 0.0:
+                i = int(random() * k0)
+                t = members0[i] if i < n0 else tails0[i - n0]
+            else:
+                i = int(random() * k1)
+                t = members1[i] if i < n1 else tails1[i - n1]
+            if t not in excluded:
+                break
+        else:
             w = affinity[cls[s]][labels]
-            if model != "dh":
-                w = w * ind1
-            w[list(blocked[s])] = 0.0
+            if count_indeg:
+                w = w * (np.bincount(np.array(tgts, dtype=np.int64), minlength=n) + 1.0)
+            w[list(excluded)] = 0.0
             t = weighted_pick(rng, w)
-        blocked[s].add(t)
-        blocked_count[s][cls[t]] += 1
-        in_ends[cls[t]].append(t)
-        ind1[t] += 1.0
+        c = cls[t]
+        excluded.add(t)
+        blocked_count[s][c] += 1
+        if count_indeg:
+            tails[c].append(t)
         srcs.append(s)
         tgts.append(t)
         failures = 0

@@ -24,6 +24,14 @@ converts every field in Python and is the only code that words a format
 error.  On text of the plain form, Python's ``int()`` reads the same
 numbers, so both paths accept exactly the same files and report exactly
 the same errors.
+
+The network and trace writers are the readers' mirror: numpy builds the
+rows' bytes, one block of rows at a time.  A block holds each integer
+column's right-aligned ASCII digits, one digit place per array row, with
+a blank byte above a value's first digit, then the comma and row tail
+(an LF, or a trace's ``,<kind name>`` and LF, looked up by kind code).  Its
+transpose without the blank bytes is the text, the bytes that one
+f-string per row would give.
 """
 
 from __future__ import annotations
@@ -72,13 +80,59 @@ def write_network(g: AttributedGraph, prefix: str | Path) -> tuple[Path, Path]:
     prefix = Path(prefix)
     nodes_path = prefix.parent / (prefix.name + "_nodes.csv")
     edges_path = prefix.parent / (prefix.name + "_edges.csv")
-    lines = ["id,class"]
-    lines += [f"{i},{c}" for i, c in enumerate(g.labels.tolist())]
-    nodes_path.write_text("\n".join(lines) + "\n", newline="\n")
-    lines = ["source,target"]
-    lines += [f"{u},{v}" for u, v in g.edges()]
-    edges_path.write_text("\n".join(lines) + "\n", newline="\n")
+    _write_rows(nodes_path, "id,class", (np.arange(g.n), g.labels))
+    _write_rows(edges_path, "source,target", g.edge_arrays())
     return nodes_path, edges_path
+
+
+# rows per block of the writer: its temporaries stay a few MB however long the file
+_WRITE_BLOCK = 1 << 16
+# ",<kind name>\n" by event-kind code, one row each, blank (0) padded to the longest
+_KIND_TAILS = np.array([f",{EVENT_KIND_NAMES[kind]}\n".encode() for kind in EventKind])
+_KIND_TAILS = _KIND_TAILS.view(np.uint8).reshape(_KIND_TAILS.size, -1)
+
+
+def _write_rows(path: Path, header: str, columns, kinds: np.ndarray | None = None) -> None:
+    """Write ``header``, then row i: entry i of every column, joined by commas, then its tail.
+
+    The tail is ``,<kind name>`` of ``kinds[i]`` and an LF, or an LF alone
+    when no kinds are given.  Every column holds non-negative integers.  A
+    block of rows is built as a (places x rows) uint8 array: each column's
+    right-aligned ASCII digits one place per array row, a blank (0) byte
+    above a value's first digit, a comma row between columns, then the
+    tail bytes, blank padded.  Its transpose, without the blank bytes, is
+    the text of those rows.
+    """
+    size = len(columns[0])
+    tail_width = 1 if kinds is None else _KIND_TAILS.shape[1]
+    with open(path, "wb") as out:
+        out.write(header.encode() + b"\n")
+        for lo in range(0, size, _WRITE_BLOCK):
+            hi = min(lo + _WRITE_BLOCK, size)
+            values = [np.asarray(col[lo:hi], dtype=np.int64) for col in columns]
+            places = [len(str(int(v.max()))) for v in values]
+            block = np.empty((sum(places) + len(places) - 1 + tail_width, hi - lo), dtype=np.uint8)
+            row = 0
+            for i, (v, width) in enumerate(zip(values, places)):
+                if i:
+                    block[row] = ord(",")
+                    row += 1
+                units = row + width - 1
+                for place in range(units, row - 1, -1):  # v is the value // 10**(units - place)
+                    rest = v // 10
+                    # the ASCII code of v % 10
+                    np.subtract(v, rest * 10 - ord("0"), out=block[place], casting="unsafe")
+                    if place < units:
+                        block[place] *= v != 0  # blank above the first digit
+                    v = rest
+                row += width
+            if kinds is None:
+                block[row] = ord("\n")
+            else:
+                for k, tail in enumerate(_KIND_TAILS.T):
+                    np.take(tail, kinds[lo:hi], out=block[row + k])
+            text = block.T.ravel()
+            out.write(text[text != 0])
 
 
 _MAX_DIGITS = 18  # 18 digits always fit in int64
@@ -260,15 +314,22 @@ _TRACE_HEADER = "source,target,kind"
 
 
 def write_trace(trace: GrowthTrace, path: str | Path) -> Path:
-    """Write the event list as ``source,target,kind`` rows in event order."""
+    """Write the event list as ``source,target,kind`` rows in event order.
+
+    A negative node id or a kind code that names no event kind cannot be
+    read back, so either raises ``ValueError`` before the file is opened.
+    """
     path = Path(path)
-    names = [EVENT_KIND_NAMES[kind] for kind in EventKind]  # indexed by code
-    lines = [_TRACE_HEADER]
-    lines += [
-        f"{s},{t},{names[k]}"
-        for s, t, k in zip(trace.sources.tolist(), trace.targets.tolist(), trace.kinds.tolist())
-    ]
-    path.write_text("\n".join(lines) + "\n", newline="\n")
+    negative = np.flatnonzero((trace.sources < 0) | (trace.targets < 0))
+    if negative.size:
+        i = int(negative[0])
+        s, t = int(trace.sources[i]), int(trace.targets[i])
+        raise ValueError(f"event {i} has a negative node id {s if s < 0 else t}")
+    unnamed = np.flatnonzero((trace.kinds < 0) | (trace.kinds >= len(EventKind)))
+    if unnamed.size:
+        i = int(unnamed[0])
+        raise ValueError(f"event {i} has kind code {int(trace.kinds[i])}, which names no event kind")
+    _write_rows(path, _TRACE_HEADER, (trace.sources, trace.targets), trace.kinds)
     return path
 
 

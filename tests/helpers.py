@@ -31,6 +31,15 @@ as they read the graph through numpy scalars and row slices, one
 row-major edge keys, which names every repeat as it sorts; the constructor
 sorts without it and must give the same CSR bits and the same
 ``EdgeError``.
+
+``reference_generate`` grows a trace by the generator kernels as they
+were with one call per draw: ``reference_endpoint_pick`` for every
+rejection-sampled target, ``rand_below`` for every uniform index, and a
+per-edge ``indeg + 1`` array for the directed exact scan.  The library
+inlines those draws and must give the same trace, or the same
+``SaturationError``.  ``reference_write_network`` and
+``reference_write_trace`` are the writers as one f-string per row; the
+library's numpy byte writer must give the same bytes.
 """
 
 from __future__ import annotations
@@ -42,10 +51,26 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 from scipy.special import zeta
 
-from graphmix.generate import EventKind, GrowthTrace
-from graphmix.graph import AttributedGraph, EdgeError
+from graphmix.generate import (
+    EVENT_KIND_NAMES,
+    SATURATION_RETRIES,
+    UNDIRECTED_MODELS,
+    EventKind,
+    GenParams,
+    GrowthTrace,
+    SaturationError,
+    sample_activity,
+)
+from graphmix.graph import AttributedGraph, EdgeError, assign_classes
 from graphmix.inference import _TINY, PTC_GRID, _block_rows
-from graphmix.rng import rand_below, sample_without_replacement
+from graphmix.rng import (
+    UniformStream,
+    make_rng,
+    pick_from_cumulative,
+    rand_below,
+    sample_without_replacement,
+    weighted_pick,
+)
 from graphmix.sampling import RESTART_PROB, _UnsampledPool
 
 
@@ -469,3 +494,166 @@ def naive_cascade_times(g: AttributedGraph, seeds, p_in: float, p_out: float, rn
                     newly.append(v)
         frontier = sorted(newly)
     return times
+
+
+def reference_generate(params: GenParams, max_rejections: int) -> GrowthTrace:
+    """The trace of :func:`graphmix.generate.generate`, grown by the reference kernels below."""
+    params.validate()
+    rng = make_rng(params.seed)
+    if params.model == "pa":
+        return reference_grow(np.zeros(params.n, dtype=np.int8), params.m, None, None, rng, max_rejections)
+    labels = assign_classes(params.n, params.f_m, rng)
+    if params.model in UNDIRECTED_MODELS:
+        return reference_grow(labels, params.m, params.H, params.p_tc, rng, max_rejections)
+    return reference_place_directed(params, labels, rng, max_rejections)
+
+
+_NO_ENTRIES = ((), ())
+
+
+def reference_endpoint_pick(rng, affinity, heads, tails, excluded, max_rejections: int) -> int:
+    """One rejection-sampled target from the entries ``heads[c] + tails[c]`` of class c, or -1."""
+    w0 = affinity[0] * (len(heads[0]) + len(tails[0]))
+    w1 = affinity[1] * (len(heads[1]) + len(tails[1]))
+    for _ in range(max_rejections):
+        c = 0 if rng.random() * (w0 + w1) < w0 or w1 == 0.0 else 1
+        head, tail = heads[c], tails[c]
+        i = rand_below(rng, len(head) + len(tail))
+        u = head[i] if i < len(head) else tail[i - len(head)]
+        if u not in excluded:
+            return u
+    return -1
+
+
+def reference_grow(labels, m: int, H, p_tc, rng, max_rejections: int) -> GrowthTrace:
+    """The undirected growth loop with one ``reference_endpoint_pick`` and ``rand_below`` call per draw."""
+    rng = UniformStream(rng)
+    n = labels.size
+    nbrs = [[u for u in range(m) if u != i] if i < m else [] for i in range(n)] if p_tc else None
+    affinity = np.ones((2, 2)) if H is None else H.matrix
+    aff_rows = affinity.tolist()
+    cls = labels.tolist()
+    deg = [m - 1] * m + [0] * (n - m)
+    ends: list[list[int]] = [[], []]
+    for u in range(m):
+        ends[cls[u]].extend([u] * (m - 1))
+
+    srcs, tgts, kinds = [], [], []
+    for v in range(m, n):
+        a0, a1 = aff_rows[cls[v]]
+        chosen: list[int] = []
+        chosen_mass = [0, 0]
+        for j in range(m):
+            kind = EventKind.PAH_PICK
+            target = -1
+            if p_tc is not None and j >= 1 and p_tc > 0.0:
+                attempt_tc = True if p_tc >= 1.0 else rng.random() < p_tc
+                if attempt_tc:
+                    if j == 1:
+                        candidates = nbrs[chosen[0]]
+                    else:
+                        tc_set = set()
+                        for u in chosen:
+                            tc_set.update(nbrs[u])
+                        tc_set.difference_update(chosen)
+                        candidates = sorted(tc_set)
+                    if candidates:
+                        target = candidates[rand_below(rng, len(candidates))]
+                        kind = EventKind.TC_PICK
+            if target < 0:
+                if (a0 > 0.0 and len(ends[0]) > chosen_mass[0]) or (a1 > 0.0 and len(ends[1]) > chosen_mass[1]):
+                    target = reference_endpoint_pick(rng, (a0, a1), _NO_ENTRIES, ends, chosen, max_rejections)
+                    if target < 0:
+                        w = affinity[cls[v]][labels[:v]] * np.array(deg[:v], dtype=np.float64)
+                        w[chosen] = 0.0
+                        target = weighted_pick(rng, w)
+                else:
+                    kind = EventKind.FALLBACK_UNIFORM
+                    target = rand_below(rng, v)
+                    while target in chosen:
+                        target = rand_below(rng, v)
+            chosen.append(target)
+            chosen_mass[cls[target]] += deg[target]
+            srcs.append(v)
+            tgts.append(target)
+            kinds.append(int(kind))
+        for t in chosen:
+            deg[t] += 1
+            ends[cls[t]].append(t)
+        deg[v] = m
+        ends[cls[v]].extend([v] * m)
+        if nbrs is not None:
+            nbrs[v] = sorted(chosen)
+            for t in chosen:
+                nbrs[t].append(v)
+    return GrowthTrace(
+        directed=False, labels=labels, sources=np.asarray(srcs, dtype=np.int64),
+        targets=np.asarray(tgts, dtype=np.int64), kinds=np.asarray(kinds, dtype=np.int8), m=m,
+    )
+
+
+def reference_place_directed(params: GenParams, labels, rng, max_rejections: int) -> GrowthTrace:
+    """The directed placement loop with a per-edge ``indeg + 1`` array and one ``reference_endpoint_pick`` per target."""
+    model, n, H = params.model, params.n, params.H
+    target_edges = round(params.d * n * (n - 1))
+    activity = sample_activity(n, params.gamma_a, rng)
+    activity_cum = np.cumsum(activity).tolist()
+    rng = UniformStream(rng)
+    cls = labels.tolist()
+    affinity = np.ones((2, 2)) if H is None else H.matrix
+    aff_rows = affinity.tolist()
+    members = ([u for u in range(n) if cls[u] == 0], [u for u in range(n) if cls[u] == 1])
+    in_ends: tuple[list[int], list[int]] = ([], [])
+    tails = _NO_ENTRIES if model == "dh" else in_ends
+    blocked: list[set[int]] = [{u} for u in range(n)]
+    blocked_count = [[1 - c, c] for c in cls]
+    ind1 = np.ones(n, dtype=np.float64)
+
+    srcs, tgts = [], []
+    failures = 0
+    while len(srcs) < target_edges:
+        s = pick_from_cumulative(rng, activity_cum)
+        a0, a1 = aff_rows[cls[s]]
+        b0, b1 = blocked_count[s]
+        if not ((a0 > 0.0 and len(members[0]) > b0) or (a1 > 0.0 and len(members[1]) > b1)):
+            failures += 1
+            if failures >= SATURATION_RETRIES:
+                raise SaturationError(len(srcs), target_edges)
+            continue
+        t = reference_endpoint_pick(rng, (a0, a1), members, tails, blocked[s], max_rejections)
+        if t < 0:
+            w = affinity[cls[s]][labels]
+            if model != "dh":
+                w = w * ind1
+            w[list(blocked[s])] = 0.0
+            t = weighted_pick(rng, w)
+        blocked[s].add(t)
+        blocked_count[s][cls[t]] += 1
+        in_ends[cls[t]].append(t)
+        ind1[t] += 1.0
+        srcs.append(s)
+        tgts.append(t)
+        failures = 0
+    return GrowthTrace(
+        directed=True, labels=labels, sources=np.asarray(srcs, dtype=np.int64),
+        targets=np.asarray(tgts, dtype=np.int64),
+        kinds=np.full(len(srcs), int(EventKind.DIRECTED_PICK), dtype=np.int8),
+    )
+
+
+def reference_write_network(g: AttributedGraph) -> tuple[bytes, bytes]:
+    """The bytes of the node and edge files, one f-string per row."""
+    lines = ["id,class"] + [f"{i},{c}" for i, c in enumerate(g.labels.tolist())]
+    nodes = "\n".join(lines) + "\n"
+    lines = ["source,target"] + [f"{u},{v}" for u, v in g.edges()]
+    return nodes.encode(), ("\n".join(lines) + "\n").encode()
+
+
+def reference_write_trace(trace: GrowthTrace) -> bytes:
+    """The bytes of a trace file, one f-string per event."""
+    names = [EVENT_KIND_NAMES[kind] for kind in EventKind]
+    lines = ["source,target,kind"] + [
+        f"{s},{t},{names[k]}"
+        for s, t, k in zip(trace.sources.tolist(), trace.targets.tolist(), trace.kinds.tolist())
+    ]
+    return ("\n".join(lines) + "\n").encode()

@@ -2,13 +2,17 @@ import importlib.util
 import math
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.stats import kstest
 
 import graphmix.generate
 from graphmix.generate import (
+    ALL_MODELS,
     EventKind,
     GenParams,
     SaturationError,
@@ -24,6 +28,8 @@ from graphmix.generate import (
 from graphmix.graph import AttributedGraph, MixingMatrix
 from graphmix.inference import replay_event_probabilities
 from graphmix.rng import make_rng
+
+from helpers import reference_generate
 
 
 def undirected_edge_count(n, m):
@@ -257,6 +263,48 @@ def test_generated_picks_follow_the_replayed_pick_distribution(case, path, monke
         assert not scans and trace.kinds[0] == EventKind.FALLBACK_UNIFORM
     else:
         assert 0 < len(scans) < scored / 4, "the exact scan never ran, or took over the sampler's work"
+
+
+# -- the inlined draws against the one-call-per-draw kernels --------------------------
+
+
+@st.composite
+def _small_params(draw):
+    model = draw(st.sampled_from(ALL_MODELS))
+    seed = draw(st.integers(0, 2**32 - 1))
+    if model == "pa":
+        n = draw(st.integers(2, 40))
+        return GenParams(model, n, seed, m=draw(st.integers(1, min(4, n - 1))))
+    f_m = draw(st.sampled_from([0.0, 0.2, 0.5]))
+    # entries of 0 and 1 leave a class without weight, or a source without admissible targets
+    entries = draw(st.lists(st.sampled_from([0.0, 1.0, 0.3, 0.8]), min_size=4, max_size=4))
+    H = MixingMatrix(np.reshape(entries, (2, 2)))
+    if model in ("pah", "patch"):
+        n = draw(st.integers(2, 40))
+        p_tc = draw(st.sampled_from([0.0, 0.5, 1.0])) if model == "patch" else None
+        return GenParams(model, n, seed, m=draw(st.integers(1, min(4, n - 1))), f_m=f_m, H=H, p_tc=p_tc)
+    n = draw(st.integers(2, 25))
+    d = draw(st.sampled_from([0.05, 0.2, 0.5, 1.0]))
+    assume(round(d * n * (n - 1)) >= 1)
+    gamma_a = draw(st.sampled_from([1.5, 3.5]))
+    return GenParams(model, n, seed, d=d, f_m=f_m, H=None if model == "dpa" else H, gamma_a=gamma_a)
+
+
+def _trace_or_error(grow):
+    try:
+        trace = grow()
+    except SaturationError as exc:
+        return str(exc)
+    return trace.sources.tolist(), trace.targets.tolist(), trace.kinds.tolist()
+
+
+@settings(max_examples=250, deadline=None)
+@given(params=_small_params(), cap=st.sampled_from([0, 1, 8]))
+def test_generators_grow_the_reference_kernels_trace(params, cap):
+    # a cap of 0 or 1 rejected trials sends many picks to the exact scan
+    with mock.patch.object(graphmix.generate, "_MAX_REJECTIONS", cap):
+        got = _trace_or_error(lambda: generate(params)[1])
+    assert got == _trace_or_error(lambda: reference_generate(params, cap))
 
 
 # -- activity -------------------------------------------------------------------

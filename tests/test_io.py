@@ -1,11 +1,13 @@
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from graphmix.generate import gen_directed, gen_pah
+import graphmix.netio
+from graphmix.generate import EventKind, GrowthTrace, gen_directed, gen_pah
 from graphmix.graph import AttributedGraph
 from graphmix.inference import fit_model, replay_loglik, trace_from_graph
 from graphmix.netio import (
@@ -23,7 +25,7 @@ from graphmix.netio import (
 )
 from graphmix.rng import make_rng, sample_without_replacement
 
-from helpers import random_graph
+from helpers import random_graph, reference_write_network, reference_write_trace
 
 
 def _roundtrip(g, tmp_path, name="net"):
@@ -425,6 +427,67 @@ def test_order_assumed_trace_roundtrips(tmp_path, graph):
     assert np.array_equal(read.sources, synthesized.sources)
     assert np.array_equal(read.targets, synthesized.targets)
     assert fit_model(read, "pah").h_hat == fit_model(synthesized, "pah").h_hat
+
+
+# -- the byte writer ------------------------------------------------------------------
+
+# the place boundaries of the digit writer, its widest value and random values
+_IDS = st.one_of(
+    st.sampled_from([0, 1, 9, 10, 99, 100, 999, 1000, 10**17 - 1, 10**17, 10**18 - 1]),
+    st.integers(0, 10**18 - 1),
+    st.integers(0, 10**4),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=st.lists(st.tuples(_IDS, _IDS, st.sampled_from(list(EventKind))), max_size=40),
+    block=st.sampled_from([1, 3, 1 << 16]),
+)
+def test_trace_writer_gives_the_reference_bytes(tmp_path_factory, rows, block):
+    sources = np.array([row[0] for row in rows], dtype=np.int64)
+    targets = np.array([row[1] for row in rows], dtype=np.int64)
+    kinds = np.array([row[2] for row in rows], dtype=np.int8)
+    trace = GrowthTrace(True, np.zeros(1, dtype=np.int8), sources, targets, kinds)
+    path = tmp_path_factory.mktemp("w") / "t_trace.csv"
+    with mock.patch.object(graphmix.netio, "_WRITE_BLOCK", block):  # block edges inside the rows
+        write_trace(trace, path)
+    assert path.read_bytes() == reference_write_trace(trace)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    n=st.integers(1, 30),
+    directed=st.booleans(),
+    p=st.sampled_from([0.0, 0.1, 0.5]),
+    seed=st.integers(0, 2**32 - 1),
+    block=st.sampled_from([1, 7, 1 << 16]),
+)
+def test_network_writer_gives_the_reference_bytes(tmp_path_factory, n, directed, p, seed, block):
+    g = random_graph(n, directed, p, make_rng(seed))
+    prefix = tmp_path_factory.mktemp("w") / "net"
+    with mock.patch.object(graphmix.netio, "_WRITE_BLOCK", block):
+        nodes, edges = write_network(g, prefix)
+    assert (nodes.read_bytes(), edges.read_bytes()) == reference_write_network(g)
+
+
+@pytest.mark.parametrize(
+    "sources,targets,kinds,message",
+    [
+        ([0, -3, -1], [1, 2, 0], [3, 3, 3], "event 1 has a negative node id -3"),
+        ([0, 2], [1, -7], [3, 3], "event 1 has a negative node id -7"),
+        ([0, 1], [1, 2], [3, 4], "event 1 has kind code 4, which names no event kind"),
+        ([0, 1], [1, 2], [-1, 3], "event 0 has kind code -1, which names no event kind"),
+    ],
+)
+def test_trace_that_cannot_be_read_back_is_not_written(tmp_path, sources, targets, kinds, message):
+    trace = GrowthTrace(
+        True, np.zeros(3, dtype=np.int8), np.array(sources, dtype=np.int64),
+        np.array(targets, dtype=np.int64), np.array(kinds, dtype=np.int8),
+    )
+    with pytest.raises(ValueError, match=re.escape(message)):
+        write_trace(trace, tmp_path / "t_trace.csv")
+    assert not (tmp_path / "t_trace.csv").exists()
 
 
 # -- config files -------------------------------------------------------------------
