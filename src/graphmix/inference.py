@@ -35,9 +35,11 @@ anything is scored.
   O(E log E) plus the sum of the picked targets' snapshot degrees.
 * Directed: target in-degrees, class totals and excluded counts are
   stable-sort ranks and grouped cumulative sums.  The (indeg + 1) mass of a
-  source's earlier targets is path dependent; it is summed over every pair
-  of one source's events, O(sum of squared out-degrees) sorted lookups done
-  in bounded chunks.
+  source's earlier targets is path dependent.  Its part that grows after an
+  event k is counted from the shorter of k's two lists of later events, its
+  source's or its target's: O(sum over k of min(later out-events, later
+  in-events)) sorted lookups, at most O(E * sqrt(E)), done in bounded
+  chunks (see :func:`_excluded_mass`).
 * Every model's grid has one shape: h rows x p_tc columns, with a
   length-1 axis for each parameter the model lacks (``_PARAMS``).  pa and
   dpa are 1 x 1, pah, dh and dpah 101 x 1, patch 101 x 101, so one argmax,
@@ -65,6 +67,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -318,25 +321,27 @@ def _directed_stats(trace: GrowthTrace) -> _DirectedStats:
     same = labels[tgt] == cls_s
 
     # indeg(u) + 1 before event i: 1 + u's earlier events as a target
-    by_target = np.argsort(tgt, kind="stable")
-    tkeys = tgt[by_target] * n_events + by_target
-    tstart = np.searchsorted(tkeys, np.arange(n + 1) * n_events)
-    ind1_t = 1 + np.searchsorted(tkeys, tgt * n_events + idx) - tstart[tgt]
-    ind1_s = 1 + np.searchsorted(tkeys, src * n_events + idx) - tstart[src]
+    targets = _key_runs(tgt, n)
+    ind1_t = 1 + targets.place - targets.start[tgt]
+    ind1_s = 1 + np.searchsorted(targets.keys, src * n_events + idx) - targets.start[src]
+
+    # the source's earlier targets by class: their (indeg + 1) mass and their count
+    sources = _key_runs(src, n)
+    by_source = sources.order
+    first = sources.start[src[by_source]]
+    mass_own, mass_oth = _excluded_mass(src, tgt, same, ind1_t, sources, targets, first)
+    same_sorted = same[by_source]
+    excl_own, excl_oth = np.empty((2, n_events), dtype=np.int64)
+    excl_own[by_source] = _group_exclusive_cumsum(same_sorted, first)
+    excl_oth[by_source] = _group_exclusive_cumsum(~same_sorted, first)
+    # the float fields below are the peak of memory: free the sort arrays first
+    del targets, sources, by_source, first, same_sorted
+
     # (indeg + 1) totals by class: one per node plus the earlier picks of the class
     picks1 = np.cumsum(labels[tgt]) - labels[tgt]
     own1 = cls_s == 1
     tot_own = n_class[cls_s] + np.where(own1, picks1, idx - picks1)
     tot_oth = n_class[1 - cls_s] + np.where(own1, idx - picks1, picks1)
-
-    # the source's earlier targets by class: their count and their (indeg + 1) mass
-    by_source = np.argsort(src, kind="stable")
-    first = np.searchsorted(src[by_source], src[by_source])
-    same_sorted = same[by_source]
-    excl_own, excl_oth = np.empty((2, n_events), dtype=np.int64)
-    excl_own[by_source] = _group_exclusive_cumsum(same_sorted, first)
-    excl_oth[by_source] = _group_exclusive_cumsum(~same_sorted, first)
-    mass_own, mass_oth = _excluded_mass(tgt, same, by_source, first, tkeys, tstart)
 
     return _DirectedStats(
         n_events=n_events,
@@ -349,37 +354,92 @@ def _directed_stats(trace: GrowthTrace) -> _DirectedStats:
     )
 
 
-def _excluded_mass(tgt, same, by_source, first, tkeys, tstart) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of indeg(u) + 1 at event i over the source's earlier targets u, own class and other.
+class _Runs(NamedTuple):
+    """Events stably sorted by a node key in 0..n-1 (see :func:`_key_runs`)."""
 
-    Pair scheme: every pair (k, i) of events of one source with k < i
-    looks up indeg(t_k) before i, O(sum of squared out-degrees) lookups
-    in chunks of about _PAIR_CHUNK pairs.
+    keys: np.ndarray   # the sorted keys ``key * E + event``
+    order: np.ndarray  # the events in that order
+    place: np.ndarray  # each event's position in it
+    start: np.ndarray  # where each key's run starts (n + 1 values)
+
+
+def _key_runs(keys: np.ndarray, n: int) -> _Runs:
+    """The events stably sorted by ``keys``.
+
+    The keys ``key * E + event`` are distinct, so a plain sort of them is
+    the stable order, at a fraction of the cost of a stable ``argsort``.
     """
-    n_events = tgt.size
-    rank = np.arange(n_events) - first  # earlier events of the same source
-    cum = np.concatenate(([0], np.cumsum(rank)))
-    mass = np.zeros((2, n_events), dtype=np.int64)
+    n_events = keys.size
+    sorted_keys = np.sort(keys * n_events + np.arange(n_events))
+    order = sorted_keys % n_events
+    place = np.empty(n_events, dtype=np.int64)
+    place[order] = np.arange(n_events)
+    start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys, minlength=n), out=start[1:])
+    return _Runs(sorted_keys, order, place, start)
+
+
+def _pair_runs(order: np.ndarray, counts: np.ndarray, place: np.ndarray):
+    """Yield ``(k, r, pos)`` over ``order`` in chunks of about _PAIR_CHUNK
+    pairs: the chunk's events k, their pair counts r (``counts`` is given
+    in ``order``'s order) and, event after event, the r positions after
+    ``place[k]``."""
+    cum = np.zeros(counts.size + 1, dtype=np.int64)
+    np.cumsum(counts, out=cum[1:])
     cuts = _chunk_cuts(cum)
     for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        r = rank[lo:hi]
-        later = np.repeat(np.arange(lo, hi), r)
-        earlier = first[later] + np.arange(later.size) - np.repeat(cum[lo:hi] - cum[lo], r)
-        i, k = by_source[later], by_source[earlier]
-        u = tgt[k]
-        needles = u * n_events + i
-        order = np.argsort(needles)
-        val = np.empty(needles.size, dtype=np.int64)
-        val[order] = np.searchsorted(tkeys, needles[order])
-        val += 1 - tstart[u]
-        own = same[k]
-        seg = np.concatenate(([0], np.cumsum(r)))
-        for c, w in ((0, own), (1, ~own)):
-            cs = np.concatenate(([0], np.cumsum(val * w)))
-            mass[c, lo:hi] = cs[seg[1:]] - cs[seg[:-1]]
-    out = np.empty_like(mass)
-    out[:, by_source] = mass
-    return out[0], out[1]
+        n_pairs = int(cum[hi] - cum[lo])
+        if n_pairs:
+            k, r = order[lo:hi], counts[lo:hi]
+            yield k, r, np.repeat(place[k] + 1 - (cum[lo:hi] - cum[lo]), r) + np.arange(n_pairs)
+
+
+def _excluded_mass(src, tgt, same, ind1_t, sources, targets, first) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of indeg(u) + 1 at event i over the source's earlier targets u, own class and other.
+
+    ``sources`` and ``targets`` are the :func:`_key_runs` of the source and
+    target ids, ``first`` the start of each by-source position's run.  An
+    earlier event k of the source adds ``ind1_t[k] + 1 + Y(k, i)``, where
+    ``Y(k, i)`` counts the events k < j < i that also pick t_k.  The first
+    part is one grouped cumulative sum in by-source order.  Y is counted
+    from the shorter of k's two lists of later events.  From the source's
+    (i): ``Y(k, i)`` for each, a ``searchsorted`` in the target keys.  From
+    the target's (j): +1 from the source's first event after j on, a
+    ``searchsorted`` in the source keys.  The work is O(sum over k of
+    min(later out-events, later in-events)), which is O(E * sqrt(E)) on any
+    trace (Chiba & Nishizeki 1985), in chunks of about _PAIR_CHUNK pairs.
+    """
+    (skeys, by_source, pos_s, sstart), (tkeys, by_target, pos_t, tstart) = sources, targets
+    n_events = tgt.size
+    # each event's later events as a source and as a target, in by-target
+    # order; the longer list's count is zeroed (on a tie, the target's)
+    from_s = sstart[src[by_target] + 1] - pos_s[by_target] - 1
+    from_t = tstart[tgt[by_target] + 1] - np.arange(n_events) - 1
+    shorter_s = from_s <= from_t
+    from_s[~shorter_s] = 0
+    from_t[shorter_s] = 0
+    # by-source order, one row per class: `spread` reaches the source's
+    # events after a position, `here` that position alone
+    own = same[by_source]
+    spread = np.zeros((2, n_events), dtype=np.int64)
+    spread[0, own] = ind1_t[by_source[own]] + 1
+    spread[1, ~own] = ind1_t[by_source[~own]] + 1
+    here = np.zeros((2, n_events), dtype=np.int64)
+    flat_spread, flat_here = spread.reshape(-1), here.reshape(-1)
+    for k, r, p in _pair_runs(by_target, from_s, pos_s):
+        y = np.searchsorted(tkeys, np.repeat(tgt[k] * n_events, r) + by_source[p])
+        y -= np.repeat(pos_t[k] + 1, r)
+        np.add.at(flat_here, np.repeat(np.where(same[k], 0, n_events), r) + p, y)
+    for k, r, q in _pair_runs(by_target, from_t, pos_t):
+        # p: the source's first event after j, or the end of its run; a +1
+        # at p - 1 reaches p and on (from the run's last event, nothing)
+        p = np.searchsorted(skeys, np.repeat(src[k] * n_events, r) + by_target[q])
+        np.add.at(flat_spread, np.repeat(np.where(same[k], -1, n_events - 1), r) + p, 1)
+    del from_s, from_t  # before the cumulative sums, the peak of memory
+    for c in range(2):
+        here[c] += _group_exclusive_cumsum(spread[c], first)
+    spread[:, by_source] = here  # back to event order
+    return spread[0], spread[1]
 
 
 def _stats_for(trace: GrowthTrace):
@@ -554,8 +614,7 @@ class _PatchCells:
         self.miss_term = n_miss * log_ptc_off if n_miss else np.zeros_like(ptc)
         self.inv_tc = 1.0 / stats.tc_size[hit]
         # p_tc * P_tc of each hit event, a p_tc row computed when first used
-        self.tc_part = np.empty((ptc.size, self.inv_tc.size))
-        self.tc_todo = np.ones(ptc.size, dtype=bool)
+        self.tc_rows = [None] * ptc.size
         self.aff_share = (1.0 - ptc)[:, None]
         self.step = _block_rows(self.inv_tc.size)
         self.buf = np.empty((min(self.step, ptc.size), self.inv_tc.size))
@@ -574,11 +633,7 @@ class _PatchCells:
     def cells(self, hi: int, a: int, b: int) -> np.ndarray:
         """Row ``hi``'s cells at p_tc values a..b-1, a block of p_tc rows at a time."""
         self._use_row(hi)
-        base, ptc, tc_part, under = self.bases[hi], self.ptc, self.tc_part, self.under
-        todo = a + np.flatnonzero(self.tc_todo[a:b])
-        if todo.size:
-            tc_part[todo] = ptc[todo, None] * self.inv_tc
-            self.tc_todo[todo] = False
+        base, ptc, tc_rows, under = self.bases[hi], self.ptc, self.tc_rows, self.under
         hit_term = np.empty(b - a)
         with np.errstate(divide="ignore", invalid="ignore"):
             for c in range(a, b, self.step):
@@ -586,11 +641,14 @@ class _PatchCells:
                 # p_tc * P_tc + (1 - p_tc) * P_aff of each hit event
                 mix = self.buf[:d - c]
                 np.multiply(self.aff_share[c:d], self.p_aff_hit, out=mix)
-                mix += tc_part[c:d]
+                for r in range(c, d):
+                    if tc_rows[r] is None:
+                        tc_rows[r] = ptc[r] * self.inv_tc
+                    mix[r - c] += tc_rows[r]
                 np.log(mix, out=mix)
                 if under.size:
                     mix[:, under] = np.logaddexp(
-                        np.log(tc_part[c:d, under]),
+                        np.log([tc_rows[r][under] for r in range(c, d)]),
                         np.log1p(-ptc[c:d])[:, None] + self.logp_aff_hit[under],
                     )
                 hit_term[c - a:d - a] = mix.sum(axis=1)

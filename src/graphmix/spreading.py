@@ -46,6 +46,10 @@ SEED_CONDITIONS = ("uniform", "majority-only", "minority-only", "top-degree")
 # them in Python; larger frontiers take the array step
 _SCALAR_STEP_ENTRIES = 64
 
+# an IC step with at least n / this many successful attempts lists its
+# activations by a scan of an n-long mark (O(n)); fewer are sorted (O(k log k))
+_MARK_STEP_RATIO = 128
+
 
 @dataclass(frozen=True)
 class CascadeTrace:
@@ -134,6 +138,7 @@ def cascade(
     times = np.full(g.n, -1, dtype=np.int64)
     times[seeds] = 0
     frontier = seeds
+    mark = np.zeros(g.n, dtype=bool)  # a step's activations, cleared after each step
 
     t = 0
     while frontier.size and t < max_steps:
@@ -144,7 +149,14 @@ def cascade(
         attempt = times[dst] < 0
         src, dst = src[attempt], dst[attempt]
         p = np.where(labels[dst] == labels[src], p_in, p_out)
-        frontier = np.unique(dst[rng.random(dst.size) < p])
+        hit = dst[rng.random(dst.size) < p]
+        # the next frontier, ascending and without repeats
+        if hit.size * _MARK_STEP_RATIO >= g.n:
+            mark[hit] = True
+            frontier = np.flatnonzero(mark)
+            mark[frontier] = False
+        else:
+            frontier = np.unique(hit)
         times[frontier] = t
 
     rows, counts = _fractions_from_times(times, labels)

@@ -18,6 +18,11 @@ it cell for cell with this one.
 ``log`` of ``a(h) * weight`` per event; the library's lookup kernel must
 return the same bits.
 
+``reference_excluded_mass`` is the directed replay's excluded (indeg + 1)
+mass by the pair scheme: every pair of one source's events, O(sum of
+squared out-degrees) lookups.  The library counts from the cheaper side of
+each event and must return the same integers.
+
 ``array_sample_without_replacement`` and ``rebuilt_pool_snowball`` are the
 earlier, slower forms of two samplers (swaps on a full index array, and a
 snowball that rebuilds its sorted re-seed pool from scratch); the library's
@@ -62,7 +67,7 @@ from graphmix.generate import (
     sample_activity,
 )
 from graphmix.graph import AttributedGraph, EdgeError, assign_classes
-from graphmix.inference import _TINY, PTC_GRID, _block_rows
+from graphmix.inference import _TINY, PTC_GRID, _block_rows, _chunk_cuts
 from graphmix.rng import (
     UniformStream,
     make_rng,
@@ -241,6 +246,49 @@ def full_patch_grid(stats, h_values, ptc_values=None) -> np.ndarray:
                 hit_term[a:b] = mix.sum(axis=1)
         out[hi] = base + miss_term + hit_term
     return out
+
+
+def reference_excluded_mass(trace: GrowthTrace) -> tuple[np.ndarray, np.ndarray]:
+    """The directed replay's excluded (indeg + 1) mass, own class and other, by the pair scheme.
+
+    Every pair (k, i) of events of one source with k < i looks up
+    indeg(t_k) before i in the sorted (target, event) keys, O(sum of
+    squared out-degrees) lookups in chunks of about ``_PAIR_CHUNK`` pairs.
+    """
+    n = trace.n
+    src = trace.sources.astype(np.int64)
+    tgt = trace.targets.astype(np.int64)
+    same = trace.labels[tgt] == trace.labels[src]
+    n_events = tgt.size
+    by_target = np.argsort(tgt, kind="stable")
+    tkeys = tgt[by_target] * n_events + by_target
+    tstart = np.searchsorted(tkeys, np.arange(n + 1) * n_events)
+    by_source = np.argsort(src, kind="stable")
+    first = np.searchsorted(src[by_source], src[by_source])
+
+    rank = np.arange(n_events) - first  # earlier events of the same source
+    cum = np.concatenate(([0], np.cumsum(rank)))
+    mass = np.zeros((2, n_events), dtype=np.int64)
+    cuts = _chunk_cuts(cum)
+    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        r = rank[lo:hi]
+        later = np.repeat(np.arange(lo, hi), r)
+        earlier = first[later] + np.arange(later.size) - np.repeat(cum[lo:hi] - cum[lo], r)
+        i, k = by_source[later], by_source[earlier]
+        u = tgt[k]
+        needles = u * n_events + i
+        order = np.argsort(needles)
+        val = np.empty(needles.size, dtype=np.int64)
+        val[order] = np.searchsorted(tkeys, needles[order])
+        val += 1 - tstart[u]
+        own = same[k]
+        seg = np.concatenate(([0], np.cumsum(r)))
+        for c, w in ((0, own), (1, ~own)):
+            cs = np.concatenate(([0], np.cumsum(val * w)))
+            mass[c, lo:hi] = cs[seg[1:]] - cs[seg[:-1]]
+    out = np.empty_like(mass)
+    out[:, by_source] = mass
+    return out[0], out[1]
 
 
 def _brute_directed(trace, model, labels, h):

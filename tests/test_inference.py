@@ -38,6 +38,7 @@ from helpers import (
     full_patch_grid,
     reference_aff_pick_logprob,
     reference_affinity_logp,
+    reference_excluded_mass,
 )
 
 
@@ -664,9 +665,81 @@ def test_affinity_kernel_has_the_reference_bits(name, rows_per_block, monkeypatc
         assert np.array_equal(_bits(sums[j]), _bits([row[part].sum() for row in want]))
 
 
+# -- the excluded mass against the pair-scheme reference ---------------------------------
+
+
+def _hub_trace(n, hub, p, seed):
+    """Node 0 as the source (``hub == "source"``) or the target of every edge
+    it can take, every other edge with probability p, in a random order."""
+    rng = np.random.default_rng(seed)
+    pairs = np.array([(u, v) for u in range(n) for v in range(n) if u != v])
+    keep = (pairs[:, 0 if hub == "source" else 1] == 0) | (rng.random(len(pairs)) < p)
+    pairs = rng.permutation(pairs[keep])
+    return GrowthTrace(
+        directed=True, labels=rng.integers(0, 2, n).astype(np.int8), sources=pairs[:, 0],
+        targets=pairs[:, 1], kinds=np.full(len(pairs), int(EventKind.DIRECTED_PICK), dtype=np.int8),
+        order_assumed=True,
+    )
+
+
+def _excluded_mass_of(trace):
+    """``_excluded_mass`` as ``_directed_stats`` calls it."""
+    got = []
+    kernel = inference._excluded_mass
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(inference, "_excluded_mass", lambda *args: got.append(kernel(*args)) or got[0])
+        inference._directed_stats(trace)
+    return got[0]
+
+
+def _side_pairs(trace):
+    """Pairs listed from the source's later events, and from the target's."""
+    src, tgt = trace.sources.tolist(), trace.targets.tolist()
+    later = [(src[k + 1:].count(s), tgt[k + 1:].count(t)) for k, (s, t) in enumerate(zip(src, tgt))]
+    return sum(a for a, b in later if a <= b), sum(b for a, b in later if b < a)
+
+
+@given(
+    st.sampled_from(["dpa", "dh", "dpah", "hub-source", "hub-target"]),
+    st.integers(5, 60),
+    st.floats(0.05, 0.3),
+    st.booleans(),
+    st.sampled_from([None, 1, 7]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_excluded_mass_matches_the_pair_reference(family, n, d, from_graph, chunk, seed):
+    if family.startswith("hub"):
+        trace = _hub_trace(n, family[4:], d, seed)
+    else:
+        try:
+            g, trace = gen_directed(family, n, d, 0.3, None if family == "dpa" else 0.7, 2.5, seed=seed)
+        except SaturationError:
+            reject()
+        if from_graph:
+            trace = trace_from_graph(g, seed=seed)
+    want = reference_excluded_mass(trace)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk:  # chunk cuts inside the runs of both sides
+            mp.setattr(inference, "_PAIR_CHUNK", chunk)
+        got = _excluded_mass_of(trace)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
+@pytest.mark.parametrize("hub", ["source", "target"])
+def test_hub_traces_list_pairs_from_both_sides(hub):
+    trace = _hub_trace(40, hub, 0.1, seed=5)
+    by_source, by_target = _side_pairs(trace)
+    assert by_source > 0 and by_target > 0, (by_source, by_target)
+    got, want = _excluded_mass_of(trace), reference_excluded_mass(trace)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+
 def test_select_memory_stays_below_one_grid_array():
-    # pah with patch once held a 101 x (scored events) float64 array
+    # pah with patch once held a 101 x (scored events) float64 array, and
+    # patch a 101 x (hit events) array of p_tc * P_tc rows it mostly never read
     _, trace = gen_patch(20000, 3, 0.3, 0.8, 0.5, seed=1)
+    n_hit = inference._patch_events(inference._undirected_stats(trace))[1].size
     tracemalloc.start()
     try:
         select_model(trace, ["pa", "pah", "patch"])
@@ -674,6 +747,7 @@ def test_select_memory_stays_below_one_grid_array():
     finally:
         tracemalloc.stop()
     assert peak < H_GRID.size * 8 * len(trace.sources), peak / len(trace.sources)
+    assert peak < H_GRID.size * 8 * n_hit, (peak, n_hit)
 
 
 # -- differential check against the brute-force oracle ---------------------------------
