@@ -257,17 +257,19 @@ _HELP = {
 
 
 def build_parser(command: str | None = None) -> _Parser:
-    """The parser of every subcommand; with ``command``, only that subcommand gets its flags.
+    """The parser of every subcommand; with a known ``command``, of that one alone.
 
-    Each flag costs a help formatter, so ``main`` builds the flags of the
-    subcommand named first on its command line alone.
+    Each subcommand and each flag costs a parser or a help formatter, so
+    ``main`` builds the subcommand named first on its command line alone.
+    For any other first word (``--help``, a typo) it builds every
+    subcommand without flags, so that usage lists them all.
     """
     parser = _Parser(prog="graphmix", description=__doc__.split("\n")[0])
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    for name, spec in _SPECS.items():
+    for name in [command] if command in _SPECS else _SPECS:
         p = sub.add_parser(name)
         if command is None or command == name:
-            _add_flags(p, spec)
+            _add_flags(p, _SPECS[name])
     return parser
 
 

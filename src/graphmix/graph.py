@@ -192,14 +192,10 @@ class CSR:
     def row(self, u: int) -> np.ndarray:
         return self.indices[self.indptr[u]:self.indptr[u + 1]]
 
-    def rows(self, nodes: np.ndarray, lengths: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-        """Concatenated rows of the int array ``nodes``: (owning node, neighbor) per entry.
-
-        With ``lengths``, row i is cut to its first ``lengths[i]`` entries.
-        """
+    def rows(self, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Concatenated rows of the int array ``nodes``: (owning node, neighbor) per entry."""
         starts = self.indptr[nodes]
-        if lengths is None:
-            lengths = self.indptr[nodes + 1] - starts
+        lengths = self.indptr[nodes + 1] - starts
         ends = lengths.cumsum()  # where each row ends in the output
         total = int(ends[-1]) if ends.size else 0
         offsets = np.arange(total) + np.repeat(starts - ends + lengths, lengths)

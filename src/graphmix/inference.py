@@ -29,10 +29,11 @@ anything is scored.
   :func:`trace_from_graph`, edge {u, w} exists before arrival v exactly when
   max(u, w) < v.  So what arrival v sees of a node's neighbourhood is the
   prefix below v of its row in the rebuilt graph's CSR: snapshot degrees are
-  one ``searchsorted``, class degree totals and the mass already chosen in
-  an arrival are (grouped) cumulative sums, and the triadic-closure sets
-  come from a stable sort of (arrival, exposed node) keys.  Cost:
-  O(E log E) plus the sum of the picked targets' snapshot degrees.
+  one ``searchsorted``, and class degree totals and the mass already chosen
+  in an arrival are (grouped) cumulative sums: O(E log E).  Only patch
+  reads the triadic-closure sets, so they are built only when patch is
+  scored: one sort of distinct (arrival, node, event) keys, a key per entry
+  of the picked targets' rows below v (their snapshot degrees summed).
 * Directed: target in-degrees, class totals and excluded counts are
   stable-sort ranks and grouped cumulative sums.  The (indeg + 1) mass of a
   source's earlier targets is path dependent.  Its part that grows after an
@@ -157,9 +158,10 @@ class _UndirectedStats:
     sum_same: np.ndarray  # eligible degree sum, source's class
     sum_diff: np.ndarray  # eligible degree sum, other class
     n_elig: np.ndarray
-    mixture: np.ndarray  # non-first pick with a non-empty triadic set
-    tc_size: np.ndarray
-    tc_hit: np.ndarray
+    # the triadic-closure sets, which patch alone reads: None unless requested
+    mixture: np.ndarray | None = None  # non-first pick with a non-empty triadic set
+    tc_size: np.ndarray | None = None
+    tc_hit: np.ndarray | None = None
 
 
 @dataclass
@@ -179,6 +181,9 @@ class _DirectedStats:
 
 # Event pairs handled at once by the chunked pair passes of the replay statistics.
 _PAIR_CHUNK = 1 << 16
+
+# The bits of a non-negative int64, the width of the triadic-closure sort keys.
+_KEY_BITS = 63
 
 
 def _arrival_groups(trace: GrowthTrace) -> np.ndarray:
@@ -213,7 +218,9 @@ def _chunk_cuts(cum: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate(([0], cuts, [cum.size - 1])))
 
 
-def _undirected_stats(trace: GrowthTrace) -> _UndirectedStats:
+def _undirected_stats(trace: GrowthTrace, triadic: bool) -> _UndirectedStats:
+    """The per-event statistics of an undirected trace; with ``triadic``,
+    the triadic-closure sets too (patch reads them, pa and pah do not)."""
     if trace.directed:
         raise ValueError("trace is directed; undirected stats requested")
     starts = _arrival_groups(trace)
@@ -243,14 +250,13 @@ def _undirected_stats(trace: GrowthTrace) -> _UndirectedStats:
     # minus the degree mass the arrival has already chosen
     sum_same = tot[src, cls_v] - _group_exclusive_cumsum(np.where(same, deg, 0), first)
     sum_diff = tot[src, 1 - cls_v] - _group_exclusive_cumsum(np.where(same, 0, deg), first)
-    tc_size, tc_hit = _triadic_sets(csr, src, tgt, deg, starts)
 
     fallback = trace.kinds == EventKind.FALLBACK_UNIFORM
     const = 0.0
     for elig in n_elig[fallback].tolist():  # summed in event order
         const -= math.log(elig)
     scored = ~fallback
-    return _UndirectedStats(
+    stats = _UndirectedStats(
         n_events=int(scored.sum()),
         n_fallback=int(fallback.sum()),
         const_loglik=const,
@@ -259,51 +265,80 @@ def _undirected_stats(trace: GrowthTrace) -> _UndirectedStats:
         sum_same=sum_same[scored].astype(np.float64),
         sum_diff=sum_diff[scored].astype(np.float64),
         n_elig=n_elig[scored].astype(np.float64),
-        mixture=tc_size[scored] > 0,
-        tc_size=tc_size[scored].astype(np.float64),
-        tc_hit=tc_hit[scored],
     )
+    if triadic:
+        tc_size, tc_hit = _triadic_sets(csr, tgt, deg, starts, first)
+        stats.mixture = tc_size[scored] > 0
+        stats.tc_size = tc_size[scored].astype(np.float64)
+        stats.tc_hit = tc_hit[scored]
+    return stats
 
 
-def _triadic_sets(csr, src, tgt, deg, starts) -> tuple[np.ndarray, np.ndarray]:
+def _triadic_sets(csr, tgt, deg, starts, first) -> tuple[np.ndarray, np.ndarray]:
     """Size of each pick's triadic-closure set, and whether the pick lies in it.
 
     The set of a pick is the union of the below-v rows of its arrival's
-    earlier picks, minus those picks.  A node first exposed by event f and
-    picked by event c (the arrival's last event if never) is in the sets of
-    events f+1..c.  Each node's first exposure comes from a stable sort of
-    (v, node) keys, whole arrivals at a time.
+    earlier picks, minus those picks.  One sort, a chunk of whole arrivals
+    at a time, lines up each (arrival, node)'s pick and its exposures (its
+    entries in the rows of the arrival's picks but the last) in event
+    order.  A run that opens with an exposure by event f puts the node in
+    the sets from f+1 on; a pick that does not open its run is a hit, and
+    takes the node out of the sets after it; a run that opens with the
+    pick adds nothing.  The keys are the distinct bit fields ``arrival |
+    node | event | is a pick``, arrival and event counted from the chunk's
+    first (see :func:`_key_chunks`).
     """
-    n_events = src.size
-    n = csr.indptr.size - 1
-    stop = np.repeat(starts[1:], np.diff(starts))
-    exposed = np.where(stop - np.arange(n_events) > 1, deg, 0)  # an arrival's last pick exposes nothing
-    pick_keys = src * n + tgt
-    pick_order = np.argsort(pick_keys)  # moves events only within their arrival
-    sorted_picks = pick_keys[pick_order]
-    diff = np.zeros(n_events + 1, dtype=np.int64)
-    hit = np.zeros(n_events, dtype=bool)
-    cuts = starts[_chunk_cuts(np.concatenate(([0], np.cumsum(exposed)))[starts])]
-    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        ev = lo + np.flatnonzero(exposed[lo:hi])
+    runs = np.diff(starts)
+    arrival = np.repeat(np.arange(runs.size), runs)
+    exposed = deg.copy()
+    exposed[starts[1:] - 1] = 0  # an arrival's last pick exposes nothing
+    cuts, node_at, arrival_at = _key_chunks(starts, exposed, csr.indptr.size - 1)
+    nodes = csr.indices << node_at
+    opened = np.zeros(tgt.size, dtype=np.int64)  # the runs each event opens
+    hit = np.zeros(tgt.size, dtype=bool)
+    for a0, a1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
+        lo, hi = int(starts[a0]), int(starts[a1])
+        ev = np.flatnonzero(exposed[lo:hi])
         if not ev.size:
             continue
-        lens = exposed[ev]
-        by = np.repeat(ev, lens)
-        keys = src[by] * n + csr.rows(tgt[ev], lens)[1]
-        order = np.argsort(keys, kind="stable")  # equal keys keep event order
-        keys = keys[order]
-        head = np.ones(keys.size, dtype=bool)
-        head[1:] = keys[1:] != keys[:-1]
-        keys, by = keys[head], by[order[head]]
-        at = lo + np.minimum(np.searchsorted(sorted_picks[lo:hi], keys), hi - lo - 1)
-        last = np.where(sorted_picks[at] == keys, pick_order[at], stop[by] - 1)
-        live = by < last
-        diff[lo:hi + 1] += np.bincount(by[live] + 1 - lo, minlength=hi - lo + 1)
-        diff[lo:hi + 1] -= np.bincount(last[live] + 1 - lo, minlength=hi - lo + 1)
-        at = np.minimum(np.searchsorted(keys, pick_keys[lo:hi]), keys.size - 1)
-        hit[lo:hi] = (keys[at] == pick_keys[lo:hi]) & (by[at] < np.arange(lo, hi))
-    return np.cumsum(diff[:-1]), hit
+        base = ((arrival[lo:hi] - a0) << arrival_at) | (np.arange(hi - lo) << 1)
+        lens = exposed[lo + ev]
+        row_ends = np.cumsum(lens)
+        n_exposed = int(row_ends[-1])
+        # the exposures' keys, then the picks'
+        at = np.repeat(csr.indptr[tgt[lo + ev]] - row_ends + lens, lens)
+        at += np.arange(n_exposed)
+        keys = np.empty(n_exposed + hi - lo, dtype=np.int64)
+        np.take(nodes, at, out=keys[:n_exposed])
+        keys[:n_exposed] += np.repeat(base[ev], lens)
+        np.add(tgt[lo:hi] << node_at, base + 1, out=keys[n_exposed:])
+        keys.sort()
+        field = keys >> node_at  # (arrival, node)
+        opens = np.ones(keys.size, dtype=bool)
+        np.not_equal(field[1:], field[:-1], out=opens[1:])
+        np.bitwise_and(keys, (1 << node_at) - 1, out=field)  # (event, is a pick)
+        is_pick = (field & 1).astype(bool)
+        field >>= 1
+        # exposures that open their run, and picks that do not
+        opened[lo:hi] = np.bincount(field.take(np.flatnonzero(opens > is_pick)), minlength=hi - lo)
+        hit[lo + field.take(np.flatnonzero(opens < is_pick))] = True
+    return _group_exclusive_cumsum(opened - hit, first), hit
+
+
+def _key_chunks(starts, exposed, n: int) -> tuple[np.ndarray, int, int]:
+    """The arrivals that start each chunk of :func:`_triadic_sets` (then
+    the arrival count), and where its keys' node and arrival fields start.
+
+    Chunks hold about _PAIR_CHUNK exposures, and are cut further so that
+    the arrival field has at most ``_KEY_BITS`` minus the bits below it:
+    every key fits in int64.  One arrival does while n and the longest
+    chunk's event count are below 2**31.
+    """
+    cuts = _chunk_cuts(np.concatenate(([0], np.cumsum(exposed)))[starts])
+    node_at = int(np.diff(starts[cuts]).max(initial=0)).bit_length() + 1
+    arrival_at = node_at + (n - 1).bit_length()
+    cuts = np.union1d(cuts, np.arange(0, starts.size - 1, 1 << (_KEY_BITS - arrival_at)))
+    return cuts, node_at, arrival_at
 
 
 def _directed_stats(trace: GrowthTrace) -> _DirectedStats:
@@ -442,8 +477,8 @@ def _excluded_mass(src, tgt, same, ind1_t, sources, targets, first) -> tuple[np.
     return spread[0], spread[1]
 
 
-def _stats_for(trace: GrowthTrace):
-    return _directed_stats(trace) if trace.directed else _undirected_stats(trace)
+def _stats_for(trace: GrowthTrace, triadic: bool):
+    return _directed_stats(trace) if trace.directed else _undirected_stats(trace, triadic)
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +575,8 @@ def _patch_events(stats: _UndirectedStats) -> tuple[np.ndarray, np.ndarray, np.n
     A row gathered by event indices is the same 1-D copy as by a boolean
     mask, at a fraction of the cost.
     """
+    if stats.mixture is None:
+        raise RuntimeError("replay statistics built without the triadic-closure sets")
     return (
         np.flatnonzero(~stats.mixture),
         np.flatnonzero(stats.mixture & stats.tc_hit),
@@ -785,7 +822,7 @@ def replay_loglik(
     """
     model = model.lower()
     _check_family(trace, model)
-    stats = _stats_for(trace)
+    stats = _stats_for(trace, model == "patch")
     h, p_tc = _checked_params(model, h, p_tc)
     # a 1 x 1 grid; the value None stands on an axis the model lacks, which is not read
     grid = _loglik_grid(stats, model, np.array([h]), np.array([p_tc]))
@@ -880,11 +917,12 @@ def _log_marginal(grid: np.ndarray) -> float:
 def _fit_models(trace: GrowthTrace, models: list[str]) -> tuple[dict, dict]:
     """The grid fit and the log marginal likelihood of each (lower-case) model.
 
-    One replay serves every model, and pah and patch share one affinity pass.
+    One replay serves every model, and pah and patch share one affinity
+    pass.  The triadic-closure sets are built only when patch is scored.
     """
     for model in models:
         _check_family(trace, model)
-    stats = _stats_for(trace)
+    stats = _stats_for(trace, "patch" in models)
     sums = None
     if "pah" in models and "patch" in models and stats.n_events:
         sums = _aff_sums(stats, H_GRID)

@@ -18,6 +18,11 @@ it cell for cell with this one.
 ``log`` of ``a(h) * weight`` per event; the library's lookup kernel must
 return the same bits.
 
+``reference_triadic_sets`` is each undirected event's triadic-closure set
+by its definition, as Python sets: the union of the below-v neighbourhoods
+of the arrival's earlier picks, minus those picks.  The library finds the
+same sizes and hits by one sort of (arrival, node) keys.
+
 ``reference_excluded_mass`` is the directed replay's excluded (indeg + 1)
 mass by the pair scheme: every pair of one source's events, O(sum of
 squared out-degrees) lookups.  The library counts from the cheaper side of
@@ -246,6 +251,32 @@ def full_patch_grid(stats, h_values, ptc_values=None) -> np.ndarray:
                 hit_term[a:b] = mix.sum(axis=1)
         out[hi] = base + miss_term + hit_term
     return out
+
+
+def reference_triadic_sets(trace: GrowthTrace) -> tuple[np.ndarray, np.ndarray]:
+    """Each event's triadic-closure set size, and whether its pick lies in the set.
+
+    The set of an event of arrival v is the union of the below-v
+    neighbourhoods of the arrival's earlier picks, minus those picks; a
+    neighbourhood is read from the graph of the whole trace, the seed
+    clique of its first m nodes included.
+    """
+    src, tgt = trace.sources.tolist(), trace.targets.tolist()
+    seed = [(u, w) for w in range(trace.m or 0) for u in range(w)]
+    adj = [set() for _ in range(trace.n)]
+    for s, t in seed + list(zip(src, tgt)):
+        adj[s].add(t)
+        adj[t].add(s)
+    size = np.zeros(len(src), dtype=np.int64)
+    hit = np.zeros(len(src), dtype=bool)
+    earlier: list[int] = []
+    for i, (v, t) in enumerate(zip(src, tgt)):
+        if i and src[i - 1] != v:
+            earlier = []
+        tc = {u for pick in earlier for u in adj[pick] if u < v} - set(earlier)
+        size[i], hit[i] = len(tc), t in tc
+        earlier.append(t)
+    return size, hit
 
 
 def reference_excluded_mass(trace: GrowthTrace) -> tuple[np.ndarray, np.ndarray]:

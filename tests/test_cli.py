@@ -612,6 +612,16 @@ def test_top_level_help_lists_every_command(capsys):
     assert all(command in text for command in cli._SPECS) and len(cli._SPECS) == 7
 
 
+def test_unknown_command_is_exit_1_and_lists_every_command(capsys):
+    # main builds the named subcommand alone; any other word gets the full choice list
+    assert run("selcet", "--models", "pa") == 1
+    err = capsys.readouterr().err
+    assert "invalid choice" in err and "selcet" in err
+    listed = err.split("choose from", 1)[1]
+    assert all(command in listed for command in cli._SPECS)
+    assert "{select}" in cli.build_parser("select").format_usage()
+
+
 # -- console entry point ---------------------------------------------------------------
 
 

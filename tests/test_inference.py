@@ -39,6 +39,7 @@ from helpers import (
     reference_aff_pick_logprob,
     reference_affinity_logp,
     reference_excluded_mass,
+    reference_triadic_sets,
 )
 
 
@@ -556,7 +557,7 @@ def test_pruned_patch_grid_matches_the_full_evaluation(name, narrow, monkeypatch
     if narrow:  # 3-cell windows, so that every row's search climbs and widens
         monkeypatch.setattr(inference, "_CELL_BATCH", 1)
     _, trace = _GRID_TRACES[name]()
-    stats = inference._undirected_stats(trace)
+    stats = inference._undirected_stats(trace, triadic=True)
     if name == "fallback":
         assert stats.n_fallback > 0
     pruned = _assert_pruned_grid_matches(stats, H_GRID)
@@ -583,7 +584,7 @@ def test_pruned_patch_grid_matches_the_full_evaluation(name, narrow, monkeypatch
 def test_pruned_patch_grid_with_an_underflowing_affinity():
     # at a subnormal h some hit events mix in log space
     _, trace = gen_pah(30, 2, 0.4, 0.5, seed=0)
-    stats = inference._undirected_stats(trace)
+    stats = inference._undirected_stats(trace, triadic=True)
     _assert_pruned_grid_matches(stats, np.array([5e-324, 1e-300, 0.3, 0.5]))
     for h_values, ptc_values in ((np.array([5e-324]), np.array([0.0])), (np.array([0.4]), np.array([0.7]))):
         one = inference._loglik_grid(stats, "patch", h_values, ptc_values)
@@ -596,7 +597,7 @@ def test_patch_cells_have_the_same_bits_in_any_block_height(h):
     # the grid evaluates a few p_tc rows at a time; each cell's row sum must
     # not depend on how many rows share its block
     _, trace = gen_patch(500, 3, 0.3, 0.7, 0.5, seed=4)
-    stats = inference._undirected_stats(trace)
+    stats = inference._undirected_stats(trace, triadic=True)
     h_values = np.array([h])
     sums = inference._aff_sums(stats, h_values)
     cells = inference._PatchCells(stats, h_values, PTC_GRID, sums)
@@ -635,7 +636,7 @@ def _kernel_rows(kernel, h_values):
 @pytest.mark.parametrize("name", list(_KERNEL_TRACES))
 def test_affinity_kernel_has_the_reference_bits(name, rows_per_block, monkeypatch):
     _, trace = _KERNEL_TRACES[name]()
-    stats = inference._stats_for(trace)
+    stats = inference._stats_for(trace, triadic=True)
     if rows_per_block:  # many blocks, the last one short
         monkeypatch.setattr(inference, "_BLOCK_BYTES", 8 * rows_per_block * stats.n_events)
     if trace.directed:
@@ -735,11 +736,84 @@ def test_hub_traces_list_pairs_from_both_sides(hub):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+# -- the triadic-closure sets against their definition -------------------------------
+
+
+def _assert_triadic_sets_match(trace):
+    size, hit = reference_triadic_sets(trace)
+    scored = trace.kinds != EventKind.FALLBACK_UNIFORM
+    stats = inference._undirected_stats(trace, triadic=True)
+    assert np.array_equal(stats.tc_size, size[scored])
+    assert np.array_equal(stats.tc_hit, hit[scored])
+    assert np.array_equal(stats.mixture, size[scored] > 0)
+
+
+@given(
+    st.sampled_from(["pah", "patch"]),
+    st.integers(5, 80),
+    st.integers(1, 4),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.sampled_from([None, 1, 7]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=120, deadline=None)
+def test_triadic_sets_match_the_definition(family, n, m, p_tc, from_graph, chunk, seed):
+    if family == "pah":
+        g, trace = gen_pah(n, m, 0.3, 0.7, seed=seed)
+    else:
+        g, trace = gen_patch(n, m, 0.3, 0.7, p_tc, seed=seed)
+    if from_graph:  # arrivals of any length, in node-id order
+        trace = trace_from_graph(g, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        if chunk:  # chunk cuts between most arrivals
+            mp.setattr(inference, "_PAIR_CHUNK", chunk)
+        _assert_triadic_sets_match(trace)
+
+
+@pytest.mark.parametrize("from_graph", [False, True])
+def test_triadic_sets_match_the_definition_in_chunks_cut_for_the_key_width(from_graph, monkeypatch):
+    # 80 nodes (7 bits) and one chunk of 231 or 234 events (8 bits, 9 with
+    # the pick bit) leave 1 bit of a 17-bit key for the arrival: 2 arrivals a chunk
+    g, trace = gen_patch(80, 3, 0.3, 0.7, 0.8, seed=6)
+    if from_graph:
+        trace = trace_from_graph(g)
+    monkeypatch.setattr(inference, "_KEY_BITS", 17)
+    plans = []
+    key_chunks = inference._key_chunks
+    monkeypatch.setattr(inference, "_key_chunks", lambda *args: plans.append(key_chunks(*args)) or plans[0])
+    _assert_triadic_sets_match(trace)
+    (cuts, _, arrival_at), = plans
+    assert arrival_at == 16 and np.diff(cuts).max() == 2
+
+
+def test_pa_and_pah_never_build_the_triadic_sets(monkeypatch):
+    _, trace = gen_patch(400, 3, 0.3, 0.8, 0.5, seed=3)
+    with_patch = select_model(trace, ["pa", "pah", "patch"])
+
+    def refuse(*args):
+        raise AssertionError("the triadic-closure sets were built")
+
+    monkeypatch.setattr(inference, "_triadic_sets", refuse)
+    table = select_model(trace, ["pa", "pah"])
+    fit = fit_model(trace, "pah")
+    bf = bayes_factor(trace, "pa", "pah")
+    replay_loglik(trace, "pah", h=0.5)
+    fits = {f.model: f for f in with_patch.fits}
+    assert [repr(f) for f in table.fits] == [repr(fits[f.model]) for f in table.fits]
+    assert repr(fit) == repr(fits["pah"])
+    pa_pah = [c for c in with_patch.comparisons if (c.model_a, c.model_b) == ("pa", "pah")]
+    assert repr(table.comparisons) == repr(pa_pah)
+    assert repr(bf) == repr(pa_pah[0].log10_bf)
+    with pytest.raises(RuntimeError, match="without the triadic-closure sets"):
+        inference._patch_events(inference._undirected_stats(trace, triadic=False))
+
+
 def test_select_memory_stays_below_one_grid_array():
     # pah with patch once held a 101 x (scored events) float64 array, and
     # patch a 101 x (hit events) array of p_tc * P_tc rows it mostly never read
     _, trace = gen_patch(20000, 3, 0.3, 0.8, 0.5, seed=1)
-    n_hit = inference._patch_events(inference._undirected_stats(trace))[1].size
+    n_hit = inference._patch_events(inference._undirected_stats(trace, triadic=True))[1].size
     tracemalloc.start()
     try:
         select_model(trace, ["pa", "pah", "patch"])
