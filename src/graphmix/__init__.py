@@ -8,141 +8,21 @@ ranking/visibility and sampling-bias analyses, and contagion experiments
 with group-dependent transmission.
 """
 
-from .generate import (
-    ALL_MODELS,
-    DIRECTED_MODELS,
-    UNDIRECTED_MODELS,
-    EventKind,
-    GenParams,
-    GrowthTrace,
-    SaturationError,
-    activity_from_uniform,
-    gen_directed,
-    gen_pa,
-    gen_pah,
-    gen_patch,
-    rebuild_graph,
-    sample_activity,
-)
-from .graph import AttributedGraph, MixingMatrix, assign_classes
-from .inference import (
-    FitReport,
-    PairComparison,
-    SelectionTable,
-    bayes_factor,
-    fit_model,
-    homophily_estimate,
-    lrt,
-    mixing_counts,
-    replay_event_probabilities,
-    replay_loglik,
-    select_model,
-    trace_from_graph,
-)
-from .netio import (
-    NetworkFormatError,
-    read_config,
-    read_network,
-    read_trace,
-    write_config,
-    write_network,
-    write_trace,
-)
-from .ranking import (
-    PageRankResult,
-    RankReport,
-    VisibilityCurve,
-    gini,
-    pagerank,
-    rank_nodes,
-    rank_report,
-    visibility,
-)
-from .rng import make_rng, rand_below, sample_without_replacement, weighted_pick
-from .sampling import (
-    STRATEGIES,
-    BiasReport,
-    CellBias,
-    SampleResult,
-    SampleStats,
-    benchmark,
-    sample,
-)
-from .spreading import (
-    SEED_CONDITIONS,
-    CascadeTrace,
-    EqualityReport,
-    cascade,
-    crossing_time,
-    equality_report,
-    seeding,
-    threshold_cascade,
-)
+from . import generate, graph, inference, netio, ranking, rng, sampling, spreading
+from .generate import *
+from .graph import *
+from .inference import *
+from .netio import *
+from .ranking import *
+from .rng import *
+from .sampling import *
+from .spreading import *
 
 __version__ = "0.1.0"
 
+# a public name goes in its module's ``__all__`` and nowhere else
 __all__ = [
-    "ALL_MODELS",
-    "DIRECTED_MODELS",
-    "UNDIRECTED_MODELS",
-    "AttributedGraph",
-    "BiasReport",
-    "CascadeTrace",
-    "CellBias",
-    "EqualityReport",
-    "EventKind",
-    "FitReport",
-    "GenParams",
-    "GrowthTrace",
-    "MixingMatrix",
-    "NetworkFormatError",
-    "PageRankResult",
-    "PairComparison",
-    "RankReport",
-    "STRATEGIES",
-    "SEED_CONDITIONS",
-    "SampleResult",
-    "SampleStats",
-    "SaturationError",
-    "SelectionTable",
-    "VisibilityCurve",
-    "activity_from_uniform",
-    "assign_classes",
-    "bayes_factor",
-    "benchmark",
-    "cascade",
-    "crossing_time",
-    "equality_report",
-    "fit_model",
-    "gen_directed",
-    "gen_pa",
-    "gen_pah",
-    "gen_patch",
-    "gini",
-    "homophily_estimate",
-    "lrt",
-    "make_rng",
-    "mixing_counts",
-    "pagerank",
-    "rand_below",
-    "rank_nodes",
-    "rank_report",
-    "read_config",
-    "read_network",
-    "read_trace",
-    "rebuild_graph",
-    "replay_event_probabilities",
-    "replay_loglik",
-    "sample",
-    "sample_activity",
-    "sample_without_replacement",
-    "seeding",
-    "select_model",
-    "threshold_cascade",
-    "trace_from_graph",
-    "visibility",
-    "weighted_pick",
-    "write_config",
-    "write_network",
-    "write_trace",
+    name
+    for module in (generate, graph, inference, netio, ranking, rng, sampling, spreading)
+    for name in module.__all__
 ]

@@ -44,7 +44,6 @@ __all__ = [
     "gen_pah",
     "gen_patch",
     "gen_directed",
-    "generate",
     "sample_activity",
     "activity_from_uniform",
     "rebuild_graph",

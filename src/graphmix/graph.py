@@ -22,7 +22,7 @@ import numpy as np
 
 from .rng import sample_without_replacement
 
-__all__ = ["AttributedGraph", "CSR", "EdgeError", "MixingMatrix", "assign_classes"]
+__all__ = ["AttributedGraph", "MixingMatrix", "assign_classes"]
 
 
 class EdgeError(ValueError):

@@ -59,8 +59,7 @@ anything is scored.
   Bayes factors are byte-identical to a full, unblocked evaluation.
   ``select_model`` with pa, pah and patch on
   ``gen_patch(100000, 3, 0.3, 0.8, 0.5, seed=1)`` peaks at 106 MB RSS in
-  1.1 s on a 2-vCPU host; holding the 101 x events array took 337 MB and
-  1.5-1.7 s.
+  1.1 s on a 2-vCPU host.
 """
 
 from __future__ import annotations
@@ -82,8 +81,6 @@ from .graph import AttributedGraph
 from .rng import UniformStream, make_rng, sample_without_replacement
 
 __all__ = [
-    "H_GRID",
-    "PTC_GRID",
     "FitReport",
     "PairComparison",
     "SelectionTable",

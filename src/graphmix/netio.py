@@ -57,7 +57,6 @@ __all__ = [
     "read_trace",
     "write_config",
     "read_config",
-    "format_value",
 ]
 
 
@@ -69,6 +68,12 @@ def _err(path, lineno: int, msg: str) -> NetworkFormatError:
     return NetworkFormatError(f"{path}:{lineno}: {msg}")
 
 
+def _network_paths(prefix: str | Path) -> tuple[Path, Path]:
+    """The ``<prefix>_nodes.csv`` and ``<prefix>_edges.csv`` paths of a network."""
+    prefix = Path(prefix)
+    return prefix.parent / (prefix.name + "_nodes.csv"), prefix.parent / (prefix.name + "_edges.csv")
+
+
 def write_network(g: AttributedGraph, prefix: str | Path) -> tuple[Path, Path]:
     """Write ``<prefix>_nodes.csv`` and ``<prefix>_edges.csv``; returns paths.
 
@@ -77,9 +82,7 @@ def write_network(g: AttributedGraph, prefix: str | Path) -> tuple[Path, Path]:
     directory must exist.  pathlib drops an empty or ``.`` last part, so
     ``"out/"`` and ``"out/."`` write ``out_nodes.csv`` beside ``out``.
     """
-    prefix = Path(prefix)
-    nodes_path = prefix.parent / (prefix.name + "_nodes.csv")
-    edges_path = prefix.parent / (prefix.name + "_edges.csv")
+    nodes_path, edges_path = _network_paths(prefix)
     _write_rows(nodes_path, "id,class", (np.arange(g.n), g.labels))
     _write_rows(edges_path, "source,target", g.edge_arrays())
     return nodes_path, edges_path
@@ -282,9 +285,7 @@ def read_network(prefix: str | Path, directed: bool) -> AttributedGraph:
     :class:`NetworkFormatError` naming the offending line.  Field-count and
     integer-parse errors are reported before the other violations.
     """
-    prefix = Path(prefix)
-    nodes_path = prefix.parent / (prefix.name + "_nodes.csv")
-    edges_path = prefix.parent / (prefix.name + "_edges.csv")
+    nodes_path, edges_path = _network_paths(prefix)
 
     ids, labels = _read_table(nodes_path, "id,class", ("id", "class")).T
     if not ids.size:

@@ -22,7 +22,6 @@ __all__ = [
     "RankReport",
     "pagerank",
     "rank_nodes",
-    "top_degree_nodes",
     "visibility",
     "gini",
     "rank_report",

@@ -30,10 +30,8 @@ import numpy as np
 
 __all__ = [
     "make_rng",
-    "UniformStream",
     "rand_below",
     "weighted_pick",
-    "pick_from_cumulative",
     "sample_without_replacement",
 ]
 

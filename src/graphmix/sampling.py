@@ -37,7 +37,6 @@ __all__ = [
     "BiasReport",
     "sample",
     "benchmark",
-    "cell_seed",
 ]
 
 STRATEGIES = ("uniform-node", "uniform-edge", "snowball", "random-walk", "top-degree")

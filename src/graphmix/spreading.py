@@ -88,13 +88,15 @@ class EqualityReport:
 
 
 def _check_seeds(g: AttributedGraph, seeds) -> np.ndarray:
-    arr = np.asarray(seeds, dtype=np.int64)
+    arr = np.asarray(seeds)
     if arr.size == 0:
         raise ValueError("seed set must be non-empty")
+    # a cast would truncate 1.9 to node 1 and read True as node 1
+    if arr.dtype == bool or not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"seed ids must be integers, got {arr.dtype}")
     if arr.min() < 0 or arr.max() >= g.n:
         raise ValueError("seed ids out of range")
-    arr = np.unique(arr)
-    return arr
+    return np.unique(arr.astype(np.int64))
 
 
 def _step_cap(g: AttributedGraph, max_steps: int | None) -> int:

@@ -31,11 +31,11 @@ each event and must return the same integers.
 ``array_sample_without_replacement`` and ``rebuilt_pool_snowball`` are the
 earlier, slower forms of two samplers (swaps on a full index array, and a
 snowball that rebuilds its sorted re-seed pool from scratch); the library's
-samplers must draw the same indices and nodes.  ``reference_uniform_edge``,
-``reference_snowball`` and ``reference_random_walk`` are the crawl kernels
-as they read the graph through numpy scalars and row slices, one
-``rand_below`` per decision, with a uniform fill from a Python set of
-``range(n)``; the library's kernels must return the same nodes.
+samplers must draw the same indices and nodes.  ``reference_uniform_edge``
+and ``reference_random_walk`` are the crawl kernels as they read the graph
+through numpy scalars and row slices, one ``rand_below`` per decision, with
+a uniform fill from a Python set of ``range(n)``; the library's kernels
+must return the same nodes.
 
 ``stable_argsort_csr`` is the graph build by one stable argsort of the
 row-major edge keys, which names every repeat as it sorts; the constructor
@@ -81,7 +81,7 @@ from graphmix.rng import (
     sample_without_replacement,
     weighted_pick,
 )
-from graphmix.sampling import RESTART_PROB, _UnsampledPool
+from graphmix.sampling import RESTART_PROB
 
 
 def brute_force_loglik(
@@ -416,40 +416,6 @@ def reference_uniform_edge(g: AttributedGraph, size: int, rng) -> list[int]:
         pool = sorted(set(range(g.n)) - sampled)
         for i in sample_without_replacement(rng, len(pool), size - len(sampled)):
             sampled.add(pool[i])
-    return list(sampled)
-
-
-def reference_snowball(g: AttributedGraph, size: int, rng) -> list[int]:
-    """BFS in ascending id over ``csr.row(u).tolist()``, re-seeding through the Fenwick pool."""
-    csr = g.csr()
-    sampled: set[int] = set()
-    queue: deque[int] = deque()
-    unsampled = None
-    crawled: list[int] = []
-    while len(sampled) < size:
-        if not queue:
-            if not sampled:
-                start = rand_below(rng, g.n)
-            else:
-                if unsampled is None:
-                    unsampled = _UnsampledPool(g.n, sampled)
-                else:
-                    unsampled.remove(crawled)
-                start = unsampled.kth(rand_below(rng, g.n - len(sampled)))
-            crawled.clear()
-            sampled.add(start)
-            crawled.append(start)
-            queue.append(start)
-            if len(sampled) >= size:
-                break
-        u = queue.popleft()
-        for v in csr.row(u).tolist():
-            if v not in sampled:
-                sampled.add(v)
-                crawled.append(v)
-                queue.append(v)
-                if len(sampled) >= size:
-                    break
     return list(sampled)
 
 

@@ -76,6 +76,22 @@ def test_package_attribute_is_the_generate_module():
     assert callable(module.weighted_pick) and callable(module.generate)
     assert "generate" not in graphmix.__all__
 
+    # the package exports each module's ``__all__``, once, and nothing else
+    names = "generate graph inference netio ranking rng sampling spreading".split()
+    modules = [importlib.import_module(f"graphmix.{name}") for name in names]
+    assert graphmix.__all__ == [name for m in modules for name in m.__all__]
+    assert len(set(graphmix.__all__)) == len(graphmix.__all__) == 63
+    for m in modules:
+        assert not set(m.__all__) & {*names, "cli"}, m.__name__
+        for name in m.__all__:
+            obj = getattr(m, name)
+            assert getattr(graphmix, name) is obj
+            assert getattr(obj, "__module__", m.__name__) == m.__name__, name
+    star: dict = {}
+    exec("from graphmix import *", star)
+    del star["__builtins__"]
+    assert sorted(star) == sorted(graphmix.__all__)
+
 
 def test_generation_deterministic_per_seed():
     a, ta = gen_pah(100, 2, 0.2, 0.8, seed=7)

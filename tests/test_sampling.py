@@ -19,7 +19,6 @@ from helpers import (
     random_graph,
     rebuilt_pool_snowball,
     reference_random_walk,
-    reference_snowball,
     reference_uniform_edge,
 )
 
@@ -126,7 +125,7 @@ def _crawl_graphs(draw):
 _REFERENCE_KERNELS = {
     "uniform-node": lambda g, size, rng: array_sample_without_replacement(rng, g.n, size).tolist(),
     "uniform-edge": reference_uniform_edge,
-    "snowball": reference_snowball,
+    "snowball": rebuilt_pool_snowball,
     "random-walk": reference_random_walk,
     "top-degree": lambda g, size, rng: rank_nodes(g, "degree")[:size].tolist(),
 }

@@ -82,6 +82,27 @@ def test_cascade_determinism_and_param_validation():
         cascade(g, [40], 0.5, 0.5, rng=make_rng(0))
 
 
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda g, seeds: cascade(g, seeds, 0.5, 0.5, rng=make_rng(0)),
+        lambda g, seeds: threshold_cascade(g, seeds, theta=0.5),
+    ],
+    ids=["cascade", "threshold"],
+)
+def test_seed_ids_must_be_integers(run):
+    g = _complete([0, 0, 1, 1])
+    for seeds, dtype in (([1.9], "float64"), ([True, 2.7], "float64"), ([True], "bool"), (np.array([1.0]), "float64")):
+        with pytest.raises(ValueError, match=f"seed ids must be integers, got {dtype}"):
+            run(g, seeds)
+    with pytest.raises(ValueError, match="seed set must be non-empty"):
+        run(g, [])
+    with pytest.raises(ValueError, match="seed set must be non-empty"):
+        run(g, np.array([], dtype=np.float64))
+    for seeds in ([1, 2], np.array([2, 1, 2], dtype=np.int32), np.array([1, 2], dtype=np.uint8)):
+        assert run(g, seeds).seeds.tolist() == [1, 2]
+
+
 def test_equal_rates_make_the_cascade_label_blind():
     rng = make_rng(11)
     base = random_graph(50, directed=False, p=0.12, rng=rng)
