@@ -218,8 +218,8 @@ class CSR:
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """2x2 class-affinity matrix: entry [a, b] is the affinity of a source
-    of class a for a target of class b, each in [0, 1]."""
+    """2x2 class-affinity matrix: ``matrix[a, b]`` is the affinity of a
+    source of class a for a target of class b, each in [0, 1]."""
 
     matrix: np.ndarray
 
@@ -237,13 +237,6 @@ class MixingMatrix:
         if not 0.0 <= h <= 1.0:
             raise ValueError(f"h must lie in [0, 1], got {h}")
         return cls(np.array([[h, 1.0 - h], [1.0 - h, h]]))
-
-    def __getitem__(self, key: tuple[int, int]) -> float:
-        return float(self.matrix[key])
-
-    def row(self, source_class: int) -> np.ndarray:
-        """Affinity of a source of the given class toward classes (0, 1)."""
-        return self.matrix[source_class]
 
 
 def assign_classes(n: int, f_m: float, rng: np.random.Generator) -> np.ndarray:

@@ -144,36 +144,26 @@ def homophily_estimate(g: AttributedGraph) -> float | None:
 # ---------------------------------------------------------------------------
 
 @dataclass
-class _UndirectedStats:
-    """Per-event sufficient statistics for the undirected family."""
+class _Stats:
+    """Per-event sufficient statistics of a trace's scored events, either family."""
 
     n_events: int
     n_fallback: int
-    const_loglik: float  # summed fallback contributions
-    deg_t: np.ndarray    # snapshot degree of the recorded target
-    same: np.ndarray     # target class == source class
-    sum_same: np.ndarray  # eligible degree sum, source's class
-    sum_diff: np.ndarray  # eligible degree sum, other class
-    n_elig: np.ndarray
+    const_loglik: float   # summed fallback contributions
+    same: np.ndarray      # target class == source class
+    weight: np.ndarray    # the target's pick weight: degree, or indeg + 1 when directed
+    sum_same: np.ndarray  # eligible weight sum, source's class
+    sum_diff: np.ndarray  # eligible weight sum, other class
+    # ln P where the candidate's weights vanish: the uniform fallback
+    # -ln(eligible) per event, or -inf for the directed family, which has none
+    fill: np.ndarray | float
+    # eligible node counts by class, which dh alone reads: directed only
+    cnt_same: np.ndarray | None = None
+    cnt_diff: np.ndarray | None = None
     # the triadic-closure sets, which patch alone reads: None unless requested
     mixture: np.ndarray | None = None  # non-first pick with a non-empty triadic set
     tc_size: np.ndarray | None = None
     tc_hit: np.ndarray | None = None
-
-
-@dataclass
-class _DirectedStats:
-    """Per-event sufficient statistics for the directed family."""
-
-    n_events: int
-    same: np.ndarray
-    ind1_t: np.ndarray    # indeg(target) + 1 before the event
-    sum_same: np.ndarray  # eligible (indeg+1) sum, source's class
-    sum_diff: np.ndarray
-    cnt_same: np.ndarray  # eligible node counts by class
-    cnt_diff: np.ndarray
-    n_fallback: int = 0
-    const_loglik: float = 0.0
 
 
 # Event pairs handled at once by the chunked pair passes of the replay statistics.
@@ -215,11 +205,9 @@ def _chunk_cuts(cum: np.ndarray) -> np.ndarray:
     return np.unique(np.concatenate(([0], cuts, [cum.size - 1])))
 
 
-def _undirected_stats(trace: GrowthTrace, triadic: bool) -> _UndirectedStats:
+def _undirected_stats(trace: GrowthTrace, triadic: bool) -> _Stats:
     """The per-event statistics of an undirected trace; with ``triadic``,
     the triadic-closure sets too (patch reads them, pa and pah do not)."""
-    if trace.directed:
-        raise ValueError("trace is directed; undirected stats requested")
     starts = _arrival_groups(trace)
     csr = rebuild_graph(trace).csr()
     n, labels = trace.n, trace.labels
@@ -253,15 +241,15 @@ def _undirected_stats(trace: GrowthTrace, triadic: bool) -> _UndirectedStats:
     for elig in n_elig[fallback].tolist():  # summed in event order
         const -= math.log(elig)
     scored = ~fallback
-    stats = _UndirectedStats(
+    stats = _Stats(
         n_events=int(scored.sum()),
         n_fallback=int(fallback.sum()),
         const_loglik=const,
-        deg_t=deg[scored].astype(np.float64),
         same=same[scored],
+        weight=deg[scored].astype(np.float64),
         sum_same=sum_same[scored].astype(np.float64),
         sum_diff=sum_diff[scored].astype(np.float64),
-        n_elig=n_elig[scored].astype(np.float64),
+        fill=-np.log(n_elig[scored].astype(np.float64)),
     )
     if triadic:
         tc_size, tc_hit = _triadic_sets(csr, tgt, deg, starts, first)
@@ -338,9 +326,7 @@ def _key_chunks(starts, exposed, n: int) -> tuple[np.ndarray, int, int]:
     return cuts, node_at, arrival_at
 
 
-def _directed_stats(trace: GrowthTrace) -> _DirectedStats:
-    if not trace.directed:
-        raise ValueError("trace is undirected; directed stats requested")
+def _directed_stats(trace: GrowthTrace) -> _Stats:
     rebuild_graph(trace)  # rejects repeated and out-of-range edges
     n, labels = trace.n, trace.labels
     src = trace.sources.astype(np.int64)
@@ -375,12 +361,15 @@ def _directed_stats(trace: GrowthTrace) -> _DirectedStats:
     tot_own = n_class[cls_s] + np.where(own1, picks1, idx - picks1)
     tot_oth = n_class[1 - cls_s] + np.where(own1, idx - picks1, picks1)
 
-    return _DirectedStats(
+    return _Stats(
         n_events=n_events,
+        n_fallback=0,
+        const_loglik=0.0,
         same=same,
-        ind1_t=ind1_t.astype(np.float64),
+        weight=ind1_t.astype(np.float64),
         sum_same=(tot_own - ind1_s - mass_own).astype(np.float64),
         sum_diff=(tot_oth - mass_oth).astype(np.float64),
+        fill=-np.inf,
         cnt_same=(n_class[cls_s] - 1 - excl_own).astype(np.float64),
         cnt_diff=(n_class[1 - cls_s] - excl_oth).astype(np.float64),
     )
@@ -553,20 +542,7 @@ class _Affinity:
         return out
 
 
-def _aff_kernel(stats: _UndirectedStats, events=slice(None)) -> _Affinity:
-    """The affinity pick of the scored ``events``.
-
-    A zero denominator means the candidate's own weights vanish, which
-    triggers the model's uniform fallback.
-    """
-    with np.errstate(divide="ignore"):
-        fallback = -np.log(stats.n_elig[events])
-    return _Affinity(
-        stats.same[events], stats.deg_t[events], stats.sum_same[events], stats.sum_diff[events], fallback
-    )
-
-
-def _patch_events(stats: _UndirectedStats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _patch_events(stats: _Stats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Indices of the pure affinity, hit and miss events of the triadic-closure mixture.
 
     A row gathered by event indices is the same 1-D copy as by a boolean
@@ -581,33 +557,33 @@ def _patch_events(stats: _UndirectedStats) -> tuple[np.ndarray, np.ndarray, np.n
     )
 
 
-def _aff_sums(stats: _UndirectedStats, h: np.ndarray) -> np.ndarray:
+def _aff_sums(stats: _Stats, h: np.ndarray) -> np.ndarray:
     """The affinity pass shared by pah and patch: per h row, ln P summed
     over every event, then over patch's pure and its miss events."""
     pure, _, miss = _patch_events(stats)
-    return _aff_kernel(stats).sums(h, (pure, miss))
+    return _affinity(stats, "pah").sums(h, (pure, miss))
 
 
-def _affinity(stats, model: str) -> _Affinity:
-    """The affinity pick of every scored event under pah, dh or dpah.
+def _affinity(stats: _Stats, model: str, events=slice(None)) -> _Affinity:
+    """The affinity pick of the scored ``events`` under pah, dh or dpah.
 
-    The directed family has no fallback: an event no candidate can take
-    scores ``-inf``.
+    dh weighs each eligible node by its affinity alone, so its
+    denominators are the eligible counts.  Where a denominator vanishes,
+    ln P is ``stats.fill``.
     """
+    fill = stats.fill if np.ndim(stats.fill) == 0 else stats.fill[events]
     if model == "dh":
-        return _Affinity(stats.same, None, stats.cnt_same, stats.cnt_diff, -np.inf)
-    if model == "dpah":
-        return _Affinity(stats.same, stats.ind1_t, stats.sum_same, stats.sum_diff, -np.inf)
-    return _aff_kernel(stats)
+        return _Affinity(stats.same[events], None, stats.cnt_same[events], stats.cnt_diff[events], fill)
+    return _Affinity(stats.same[events], stats.weight[events], stats.sum_same[events], stats.sum_diff[events], fill)
 
 
-def _pa_logprob(stats) -> np.ndarray:
-    """ln P of each scored event under pa (weight: degree) or dpa (in-degree + 1)."""
+def _pa_logprob(stats: _Stats) -> np.ndarray:
+    """ln P of each scored event under pa (weight: degree) or dpa (in-degree + 1).
+
+    A directed event's denominator is at least its weight, so only undirected events take the fill."""
     den = stats.sum_same + stats.sum_diff
     with np.errstate(divide="ignore", invalid="ignore"):
-        if isinstance(stats, _DirectedStats):
-            return np.log(stats.ind1_t) - np.log(den)
-        return np.where(den > 0.0, np.log(stats.deg_t) - np.log(den), -np.log(stats.n_elig))
+        return np.where(den > 0.0, np.log(stats.weight) - np.log(den), stats.fill)
 
 
 _TINY = np.finfo(np.float64).tiny  # the smallest normal double
@@ -635,13 +611,13 @@ class _PatchCells:
     the cells evaluated with it.
     """
 
-    def __init__(self, stats: _UndirectedStats, h: np.ndarray, ptc: np.ndarray, sums: np.ndarray):
+    def __init__(self, stats: _Stats, h: np.ndarray, ptc: np.ndarray, sums: np.ndarray):
         self.h, self.ptc = h, ptc
         _, hit, miss = _patch_events(stats)
         self.bases = stats.const_loglik + sums[1]  # each row's p_tc-free part
         if miss.size:
             self.bases = self.bases + sums[2]
-        self.hit_aff = _aff_kernel(stats, hit)
+        self.hit_aff = _affinity(stats, "pah", hit)
         n_miss = miss.size
         with np.errstate(divide="ignore"):
             log_ptc_off = np.log(1.0 - ptc)  # -inf at p_tc = 1
@@ -708,7 +684,7 @@ def _loglik_grid(stats, model: str, h_values=H_GRID, ptc_values=PTC_GRID, sums=N
     return (stats.const_loglik + sums[0])[:, None]
 
 
-def _patch_grid(stats: _UndirectedStats, h_values, ptc_values, sums) -> np.ndarray:
+def _patch_grid(stats: _Stats, h_values, ptc_values, sums) -> np.ndarray:
     """The patch log-likelihood grid (``ptc_values`` ascending).
 
     It holds only the cells that can reach an output; every other cell is

@@ -19,7 +19,8 @@ in a few passes over its bytes.  Those passes find every separator and
 check the form: an empty or 19-digit field, a blank line, a missing final
 LF, a kind that is not a name or any other byte sends the file to the
 line-naming reader.  The values are built one digit column at a time, and
-each kind name is matched whole.  The line-naming reader splits and
+the kind fields as long as a kind name are compared with it byte by byte,
+one array pass per offset.  The line-naming reader splits and
 converts every field in Python and is the only code that words a format
 error.  On text of the plain form, Python's ``int()`` reads the same
 numbers, so both paths accept exactly the same files and report exactly
@@ -141,19 +142,6 @@ def _write_rows(path: Path, header: str, columns, kinds: np.ndarray | None = Non
 _MAX_DIGITS = 18  # 18 digits always fit in int64
 
 
-def _name_words(name: str) -> tuple[list[int], np.ndarray]:
-    """``name`` plus its LF as little-endian 8-byte words: the offsets 0, 8, ... and one word ending at the LF.
-
-    Every event-kind name is at least 7 bytes, so its words lie inside it.
-    """
-    text = name.encode() + b"\n"
-    offsets = sorted({*range(0, len(text) - 8, 8), len(text) - 8})
-    return offsets, np.frombuffer(b"".join(text[o:o + 8] for o in offsets), dtype="<u8")
-
-
-_KIND_WORDS = tuple((int(kind), len(name), *_name_words(name)) for kind, name in EVENT_KIND_NAMES.items())
-
-
 def _read_table(path: Path, header: str, names: tuple[str, ...]) -> np.ndarray:
     """The rows of a file that starts with ``header`` as an int64 array; row i is line i + 2.
 
@@ -216,17 +204,20 @@ def _parse_plain(path: Path, header: str, names: tuple[str, ...]) -> np.ndarray 
 
 
 def _kind_codes(body: np.ndarray, ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Event-kind codes of the fields of ``body`` that end at ``ends``; -1 for a field that is no kind name."""
-    # every 8-byte window of the body, so that one gather compares 8 bytes of each field
-    words = np.ndarray((max(body.size - 7, 0),), dtype="<u8", buffer=body, strides=(1,))
+    """Event-kind codes of the fields of ``body`` that end at ``ends``; -1 for a field that is no kind name.
+
+    A field names a kind when it has the name's length and each of its
+    bytes equals the name's byte at that offset.
+    """
     codes = np.full(ends.size, -1, dtype=np.int64)
-    for code, size, offsets, want in _KIND_WORDS:
-        rows = np.flatnonzero(lengths == size)
-        starts = ends[rows] - size
+    for kind, name in EVENT_KIND_NAMES.items():
+        rows = np.flatnonzero(lengths == len(name))
+        at = ends[rows] - len(name)
         match = np.ones(rows.size, dtype=bool)
-        for offset, word in zip(offsets, want):
-            match &= words[starts + offset] == word
-        codes[rows[match]] = code
+        for byte in name.encode():
+            match &= body[at] == byte
+            at += 1
+        codes[rows[match]] = kind
     return codes
 
 

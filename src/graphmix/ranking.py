@@ -65,11 +65,14 @@ def pagerank(
     Dangling nodes (no out-edges; isolated nodes when undirected) spread
     their mass uniformly inside the damping term.  Iteration stops when the
     L1 change drops below ``tol``; hitting ``max_iter`` first is reported
-    through ``converged=False`` with the last iterate, not an exception.
+    through ``converged=False`` with the last iterate, not an exception
+    (``max_iter=0``: the uniform start).
     """
     n = g.n
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must lie in [0, 1), got {damping}")
+    if max_iter < 0:
+        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
     csr = g.csr()
     outdeg = csr.out_degree()
     dangling = outdeg == 0

@@ -45,7 +45,8 @@ STREAM_BLOCK_CAP = 4096
 
 def make_rng(seed: int) -> np.random.Generator:
     """Return the package-standard generator (PCG64) for a 64-bit seed."""
-    if not isinstance(seed, (int, np.integer)):
+    # bool is an int subclass: True would seed as 1
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
         raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
     if not 0 <= seed < _MAX_SEED:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")

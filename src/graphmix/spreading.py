@@ -46,10 +46,6 @@ SEED_CONDITIONS = ("uniform", "majority-only", "minority-only", "top-degree")
 # them in Python; larger frontiers take the array step
 _SCALAR_STEP_ENTRIES = 64
 
-# an IC step with at least n / this many successful attempts lists its
-# activations by a scan of an n-long mark (O(n)); fewer are sorted (O(k log k))
-_MARK_STEP_RATIO = 128
-
 
 @dataclass(frozen=True)
 class CascadeTrace:
@@ -153,12 +149,9 @@ def cascade(
         p = np.where(labels[dst] == labels[src], p_in, p_out)
         hit = dst[rng.random(dst.size) < p]
         # the next frontier, ascending and without repeats
-        if hit.size * _MARK_STEP_RATIO >= g.n:
-            mark[hit] = True
-            frontier = np.flatnonzero(mark)
-            mark[frontier] = False
-        else:
-            frontier = np.unique(hit)
+        mark[hit] = True
+        frontier = np.flatnonzero(mark)
+        mark[frontier] = False
         times[frontier] = t
 
     rows, counts = _fractions_from_times(times, labels)
@@ -194,7 +187,12 @@ def threshold_cascade(
     array step.  The switch is a constant, not an option: it trades
     Python's per-entry cost against numpy's per-call cost, which depend on
     the interpreter and not on the input, and both forms give the same
-    times.
+    times.  Each form alone loses on one kind of input (Python 3.11,
+    numpy 2.4, a shared 2-vCPU Xeon): the array step alone takes 194 ms
+    against 15 ms on a 10 000-node ring lattice with 2 neighbours per
+    side at theta 0.5 (2 500 thin steps), and the entry walk alone 15 ms
+    against 5 ms over three top-degree cascades (theta 0.05, 0.1, 0.2) on
+    a 2 000-node dpah network (a few wide steps).
     """
     if not 0.0 < theta <= 1.0:
         raise ValueError(f"theta must lie in (0, 1], got {theta}")

@@ -200,10 +200,8 @@ def reference_affinity_logp(h, same, weight, den_same, den_diff, fill, by_den: b
 
 def reference_aff_pick_logprob(stats, h_values) -> np.ndarray:
     """ln P of each scored event of undirected replay statistics under the affinity pick."""
-    with np.errstate(divide="ignore"):
-        fallback = -np.log(stats.n_elig)
     return reference_affinity_logp(
-        h_values, stats.same, stats.deg_t, stats.sum_same, stats.sum_diff, fallback, True
+        h_values, stats.same, stats.weight, stats.sum_same, stats.sum_diff, stats.fill, True
     )
 
 

@@ -236,9 +236,9 @@ def test_csr_build_matches_the_stable_argsort_build(case):
 
 def test_mixing_matrix_symmetric_constructor():
     H = MixingMatrix.symmetric(0.8)
-    assert H[0, 0] == pytest.approx(0.8)
-    assert H[0, 1] == pytest.approx(0.2)
-    assert H.row(1).tolist() == pytest.approx([0.2, 0.8])
+    assert H.matrix[0, 0] == pytest.approx(0.8)
+    assert H.matrix[0, 1] == pytest.approx(0.2)
+    assert H.matrix[1].tolist() == pytest.approx([0.2, 0.8])
 
 
 def test_mixing_matrix_validation():
@@ -254,8 +254,8 @@ def test_mixing_matrix_validation():
 
 def test_mixing_matrix_asymmetric_entries_kept():
     H = MixingMatrix(np.array([[0.9, 0.1], [0.4, 0.6]]))
-    assert H[1, 0] == pytest.approx(0.4)
-    assert H.row(0).tolist() == pytest.approx([0.9, 0.1])
+    assert H.matrix[1, 0] == pytest.approx(0.4)
+    assert H.matrix[0].tolist() == pytest.approx([0.9, 0.1])
 
 
 # -- class assignment ---------------------------------------------------------

@@ -642,7 +642,7 @@ def test_affinity_kernel_has_the_reference_bits(name, rows_per_block, monkeypatc
     if trace.directed:
         weight, den_same, den_diff = {
             "dh": (None, stats.cnt_same, stats.cnt_diff),
-            "dpah": (stats.ind1_t, stats.sum_same, stats.sum_diff),
+            "dpah": (stats.weight, stats.sum_same, stats.sum_diff),
         }[name]
         kernel = inference._Affinity(stats.same, weight, den_same, den_diff, -np.inf)
         want = reference_affinity_logp(_KERNEL_H, stats.same, weight, den_same, den_diff, -np.inf, False)
@@ -650,14 +650,14 @@ def test_affinity_kernel_has_the_reference_bits(name, rows_per_block, monkeypatc
         assert (want[0] == -np.inf).any() and np.isfinite(want[50]).all()  # the -inf fill at h = 0
         parts = ()
     else:
-        kernel = inference._aff_kernel(stats)
+        kernel = inference._affinity(stats, "pah")
         want = reference_aff_pick_logprob(stats, _KERNEL_H)
         # events whose denominator vanishes at h = 0 or 1 take the fallback fill
         assert ((stats.sum_diff <= 0) | (stats.sum_same <= 0)).any()
         assert (stats.n_fallback > 0) == (name == "fallback")
         parts = inference._patch_events(stats)
         for part in parts:  # the patch hit rows evaluate the kernel on a subset
-            sub = _kernel_rows(inference._aff_kernel(stats, part), _KERNEL_H)
+            sub = _kernel_rows(inference._affinity(stats, "pah", part), _KERNEL_H)
             assert np.array_equal(_bits(sub), _bits(want[:, part]))
     assert np.array_equal(_bits(_kernel_rows(kernel, _KERNEL_H)), _bits(want))
     sums = kernel.sums(_KERNEL_H, parts)

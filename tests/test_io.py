@@ -189,7 +189,9 @@ _ODD_FIELDS = (
     "123456789012345678", "1234567890123456789", "9223372036854775807", "98765432109876543210",
     "0000000000000000012",
 )
-_ODD_KINDS = ("", "teleport", "PAH-PICK", "pah-pick ", "pah-pick\r", "0", "3")
+# every kind name with one byte changed, at each offset in turn: each byte must be compared
+_MISSPELT_KINDS = tuple(name[:i] + "x" + name[i + 1:] for name in _KIND_NAMES for i in range(len(name)))
+_ODD_KINDS = ("", "teleport", "PAH-PICK", "pah-pick ", "pah-pick\r", "0", "3", *_MISSPELT_KINDS)
 
 
 def _outcome(read, *args):
@@ -282,6 +284,7 @@ def test_unplain_edge_files_take_the_line_reader(tmp_path, edges, want):
         ("source,target,kind", "source,target,kind\n1,0,0\n"),  # a kind written as its code
         ("source,target,kind", "source,target,kind\n1,0,pah-pick\n2,0,3\n"),
         ("source,target,kind", "source,target,kind\n1,0,tc-pic\n"),  # a kind name cut short
+        *(("source,target,kind", f"source,target,kind\n1,0,pah-pick\n2,0,{kind}\n") for kind in _MISSPELT_KINDS),
     ],
 )
 def test_near_plain_files_take_the_line_reader(tmp_path, header, text):

@@ -61,6 +61,15 @@ def test_pagerank_reports_non_convergence():
     assert res.scores.sum() == pytest.approx(1.0, abs=1e-12)
 
 
+def test_pagerank_iteration_cap_validation():
+    g = AttributedGraph(True, [0, 1], [(0, 1)])
+    with pytest.raises(ValueError, match="max_iter must be >= 0, got -1"):
+        pagerank(g, max_iter=-1)
+    res = pagerank(g, max_iter=0)
+    assert not res.converged and res.iterations == 0
+    assert res.scores.tolist() == [0.5, 0.5]
+
+
 def test_pagerank_damping_validation():
     g = AttributedGraph(True, [0, 1], [(0, 1)])
     with pytest.raises(ValueError):

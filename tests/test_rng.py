@@ -36,6 +36,14 @@ def test_make_rng_rejects_out_of_range_seeds(bad):
         make_rng(bad)
 
 
+@pytest.mark.parametrize("flag", [True, False, np.bool_(True)])
+def test_make_rng_rejects_a_bool_seed(flag):
+    with pytest.raises(ValueError, match="seed must be an integer, got bool"):
+        make_rng(flag)
+    with pytest.raises(ValueError, match="seed must be an integer, got bool"):
+        gen_pa(10, 2, seed=flag)
+
+
 def test_rand_below_bounds():
     rng = make_rng(7)
     draws = [rand_below(rng, 13) for _ in range(2000)]

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import graphmix.spreading as spreading
 from graphmix.graph import AttributedGraph
 from graphmix.rng import make_rng, sample_without_replacement
 from graphmix.spreading import (
@@ -133,18 +132,14 @@ def test_directed_cascade_follows_edge_direction():
     assert trace.activation_time.tolist() == [0, 1, -1]
 
 
-# 0: every IC step sorts its activations; 2**30: every step marks them
 @given(st.integers(2, 25), st.booleans(), st.floats(0.05, 0.5), st.floats(0.0, 1.0),
-       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 30),
-       st.sampled_from([0, spreading._MARK_STEP_RATIO, 2**30]))
+       st.floats(0.0, 1.0), st.integers(0, 2**32 - 1), st.integers(1, 4), st.integers(1, 30))
 @settings(max_examples=60, deadline=None)
-def test_cascade_matches_scalar_draw_reference(n, directed, p, p_in, p_out, seed, n_seeds, max_steps, ratio):
+def test_cascade_matches_scalar_draw_reference(n, directed, p, p_in, p_out, seed, n_seeds, max_steps):
     g = random_graph(n, directed, p, make_rng(seed))
     seeds = sample_without_replacement(make_rng(seed + 1), n, min(n_seeds, n))
     rng, ref_rng = make_rng(seed + 2), make_rng(seed + 2)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(spreading, "_MARK_STEP_RATIO", ratio)
-        trace = cascade(g, seeds, p_in, p_out, rng, max_steps=max_steps)
+    trace = cascade(g, seeds, p_in, p_out, rng, max_steps=max_steps)
     assert trace.activation_time.tolist() == naive_cascade_times(g, seeds, p_in, p_out, ref_rng, max_steps)
     assert rng.random() == ref_rng.random()  # same number of draws consumed
 
