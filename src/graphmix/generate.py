@@ -25,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import IntEnum
-from numbers import Integral
 
 import numpy as np
 
+from . import _check
 from .graph import AttributedGraph, EdgeError, MixingMatrix, assign_classes
 from .rng import UniformStream, make_rng, pick_from_cumulative, weighted_pick
 
@@ -172,25 +172,18 @@ class GenParams:
                 raise ValueError(f"model {self.model} requires {noun}")
             if name not in reads and getattr(self, name) is not None:
                 raise ValueError(f"model {self.model} takes no {noun}")
-        for name in ("n", "m"):
-            value = getattr(self, name)
-            if value is not None and (isinstance(value, bool) or not isinstance(value, Integral)):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        n = self.n
-        if n is None or not n >= 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        if self.m is not None and not 1 <= self.m < n:
-            raise ValueError(f"need 1 <= m < n for model {self.model}, got m={self.m}")
-        if self.f_m is not None and not 0.0 <= self.f_m <= 0.5:
-            raise ValueError(f"minority fraction must lie in [0, 0.5], got {self.f_m}")
-        if self.p_tc is not None and not 0.0 <= self.p_tc <= 1.0:
-            raise ValueError(f"p_tc must lie in [0, 1], got {self.p_tc}")
-        if self.d is not None and not 0.0 < self.d <= 1.0:
-            raise ValueError(f"density d must lie in (0, 1], got {self.d}")
-        if self.d is not None and round(self.d * n * (n - 1)) < 1:
-            raise ValueError("density target round(d*n*(n-1)) must be >= 1")
-        if self.gamma_a is not None and not self.gamma_a > 1.0:  # NaN included
-            raise ValueError(f"gamma_a must be > 1, got {self.gamma_a}")
+        n = _check.count("n", self.n, 1)
+        if self.m is not None:
+            _check.count("m", self.m, 1, n - 1)
+        if self.f_m is not None:
+            _check.interval("minority fraction", self.f_m, 0, 0.5)
+        if self.p_tc is not None:
+            _check.interval("p_tc", self.p_tc, 0, 1)
+        if self.d is not None:
+            _check.interval("density d", self.d, 0, 1, open_low=True)
+            _check.count("density target round(d*n*(n-1))", round(self.d * n * (n - 1)), 1)
+        if self.gamma_a is not None:
+            _check.interval("gamma_a", self.gamma_a, 1, open_low=True)
 
 
 def generate(params: GenParams) -> tuple[AttributedGraph, GrowthTrace]:
@@ -211,14 +204,13 @@ def generate(params: GenParams) -> tuple[AttributedGraph, GrowthTrace]:
 
 def activity_from_uniform(u: np.ndarray | float, gamma_a: float) -> np.ndarray | float:
     """Inverse-CDF map from uniform [0,1) draws to Pareto(x_min=1) activity."""
-    if not gamma_a > 1.0:  # NaN included
-        raise ValueError(f"gamma_a must be > 1, got {gamma_a}")
+    _check.interval("gamma_a", gamma_a, 1, open_low=True)
     return (1.0 - np.asarray(u, dtype=np.float64)) ** (-1.0 / (gamma_a - 1.0))
 
 
 def sample_activity(n: int, gamma_a: float, rng: np.random.Generator) -> np.ndarray:
     """i.i.d. per-node activity from a continuous Pareto with minimum 1."""
-    return activity_from_uniform(rng.random(n), gamma_a)
+    return activity_from_uniform(rng.random(_check.count("n", n)), gamma_a)
 
 
 # ---------------------------------------------------------------------------

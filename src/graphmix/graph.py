@@ -20,6 +20,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
+from . import _check
 from .rng import sample_without_replacement
 
 __all__ = ["AttributedGraph", "MixingMatrix", "assign_classes"]
@@ -234,8 +235,7 @@ class MixingMatrix:
     @classmethod
     def symmetric(cls, h: float) -> "MixingMatrix":
         """Same-class affinity h on the diagonal, 1-h off the diagonal."""
-        if not 0.0 <= h <= 1.0:
-            raise ValueError(f"h must lie in [0, 1], got {h}")
+        _check.interval("h", h, 0, 1)
         return cls(np.array([[h, 1.0 - h], [1.0 - h, h]]))
 
 
@@ -246,10 +246,8 @@ def assign_classes(n: int, f_m: float, rng: np.random.Generator) -> np.ndarray:
     without-replacement draw, so label placement is deterministic per seed
     and the realized minority fraction is exact for every realization.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if not 0.0 <= f_m <= 0.5:
-        raise ValueError(f"minority fraction must lie in [0, 0.5], got {f_m}")
+    n = _check.count("n", n, 1)
+    _check.interval("minority fraction", f_m, 0, 0.5)
     n_minority = round(n * f_m)
     labels = np.zeros(n, dtype=np.int8)
     if n_minority:

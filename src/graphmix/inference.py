@@ -71,6 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import _check
 from .generate import (
     DIRECTED_MODELS,
     EventKind,
@@ -78,7 +79,7 @@ from .generate import (
     rebuild_graph,
 )
 from .graph import AttributedGraph
-from .rng import UniformStream, make_rng, sample_without_replacement
+from .rng import UniformStream, check_seed, make_rng, sample_without_replacement
 
 __all__ = [
     "FitReport",
@@ -770,9 +771,7 @@ def _check_family(trace: GrowthTrace, model: str) -> None:
 def _check_param(name: str, value: float | None) -> float:
     if value is None:
         raise ValueError(f"parameter {name} is required for this model")
-    if not 0.0 <= value <= 1.0:
-        raise ValueError(f"parameter {name} must lie in [0, 1], got {value}")
-    return float(value)
+    return float(_check.interval(f"parameter {name}", value, 0, 1))
 
 
 def _checked_params(model: str, h: float | None, p_tc: float | None) -> tuple:
@@ -981,6 +980,7 @@ def trace_from_graph(g: AttributedGraph, seed: int = 0) -> GrowthTrace:
     Directed graphs get a uniformly random edge order drawn from ``seed``.
     The resulting trace carries ``order_assumed=True``.
     """
+    check_seed(seed)  # also where no order is drawn
     if g.directed:
         srcs, tgts = g.edge_arrays()
         order = sample_without_replacement(UniformStream(make_rng(seed)), srcs.size, srcs.size)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _check
 from .graph import AttributedGraph
 
 __all__ = [
@@ -69,10 +70,9 @@ def pagerank(
     (``max_iter=0``: the uniform start).
     """
     n = g.n
-    if not 0.0 <= damping < 1.0:
-        raise ValueError(f"damping must lie in [0, 1), got {damping}")
-    if max_iter < 0:
-        raise ValueError(f"max_iter must be >= 0, got {max_iter}")
+    _check.interval("damping", damping, 0, 1, open_high=True)
+    _check.interval("tol", tol, 0)
+    max_iter = _check.count("max_iter", max_iter)
     csr = g.csr()
     outdeg = csr.out_degree()
     dangling = outdeg == 0
@@ -121,8 +121,7 @@ def top_degree_nodes(g: AttributedGraph, k: int) -> np.ndarray:
     found by a partition and not a full sort, name the same set.
     """
     n = g.n
-    if not 1 <= k <= n:
-        raise ValueError(f"k must lie in [1, n={n}], got {k}")
+    k = _check.count("k", k, 1, n)
     degree = g.total_degree_vector()
     keys = (degree.max() - degree) * n + np.arange(n, dtype=np.int64)
     if k < n:

@@ -28,14 +28,14 @@ from itertools import islice
 
 import numpy as np
 
+from . import _check
+
 __all__ = [
     "make_rng",
     "rand_below",
     "weighted_pick",
     "sample_without_replacement",
 ]
-
-_MAX_SEED = 2**64
 
 # A stream's blocks double from _FIRST_BLOCK up to STREAM_BLOCK_CAP doubles,
 # so a caller that needs a few hundred doubles draws few more than that.
@@ -45,12 +45,12 @@ STREAM_BLOCK_CAP = 4096
 
 def make_rng(seed: int) -> np.random.Generator:
     """Return the package-standard generator (PCG64) for a 64-bit seed."""
-    # bool is an int subclass: True would seed as 1
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise ValueError(f"seed must be an integer, got {type(seed).__name__}")
-    if not 0 <= seed < _MAX_SEED:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return np.random.Generator(np.random.PCG64(int(seed)))
+    return np.random.Generator(np.random.PCG64(check_seed(seed)))
+
+
+def check_seed(seed: int) -> int:
+    """``seed`` as an ``int``, refused unless it is an integer in [0, 2**64)."""
+    return _check.count("seed", seed, 0, 2**64 - 1)
 
 
 class UniformStream:
@@ -89,9 +89,7 @@ class UniformStream:
 
 def rand_below(rng: np.random.Generator | UniformStream, k: int) -> int:
     """Uniform integer in [0, k) from a single double draw."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return int(rng.random() * k)
+    return int(rng.random() * _check.count("k", k, 1))
 
 
 def weighted_pick(rng: np.random.Generator | UniformStream, weights: np.ndarray) -> int:
@@ -133,8 +131,7 @@ def sample_without_replacement(
     scalar calls.  The pool is sparse: a dict holds only the positions a
     swap has moved, so time and memory are O(k) whatever n is.
     """
-    if not 0 <= k <= n:
-        raise ValueError(f"need 0 <= k <= n, got k={k}, n={n}")
+    k = _check.count("k", k, 0, _check.count("n", n))
     steps = np.arange(k, dtype=np.int64)
     # float64 * (n - i) and the truncation toward zero are int(u * (n - i))
     picks = steps + (rng.random(k) * (n - steps)).astype(np.int64)

@@ -25,9 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _check
 from .graph import AttributedGraph
 from .ranking import top_degree_nodes
-from .rng import UniformStream, make_rng, rand_below, sample_without_replacement
+from .rng import UniformStream, check_seed, make_rng, rand_below, sample_without_replacement
 
 __all__ = [
     "STRATEGIES",
@@ -113,10 +114,8 @@ def sample(g: AttributedGraph, strategy: str, budget: int, seed: int) -> SampleR
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
-    if budget < 1:
-        raise ValueError(f"budget must be >= 1, got {budget}")
     n = g.n
-    size = min(budget, n)
+    size = min(_check.count("budget", budget, 1), n)
     rng = UniformStream(make_rng(seed))
 
     if strategy == "uniform-node":
@@ -286,16 +285,14 @@ def benchmark(
     sample mean (total) degree; cells aggregate the biases against the
     population values.  Deterministic in ``seed``.
     """
-    if reps < 1:
-        raise ValueError(f"reps must be >= 1, got {reps}")
+    reps = _check.count("reps", reps, 1)
+    seed = check_seed(seed)
     if not strategies or not budgets:
         raise ValueError("strategies and budgets must be non-empty")
     for s in strategies:
         if s not in STRATEGIES:
             raise ValueError(f"unknown strategy {s!r}; expected one of {STRATEGIES}")
-    for b in budgets:
-        if not 1 <= b <= g.n:
-            raise ValueError(f"budgets must lie in [1, n]; got {b} with n={g.n}")
+    budgets = [_check.count("budget", b, 1, g.n) for b in budgets]
 
     degrees = g.total_degree_vector().astype(np.float64)
     labels = g.labels

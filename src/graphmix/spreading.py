@@ -25,6 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _check
 from .graph import AttributedGraph
 from .ranking import top_degree_nodes
 from .rng import sample_without_replacement
@@ -96,11 +97,7 @@ def _check_seeds(g: AttributedGraph, seeds) -> np.ndarray:
 
 
 def _step_cap(g: AttributedGraph, max_steps: int | None) -> int:
-    if max_steps is None:
-        return 10 * g.n
-    if max_steps < 0:
-        raise ValueError(f"max_steps must be >= 0, got {max_steps}")
-    return max_steps
+    return 10 * g.n if max_steps is None else _check.count("max_steps", max_steps)
 
 
 def _fractions_from_times(times: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, tuple[int, int]]:
@@ -126,9 +123,8 @@ def cascade(
     max_steps: int | None = None,
 ) -> CascadeTrace:
     """Independent cascade with within/across-class transmission rates."""
-    for name, p in (("p_in", p_in), ("p_out", p_out)):
-        if not 0.0 <= p <= 1.0:
-            raise ValueError(f"{name} must lie in [0, 1], got {p}")
+    _check.interval("p_in", p_in, 0, 1)
+    _check.interval("p_out", p_out, 0, 1)
     seeds = _check_seeds(g, seeds)
     max_steps = _step_cap(g, max_steps)
     csr = g.csr()
@@ -194,8 +190,7 @@ def threshold_cascade(
     against 5 ms over three top-degree cascades (theta 0.05, 0.1, 0.2) on
     a 2 000-node dpah network (a few wide steps).
     """
-    if not 0.0 < theta <= 1.0:
-        raise ValueError(f"theta must lie in (0, 1], got {theta}")
+    _check.interval("theta", theta, 0, 1, open_low=True)
     seeds = _check_seeds(g, seeds)
     max_steps = _step_cap(g, max_steps)
 
@@ -313,21 +308,12 @@ def seeding(
         raise ValueError(
             f"unknown seeding condition {condition!r}; expected one of {SEED_CONDITIONS}"
         )
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    # uniform and top-degree draw from every node, the class conditions from one class
+    pool = np.arange(g.n, dtype=np.int64)
+    if condition.endswith("-only"):
+        pool = pool[g.labels == int(condition == "minority-only")]
+    count = _check.count(f"count for {condition}", count, 1, pool.size)
     if condition == "top-degree":
-        if count > g.n:
-            raise ValueError(f"count {count} exceeds n={g.n}")
         return top_degree_nodes(g, count)
-    if condition == "uniform":
-        pool = np.arange(g.n, dtype=np.int64)
-    elif condition == "majority-only":
-        pool = np.nonzero(g.labels == 0)[0]
-    else:
-        pool = np.nonzero(g.labels == 1)[0]
-    if count > pool.size:
-        raise ValueError(
-            f"count {count} infeasible for condition {condition!r} (pool size {pool.size})"
-        )
     idx = sample_without_replacement(rng, pool.size, count)
     return np.sort(pool[idx])

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -9,10 +10,14 @@ import pytest
 import graphmix
 from graphmix import cli
 from graphmix.cli import main
-from graphmix.generate import gen_directed, gen_pa
-from graphmix.graph import AttributedGraph
+from graphmix.generate import activity_from_uniform, gen_directed, gen_pa, gen_pah, gen_patch, sample_activity
+from graphmix.graph import AttributedGraph, MixingMatrix, assign_classes
+from graphmix.inference import replay_loglik, trace_from_graph
 from graphmix.netio import format_value, read_config, write_network
-from graphmix.spreading import equality_report, threshold_cascade
+from graphmix.ranking import pagerank, top_degree_nodes
+from graphmix.rng import make_rng, rand_below, sample_without_replacement
+from graphmix.sampling import benchmark, sample
+from graphmix.spreading import cascade, equality_report, seeding, threshold_cascade
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_PARENT = str(Path(graphmix.__file__).resolve().parents[1])
@@ -193,6 +198,17 @@ def test_sample_rejects_oversized_budget(tmp_path):
         "sample", "--network", str(prefix), "--budgets", "500",
         "--out", str(tmp_path), "--prefix", "sm",
     ) == 1
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_sample_refuses_the_seeds_that_spread_refuses(tmp_path, capsys, seed):
+    # sample's cell seeds are masked to 64 bits: -1 once ran, and 2**64 ran as seed 0
+    prefix = _generate(tmp_path, n="50")
+    for command, flags in (("sample", ["--budgets", "10"]), ("spread", ["--mode", "ic", "--p-in", "0.4", "--p-out", "0.4"])):
+        argv = [command, "--network", str(prefix), *flags, "--seed", seed, "--out", str(tmp_path / "o"), "--prefix", "x"]
+        assert run(*argv) == 1
+        assert f"seed must lie in [0, {2**64 - 1}], got {seed}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # -- spread -------------------------------------------------------------------------
@@ -422,20 +438,80 @@ def test_sweep_run_cap_counts_cells_times_seeds(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["six_config.txt", "six_sweep.csv"]
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: gen_pa(10.0, 2, 0),
-        lambda: gen_pa(10, 2.0, 0),
-        lambda: gen_pa(True, 1, 0),
-        lambda: gen_directed("dpa", 20.0, 0.1, 0.3),
-    ],
-    ids=["float-n", "float-m", "bool-n", "directed-float-n"],
-)
-def test_library_size_that_is_not_an_integer_is_a_value_error(make):
-    # the CLI parses n and m as int; a library caller once got a TypeError from numpy
-    with pytest.raises(ValueError, match="must be an integer"):
-        make()
+_G = AttributedGraph(False, [0, 1, 0, 1, 0, 0], [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5), (1, 4)])
+_DG = AttributedGraph(True, [0, 1, 0, 1], [(0, 1), (1, 2), (2, 0), (3, 0), (0, 3)])
+_PAH_TRACE = gen_pah(30, 2, 0.3, 0.7, seed=1)[1]
+
+# every public scalar argument: a call that takes the value, and a valid value;
+# an int marks a count, a float an interval
+_SCALAR_ARGUMENTS = {
+    "make_rng-seed": (lambda v: make_rng(v).random(4), 3),
+    "rand_below-k": (lambda v: rand_below(make_rng(0), v), 5),
+    "sample_without_replacement-n": (lambda v: sample_without_replacement(make_rng(0), v, 2), 5),
+    "sample_without_replacement-k": (lambda v: sample_without_replacement(make_rng(0), 5, v), 2),
+    "assign_classes-n": (lambda v: assign_classes(v, 0.3, make_rng(0)), 10),
+    "assign_classes-f_m": (lambda v: assign_classes(10, v, make_rng(0)), 0.3),
+    "MixingMatrix.symmetric-h": (lambda v: MixingMatrix.symmetric(v), 0.7),
+    "gen_pa-n": (lambda v: gen_pa(v, 2, 0), 10),
+    "gen_pa-m": (lambda v: gen_pa(10, v, 0), 2),
+    "gen_pa-seed": (lambda v: gen_pa(10, 2, v), 1),
+    "gen_pah-f_m": (lambda v: gen_pah(20, 2, v, 0.7, seed=1), 0.3),
+    "gen_pah-h": (lambda v: gen_pah(20, 2, 0.3, v, seed=1), 0.7),
+    "gen_patch-p_tc": (lambda v: gen_patch(20, 2, 0.3, 0.7, v, seed=1), 0.5),
+    "gen_directed-n": (lambda v: gen_directed("dpa", v, 0.1, 0.3), 20),
+    "gen_directed-d": (lambda v: gen_directed("dpa", 20, v, 0.3), 0.1),
+    "gen_directed-gamma_a": (lambda v: gen_directed("dpa", 20, 0.1, 0.3, gamma_a=v), 2.5),
+    "sample_activity-n": (lambda v: sample_activity(v, 2.5, make_rng(0)), 5),
+    "activity_from_uniform-gamma_a": (lambda v: activity_from_uniform(0.5, v), 2.5),
+    "replay_loglik-h": (lambda v: replay_loglik(_PAH_TRACE, "pah", h=v), 0.7),
+    "replay_loglik-p_tc": (lambda v: replay_loglik(_PAH_TRACE, "patch", h=0.7, p_tc=v), 0.5),
+    "trace_from_graph-seed": (lambda v: trace_from_graph(_DG, v), 1),
+    "trace_from_graph-undirected-seed": (lambda v: trace_from_graph(_G, v), 1),
+    "pagerank-damping": (lambda v: pagerank(_G, damping=v), 0.85),
+    "pagerank-tol": (lambda v: pagerank(_G, tol=v), 1e-6),
+    "pagerank-max_iter": (lambda v: pagerank(_G, max_iter=v), 3),
+    "top_degree_nodes-k": (lambda v: top_degree_nodes(_G, v), 3),
+    "sample-budget": (lambda v: sample(_G, "uniform-node", v, 1), 4),
+    "sample-seed": (lambda v: sample(_G, "snowball", 4, v), 1),
+    "benchmark-reps": (lambda v: benchmark(_G, ["uniform-node"], [4], v, 0), 2),
+    "benchmark-budget": (lambda v: benchmark(_G, ["uniform-node"], [v], 2, 0), 4),
+    "benchmark-seed": (lambda v: benchmark(_G, ["uniform-node"], [4], 2, v), 1),
+    "cascade-p_in": (lambda v: cascade(_G, [0], v, 0.5, make_rng(0)), 0.5),
+    "cascade-p_out": (lambda v: cascade(_G, [0], 0.5, v, make_rng(0)), 0.5),
+    "cascade-max_steps": (lambda v: cascade(_G, [0], 0.5, 0.5, make_rng(0), max_steps=v), 2),
+    "threshold_cascade-theta": (lambda v: threshold_cascade(_G, [0], v), 0.3),
+    "threshold_cascade-max_steps": (lambda v: threshold_cascade(_G, [0], 0.3, max_steps=v), 2),
+    "seeding-count": (lambda v: seeding(_G, "uniform", v, make_rng(0)), 2),
+    "seeding-top-degree-count": (lambda v: seeding(_G, "top-degree", v, make_rng(0)), 2),
+}
+
+
+def _same(a, b) -> bool:
+    """Equal values, through dataclasses, tuples, lists, dicts and arrays (of one dtype)."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(_same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a))
+    if isinstance(a, (tuple, list)):
+        return len(a) == len(b) and all(map(_same, a, b))
+    if isinstance(a, dict):
+        return a.keys() == b.keys() and all(_same(a[k], b[k]) for k in a)
+    if isinstance(a, np.ndarray):
+        return isinstance(b, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b)
+    return a == b
+
+
+@pytest.mark.parametrize("call,valid", _SCALAR_ARGUMENTS.values(), ids=_SCALAR_ARGUMENTS)
+def test_library_scalar_argument_of_the_wrong_kind_is_a_value_error(call, valid):
+    # the CLI parses its flags by type; a library caller once got a TypeError
+    # from numpy, or a bool or a float taken as a count
+    if isinstance(valid, int):
+        for bad in (True, 2.5, float(valid)):
+            with pytest.raises(ValueError, match="must be an integer"):
+                call(bad)
+        assert _same(call(np.int64(valid)), call(valid))
+    else:
+        with pytest.raises(ValueError, match="must (be|lie in) .*, got nan"):
+            call(float("nan"))
+        assert _same(call(np.float64(valid)), call(valid))
 
 
 # -- config files and precedence -------------------------------------------------------

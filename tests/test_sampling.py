@@ -253,6 +253,16 @@ def test_benchmark_validation():
         benchmark(g, ["degree-oracle"], [5], reps=1, seed=0)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64, True])
+def test_benchmark_refuses_a_seed_that_make_rng_refuses(seed):
+    # the cell seeds are masked to 64 bits, so -1 and 2**64 would run, 2**64 as seed 0
+    g = random_graph(10, directed=False, p=0.3, rng=make_rng(6))
+    with pytest.raises(ValueError, match="seed must"):
+        make_rng(seed)
+    with pytest.raises(ValueError, match="seed must"):
+        benchmark(g, ["uniform-node"], [5], reps=1, seed=seed)
+
+
 def test_uniform_node_is_nearly_unbiased():
     rng = make_rng(10)
     labels = np.zeros(40, dtype=np.int8)

@@ -358,3 +358,14 @@ def test_seeding_determinism_and_validation():
     assert set(SEED_CONDITIONS) == {
         "uniform", "majority-only", "minority-only", "top-degree"
     }
+
+
+@pytest.mark.parametrize("condition", SEED_CONDITIONS)
+def test_seeding_count_is_checked_against_its_pool(condition):
+    # one check for every condition; top-degree's pool is every node
+    g = random_graph(20, directed=False, p=0.2, rng=make_rng(13))
+    pool = {"majority-only": int((g.labels == 0).sum()), "minority-only": int(g.labels.sum())}.get(condition, g.n)
+    assert seeding(g, condition, pool, make_rng(0)).size == pool
+    for bad in (0, pool + 1):
+        with pytest.raises(ValueError, match=rf"count for {condition} must lie in \[1, {pool}\], got {bad}"):
+            seeding(g, condition, bad, make_rng(0))
