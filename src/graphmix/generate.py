@@ -507,7 +507,16 @@ def _place_directed(
 # ---------------------------------------------------------------------------
 
 def rebuild_graph(trace: GrowthTrace) -> AttributedGraph:
-    """Reconstruct the final graph from a trace; raises ValueError on corrupt traces."""
+    """Reconstruct the final graph from a trace; raises ValueError on corrupt traces: event
+    arrays not flat and of one length, an event kind of the other family, or an invalid edge."""
+    shapes = [np.shape(a) for a in (trace.sources, trace.targets, trace.kinds)]
+    if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
+        raise ValueError(f"trace sources, targets and kinds must be flat and of one length, got shapes {shapes}")
+    kinds, last = trace.kinds, int(EventKind.DIRECTED_PICK)  # the last kind code, the directed family's only one
+    bad = np.flatnonzero((kinds < 0) | (kinds > last) | ((kinds == last) != trace.directed))
+    if bad.size:
+        i, family = int(bad[0]), "directed" if trace.directed else "undirected"
+        raise ValueError(f"event {i}: kind code {int(kinds[i])} is not a kind of {family} event")
     m = 0 if trace.directed else trace.m or 0
     start = np.column_stack(np.triu_indices(m, 1))
     edges = np.concatenate((start, np.column_stack((trace.sources, trace.targets))))

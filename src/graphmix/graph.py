@@ -6,11 +6,11 @@ undirected, with a binary class label per node: 0 is the majority class,
 immutable value built once from an edge array, so it can be shared freely
 across ensemble workers.
 
-The frozen graph holds its labels and its :class:`CSR` (``indptr`` and
-``indices``).  The canonical edge arrays of :meth:`AttributedGraph.edge_arrays`
-are built from the CSR at the first call and kept, read-only, for every
-later call: 16 bytes per edge, or 8 when directed, whose targets are the
-CSR's ``indices``.
+The frozen graph holds its own read-only copy of the labels and its
+:class:`CSR` (``indptr`` and ``indices``).  The canonical edge arrays of
+:meth:`AttributedGraph.edge_arrays` are built from the CSR at the first
+call and kept, read-only, for every later call: 16 bytes per edge, or 8
+when directed, whose targets are the CSR's ``indices``.
 """
 
 from __future__ import annotations
@@ -75,7 +75,8 @@ class AttributedGraph:
         # on the values as given: a cast first would wrap 256 to 0 and cut 0.5 to 0
         if not ((labels == 0) | (labels == 1)).all():
             raise ValueError("labels must be 0 (majority) or 1 (minority)")
-        labels = labels.astype(np.int8, copy=False)
+        labels = labels.astype(np.int8)  # the graph's own copy: the caller's array stays theirs
+        labels.setflags(write=False)
         edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
         n = labels.size
         src, dst = edges[:, 0], edges[:, 1]
@@ -109,7 +110,7 @@ class AttributedGraph:
 
     @property
     def labels(self) -> np.ndarray:
-        """Per-node class labels (treat as read-only)."""
+        """Per-node class labels, read-only."""
         return self._labels
 
     def class_counts(self) -> tuple[int, int]:
@@ -219,17 +220,18 @@ class CSR:
 
 @dataclass(frozen=True)
 class MixingMatrix:
-    """2x2 class-affinity matrix: ``matrix[a, b]`` is the affinity of a
-    source of class a for a target of class b, each in [0, 1]."""
+    """Read-only 2x2 class-affinity matrix: ``matrix[a, b]`` is the affinity
+    of a source of class a for a target of class b, each in [0, 1]."""
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=np.float64)
+        m = np.array(self.matrix, dtype=np.float64)  # a copy of its own, as the labels of a graph
         if m.shape != (2, 2):
             raise ValueError(f"mixing matrix must be 2x2, got shape {m.shape}")
         if not ((m >= 0.0) & (m <= 1.0)).all():  # NaN fails both comparisons
             raise ValueError("mixing matrix entries must lie in [0, 1]")
+        m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
     @classmethod

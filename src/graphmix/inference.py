@@ -209,8 +209,8 @@ def _chunk_cuts(cum: np.ndarray) -> np.ndarray:
 def _undirected_stats(trace: GrowthTrace, triadic: bool) -> _Stats:
     """The per-event statistics of an undirected trace; with ``triadic``,
     the triadic-closure sets too (patch reads them, pa and pah do not)."""
+    csr = rebuild_graph(trace).csr()  # checks the arrays and kinds first
     starts = _arrival_groups(trace)
-    csr = rebuild_graph(trace).csr()
     n, labels = trace.n, trace.labels
     src = trace.sources.astype(np.int64)
     tgt = trace.targets.astype(np.int64)
@@ -1027,8 +1027,8 @@ def replay_event_probabilities(
     if trace.directed:
         rebuild_graph(trace)  # rejects repeated and out-of-range edges
         return _replay_vectors_directed(trace, model, h)
-    starts = _arrival_groups(trace)
-    return _replay_vectors_undirected(trace, model, h, p_tc, starts, rebuild_graph(trace).csr())
+    csr = rebuild_graph(trace).csr()
+    return _replay_vectors_undirected(trace, model, h, p_tc, _arrival_groups(trace), csr)
 
 
 def _replay_vectors_undirected(trace, model, h, p_tc, starts, csr):

@@ -279,8 +279,9 @@ def crossing_time(series: np.ndarray, level: float) -> float | None:
     Returns 0.0 when the series starts at or above the level, None when it
     never reaches it; otherwise interpolates linearly between the last step
     below and the first step at-or-above, giving sub-step resolution for
-    group comparisons of informed-fraction curves.
+    group comparisons of informed-fraction curves.  ``level`` lies in [0, 1].
     """
+    _check.interval("level", level, 0, 1)
     series = np.asarray(series, dtype=np.float64)
     idx = np.nonzero(series >= level)[0]
     if idx.size == 0:

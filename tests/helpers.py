@@ -1,32 +1,19 @@
-"""Shared test utilities.
+"""Shared test utilities: the oracles the library's kernels must match.
+
+An oracle is the definition of what it checks and imports nothing private
+from ``graphmix`` (a tier-1 test parses this module to hold that), so a
+fault in a kernel's design cannot pass on both sides.
 
 ``brute_force_loglik`` is an intentionally naive, dict-based replay of the
-growth likelihood written independently of graphmix.inference: it rebuilds
-the graph state event by event and computes each pick probability from the
-full weight map.  Agreement between the two implementations is what the
-oracle-equivalence tests check, so this module must not call into the
-vectorized scoring paths.
-
-``full_patch_grid`` is the other kind of oracle: the patch likelihood grid
-evaluated at every cell by the full blocked loop, from the library's own
-replay statistics and the full (h rows, events) array of
-``reference_affinity_logp``.  The library evaluates only the cells that can
-reach an output, and never holds that array; the pruned-grid tests compare
-it cell for cell with this one.
-
-``reference_affinity_logp`` is the affinity kernel as masked copies, one
-``log`` of ``a(h) * weight`` per event; the library's lookup kernel must
-return the same bits.
-
-``reference_triadic_sets`` is each undirected event's triadic-closure set
-by its definition, as Python sets: the union of the below-v neighbourhoods
-of the arrival's earlier picks, minus those picks.  The library finds the
-same sizes and hits by one sort of (arrival, node) keys.
-
-``reference_excluded_mass`` is the directed replay's excluded (indeg + 1)
-mass by the pair scheme: every pair of one source's events, O(sum of
-squared out-degrees) lookups.  The library counts from the cheaper side of
-each event and must return the same integers.
+growth likelihood: it rebuilds the graph state event by event and computes
+each pick probability from the full weight map.  Where the library blocks,
+chunks or sorts, the other likelihood oracles state the definition in one
+array or one loop: ``reference_affinity_logp`` is ln(a * weight) - ln(h *
+den_same + (1 - h) * den_diff) of every event at every h;
+``full_patch_grid`` is the patch likelihood at every (h, p_tc) cell, which
+the library prunes; ``reference_triadic_sets`` builds each triadic-closure
+set as a Python set; ``reference_excluded_mass`` replays a directed trace
+event by event and sums indeg + 1 over each source's earlier targets.
 
 ``array_sample_without_replacement`` and ``rebuilt_pool_snowball`` are the
 earlier, slower forms of two samplers (swaps on a full index array, and a
@@ -37,16 +24,16 @@ through numpy scalars and row slices, one ``rand_below`` per decision, with
 a uniform fill from a Python set of ``range(n)``; the library's kernels
 must return the same nodes.
 
-``stable_argsort_csr`` is the graph build by one stable argsort of the
-row-major edge keys, which names every repeat as it sorts; the constructor
-sorts without it and must give the same CSR bits and the same
-``EdgeError``.
+``reference_csr`` builds the neighbour lists edge by edge and raises the
+first bad edge's ``EdgeError``; the constructor must agree bit for bit.
 
 ``reference_generate`` grows a trace by the generator kernels as they
 were with one call per draw: ``reference_endpoint_pick`` for every
 rejection-sampled target, ``rand_below`` for every uniform index, and a
-per-edge ``indeg + 1`` array for the directed exact scan.  The library
-inlines those draws and must give the same trace, or the same
+per-edge ``indeg + 1`` array for the directed exact scan.  It stays a
+kernel, not a definition: the draw protocol is what fixes the bits of a
+seeded trace, and no shorter statement draws the same doubles.  The
+library inlines those draws and must give the same trace, or the same
 ``SaturationError``.  ``reference_write_network`` and
 ``reference_write_trace`` are the writers as one f-string per row; the
 library's numpy byte writer must give the same bytes.
@@ -72,7 +59,7 @@ from graphmix.generate import (
     sample_activity,
 )
 from graphmix.graph import AttributedGraph, EdgeError, assign_classes
-from graphmix.inference import _TINY, PTC_GRID, _block_rows, _chunk_cuts
+from graphmix.inference import PTC_GRID
 from graphmix.rng import (
     UniformStream,
     make_rng,
@@ -170,32 +157,16 @@ def reference_affinity_logp(h, same, weight, den_same, den_diff, fill, by_den: b
     P = a * weight / (h * den_same + (1 - h) * den_diff), where a is h for a
     same-class target and 1 - h otherwise (``weight`` None: 1).  Where the
     denominator (``by_den``) or else the numerator is not positive, ln P is
-    ``fill``.  Built a block of h rows at a time by masked copies.
+    ``fill``.
     """
-    n_rows, n_cols = h.size, same.size
-    step = _block_rows(n_cols)
-    out = np.empty((n_rows, n_cols))
-    bufs = np.empty((2, min(step, n_rows), n_cols))
-    cut = np.empty(bufs.shape[1:], dtype=bool)
+    h = h[:, None]
+    num = np.where(same, h, 1.0 - h)
+    if weight is not None:
+        num = num * weight
+    den = h * den_same + (1.0 - h) * den_diff
     with np.errstate(divide="ignore", invalid="ignore"):
-        for a in range(0, n_rows, step):
-            b = min(a + step, n_rows)
-            hc = h[a:b, None]
-            w = out[a:b]
-            den, tmp, bad = bufs[0, :b - a], bufs[1, :b - a], cut[:b - a]
-            np.copyto(w, 1.0 - hc)
-            np.copyto(w, hc, where=same)
-            if weight is not None:
-                w *= weight
-            np.multiply(hc, den_same, out=den)
-            np.multiply(1.0 - hc, den_diff, out=tmp)
-            den += tmp
-            np.less_equal(den if by_den else w, 0.0, out=bad)
-            np.log(w, out=w)
-            np.log(den, out=den)
-            w -= den
-            np.copyto(w, fill, where=bad)
-    return out
+        logp = np.log(num) - np.log(den)
+    return np.where((den if by_den else num) <= 0.0, fill, logp)
 
 
 def reference_aff_pick_logprob(stats, h_values) -> np.ndarray:
@@ -206,48 +177,34 @@ def reference_aff_pick_logprob(stats, h_values) -> np.ndarray:
 
 
 def full_patch_grid(stats, h_values, ptc_values=None) -> np.ndarray:
-    """The patch log-likelihood at every (h, p_tc) cell, a block of p_tc rows at a time."""
-    logp_aff = reference_aff_pick_logprob(stats, h_values)
+    """The patch log-likelihood at every (h, p_tc) cell, one h row at a time.
 
-    ptc = PTC_GRID if ptc_values is None else ptc_values
-    pure = ~stats.mixture
-    hit = stats.mixture & stats.tc_hit
+    A row is its base (the fallback constant plus the affinity ln P summed
+    over the pure events, then over the miss events) plus n_miss * ln(1 - p)
+    plus the sum over the hit events of ln((1 - p) * P_aff + p / |tc|),
+    mixed in log space where P_aff is below the normal range but ln P_aff is
+    finite.  p / |tc| is rounded as the library rounds it, p * (1 / |tc|),
+    and each sum is over the same contiguous values in the same order.
+    """
+    logp_aff = reference_aff_pick_logprob(stats, h_values)
+    p = (PTC_GRID if ptc_values is None else ptc_values)[:, None]
+    pure, hit = ~stats.mixture, stats.mixture & stats.tc_hit
     miss = stats.mixture & ~stats.tc_hit
     n_miss = int(miss.sum())
-    with np.errstate(divide="ignore"):
-        log_ptc_off = np.log(1.0 - ptc)  # -inf at p_tc = 1
-    miss_term = n_miss * log_ptc_off if n_miss else np.zeros_like(ptc)
-    # p_tc * P_tc + (1 - p_tc) * P_aff of each hit event, a block of p_tc rows at a time
-    tc_part = ptc[:, None] * (1.0 / stats.tc_size[hit])[None, :]
-    aff_share = (1.0 - ptc)[:, None]
-    step = _block_rows(tc_part.shape[1])
-    buf = np.empty((min(step, ptc.size), tc_part.shape[1]))
-    hit_term = np.empty(ptc.size)
-    out = np.empty((h_values.size, ptc.size))
-    for hi in range(h_values.size):
-        row = logp_aff[hi]
-        base = stats.const_loglik + row[pure].sum()
-        if n_miss:
-            base = base + row[miss].sum()
-        logp_aff_hit = row[hit]
-        p_aff_hit = np.exp(logp_aff_hit)
-        # where P_aff underflows below the normal range (to a subnormal or 0)
-        # but ln P_aff is finite, mix in log space
-        under = np.flatnonzero((p_aff_hit < _TINY) & (logp_aff_hit > -np.inf))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            for a in range(0, ptc.size, step):
-                b = min(a + step, ptc.size)
-                mix = buf[:b - a]
-                np.multiply(aff_share[a:b], p_aff_hit, out=mix)
-                mix += tc_part[a:b]
-                np.log(mix, out=mix)
-                if under.size:
-                    mix[:, under] = np.logaddexp(
-                        np.log(tc_part[a:b, under]),
-                        np.log1p(-ptc[a:b])[:, None] + logp_aff_hit[under],
-                    )
-                hit_term[a:b] = mix.sum(axis=1)
-        out[hi] = base + miss_term + hit_term
+    with np.errstate(divide="ignore", invalid="ignore"):
+        miss_term = n_miss * np.log(1.0 - p[:, 0]) if n_miss else np.zeros(p.size)
+        p_tc = p * (1.0 / stats.tc_size[hit])
+        out = np.empty((h_values.size, p.size))
+        for i, row in enumerate(logp_aff):
+            base = stats.const_loglik + row[pure].sum()
+            if n_miss:
+                base = base + row[miss].sum()
+            ln_aff = row[hit]
+            p_aff = np.exp(ln_aff)
+            mix = np.log((1.0 - p) * p_aff + p_tc)
+            under = (p_aff < np.finfo(np.float64).tiny) & (ln_aff > -np.inf)
+            mix[:, under] = np.logaddexp(np.log(p_tc[:, under]), np.log1p(-p) + ln_aff[under])
+            out[i] = base + miss_term + mix.sum(axis=1)
     return out
 
 
@@ -278,46 +235,22 @@ def reference_triadic_sets(trace: GrowthTrace) -> tuple[np.ndarray, np.ndarray]:
 
 
 def reference_excluded_mass(trace: GrowthTrace) -> tuple[np.ndarray, np.ndarray]:
-    """The directed replay's excluded (indeg + 1) mass, own class and other, by the pair scheme.
+    """The directed replay's excluded (indeg + 1) mass at each event, own class and other.
 
-    Every pair (k, i) of events of one source with k < i looks up
-    indeg(t_k) before i in the sorted (target, event) keys, O(sum of
-    squared out-degrees) lookups in chunks of about ``_PAIR_CHUNK`` pairs.
+    Replays the events in order: at event i of source s, the mass sums
+    indeg(u) + 1 before i over the targets u of s's earlier events, split
+    by whether u is in s's class.
     """
-    n = trace.n
-    src = trace.sources.astype(np.int64)
-    tgt = trace.targets.astype(np.int64)
-    same = trace.labels[tgt] == trace.labels[src]
-    n_events = tgt.size
-    by_target = np.argsort(tgt, kind="stable")
-    tkeys = tgt[by_target] * n_events + by_target
-    tstart = np.searchsorted(tkeys, np.arange(n + 1) * n_events)
-    by_source = np.argsort(src, kind="stable")
-    first = np.searchsorted(src[by_source], src[by_source])
-
-    rank = np.arange(n_events) - first  # earlier events of the same source
-    cum = np.concatenate(([0], np.cumsum(rank)))
-    mass = np.zeros((2, n_events), dtype=np.int64)
-    cuts = _chunk_cuts(cum)
-    for lo, hi in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
-        r = rank[lo:hi]
-        later = np.repeat(np.arange(lo, hi), r)
-        earlier = first[later] + np.arange(later.size) - np.repeat(cum[lo:hi] - cum[lo], r)
-        i, k = by_source[later], by_source[earlier]
-        u = tgt[k]
-        needles = u * n_events + i
-        order = np.argsort(needles)
-        val = np.empty(needles.size, dtype=np.int64)
-        val[order] = np.searchsorted(tkeys, needles[order])
-        val += 1 - tstart[u]
-        own = same[k]
-        seg = np.concatenate(([0], np.cumsum(r)))
-        for c, w in ((0, own), (1, ~own)):
-            cs = np.concatenate(([0], np.cumsum(val * w)))
-            mass[c, lo:hi] = cs[seg[1:]] - cs[seg[:-1]]
-    out = np.empty_like(mass)
-    out[:, by_source] = mass
-    return out[0], out[1]
+    labels = trace.labels.tolist()
+    indeg = [0] * trace.n
+    earlier: list[list[int]] = [[] for _ in range(trace.n)]
+    mass = [[0] * len(trace), [0] * len(trace)]
+    for i, (s, t) in enumerate(zip(trace.sources.tolist(), trace.targets.tolist())):
+        for u in earlier[s]:
+            mass[labels[u] != labels[s]][i] += indeg[u] + 1
+        earlier[s].append(t)
+        indeg[t] += 1
+    return np.array(mass[0], dtype=np.int64), np.array(mass[1], dtype=np.int64)
 
 
 def _brute_directed(trace, model, labels, h):
@@ -448,29 +381,29 @@ def random_graph(n: int, directed: bool, p: float, rng: np.random.Generator) -> 
     return AttributedGraph(directed, labels, edges)
 
 
-def stable_argsort_csr(directed: bool, n: int, edges) -> tuple[np.ndarray, np.ndarray]:
-    """(indptr, indices) of the graph on 0..n-1 with these (E, 2) edges, or the first bad edge's EdgeError."""
-    edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
-    src, dst = edges[:, 0], edges[:, 1]
-    # row-major (row, column) keys; an undirected edge is stored in both
-    # rows, interleaved so that equal keys keep their edge order
-    keys = src * n + dst
-    if not directed:
-        keys = np.column_stack((keys, dst * n + src)).ravel()
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    repeat = np.zeros(len(edges), dtype=bool)
-    repeat[order[1:][keys[1:] == keys[:-1]] // (1 if directed else 2)] = True
-    outside = ((edges < 0) | (edges >= n)).any(axis=1)
-    loop = src == dst
-    bad = np.flatnonzero(outside | loop | repeat)
-    if bad.size:
-        i = int(bad[0])
-        u, v = edges[i].tolist()
-        if outside[i]:
+def reference_csr(directed: bool, n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """(indptr, indices) of the graph on 0..n-1 with these (source, target) edges.
+
+    Builds the neighbour lists edge by edge, and raises the EdgeError of the
+    first edge that leaves 0..n-1, is a self-loop, or repeats an earlier
+    edge (in either orientation when undirected).
+    """
+    rows: list[list[int]] = [[] for _ in range(n)]
+    seen: set[tuple[int, int]] = set()
+    for i, (u, v) in enumerate(edges):
+        if not (0 <= u < n and 0 <= v < n):
             raise EdgeError(i, f"edge ({u},{v}) references a node outside 0..{n - 1}")
-        raise EdgeError(i, f"self-loop ({u},{v})" if loop[i] else f"duplicate edge ({u},{v})")
-    return np.searchsorted(keys, np.arange(n + 1, dtype=np.int64) * n), keys % n
+        if u == v:
+            raise EdgeError(i, f"self-loop ({u},{v})")
+        if (u, v) in seen:
+            raise EdgeError(i, f"duplicate edge ({u},{v})")
+        seen.add((u, v))
+        rows[u].append(v)
+        if not directed:
+            seen.add((v, u))
+            rows[v].append(u)
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    return indptr, np.array([v for row in rows for v in sorted(row)], dtype=np.int64)
 
 
 def adjacency_lists(g: AttributedGraph) -> list[list[int]]:

@@ -17,7 +17,7 @@ from graphmix.netio import format_value, read_config, write_network
 from graphmix.ranking import pagerank, top_degree_nodes
 from graphmix.rng import make_rng, rand_below, sample_without_replacement
 from graphmix.sampling import benchmark, sample
-from graphmix.spreading import cascade, equality_report, seeding, threshold_cascade
+from graphmix.spreading import cascade, crossing_time, equality_report, seeding, threshold_cascade
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 PACKAGE_PARENT = str(Path(graphmix.__file__).resolve().parents[1])
@@ -483,6 +483,7 @@ _SCALAR_ARGUMENTS = {
     "threshold_cascade-max_steps": (lambda v: threshold_cascade(_G, [0], 0.3, max_steps=v), 2),
     "seeding-count": (lambda v: seeding(_G, "uniform", v, make_rng(0)), 2),
     "seeding-top-degree-count": (lambda v: seeding(_G, "top-degree", v, make_rng(0)), 2),
+    "crossing_time-level": (lambda v: crossing_time(np.array([0.0, 0.4, 0.9]), v), 0.5),
 }
 
 

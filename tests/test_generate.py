@@ -68,6 +68,15 @@ def test_trace_rebuild_matches_generated_graph():
         assert rebuild_graph(trace) == g
 
 
+def test_a_written_source_array_changes_no_generated_network():
+    entries = np.array([[0.8, 0.2], [0.2, 0.8]])
+    H = MixingMatrix(entries)
+    g, trace = gen_pah(50, 2, 0.3, H, seed=1)
+    entries[0, 0] = 5.0  # the caller's array, written after the check
+    assert gen_pah(50, 2, 0.3, H, seed=1)[0] == g
+    assert not np.shares_memory(g.labels, trace.labels)
+
+
 def test_package_attribute_is_the_generate_module():
     import graphmix
     import graphmix.generate as module

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from graphmix.graph import AttributedGraph, EdgeError, MixingMatrix, assign_classes
 from graphmix.rng import make_rng
 
-from helpers import stable_argsort_csr
+from helpers import reference_csr
 
 
 def test_undirected_edges_and_degrees():
@@ -98,6 +98,14 @@ def test_labels_must_be_a_flat_list(labels):
     # a 2 x 2 table would count as n = 4 nodes and index by rows later
     with pytest.raises(ValueError, match="flat list"):
         AttributedGraph(False, labels, [])
+
+
+def test_labels_are_the_graphs_own_read_only_copy():
+    labels = np.array([0, 0, 1], dtype=np.int8)
+    g = AttributedGraph(False, labels, [(0, 1)])
+    labels[0] = 1  # the caller's array, written after the check
+    assert g.labels.tolist() == [0, 0, 1] and g.minority_fraction == pytest.approx(1 / 3)
+    assert not g.labels.flags.writeable
 
 
 @pytest.mark.parametrize("directed", [False, True])
@@ -217,7 +225,7 @@ def _edge_arrays(draw):
 def test_csr_build_matches_the_stable_argsort_build(case):
     directed, n, edges = case
     try:
-        want = stable_argsort_csr(directed, n, edges)
+        want = reference_csr(directed, n, edges)
     except EdgeError as exc:
         want = (exc.index, exc.reason)
     try:
@@ -250,6 +258,14 @@ def test_mixing_matrix_validation():
         MixingMatrix.symmetric(-0.1)
     with pytest.raises(ValueError, match=r"mixing matrix entries must lie in \[0, 1\]"):
         MixingMatrix(np.array([[np.nan, 0.5], [0.5, 0.5]]))
+
+
+def test_mixing_matrix_is_its_own_read_only_copy():
+    entries = np.array([[0.9, 0.1], [0.4, 0.6]])
+    H = MixingMatrix(entries)
+    entries[0, 0] = 5.0  # the caller's array, written after the check
+    assert H.matrix[0, 0] == 0.9
+    assert not H.matrix.flags.writeable
 
 
 def test_mixing_matrix_asymmetric_entries_kept():

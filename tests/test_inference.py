@@ -291,6 +291,24 @@ def test_corrupt_traces_rejected():
         replay_loglik(repeated_pair, "dpa")
     with pytest.raises(ValueError, match="duplicate edge"):
         replay_event_probabilities(repeated_pair, "dpa")
+    # event arrays of unequal length, and kind codes of the other family or of
+    # none (0-2 are undirected, 3 directed)
+    def events(directed, sources, targets, kinds):
+        return GrowthTrace(directed=directed, labels=labels, sources=np.array(sources), targets=np.array(targets),
+                           kinds=np.array(kinds, dtype=np.int8), m=None if directed else 2)
+
+    corrupt = [
+        (events(True, [0, 1], [1, 2], [3]), "dpa", "flat and of one length"),
+        (events(False, [2, 2], [0, 1], [0]), "pa", "flat and of one length"),
+        (events(False, [2, 2, 3, 3], [0, 1, 0, 1], [0, 3, 7, 0]), "pa", "event 1: kind code 3 "),
+        (events(False, [2, 2, 3, 3], [0, 1, 0, 1], [0, 1, 7, 0]), "pa", "event 2: kind code 7 "),
+        (events(True, [0, 1], [1, 2], [2, 0]), "dpa", "event 0: kind code 2 "),
+    ]
+    for trace, model, message in corrupt:
+        with pytest.raises(ValueError, match=message):
+            replay_loglik(trace, model)
+        with pytest.raises(ValueError, match=message):
+            replay_event_probabilities(trace, model)
 
 
 # -- neutrality -----------------------------------------------------------------
@@ -611,7 +629,7 @@ def test_patch_cells_have_the_same_bits_in_any_block_height(h):
             assert np.array_equal(_bits(cells.cells(0, a, b)), _bits(whole[a:b])), (height, a)
 
 
-# -- the lookup affinity kernel against the masked-copy reference ---------------------
+# -- the lookup affinity kernel against its definition, one full array -----------------
 
 # h rows with the bad-entry path (0 and 1), subnormal and tiny affinities
 _KERNEL_H = np.concatenate((H_GRID, [5e-324, 1e-300, 1.0 - 2.0**-53]))
@@ -666,7 +684,7 @@ def test_affinity_kernel_has_the_reference_bits(name, rows_per_block, monkeypatc
         assert np.array_equal(_bits(sums[j]), _bits([row[part].sum() for row in want]))
 
 
-# -- the excluded mass against the pair-scheme reference ---------------------------------
+# -- the excluded mass against an event-by-event replay ----------------------------------
 
 
 def _hub_trace(n, hub, p, seed):

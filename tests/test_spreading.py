@@ -321,6 +321,12 @@ def test_crossing_time_interpolates():
     assert crossing_time(np.array([0.0, 0.4, 0.45]), 0.5) is None
 
 
+@pytest.mark.parametrize("level", [-1.0, 1.5])
+def test_crossing_time_refuses_a_level_outside_the_unit_interval(level):
+    with pytest.raises(ValueError, match=r"level must lie in \[0, 1\]"):
+        crossing_time(np.array([0.0, 0.4, 0.9]), level)
+
+
 # -- seeding ------------------------------------------------------------------------
 
 
