@@ -23,13 +23,13 @@ likelihoods (see :mod:`graphmix.inference`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import IntEnum
 
 import numpy as np
 
 from . import _check
-from .graph import AttributedGraph, EdgeError, MixingMatrix, assign_classes
+from .graph import AttributedGraph, EdgeError, MixingMatrix, assign_classes, own_labels
 from .rng import UniformStream, make_rng, pick_from_cumulative, weighted_pick
 
 __all__ = [
@@ -90,7 +90,7 @@ EVENT_KIND_NAMES = {
 EVENT_KIND_FROM_NAME = {v: k for k, v in EVENT_KIND_NAMES.items()}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrowthTrace:
     """Ordered edge events plus the context needed to replay them.
 
@@ -100,6 +100,15 @@ class GrowthTrace:
     synthesized trace (edge order assumed, empty start state, sources
     non-decreasing with arbitrary group sizes).  Directed traces replay from
     an empty n-node graph in event order.
+
+    A trace is checked once, when built: ``ValueError`` names event arrays
+    that are not flat integer (not bool, not float) arrays of one length,
+    an id outside ``0..n-1``, a kind code not of the trace's family, labels
+    that are not n 0s and 1s, or an ``m`` on a directed trace, outside
+    ``1..n-1`` or without m events per arrival.  The trace keeps read-only
+    copies: int8 labels and kinds, int64 sources and targets.  A repeated
+    edge is refused by :func:`rebuild_graph`'s graph, the growth order when
+    the trace is scored.  Traces compare equal field by field.
     """
 
     directed: bool
@@ -110,12 +119,57 @@ class GrowthTrace:
     m: int | None = None
     order_assumed: bool = False
 
+    def __post_init__(self):
+        labels = own_labels(self.labels)
+        n = labels.size
+        names = ("sources", "targets", "kinds")
+        src, tgt, kinds = events = [np.asarray(getattr(self, name)) for name in names]
+        shapes = [a.shape for a in events]
+        if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
+            raise ValueError(f"trace sources, targets and kinds must be flat and of one length, got shapes {shapes}")
+        for name, a in zip(names, events):
+            # a cast would read 0.7 as node 0 and True as node 1
+            if a.dtype == bool or not np.issubdtype(a.dtype, np.integer):
+                raise ValueError(f"trace {name} must be integers, got {a.dtype}")
+        outside = np.flatnonzero((src < 0) | (src >= n) | (tgt < 0) | (tgt >= n))
+        if outside.size:
+            i = int(outside[0])
+            raise ValueError(f"event {i} ({src[i]},{tgt[i]}) references a node outside 0..{n - 1}")
+        last = int(EventKind.DIRECTED_PICK)  # the last kind code, the directed family's only one
+        bad = np.flatnonzero((kinds < 0) | (kinds > last) | ((kinds == last) != self.directed))
+        if bad.size:
+            i, family = int(bad[0]), "directed" if self.directed else "undirected"
+            raise ValueError(f"event {i}: kind code {kinds[i]} is not a kind of {family} event")
+        if self.m is not None:
+            if self.directed:
+                raise ValueError(f"a directed trace has no per-arrival edge count m, got m={self.m!r}")
+            m = _check.count("m", self.m, 1, n - 1)
+            if not is_growth_layout(src, n, m):
+                raise ValueError("trace does not have m events per arrival for every node >= m")
+        for name, a in zip(names, events):
+            a = a.astype(np.int8 if name == "kinds" else np.int64)  # a copy of its own, as the labels
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        object.__setattr__(self, "labels", labels)
+
     @property
     def n(self) -> int:
         return self.labels.size
 
     def __len__(self) -> int:
         return self.sources.size
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GrowthTrace):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+
+    __hash__ = None
+
+
+def is_growth_layout(sources: np.ndarray, n: int, m: int) -> bool:
+    """Whether ``sources`` are the arrivals m..n-1 in order, m events each (sizes first: a large m builds nothing)."""
+    return len(sources) == (n - m) * m and np.array_equal(sources, np.repeat(np.arange(m, n), m))
 
 
 # The parameters each model reads besides n and seed: the only model -> parameter table.
@@ -368,14 +422,7 @@ def _grow(
             for t in chosen:
                 nbrs[t].append(v)
 
-    trace = GrowthTrace(
-        directed=False,
-        labels=labels,
-        sources=np.asarray(srcs, dtype=np.int64),
-        targets=np.asarray(tgts, dtype=np.int64),
-        kinds=np.asarray(kinds, dtype=np.int8),
-        m=m,
-    )
+    trace = GrowthTrace(False, labels, srcs, tgts, kinds, m=m)
     return rebuild_graph(trace), trace
 
 
@@ -492,13 +539,7 @@ def _place_directed(
         tgts.append(t)
         failures = 0
 
-    trace = GrowthTrace(
-        directed=True,
-        labels=labels,
-        sources=np.asarray(srcs, dtype=np.int64),
-        targets=np.asarray(tgts, dtype=np.int64),
-        kinds=np.full(len(srcs), int(EventKind.DIRECTED_PICK), dtype=np.int8),
-    )
+    trace = GrowthTrace(True, labels, srcs, tgts, np.full(len(srcs), int(EventKind.DIRECTED_PICK), dtype=np.int8))
     return rebuild_graph(trace), trace
 
 
@@ -507,17 +548,8 @@ def _place_directed(
 # ---------------------------------------------------------------------------
 
 def rebuild_graph(trace: GrowthTrace) -> AttributedGraph:
-    """Reconstruct the final graph from a trace; raises ValueError on corrupt traces: event
-    arrays not flat and of one length, an event kind of the other family, or an invalid edge."""
-    shapes = [np.shape(a) for a in (trace.sources, trace.targets, trace.kinds)]
-    if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
-        raise ValueError(f"trace sources, targets and kinds must be flat and of one length, got shapes {shapes}")
-    kinds, last = trace.kinds, int(EventKind.DIRECTED_PICK)  # the last kind code, the directed family's only one
-    bad = np.flatnonzero((kinds < 0) | (kinds > last) | ((kinds == last) != trace.directed))
-    if bad.size:
-        i, family = int(bad[0]), "directed" if trace.directed else "undirected"
-        raise ValueError(f"event {i}: kind code {int(kinds[i])} is not a kind of {family} event")
-    m = 0 if trace.directed else trace.m or 0
+    """Reconstruct the final graph from a trace; ValueError if it replays a self-loop or a repeated edge."""
+    m = trace.m or 0
     start = np.column_stack(np.triu_indices(m, 1))
     edges = np.concatenate((start, np.column_stack((trace.sources, trace.targets))))
     try:

@@ -54,6 +54,21 @@ def _first_bad_edge(edges: np.ndarray, n: int, directed: bool) -> EdgeError:
     return EdgeError(i, f"self-loop ({u},{v})" if loop[i] else f"duplicate edge ({u},{v})")
 
 
+def own_labels(labels) -> np.ndarray:
+    """A read-only int8 copy of ``labels``, refused unless they are a flat, non-empty list of 0s and 1s."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1:
+        raise ValueError(f"labels must be one per node, a flat list; got shape {labels.shape}")
+    if labels.size == 0:
+        raise ValueError("label list must be non-empty")
+    # on the values as given: a cast first would wrap 256 to 0 and cut 0.5 to 0
+    if not ((labels == 0) | (labels == 1)).all():
+        raise ValueError("labels must be 0 (majority) or 1 (minority)")
+    labels = labels.astype(np.int8)  # a copy of its own: the caller's array stays theirs
+    labels.setflags(write=False)
+    return labels
+
+
 class AttributedGraph:
     """Simple graph with per-node binary class labels, frozen as a :class:`CSR`."""
 
@@ -67,16 +82,7 @@ class AttributedGraph:
         ``0..n-1``, is a self-loop, or repeats an earlier edge in either
         orientation when undirected.
         """
-        labels = np.asarray(labels)
-        if labels.ndim != 1:
-            raise ValueError(f"labels must be one per node, a flat list; got shape {labels.shape}")
-        if labels.size == 0:
-            raise ValueError("label list must be non-empty")
-        # on the values as given: a cast first would wrap 256 to 0 and cut 0.5 to 0
-        if not ((labels == 0) | (labels == 1)).all():
-            raise ValueError("labels must be 0 (majority) or 1 (minority)")
-        labels = labels.astype(np.int8)  # the graph's own copy: the caller's array stays theirs
-        labels.setflags(write=False)
+        labels = own_labels(labels)
         edges = np.asarray(edges, dtype=np.int64).reshape(len(edges), 2)
         n = labels.size
         src, dst = edges[:, 0], edges[:, 1]

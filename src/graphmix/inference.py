@@ -20,10 +20,11 @@ probability under the candidate's weights is accumulated.  Scoring rules:
 
 Replay is done once per trace, as array operations, to extract per-event
 sufficient statistics; evaluating the likelihood over a whole parameter grid
-is then a vectorized array computation.  A trace must rebuild a simple
-graph: one that repeats an edge (the same target twice in one arrival, or a
-directed pair twice) or leaves ``0..n-1`` raises ``ValueError`` before
-anything is scored.
+is then a vectorized array computation.  A :class:`GrowthTrace` is
+checked, and its arrays frozen, when it is built; it must also rebuild a
+simple graph: one that repeats an edge (the same target twice in one
+arrival, or a directed pair twice) raises ``ValueError`` before anything
+is scored.
 
 * Undirected: in a growth trace, and in the order-assumed trace of
   :func:`trace_from_graph`, edge {u, w} exists before arrival v exactly when
@@ -186,8 +187,6 @@ def _arrival_groups(trace: GrowthTrace) -> np.ndarray:
         if bad_target[i]:
             raise ValueError(f"event {i}: target {t} not below source {s}; not a growth trace")
         raise ValueError(f"event {i}: source {s} out of arrival order")
-    if trace.m is not None and not np.array_equal(src, np.repeat(np.arange(trace.m, trace.n), trace.m)):
-        raise ValueError("trace does not have m events per arrival for every node >= m")
     new = np.ones(src.size, dtype=bool)
     new[1:] = src[1:] != src[:-1]
     return np.append(np.flatnonzero(new), src.size)
@@ -209,11 +208,10 @@ def _chunk_cuts(cum: np.ndarray) -> np.ndarray:
 def _undirected_stats(trace: GrowthTrace, triadic: bool) -> _Stats:
     """The per-event statistics of an undirected trace; with ``triadic``,
     the triadic-closure sets too (patch reads them, pa and pah do not)."""
-    csr = rebuild_graph(trace).csr()  # checks the arrays and kinds first
+    csr = rebuild_graph(trace).csr()
     starts = _arrival_groups(trace)
     n, labels = trace.n, trace.labels
-    src = trace.sources.astype(np.int64)
-    tgt = trace.targets.astype(np.int64)
+    src, tgt = trace.sources, trace.targets
     first = np.repeat(starts[:-1], np.diff(starts))  # first event of each event's arrival
     n_elig = src - (np.arange(src.size) - first)
 
@@ -328,10 +326,9 @@ def _key_chunks(starts, exposed, n: int) -> tuple[np.ndarray, int, int]:
 
 
 def _directed_stats(trace: GrowthTrace) -> _Stats:
-    rebuild_graph(trace)  # rejects repeated and out-of-range edges
+    rebuild_graph(trace)  # rejects repeated edges
     n, labels = trace.n, trace.labels
-    src = trace.sources.astype(np.int64)
-    tgt = trace.targets.astype(np.int64)
+    src, tgt = trace.sources, trace.targets
     n_events = src.size
     idx = np.arange(n_events)
     n1 = int(labels.sum())
@@ -822,19 +819,9 @@ class FitReport:
 
     @classmethod
     def build(cls, model, h_hat, p_tc_hat, log_lik, n_events, n_fallback, order_assumed=False):
-        k = _MODEL_K[model]
-        return cls(
-            model=model,
-            h_hat=h_hat,
-            p_tc_hat=p_tc_hat,
-            log_lik=float(log_lik),
-            k=k,
-            n_events=n_events,
-            n_fallback=n_fallback,
-            aic=2.0 * k - 2.0 * float(log_lik),
-            bic=k * math.log(n_events) - 2.0 * float(log_lik),
-            order_assumed=order_assumed,
-        )
+        k, log_lik = _MODEL_K[model], float(log_lik)
+        aic, bic = 2.0 * k - 2.0 * log_lik, k * math.log(n_events) - 2.0 * log_lik
+        return cls(model, h_hat, p_tc_hat, log_lik, k, n_events, n_fallback, aic, bic, order_assumed)
 
 
 @dataclass(frozen=True)
@@ -984,23 +971,14 @@ def trace_from_graph(g: AttributedGraph, seed: int = 0) -> GrowthTrace:
     if g.directed:
         srcs, tgts = g.edge_arrays()
         order = sample_without_replacement(UniformStream(make_rng(seed)), srcs.size, srcs.size)
-        return GrowthTrace(
-            directed=True, labels=g.labels, sources=srcs[order], targets=tgts[order],
-            kinds=np.full(srcs.size, int(EventKind.DIRECTED_PICK), dtype=np.int8),
-            order_assumed=True,
-        )
-    csr = g.csr()
-    owner = np.repeat(np.arange(g.n, dtype=np.int64), csr.out_degree())
-    lower = csr.indices < owner
-    return GrowthTrace(
-        directed=False,
-        labels=g.labels,
-        sources=owner[lower],
-        targets=csr.indices[lower],
-        kinds=np.full(int(lower.sum()), int(EventKind.PAH_PICK), dtype=np.int8),
-        m=None,
-        order_assumed=True,
-    )
+        srcs, tgts = srcs[order], tgts[order]
+    else:
+        csr = g.csr()
+        owner = np.repeat(np.arange(g.n, dtype=np.int64), csr.out_degree())
+        lower = csr.indices < owner
+        srcs, tgts = owner[lower], csr.indices[lower]
+    kinds = np.full(srcs.size, int(EventKind.DIRECTED_PICK if g.directed else EventKind.PAH_PICK), dtype=np.int8)
+    return GrowthTrace(g.directed, g.labels, srcs, tgts, kinds, order_assumed=True)
 
 
 # ---------------------------------------------------------------------------
@@ -1024,10 +1002,9 @@ def replay_event_probabilities(
     model = model.lower()
     _check_family(trace, model)
     h, p_tc = _checked_params(model, h, p_tc)
+    csr = rebuild_graph(trace).csr()  # rejects repeated edges
     if trace.directed:
-        rebuild_graph(trace)  # rejects repeated and out-of-range edges
         return _replay_vectors_directed(trace, model, h)
-    csr = rebuild_graph(trace).csr()
     return _replay_vectors_undirected(trace, model, h, p_tc, _arrival_groups(trace), csr)
 
 

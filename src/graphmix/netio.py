@@ -46,6 +46,7 @@ from .generate import (
     EVENT_KIND_NAMES,
     EventKind,
     GrowthTrace,
+    is_growth_layout,
     rebuild_graph,
 )
 from .graph import AttributedGraph, EdgeError
@@ -306,21 +307,8 @@ _TRACE_HEADER = "source,target,kind"
 
 
 def write_trace(trace: GrowthTrace, path: str | Path) -> Path:
-    """Write the event list as ``source,target,kind`` rows in event order.
-
-    A negative node id or a kind code that names no event kind cannot be
-    read back, so either raises ``ValueError`` before the file is opened.
-    """
+    """Write the event list as ``source,target,kind`` rows in event order."""
     path = Path(path)
-    negative = np.flatnonzero((trace.sources < 0) | (trace.targets < 0))
-    if negative.size:
-        i = int(negative[0])
-        s, t = int(trace.sources[i]), int(trace.targets[i])
-        raise ValueError(f"event {i} has a negative node id {s if s < 0 else t}")
-    unnamed = np.flatnonzero((trace.kinds < 0) | (trace.kinds >= len(EventKind)))
-    if unnamed.size:
-        i = int(unnamed[0])
-        raise ValueError(f"event {i} has kind code {int(trace.kinds[i])}, which names no event kind")
     _write_rows(path, _TRACE_HEADER, (trace.sources, trace.targets), trace.kinds)
     return path
 
@@ -334,15 +322,16 @@ def read_trace(path: str | Path, g: AttributedGraph) -> GrowthTrace:
     and ``g`` has the m(m-1)/2 edges of the start clique on 0..m-1 besides
     them.  Any other undirected trace is read as order-assumed (``m=None``,
     replayed from an empty start), the form
-    :func:`graphmix.inference.trace_from_graph` builds.  A trace whose replay
-    does not rebuild ``g`` exactly is rejected; the per-arrival event
-    structure is validated when the trace is scored.
+    :func:`graphmix.inference.trace_from_graph` builds.  The reader makes
+    the checks that name a line of the file; the trace's own are those of
+    :class:`GrowthTrace`.  A trace whose replay does not rebuild ``g``
+    exactly is rejected.
     """
     path = Path(path)
     table = _read_table(path, _TRACE_HEADER, ("source", "target"))
     if not len(table):
         raise _err(path, 1, "trace file lists no events")
-    events, kinds = table[:, :2], table[:, 2].astype(np.int8)
+    events, kinds = table[:, :2], table[:, 2]
     wrong_kind = (kinds == EventKind.DIRECTED_PICK) != g.directed
     bad = np.flatnonzero((kinds < 0) | wrong_kind | ((events < 0) | (events >= g.n)).any(axis=1))
     if bad.size:
@@ -353,20 +342,12 @@ def read_trace(path: str | Path, g: AttributedGraph) -> GrowthTrace:
             name = EVENT_KIND_NAMES[EventKind(kinds[i])]
             raise _err(path, i + 2, f"event kind {name!r} does not match graph directedness")
         raise _err(path, i + 2, f"event ({events[i, 0]},{events[i, 1]}) references a node outside 0..{g.n - 1}")
-    sources, targets = np.ascontiguousarray(events.T)
+    sources, targets = events.T
     m = int(sources[0])
-    # sizes first, so a large first source cannot make the layout or the start clique huge;
     # an order-assumed rebuild has no start clique
-    growth = (
-        not g.directed
-        and len(sources) == (g.n - m) * m
-        and len(sources) + m * (m - 1) // 2 == g.num_edges
-        and np.array_equal(sources, np.repeat(np.arange(m, g.n), m))
-    )
-    trace = GrowthTrace(
-        directed=g.directed, labels=g.labels, sources=sources, targets=targets, kinds=kinds,
-        m=m if growth else None, order_assumed=not (growth or g.directed),
-    )
+    growth = not g.directed and len(sources) + m * (m - 1) // 2 == g.num_edges and is_growth_layout(sources, g.n, m)
+    trace = GrowthTrace(g.directed, g.labels, sources, targets, kinds, m=m if growth else None,
+                        order_assumed=not (growth or g.directed))
     try:
         same = rebuild_graph(trace) == g
     except ValueError as exc:

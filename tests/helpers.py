@@ -625,11 +625,10 @@ def reference_write_network(g: AttributedGraph) -> tuple[bytes, bytes]:
     return nodes.encode(), ("\n".join(lines) + "\n").encode()
 
 
-def reference_write_trace(trace: GrowthTrace) -> bytes:
-    """The bytes of a trace file, one f-string per event."""
+def reference_write_trace(sources, targets, kinds) -> bytes:
+    """The bytes of a trace file of these event arrays, one f-string per event."""
     names = [EVENT_KIND_NAMES[kind] for kind in EventKind]
     lines = ["source,target,kind"] + [
-        f"{s},{t},{names[k]}"
-        for s, t, k in zip(trace.sources.tolist(), trace.targets.tolist(), trace.kinds.tolist())
+        f"{s},{t},{names[k]}" for s, t, k in zip(sources.tolist(), targets.tolist(), kinds.tolist())
     ]
     return ("\n".join(lines) + "\n").encode()

@@ -1,5 +1,6 @@
 import importlib.util
 import math
+import re
 import sys
 from pathlib import Path
 from unittest import mock
@@ -15,6 +16,7 @@ from graphmix.generate import (
     ALL_MODELS,
     EventKind,
     GenParams,
+    GrowthTrace,
     SaturationError,
     activity_from_uniform,
     gen_directed,
@@ -26,7 +28,8 @@ from graphmix.generate import (
     sample_activity,
 )
 from graphmix.graph import AttributedGraph, MixingMatrix
-from graphmix.inference import replay_event_probabilities
+from graphmix.inference import fit_model, replay_event_probabilities, trace_from_graph
+from graphmix.netio import read_trace, write_trace
 from graphmix.rng import make_rng
 
 from helpers import reference_generate
@@ -145,6 +148,119 @@ def test_trace_sources_shape():
     srcs = trace.sources.reshape(-1, 3)
     assert np.array_equal(srcs[:, 0], np.arange(3, 40))
     assert (srcs == srcs[:, :1]).all()
+
+
+# -- the trace record ---------------------------------------------------------
+
+
+def _trace_fields(directed, **changes):
+    """The fields of a valid 4-node trace (m = 2 when undirected), with ``changes``."""
+    if directed:
+        fields = dict(directed=True, labels=[0, 0, 1, 1], sources=[0, 1], targets=[1, 2], kinds=[3, 3])
+    else:
+        fields = dict(directed=False, labels=[0, 0, 1, 1], sources=[2, 2, 3, 3], targets=[0, 1, 0, 1],
+                      kinds=[0, 0, 0, 0], m=2)
+    fields.update(changes)
+    return {k: np.array(v) if isinstance(v, list) else v for k, v in fields.items()}
+
+
+@pytest.mark.parametrize(
+    "directed,changes,message",
+    [
+        (True, dict(sources=[[0, 1]], targets=[[1, 2]], kinds=[[3, 3]]), "must be flat and of one length"),
+        (True, dict(kinds=[3]), "must be flat and of one length, got shapes [(2,), (2,), (1,)]"),
+        (False, dict(sources=[2, 2], targets=[0, 1], kinds=[0]), "must be flat and of one length"),
+        (False, dict(targets=[0.7, 1, 0, 1]), "trace targets must be integers, got float64"),
+        (True, dict(sources=[False, True]), "trace sources must be integers, got bool"),
+        (True, dict(kinds=[3.0, 3.0]), "trace kinds must be integers, got float64"),
+        (True, dict(sources=[0, -3], targets=[1, 2]), "event 1 (-3,2) references a node outside 0..3"),
+        (True, dict(sources=[0, 2], targets=[1, -7]), "event 1 (2,-7) references a node outside 0..3"),
+        (True, dict(sources=[0, 4], targets=[1, 0]), "event 1 (4,0) references a node outside 0..3"),
+        (True, dict(kinds=[3, 4]), "event 1: kind code 4 is not a kind of directed event"),
+        (True, dict(kinds=[-1, 3]), "event 0: kind code -1 is not a kind of directed event"),
+        (True, dict(kinds=[2, 0]), "event 0: kind code 2 is not a kind of directed event"),
+        (False, dict(kinds=[0, 3, 7, 0]), "event 1: kind code 3 is not a kind of undirected event"),
+        (False, dict(kinds=[0, 1, 7, 0]), "event 2: kind code 7 is not a kind of undirected event"),
+        # checked before the int8 cast, which would read 259 as 3
+        (True, dict(kinds=[3, 259]), "event 1: kind code 259 is not a kind of directed event"),
+        (True, dict(labels=[0, 2, 1, 1]), "labels must be 0 (majority) or 1 (minority)"),
+        (True, dict(labels=[]), "label list must be non-empty"),
+        (True, dict(labels=[[0, 0, 1, 1]]), "labels must be one per node, a flat list; got shape (1, 4)"),
+        (True, dict(m=7), "a directed trace has no per-arrival edge count m, got m=7"),
+        (False, dict(m=0), "m must lie in [1, 3], got 0"),
+        (False, dict(m=4), "m must lie in [1, 3], got 4"),
+        (False, dict(m=True), "m must be an integer, got bool True"),
+        (False, dict(m=2.0), "m must be an integer, got float 2.0"),
+        (False, dict(sources=[2, 2, 3], targets=[0, 1, 0], kinds=[0, 0, 0]),
+         "trace does not have m events per arrival for every node >= m"),
+        (False, dict(m=1), "trace does not have m events per arrival for every node >= m"),
+    ],
+)
+def test_trace_constructor_refusals(directed, changes, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        GrowthTrace(**_trace_fields(directed, **changes))
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_a_valid_trace_keeps_read_only_copies(directed):
+    fields = _trace_fields(directed, labels=[0, 0, 1, 1.0])
+    fields["sources"] = fields["sources"].astype(np.uint16)
+    trace = GrowthTrace(**fields)
+    for name, dtype in [("labels", np.int8), ("sources", np.int64), ("targets", np.int64), ("kinds", np.int8)]:
+        array = getattr(trace, name)
+        assert array.dtype == dtype and not array.flags.writeable, name
+        assert np.array_equal(array, fields[name]) and not np.shares_memory(array, fields[name]), name
+
+
+def _traces_of_every_origin(tmp_path):
+    g, generated = gen_pah(60, 2, 0.3, 0.8, seed=1)
+    dg, directed = gen_directed("dpah", 40, 0.05, 0.3, 0.8, seed=1)
+    return [
+        generated, directed, trace_from_graph(g), trace_from_graph(dg, seed=2),
+        read_trace(write_trace(generated, tmp_path / "u_trace.csv"), g),
+        read_trace(write_trace(directed, tmp_path / "d_trace.csv"), dg),
+    ]
+
+
+def test_every_trace_is_read_only_whatever_its_origin(tmp_path):
+    for trace in _traces_of_every_origin(tmp_path):
+        for name in ("labels", "sources", "targets", "kinds"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(trace, name)[0] = 0
+
+
+def test_a_checked_trace_cannot_change():
+    _, tr = gen_pah(500, 2, 0.3, 0.8, seed=1)
+    with pytest.raises(ValueError, match="read-only"):
+        tr.targets[-2], tr.targets[-1] = tr.targets[-1], tr.targets[-2]
+    with pytest.raises(ValueError, match="read-only"):
+        tr.labels[0] = 1 - tr.labels[0]
+    assert fit_model(tr, "pah").log_lik == -4750.454878051801
+
+
+def test_writing_the_arrays_a_trace_was_built_from_changes_no_fit():
+    _, tr = gen_pah(500, 2, 0.3, 0.8, seed=1)
+    arrays = {name: getattr(tr, name).copy() for name in ("labels", "sources", "targets", "kinds")}
+    built = GrowthTrace(directed=False, m=2, **arrays)
+    assert fit_model(built, "pah").log_lik == -4750.454878051801
+    arrays["targets"][-2:] = arrays["targets"][-2:][::-1].copy()
+    arrays["labels"][:] = 1 - arrays["labels"]
+    assert fit_model(built, "pah").log_lik == -4750.454878051801
+
+
+def test_traces_compare_field_by_field(tmp_path):
+    traces = _traces_of_every_origin(tmp_path)
+    again = _traces_of_every_origin(tmp_path)
+    for i, trace in enumerate(traces):
+        for j, other in enumerate(again):
+            assert (trace == other) is (i == j or {i, j} == {0, 4} or {i, j} == {1, 5})
+    fields = _trace_fields(False)
+    assert GrowthTrace(**fields) != GrowthTrace(**dict(fields, m=None))
+    assert GrowthTrace(**fields) != GrowthTrace(**dict(fields, order_assumed=True))
+    assert GrowthTrace(**fields) != GrowthTrace(**dict(fields, labels=np.array([0, 1, 1, 1])))
+    assert GrowthTrace(**fields) != "trace"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(traces[0])
 
 
 def test_growth_argument_validation():

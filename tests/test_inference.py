@@ -250,65 +250,26 @@ def test_family_mismatch_rejected():
 
 
 def test_corrupt_traces_rejected():
+    # what the constructor refuses is in test_generate.py's refusal table; these
+    # traces are built, then refused when scored
     labels = np.zeros(4, dtype=np.int8)
-    bad_target = GrowthTrace(
-        directed=False, labels=labels,
-        sources=np.array([1]), targets=np.array([2]),
-        kinds=np.array([0], dtype=np.int8), m=1,
-    )
-    with pytest.raises(ValueError):
-        replay_loglik(bad_target, "pa")
-    out_of_order = GrowthTrace(
-        directed=False, labels=labels,
-        sources=np.array([2, 1]), targets=np.array([0, 0]),
-        kinds=np.array([0, 0], dtype=np.int8), m=1,
-    )
-    with pytest.raises(ValueError):
-        replay_loglik(out_of_order, "pa")
-    wrong_arity = GrowthTrace(
-        directed=False, labels=labels,
-        sources=np.array([2, 2, 3]), targets=np.array([0, 1, 0]),
-        kinds=np.array([0, 0, 0], dtype=np.int8), m=2,
-    )
-    with pytest.raises(ValueError):
-        replay_loglik(wrong_arity, "pa")
-    # an edge repeated within an arrival would be scored with its degree counted twice
-    repeated_target = GrowthTrace(
-        directed=False, labels=labels,
-        sources=np.array([2, 2, 3, 3]), targets=np.array([0, 0, 0, 1]),
-        kinds=np.array([0, 0, 0, 0], dtype=np.int8), m=2,
-    )
-    with pytest.raises(ValueError, match="duplicate edge"):
-        replay_loglik(repeated_target, "pa")
-    with pytest.raises(ValueError, match="duplicate edge"):
-        replay_event_probabilities(repeated_target, "pa")
-    repeated_pair = GrowthTrace(
-        directed=True, labels=labels,
-        sources=np.array([0, 1, 0]), targets=np.array([1, 2, 1]),
-        kinds=np.full(3, int(EventKind.DIRECTED_PICK), dtype=np.int8),
-    )
-    with pytest.raises(ValueError, match="duplicate edge"):
-        replay_loglik(repeated_pair, "dpa")
-    with pytest.raises(ValueError, match="duplicate edge"):
-        replay_event_probabilities(repeated_pair, "dpa")
-    # event arrays of unequal length, and kind codes of the other family or of
-    # none (0-2 are undirected, 3 directed)
-    def events(directed, sources, targets, kinds):
-        return GrowthTrace(directed=directed, labels=labels, sources=np.array(sources), targets=np.array(targets),
-                           kinds=np.array(kinds, dtype=np.int8), m=None if directed else 2)
+
+    def events(directed, sources, targets, m=None):
+        kinds = np.full(len(sources), int(EventKind.DIRECTED_PICK if directed else EventKind.PAH_PICK), dtype=np.int8)
+        return GrowthTrace(directed, labels, np.array(sources), np.array(targets), kinds, m=m)
 
     corrupt = [
-        (events(True, [0, 1], [1, 2], [3]), "dpa", "flat and of one length"),
-        (events(False, [2, 2], [0, 1], [0]), "pa", "flat and of one length"),
-        (events(False, [2, 2, 3, 3], [0, 1, 0, 1], [0, 3, 7, 0]), "pa", "event 1: kind code 3 "),
-        (events(False, [2, 2, 3, 3], [0, 1, 0, 1], [0, 1, 7, 0]), "pa", "event 2: kind code 7 "),
-        (events(True, [0, 1], [1, 2], [2, 0]), "dpa", "event 0: kind code 2 "),
+        (lambda: events(False, [1, 2, 3], [2, 0, 0], m=1), "pa", "event 0: target 2 not below source 1; "),
+        (lambda: events(False, [2, 1], [0, 0]), "pa", "event 1: source 1 out of arrival order"),
+        # an edge repeated within an arrival would be scored with its degree counted twice
+        (lambda: events(False, [2, 2, 3, 3], [0, 0, 0, 1], m=2), "pa", "duplicate edge"),
+        (lambda: events(True, [0, 1, 0], [1, 2, 1]), "dpa", "duplicate edge"),
     ]
-    for trace, model, message in corrupt:
+    for make, model, message in corrupt:
         with pytest.raises(ValueError, match=message):
-            replay_loglik(trace, model)
+            replay_loglik(make(), model)
         with pytest.raises(ValueError, match=message):
-            replay_event_probabilities(trace, model)
+            replay_event_probabilities(make(), model)
 
 
 # -- neutrality -----------------------------------------------------------------

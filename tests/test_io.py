@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import graphmix.netio
-from graphmix.generate import EventKind, GrowthTrace, gen_directed, gen_pah
+from graphmix.generate import EventKind, gen_directed, gen_pah
 from graphmix.graph import AttributedGraph
 from graphmix.inference import fit_model, replay_loglik, trace_from_graph
 from graphmix.netio import (
@@ -448,14 +448,15 @@ _IDS = st.one_of(
     block=st.sampled_from([1, 3, 1 << 16]),
 )
 def test_trace_writer_gives_the_reference_bytes(tmp_path_factory, rows, block):
+    # the rows write_trace writes, driven directly: no trace holds ids up to 10**18 on one
+    # node, nor kinds of both families
     sources = np.array([row[0] for row in rows], dtype=np.int64)
     targets = np.array([row[1] for row in rows], dtype=np.int64)
     kinds = np.array([row[2] for row in rows], dtype=np.int8)
-    trace = GrowthTrace(True, np.zeros(1, dtype=np.int8), sources, targets, kinds)
     path = tmp_path_factory.mktemp("w") / "t_trace.csv"
     with mock.patch.object(graphmix.netio, "_WRITE_BLOCK", block):  # block edges inside the rows
-        write_trace(trace, path)
-    assert path.read_bytes() == reference_write_trace(trace)
+        graphmix.netio._write_rows(path, graphmix.netio._TRACE_HEADER, (sources, targets), kinds)
+    assert path.read_bytes() == reference_write_trace(sources, targets, kinds)
 
 
 @settings(max_examples=60, deadline=None)
@@ -472,25 +473,6 @@ def test_network_writer_gives_the_reference_bytes(tmp_path_factory, n, directed,
     with mock.patch.object(graphmix.netio, "_WRITE_BLOCK", block):
         nodes, edges = write_network(g, prefix)
     assert (nodes.read_bytes(), edges.read_bytes()) == reference_write_network(g)
-
-
-@pytest.mark.parametrize(
-    "sources,targets,kinds,message",
-    [
-        ([0, -3, -1], [1, 2, 0], [3, 3, 3], "event 1 has a negative node id -3"),
-        ([0, 2], [1, -7], [3, 3], "event 1 has a negative node id -7"),
-        ([0, 1], [1, 2], [3, 4], "event 1 has kind code 4, which names no event kind"),
-        ([0, 1], [1, 2], [-1, 3], "event 0 has kind code -1, which names no event kind"),
-    ],
-)
-def test_trace_that_cannot_be_read_back_is_not_written(tmp_path, sources, targets, kinds, message):
-    trace = GrowthTrace(
-        True, np.zeros(3, dtype=np.int8), np.array(sources, dtype=np.int64),
-        np.array(targets, dtype=np.int64), np.array(kinds, dtype=np.int8),
-    )
-    with pytest.raises(ValueError, match=re.escape(message)):
-        write_trace(trace, tmp_path / "t_trace.csv")
-    assert not (tmp_path / "t_trace.csv").exists()
 
 
 # -- config files -------------------------------------------------------------------
