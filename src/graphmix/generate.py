@@ -101,7 +101,8 @@ class GrowthTrace:
     non-decreasing with arbitrary group sizes).  Directed traces replay from
     an empty n-node graph in event order.
 
-    A trace is checked once, when built: ``ValueError`` names event arrays
+    A trace is checked once, when built: ``ValueError`` names a
+    ``directed`` or ``order_assumed`` flag that is not a bool, event arrays
     that are not flat integer (not bool, not float) arrays of one length,
     an id outside ``0..n-1``, a kind code not of the trace's family, labels
     that are not n 0s and 1s, or an ``m`` on a directed trace, outside
@@ -120,6 +121,11 @@ class GrowthTrace:
     order_assumed: bool = False
 
     def __post_init__(self):
+        for name in ("directed", "order_assumed"):
+            flag = getattr(self, name)
+            if not isinstance(flag, (bool, np.bool_)):  # "no" would read as true
+                raise ValueError(f"trace {name} must be a bool, got {type(flag).__name__} {flag!r}")
+            object.__setattr__(self, name, bool(flag))
         labels = own_labels(self.labels)
         n = labels.size
         names = ("sources", "targets", "kinds")

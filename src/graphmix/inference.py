@@ -46,21 +46,22 @@ is scored.
   length-1 axis for each parameter the model lacks (``_PARAMS``).  pa and
   dpa are 1 x 1, pah, dh and dpah 101 x 1, patch 101 x 101, so one argmax,
   one marginal and one fixed-parameter replay serve all six models.
-* Grids are evaluated a few h rows (and p_tc rows) at a time into reused
-  buffers, and no (h rows, events) array exists.  pah and patch share one
-  affinity pass that keeps per row only the sums over all events (pah) and
-  over patch's pure and miss events (its base); patch evaluates the
-  affinity of its hit events for one h row when the row is first used.
-  ln(a(h) * weight) takes 2 x (distinct weights) values per row, so each
-  row logs that table and reads it by event code.  The patch grid holds
-  only the cells that can reach an output, found by a search along the
-  concave p_tc rows (see :func:`_patch_grid`); the others are ``-inf``.
-  None of this changes a result: every term is the same double and every
-  cell still sums the same contiguous run of events, so fits, LRTs and
-  Bayes factors are byte-identical to a full, unblocked evaluation.
+* Grids are evaluated a few rows at a time into reused buffers, and no
+  (h rows, events) array exists.  ln(a(h) * weight) takes 2 x (distinct
+  weights) values per row, so each row logs that table and reads it by
+  event code.  An event's ln P is monotone in h (non-decreasing for a
+  same-class target, non-increasing for another), so two scored h rows
+  bound every row between them, and only the rows that can come within
+  800 of the peak are scored (see :func:`_row_search`): 40, 33 and 34 of
+  101 for pah, dh and dpah on the benchmark traces, 28-32 at 2e5 events.
+  The patch grid scores only the cells that can reach an output, found
+  by a search along its concave p_tc rows (see :func:`_patch_grid`).  A
+  skipped row or cell is ``-inf``: its true value is more than 745 below
+  the peak, where ``exp`` is exactly 0, so it changes no fit, LRT or Bayes
+  factor, and every computed value is the double a full evaluation gives.
   ``select_model`` with pa, pah and patch on
-  ``gen_patch(100000, 3, 0.3, 0.8, 0.5, seed=1)`` peaks at 106 MB RSS in
-  1.1 s on a 2-vCPU host.
+  ``gen_patch(100000, 3, 0.3, 0.8, 0.5, seed=1)`` takes 0.4 s on a 2-vCPU
+  host (0.65 s with every h row), at a process peak of 99 MB RSS.
 """
 
 from __future__ import annotations
@@ -198,11 +199,17 @@ def _group_exclusive_cumsum(x: np.ndarray, first: np.ndarray) -> np.ndarray:
     return before - before[first]
 
 
+def _distinct(x) -> np.ndarray:
+    """``np.unique(x)`` without the numpy.ma import (9 ms) of its first plain call on numpy 2."""
+    x = np.sort(x)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def _chunk_cuts(cum: np.ndarray) -> np.ndarray:
     """Indices into ``cum``, the cumulative cost at each allowed cut (from 0),
     that split it into runs of about _PAIR_CHUNK."""
     cuts = np.searchsorted(cum, np.arange(_PAIR_CHUNK, cum[-1], _PAIR_CHUNK))
-    return np.unique(np.concatenate(([0], cuts, [cum.size - 1])))
+    return _distinct(np.concatenate(([0], cuts, [cum.size - 1])))
 
 
 def _undirected_stats(trace: GrowthTrace, triadic: bool) -> _Stats:
@@ -280,6 +287,10 @@ def _triadic_sets(csr, tgt, deg, starts, first) -> tuple[np.ndarray, np.ndarray]
     nodes = csr.indices << node_at
     opened = np.zeros(tgt.size, dtype=np.int64)  # the runs each event opens
     hit = np.zeros(tgt.size, dtype=bool)
+    # a chunk's int64 keys live in two buffers sized once for the largest chunk
+    bounds = starts[cuts]
+    n_keys = np.diff(np.concatenate(([0], np.cumsum(exposed)))[bounds]) + np.diff(bounds)
+    buffers = np.empty((2, int(n_keys.max(initial=0))), dtype=np.int64)
     for a0, a1 in zip(cuts[:-1].tolist(), cuts[1:].tolist()):
         lo, hi = int(starts[a0]), int(starts[a1])
         ev = np.flatnonzero(exposed[lo:hi])
@@ -289,23 +300,25 @@ def _triadic_sets(csr, tgt, deg, starts, first) -> tuple[np.ndarray, np.ndarray]
         lens = exposed[lo + ev]
         row_ends = np.cumsum(lens)
         n_exposed = int(row_ends[-1])
+        keys, field = buffers[:, :n_exposed + hi - lo]
         # the exposures' keys, then the picks'
         at = np.repeat(csr.indptr[tgt[lo + ev]] - row_ends + lens, lens)
         at += np.arange(n_exposed)
-        keys = np.empty(n_exposed + hi - lo, dtype=np.int64)
-        np.take(nodes, at, out=keys[:n_exposed])
+        np.take(nodes, at, out=keys[:n_exposed], mode="clip")  # in range; "clip" takes no copy
         keys[:n_exposed] += np.repeat(base[ev], lens)
         np.add(tgt[lo:hi] << node_at, base + 1, out=keys[n_exposed:])
         keys.sort()
-        field = keys >> node_at  # (arrival, node)
+        np.right_shift(keys, node_at, out=field)  # (arrival, node)
         opens = np.ones(keys.size, dtype=bool)
         np.not_equal(field[1:], field[:-1], out=opens[1:])
-        np.bitwise_and(keys, (1 << node_at) - 1, out=field)  # (event, is a pick)
-        is_pick = (field & 1).astype(bool)
-        field >>= 1
-        # exposures that open their run, and picks that do not
-        opened[lo:hi] = np.bincount(field.take(np.flatnonzero(opens > is_pick)), minlength=hi - lo)
-        hit[lo + field.take(np.flatnonzero(opens < is_pick))] = True
+        is_pick = np.bitwise_and(keys, 1, out=field) != 0
+        np.bitwise_and(keys, (1 << node_at) - 1, out=field)
+        field >>= 1  # the event
+        # picks that do not open their run are hits; exposures that do are
+        # counted, and every other key past the chunk's events
+        hit[lo + field[opens < is_pick]] = True
+        field[opens <= is_pick] = hi - lo
+        opened[lo:hi] = np.bincount(field, minlength=hi - lo + 1)[:hi - lo]
     return _group_exclusive_cumsum(opened - hit, first), hit
 
 
@@ -321,7 +334,7 @@ def _key_chunks(starts, exposed, n: int) -> tuple[np.ndarray, int, int]:
     cuts = _chunk_cuts(np.concatenate(([0], np.cumsum(exposed)))[starts])
     node_at = int(np.diff(starts[cuts]).max(initial=0)).bit_length() + 1
     arrival_at = node_at + (n - 1).bit_length()
-    cuts = np.union1d(cuts, np.arange(0, starts.size - 1, 1 << (_KEY_BITS - arrival_at)))
+    cuts = _distinct(np.concatenate((cuts, np.arange(0, starts.size - 1, 1 << (_KEY_BITS - arrival_at)))))
     return cuts, node_at, arrival_at
 
 
@@ -499,6 +512,8 @@ class _Affinity:
         # a row's table: h * weights, then (1 - h) * weights
         self.code = np.where(same, code, code + self.weights.size)
         self.den_same, self.den_diff, self.fill = den_same, den_diff, fill
+        self.by_class = np.argsort(~same, kind="stable")  # the same-class events first
+        self.n_same = int(np.count_nonzero(same))
 
     def blocks(self, h: np.ndarray):
         """Yield ``(a, b, logp)``: ln P at h rows a..b-1, in a buffer reused by the next block."""
@@ -525,18 +540,16 @@ class _Affinity:
                     np.copyto(w, self.fill, where=cut)
                 yield a, b, w
 
-    def sums(self, h: np.ndarray, parts=()) -> np.ndarray:
-        """Per h row, the sum of ln P over every event and then over each index array of ``parts``.
-
-        Shape (1 + len(parts), len(h)).  A part is summed as the 1-D gather
-        of each row, as a row of the full array would be.
-        """
-        out = np.empty((1 + len(parts), h.size))
+    def sums(self, h: np.ndarray) -> np.ndarray:
+        """Per h row, ln P summed over every event, then over the same-class
+        and over the other-class events (in class order: these only bound
+        rows, see :func:`_row_search`).  Shape (3, len(h))."""
+        out = np.empty((3, h.size))
         for a, b, logp in self.blocks(h):
             out[0, a:b] = logp.sum(axis=1)
-            for j, part in enumerate(parts, 1):
-                for r in range(b - a):
-                    out[j, a + r] = logp[r, part].sum()
+            by_class = logp.take(self.by_class, axis=1)
+            out[1, a:b] = by_class[:, :self.n_same].sum(axis=1)
+            out[2, a:b] = by_class[:, self.n_same:].sum(axis=1)
         return out
 
 
@@ -553,13 +566,6 @@ def _patch_events(stats: _Stats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         np.flatnonzero(stats.mixture & stats.tc_hit),
         np.flatnonzero(stats.mixture & ~stats.tc_hit),
     )
-
-
-def _aff_sums(stats: _Stats, h: np.ndarray) -> np.ndarray:
-    """The affinity pass shared by pah and patch: per h row, ln P summed
-    over every event, then over patch's pure and its miss events."""
-    pure, _, miss = _patch_events(stats)
-    return _affinity(stats, "pah").sums(h, (pure, miss))
 
 
 def _affinity(stats: _Stats, model: str, events=slice(None)) -> _Affinity:
@@ -586,7 +592,7 @@ def _pa_logprob(stats: _Stats) -> np.ndarray:
 
 _TINY = np.finfo(np.float64).tiny  # the smallest normal double
 
-# A patch cell this far below the grid's peak adds exactly 0.0 to both trapz
+# A grid cell this far below the grid's peak adds exactly 0.0 to both trapz
 # passes of the marginal likelihood and is never the argmax: float64 exp(x)
 # is 0.0 for x < -745.14 (below half the smallest subnormal, 2**-1075).
 _UNDERFLOW_CUT = 800.0
@@ -597,28 +603,60 @@ _UNDERFLOW_CUT = 800.0
 _CELL_BATCH = 1 << 14
 
 
+def _row_search(n_rows: int, score, lift: float) -> np.ndarray:
+    """Each h row's maximum where the row can reach an output, else ``-inf``.
+
+    ``score(rows, peak)`` gives rows' maxima (h ascending) and their ln P
+    sums over same-class and other-class events.  P = w / (S + (1/h - 1) *
+    D) rises with h for a same-class target and falls for another (also
+    with the fill: a denominator vanishes only where S or D, which holds
+    the target's weight, is 0), so ``lift + same[b] + other[a]`` bounds
+    every row strictly between scored rows a < b.  Rows first, middle and
+    last are scored, then the middle row of each interval whose bound
+    reaches the running peak minus _UNDERFLOW_CUT, until none does.
+    """
+    value = np.full(n_rows, -np.inf)
+    same, other = np.empty((2, n_rows))
+    scored = np.zeros(n_rows, dtype=bool)
+    rows = _distinct([0, (n_rows - 1) // 2, n_rows - 1])
+    while rows.size:
+        value[rows], same[rows], other[rows] = score(rows, value.max())
+        scored[rows] = True
+        known = np.flatnonzero(scored)
+        a, b = known[:-1], known[1:]
+        bound = lift + same[b] + other[a]
+        reach = (bound >= value.max() - _UNDERFLOW_CUT) & (bound > -np.inf)
+        rows = ((a + b) // 2)[(b - a > 1) & reach]
+    return value
+
+
 class _PatchCells:
     """Patch log-likelihood cells, one h row and any run of p_tc values at a time.
 
     A cell is ``base_h + n_miss * log(1 - p_tc)`` plus, over the hit
-    events, ``log(p_tc / |tc| + (1 - p_tc) * P_aff)``.  The bases come from
-    ``sums``, the affinity pass ``_aff_sums(stats, h)``; a row's
-    hit ``ln P_aff`` is evaluated on the hit events alone when the row is
-    first used.  Every run is evaluated by the same elementwise operations
-    and one contiguous row sum per cell, so a cell's bits do not depend on
-    the cells evaluated with it.
+    events, ``log(p_tc / |tc| + (1 - p_tc) * P_aff)``.  :meth:`use_bases`
+    sets rows' bases; a row's hit ``ln P_aff`` is evaluated when the row is
+    first used.  Row ``len(h)``, base 0, has each hit's cap on ``P_aff``.
+    Every run is evaluated by the same elementwise operations and one
+    contiguous row sum per cell, so a cell's bits do not depend on the
+    cells evaluated with it.
     """
 
-    def __init__(self, stats: _Stats, h: np.ndarray, ptc: np.ndarray, sums: np.ndarray):
+    def __init__(self, stats: _Stats, h: np.ndarray, ptc: np.ndarray):
         self.h, self.ptc = h, ptc
-        _, hit, miss = _patch_events(stats)
-        self.bases = stats.const_loglik + sums[1]  # each row's p_tc-free part
-        if miss.size:
-            self.bases = self.bases + sums[2]
+        pure, hit, miss = _patch_events(stats)
+        self.base_aff = [_affinity(stats, "pah", events) for events in (pure, miss)]
+        self.const = stats.const_loglik
+        self.bases = np.append(np.full(h.size, -np.inf), 0.0)  # each row's p_tc-free part
         self.hit_aff = _affinity(stats, "pah", hit)
-        n_miss = miss.size
+        # P_aff <= w / S for a same-class hit and w / D for another; 1 where S or D is 0
+        den_same, den_diff = stats.sum_same[hit], stats.sum_diff[hit]
+        cap = np.divide(stats.weight[hit], np.where(stats.same[hit], den_same, den_diff),
+                        out=np.ones(hit.size), where=(den_same > 0) & (den_diff > 0))
         with np.errstate(divide="ignore"):
+            self.log_cap = np.log(cap)
             log_ptc_off = np.log(1.0 - ptc)  # -inf at p_tc = 1
+        n_miss = miss.size
         self.miss_term = n_miss * log_ptc_off if n_miss else np.zeros_like(ptc)
         self.inv_tc = 1.0 / stats.tc_size[hit]
         # p_tc * P_tc of each hit event, a p_tc row computed when first used
@@ -628,10 +666,21 @@ class _PatchCells:
         self.buf = np.empty((min(self.step, ptc.size), self.inv_tc.size))
         self.current = -1
 
+    def use_bases(self, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Set the bases of h rows ``rows``; return their ln P sums over the
+        same-class and over the other-class pure and miss events."""
+        pure, miss = (aff.sums(self.h[rows]) for aff in self.base_aff)
+        # no miss event adds 0.0, which changes no base: const + pure is never -0.0
+        self.bases[rows] = self.const + pure[0] + miss[0]
+        return pure[1:] + miss[1:]
+
     def _use_row(self, hi: int) -> None:
         if hi != self.current:
-            (_, _, logp), = self.hit_aff.blocks(self.h[hi:hi + 1])
-            self.logp_aff_hit = logp[0]
+            if hi == self.h.size:
+                self.logp_aff_hit = self.log_cap
+            else:
+                (_, _, logp), = self.hit_aff.blocks(self.h[hi:hi + 1])
+                self.logp_aff_hit = logp[0]
             self.p_aff_hit = np.exp(self.logp_aff_hit)
             # where P_aff underflows below the normal range (to a subnormal
             # or 0) but ln P_aff is finite, mix in log space
@@ -663,49 +712,50 @@ class _PatchCells:
         return base + self.miss_term[a:b] + hit_term
 
 
-def _loglik_grid(stats, model: str, h_values=H_GRID, ptc_values=PTC_GRID, sums=None) -> np.ndarray:
-    """Log-likelihood of ``model`` over h_values (rows) x ptc_values (columns).
+def _loglik_grid(stats, model: str, h_values=H_GRID, ptc_values=PTC_GRID) -> np.ndarray:
+    """Log-likelihood of ``model`` over h_values (rows, ascending) x ptc_values (columns).
 
     An axis of a parameter the model lacks has length 1 and its values are
     not read: pa and dpa give 1 x 1, pah, dh and dpah len(h_values) x 1.
-    ``sums`` is ``_aff_sums(stats, h_values)`` when the caller already has
-    it (pah and patch).
+    Only the rows (and patch cells) that can reach an output are scored;
+    the others are ``-inf`` (see :func:`_row_search`).
     """
     if stats.n_events == 0:
         raise ValueError("trace has zero scoreable events")
     if model == "patch":
-        return _patch_grid(stats, h_values, ptc_values, sums)
+        return _patch_grid(stats, h_values, ptc_values)
     if not _PARAMS[model]:
         return np.full((1, 1), stats.const_loglik + _pa_logprob(stats).sum())
-    if sums is None:
-        sums = _affinity(stats, model).sums(h_values)
-    return (stats.const_loglik + sums[0])[:, None]
+    kernel, const = _affinity(stats, model), stats.const_loglik
+    lift = np.array([[const], [0.0], [0.0]])  # onto each row's total
+    return _row_search(h_values.size, lambda rows, peak: kernel.sums(h_values[rows]) + lift, const)[:, None]
 
 
-def _patch_grid(stats: _Stats, h_values, ptc_values, sums) -> np.ndarray:
+def _patch_grid(stats: _Stats, h_values, ptc_values) -> np.ndarray:
     """The patch log-likelihood grid (``ptc_values`` ascending).
 
-    It holds only the cells that can reach an output; every other cell is
-    ``-inf``.  Its consumers are the argmax with its log-likelihood, and
-    the two trapz passes over ``exp(grid - peak)`` of the marginal.  At a
-    fixed h a cell is a constant plus ``n_miss * log(1 - p)`` plus a sum of
-    ``log(p / |tc| + (1 - p) * P_aff)``: logs of affine functions of p, so
-    the row is concave in p and falls monotonically on both sides of its
-    maximum.  Pass 1 climbs each row to its maximum from the previous row's
-    argmax.  Pass 2 widens each row whose maximum reaches ``peak -
-    _UNDERFLOW_CUT`` until the outermost cell on each side falls below that
-    cut; by concavity every cell beyond is lower still.  A skipped cell is
-    then more than 745.14 below the peak, where ``exp`` is exactly 0.0, so
-    it adds 0.0 to the marginal as ``-inf`` does, and it is not the argmax.
-    Each computed cell has the bits of a full evaluation, so fits, LRTs and
-    Bayes factors are byte-identical to one.  A row whose base is ``-inf``
-    is ``-inf`` throughout (no cell term is ``+inf`` or NaN).
+    It holds only the cells that can reach the argmax or the two trapz
+    passes over ``exp(grid - peak)`` of the marginal; every other cell is
+    ``-inf``.  At a fixed h a cell is a base plus ``n_miss * log(1 - p)``
+    plus a sum of ``log(p / |tc| + (1 - p) * P_aff)``: concave in p.  A
+    hit's ``P_aff`` is at most w / S for a same-class target and w / D for
+    another (1 where S or D is 0) at every h, so the cap row's maximum
+    ``cap`` bounds every row above its base, and :func:`_row_search` over
+    the pure and miss events, ``cap`` added, finds the rows.  Pass 1 climbs
+    a found row to its maximum where its ``base + cap`` reaches the running
+    peak minus ``_UNDERFLOW_CUT``, highest bound first.  Pass 2 widens each
+    row whose maximum reaches that cut until its outermost cells fall below
+    it; by concavity every cell beyond is lower still.  A skipped cell is
+    more than 745.14 below the peak, so its ``exp`` is 0.0 as that of
+    ``-inf`` and it is not the argmax; a computed one has the bits of a
+    full evaluation, so fits, LRTs and Bayes factors are byte-identical to
+    one.  On the benchmark's patch trace (n = 1e4) 40 of 101 rows are
+    found and 29 climbed, 693 cells against 900; at 2e5 events 30 and 12,
+    141 cells against 399.
     """
-    if sums is None:
-        sums = _aff_sums(stats, h_values)
-    cells = _PatchCells(stats, h_values, ptc_values, sums)
-    n_p = cells.ptc.size
-    out = np.full((h_values.size, n_p), -np.inf)
+    cells = _PatchCells(stats, h_values, ptc_values)
+    n_h, n_p = h_values.size, ptc_values.size
+    out = np.full((n_h + 1, n_p), -np.inf)  # the last row is the cap row
     width = min(n_p, max(3, _CELL_BATCH // max(cells.inv_tc.size, 1)))
 
     def widen(hi: int, lo: int, up: int, new_lo: int, new_up: int) -> tuple[int, int]:
@@ -715,12 +765,12 @@ def _patch_grid(stats: _Stats, h_values, ptc_values, sums) -> np.ndarray:
             out[hi, up:new_up] = cells.cells(hi, up, new_up)
         return new_lo, new_up
 
-    # pass 1: each row's [lo, up) of computed cells holds its maximum
+    # pass 1: a climbed row's [lo, up) of computed cells holds its maximum
     spans = {}
     top = n_p // 2
-    for hi in range(h_values.size):
-        if cells.bases[hi] == -np.inf:
-            continue
+
+    def climb(hi: int) -> float:
+        nonlocal top
         lo = max(0, min(top - width // 2, n_p - width))
         lo, up = widen(hi, lo, lo, lo, lo + width)
         step = width
@@ -734,26 +784,43 @@ def _patch_grid(stats: _Stats, h_values, ptc_values, sums) -> np.ndarray:
                 break
             step *= 2
         spans[hi] = (lo, up)
+        return out[hi, top]
+
+    cap = climb(n_h)
+    del spans[n_h]
+
+    def score(rows, peak):
+        same, other = cells.use_bases(rows)
+        bound = cells.bases[rows] + cap
+        value = np.full(rows.size, -np.inf)
+        for j in np.argsort(-bound, kind="stable"):
+            if bound[j] > -np.inf and bound[j] >= peak - _UNDERFLOW_CUT:
+                value[j] = climb(int(rows[j]))
+                peak = max(peak, value[j])
+        return value, same, other
+
+    _row_search(n_h, score, stats.const_loglik + cap)
 
     # pass 2: widen the rows that reach the cut.  Rows are taken towards the
     # peak's row from either end, each first widened to the span of the one
     # before, which is about the same or a little narrower: the same cells
     # as steps of `width` alone, in fewer calls.
-    row_max = out.max(axis=1)
+    grid = out[:n_h]
+    row_max = grid.max(axis=1)
     cut = float(row_max.max()) - _UNDERFLOW_CUT
     top = int(np.argmax(row_max))
-    for rows in ([hi for hi in spans if hi <= top], [hi for hi in reversed(spans) if hi > top]):
+    for rows in ([hi for hi in sorted(spans) if hi <= top], [hi for hi in sorted(spans)[::-1] if hi > top]):
         left, right = n_p, 0
         for hi in rows:
             lo, up = spans[hi]
             if row_max[hi] < cut:
                 continue
-            while lo > 0 and out[hi, lo] >= cut:
+            while lo > 0 and grid[hi, lo] >= cut:
                 lo, up = widen(hi, lo, up, max(min(lo - width, left), 0), up)
-            while up < n_p and out[hi, up - 1] >= cut:
+            while up < n_p and grid[hi, up - 1] >= cut:
                 lo, up = widen(hi, lo, up, lo, min(max(up + width, right), n_p))
             left, right = lo, up
-    return out
+    return grid
 
 
 def _check_family(trace: GrowthTrace, model: str) -> None:
@@ -876,18 +943,15 @@ def _log_marginal(grid: np.ndarray) -> float:
 def _fit_models(trace: GrowthTrace, models: list[str]) -> tuple[dict, dict]:
     """The grid fit and the log marginal likelihood of each (lower-case) model.
 
-    One replay serves every model, and pah and patch share one affinity
-    pass.  The triadic-closure sets are built only when patch is scored.
+    One replay serves every model.  The triadic-closure sets are built
+    only when patch is scored.
     """
     for model in models:
         _check_family(trace, model)
     stats = _stats_for(trace, "patch" in models)
-    sums = None
-    if "pah" in models and "patch" in models and stats.n_events:
-        sums = _aff_sums(stats, H_GRID)
     fits, marginals = {}, {}
     for model in models:
-        grid = _loglik_grid(stats, model, sums=sums)
+        grid = _loglik_grid(stats, model)
         fits[model] = _fit_from_grid(model, grid, stats, trace.order_assumed)
         marginals[model] = _log_marginal(grid)
     return fits, marginals

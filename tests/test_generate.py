@@ -187,6 +187,8 @@ def _trace_fields(directed, **changes):
         (True, dict(labels=[]), "label list must be non-empty"),
         (True, dict(labels=[[0, 0, 1, 1]]), "labels must be one per node, a flat list; got shape (1, 4)"),
         (True, dict(m=7), "a directed trace has no per-arrival edge count m, got m=7"),
+        (False, dict(order_assumed="no"), "trace order_assumed must be a bool, got str 'no'"),
+        (False, dict(order_assumed=1), "trace order_assumed must be a bool, got int 1"),
         (False, dict(m=0), "m must lie in [1, 3], got 0"),
         (False, dict(m=4), "m must lie in [1, 3], got 4"),
         (False, dict(m=True), "m must be an integer, got bool True"),
@@ -199,6 +201,15 @@ def _trace_fields(directed, **changes):
 def test_trace_constructor_refusals(directed, changes, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         GrowthTrace(**_trace_fields(directed, **changes))
+
+
+def test_trace_flags_are_bools():
+    # a string once passed for true, so the kind check named a good kind code
+    with pytest.raises(ValueError, match="trace directed must be a bool, got str 'no'"):
+        GrowthTrace("no", [0, 1, 1], [0, 1], [1, 2], [3, 3])
+    trace = GrowthTrace(**dict(_trace_fields(True, order_assumed=np.True_), directed=np.True_))
+    assert trace.directed is True and trace.order_assumed is True
+    assert fit_model(trace, "dpa").order_assumed is True
 
 
 @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])

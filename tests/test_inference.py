@@ -516,6 +516,39 @@ def _bits(x):
     return np.asarray(x, dtype=np.float64).view(np.int64)
 
 
+_loglik_grid = inference._loglik_grid
+
+
+def _reference_logp(stats, model, h_values):
+    """ln P of every scored event at every h under pah, dh or dpah."""
+    if model == "pah":
+        return reference_aff_pick_logprob(stats, h_values)
+    weight, den_same, den_diff = {
+        "dh": (None, stats.cnt_same, stats.cnt_diff),
+        "dpah": (stats.weight, stats.sum_same, stats.sum_diff),
+    }[model]
+    return reference_affinity_logp(h_values, stats.same, weight, den_same, den_diff, -np.inf, False)
+
+
+def _full_grid(stats, model, h_values=H_GRID, ptc_values=PTC_GRID):
+    """Every row and cell of a model's grid, from the reference kernels (pa and dpa: the library's 1 x 1)."""
+    if model == "patch":
+        return full_patch_grid(stats, h_values, ptc_values)
+    if model in ("pa", "dpa"):
+        return _loglik_grid(stats, model, h_values, ptc_values)
+    return (stats.const_loglik + _reference_logp(stats, model, h_values).sum(axis=1))[:, None]
+
+
+def _assert_outputs_match_the_full_grids(trace, models, monkeypatch):
+    """select_model, fit_model and bayes_factor give what they give on the full grids."""
+    def outputs():
+        return select_model(trace, models), fit_model(trace, models[-1]), bayes_factor(trace, *models[-2:])
+
+    got = outputs()
+    monkeypatch.setattr(inference, "_loglik_grid", _full_grid)
+    assert repr(got) == repr(outputs())
+
+
 def _assert_pruned_grid_matches(stats, h_values):
     """Every computed cell has the full evaluation's bits; every skipped one cannot reach an output."""
     full = full_patch_grid(stats, h_values)
@@ -545,19 +578,7 @@ def test_pruned_patch_grid_matches_the_full_evaluation(name, narrow, monkeypatch
     if narrow:
         return
 
-    got = (select_model(trace, ["pa", "pah", "patch"]), fit_model(trace, "patch"),
-           bayes_factor(trace, "pah", "patch"))
-    grid = inference._loglik_grid
-
-    def full_grid(stats, model, h_values=H_GRID, ptc_values=PTC_GRID, sums=None):
-        if model == "patch":
-            return full_patch_grid(stats, h_values, ptc_values)
-        return grid(stats, model, h_values, ptc_values, sums)
-
-    monkeypatch.setattr(inference, "_loglik_grid", full_grid)
-    want = (select_model(trace, ["pa", "pah", "patch"]), fit_model(trace, "patch"),
-            bayes_factor(trace, "pah", "patch"))
-    assert repr(got) == repr(want)
+    _assert_outputs_match_the_full_grids(trace, ["pa", "pah", "patch"], monkeypatch)
 
 
 def test_pruned_patch_grid_with_an_underflowing_affinity():
@@ -571,6 +592,21 @@ def test_pruned_patch_grid_with_an_underflowing_affinity():
         assert one.shape == (1, 1) and _bits(one) == _bits(full)
 
 
+@pytest.mark.parametrize("name", list(_GRID_TRACES))
+def test_patch_hit_caps_bound_the_affinity_at_every_h(name):
+    # the cap row's P_aff (w / S same-class, w / D other, 1 where S or D is 0)
+    # is at least every hit's P_aff at every h, up to rounding; where S and D
+    # are positive it is reached, at h = 1 or 0
+    _, trace = _GRID_TRACES[name]()
+    stats = inference._undirected_stats(trace, triadic=True)
+    hit = inference._patch_events(stats)[1]
+    log_cap = inference._PatchCells(stats, H_GRID, PTC_GRID).log_cap
+    logp = reference_aff_pick_logprob(stats, _KERNEL_H)[:, hit]
+    assert (logp <= log_cap + 1e-12).all()
+    both = (stats.sum_same[hit] > 0) & (stats.sum_diff[hit] > 0)
+    assert np.allclose(logp.max(axis=0)[both], log_cap[both], rtol=0, atol=1e-12)
+
+
 @pytest.mark.parametrize("h", [5e-324, 0.37, 0.8])
 def test_patch_cells_have_the_same_bits_in_any_block_height(h):
     # the grid evaluates a few p_tc rows at a time; each cell's row sum must
@@ -578,8 +614,8 @@ def test_patch_cells_have_the_same_bits_in_any_block_height(h):
     _, trace = gen_patch(500, 3, 0.3, 0.7, 0.5, seed=4)
     stats = inference._undirected_stats(trace, triadic=True)
     h_values = np.array([h])
-    sums = inference._aff_sums(stats, h_values)
-    cells = inference._PatchCells(stats, h_values, PTC_GRID, sums)
+    cells = inference._PatchCells(stats, h_values, PTC_GRID)
+    cells.use_bases(np.array([0]))
     assert cells.step >= PTC_GRID.size  # all 101 rows in one block
     whole = cells.cells(0, 0, PTC_GRID.size)
     if h == 5e-324:
@@ -618,31 +654,81 @@ def test_affinity_kernel_has_the_reference_bits(name, rows_per_block, monkeypatc
     stats = inference._stats_for(trace, triadic=True)
     if rows_per_block:  # many blocks, the last one short
         monkeypatch.setattr(inference, "_BLOCK_BYTES", 8 * rows_per_block * stats.n_events)
+    model = name if trace.directed else "pah"
+    kernel = inference._affinity(stats, model)
+    want = _reference_logp(stats, model, _KERNEL_H)
     if trace.directed:
-        weight, den_same, den_diff = {
-            "dh": (None, stats.cnt_same, stats.cnt_diff),
-            "dpah": (stats.weight, stats.sum_same, stats.sum_diff),
-        }[name]
-        kernel = inference._Affinity(stats.same, weight, den_same, den_diff, -np.inf)
-        want = reference_affinity_logp(_KERNEL_H, stats.same, weight, den_same, den_diff, -np.inf, False)
-        assert kernel.weights.size == (1 if weight is None else np.unique(weight).size)
+        assert kernel.weights.size == (1 if name == "dh" else np.unique(stats.weight).size)
         assert (want[0] == -np.inf).any() and np.isfinite(want[50]).all()  # the -inf fill at h = 0
-        parts = ()
     else:
-        kernel = inference._affinity(stats, "pah")
-        want = reference_aff_pick_logprob(stats, _KERNEL_H)
         # events whose denominator vanishes at h = 0 or 1 take the fallback fill
         assert ((stats.sum_diff <= 0) | (stats.sum_same <= 0)).any()
         assert (stats.n_fallback > 0) == (name == "fallback")
-        parts = inference._patch_events(stats)
-        for part in parts:  # the patch hit rows evaluate the kernel on a subset
-            sub = _kernel_rows(inference._affinity(stats, "pah", part), _KERNEL_H)
-            assert np.array_equal(_bits(sub), _bits(want[:, part]))
+        for part in inference._patch_events(stats):  # patch evaluates the kernel on subsets
+            sub = inference._affinity(stats, "pah", part)
+            assert np.array_equal(_bits(_kernel_rows(sub, _KERNEL_H)), _bits(want[:, part]))
+            assert np.array_equal(_bits(sub.sums(_KERNEL_H)[0]), _bits([row[part].sum() for row in want]))
     assert np.array_equal(_bits(_kernel_rows(kernel, _KERNEL_H)), _bits(want))
-    sums = kernel.sums(_KERNEL_H, parts)
-    assert np.array_equal(_bits(sums[0]), _bits(want.sum(axis=1)))
-    for j, part in enumerate(parts, 1):
-        assert np.array_equal(_bits(sums[j]), _bits([row[part].sum() for row in want]))
+    total, same, other = kernel.sums(_KERNEL_H)
+    assert np.array_equal(_bits(total), _bits(want.sum(axis=1)))
+    assert np.array_equal(_bits(same), _bits([row[stats.same].sum() for row in want]))
+    assert np.array_equal(_bits(other), _bits([row[~stats.same].sum() for row in want]))
+
+
+# -- the h-row search against the full sweep -------------------------------------------
+
+
+def _impossible_at_every_h():
+    # node 3 picks node 0 of degree 0 while both class totals are positive;
+    # node 2's pick, with every degree 0, takes the uniform fill
+    g = AttributedGraph(False, [0, 0, 1, 0], [(1, 2), (0, 3)])
+    return g, trace_from_graph(g)
+
+
+# the kernel's directed traces, its fallback trace (pah's peak at h = 0.14,
+# patch's at 0), traces peaked at h = 0 and at h = 1, and one -inf everywhere
+_ROW_TRACES = {
+    **{name: _KERNEL_TRACES[name] for name in ("dh", "dpah", "fallback")},
+    "pah-peak-at-0": lambda: gen_pah(300, 2, 0.2, 0.0, seed=2),
+    "dh-peak-at-1": lambda: gen_directed("dh", 300, 0.03, 0.3, 1.0, seed=4),
+    "every-row-inf": _impossible_at_every_h,
+}
+_ROW_PEAKS = {"pah-peak-at-0": {"pah": 0.0}, "dh-peak-at-1": {"dh": 1.0, "dpah": 1.0}}
+
+
+def _rows_missed(trace, h_values):
+    """Check the h models' scored rows against the full sweep; count the
+    skipped rows that could reach an output."""
+    stats = inference._stats_for(trace, triadic=False)
+    missed = 0
+    for model in ("dh", "dpah") if trace.directed else ("pah",):
+        full = _full_grid(stats, model, h_values)
+        got = inference._loglik_grid(stats, model, h_values)
+        kept = got > -np.inf
+        assert np.array_equal(_bits(got[kept]), _bits(full[kept])), model
+        skipped = full[~kept]
+        missed += int(np.count_nonzero((skipped > -np.inf) & (skipped >= full.max() - 745.2)))
+    return missed
+
+
+@pytest.mark.parametrize("name", list(_ROW_TRACES))
+def test_row_search_skips_only_rows_that_cannot_reach_an_output(name, monkeypatch):
+    _, trace = _ROW_TRACES[name]()
+    assert _rows_missed(trace, H_GRID) == 0
+    models = ["dpa", "dh", "dpah"] if trace.directed else ["pa", "pah"]
+    table = select_model(trace, models)
+    if name in _ROW_PEAKS:
+        assert {f.model: f.h_hat for f in table.fits if f.h_hat is not None} == _ROW_PEAKS[name]
+    if name == "every-row-inf":
+        assert all(f.log_lik == -np.inf for f in table.fits)
+    _assert_outputs_match_the_full_grids(trace, models, monkeypatch)
+
+
+def test_row_search_with_the_bound_endpoints_swapped_misses_rows():
+    # on h descending, the bound reads same-class sums at each interval's
+    # lower h and other-class sums at its upper h: the endpoints swapped
+    missed = {name: _rows_missed(make()[1], H_GRID[::-1]) for name, make in _ROW_TRACES.items()}
+    assert any(missed.values()), missed
 
 
 # -- the excluded mass against an event-by-event replay ----------------------------------
