@@ -354,7 +354,7 @@ def _grow(
     the generator.
     """
     rng = UniformStream(rng)
-    random = rng.random
+    random = rng.next
     n = labels.size
     # ascending neighbour lists only for triadic closure, which draws from them
     nbrs = [[u for u in range(m) if u != i] if i < m else [] for i in range(n)] if p_tc else None
@@ -487,7 +487,7 @@ def _place_directed(
     activity = sample_activity(n, params.gamma_a, rng)
     activity_cum = np.cumsum(activity).tolist()
     rng = UniformStream(rng)
-    random = rng.random
+    random = rng.next
 
     cls = labels.tolist()
     affinity = np.ones((2, 2)) if H is None else H.matrix

@@ -54,6 +54,13 @@ def _first_bad_edge(edges: np.ndarray, n: int, directed: bool) -> EdgeError:
     return EdgeError(i, f"self-loop ({u},{v})" if loop[i] else f"duplicate edge ({u},{v})")
 
 
+def distinct(x) -> np.ndarray:
+    """``np.unique(x)`` of a non-empty ``x``, without the numpy.ma import
+    (about 9 ms) of a plain ``np.unique`` call's first use on numpy 2."""
+    x = np.sort(x, axis=None)
+    return x[np.concatenate(([True], x[1:] != x[:-1]))]
+
+
 def own_labels(labels) -> np.ndarray:
     """A read-only int8 copy of ``labels``, refused unless they are a flat, non-empty list of 0s and 1s."""
     labels = np.asarray(labels)

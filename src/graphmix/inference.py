@@ -80,7 +80,7 @@ from .generate import (
     GrowthTrace,
     rebuild_graph,
 )
-from .graph import AttributedGraph
+from .graph import AttributedGraph, distinct
 from .rng import UniformStream, check_seed, make_rng, sample_without_replacement
 
 __all__ = [
@@ -199,17 +199,11 @@ def _group_exclusive_cumsum(x: np.ndarray, first: np.ndarray) -> np.ndarray:
     return before - before[first]
 
 
-def _distinct(x) -> np.ndarray:
-    """``np.unique(x)`` without the numpy.ma import (9 ms) of its first plain call on numpy 2."""
-    x = np.sort(x)
-    return x[np.concatenate(([True], x[1:] != x[:-1]))]
-
-
 def _chunk_cuts(cum: np.ndarray) -> np.ndarray:
     """Indices into ``cum``, the cumulative cost at each allowed cut (from 0),
     that split it into runs of about _PAIR_CHUNK."""
     cuts = np.searchsorted(cum, np.arange(_PAIR_CHUNK, cum[-1], _PAIR_CHUNK))
-    return _distinct(np.concatenate(([0], cuts, [cum.size - 1])))
+    return distinct(np.concatenate(([0], cuts, [cum.size - 1])))
 
 
 def _undirected_stats(trace: GrowthTrace, triadic: bool) -> _Stats:
@@ -334,7 +328,7 @@ def _key_chunks(starts, exposed, n: int) -> tuple[np.ndarray, int, int]:
     cuts = _chunk_cuts(np.concatenate(([0], np.cumsum(exposed)))[starts])
     node_at = int(np.diff(starts[cuts]).max(initial=0)).bit_length() + 1
     arrival_at = node_at + (n - 1).bit_length()
-    cuts = _distinct(np.concatenate((cuts, np.arange(0, starts.size - 1, 1 << (_KEY_BITS - arrival_at)))))
+    cuts = distinct(np.concatenate((cuts, np.arange(0, starts.size - 1, 1 << (_KEY_BITS - arrival_at)))))
     return cuts, node_at, arrival_at
 
 
@@ -351,12 +345,16 @@ def _directed_stats(trace: GrowthTrace) -> _Stats:
 
     # indeg(u) + 1 before event i: 1 + u's earlier events as a target
     targets = _key_runs(tgt, n)
-    ind1_t = 1 + targets.place - targets.start[tgt]
-    ind1_s = 1 + np.searchsorted(targets.keys, src * n_events + idx) - targets.start[src]
-
-    # the source's earlier targets by class: their (indeg + 1) mass and their count
     sources = _key_runs(src, n)
     by_source = sources.order
+    ind1_t = 1 + targets.place - targets.start[tgt]
+    # the source's keys s_i * E + i, looked up in ascending order (no key is
+    # in both sets, as that would be a self-loop)
+    ind1_s = np.empty(n_events, dtype=np.int64)
+    ind1_s[by_source] = np.searchsorted(targets.keys, sources.keys)
+    ind1_s += 1 - targets.start[src]
+
+    # the source's earlier targets by class: their (indeg + 1) mass and their count
     first = sources.start[src[by_source]]
     mass_own, mass_oth = _excluded_mass(src, tgt, same, ind1_t, sources, targets, first)
     same_sorted = same[by_source]
@@ -618,7 +616,7 @@ def _row_search(n_rows: int, score, lift: float) -> np.ndarray:
     value = np.full(n_rows, -np.inf)
     same, other = np.empty((2, n_rows))
     scored = np.zeros(n_rows, dtype=bool)
-    rows = _distinct([0, (n_rows - 1) // 2, n_rows - 1])
+    rows = distinct([0, (n_rows - 1) // 2, n_rows - 1])
     while rows.size:
         value[rows], same[rows], other[rows] = score(rows, value.max())
         scored[rows] = True

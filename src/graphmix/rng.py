@@ -7,12 +7,13 @@ runs and platforms for a given seed, so seeds are portable artifacts.
 
 A :class:`UniformStream` hands out the same doubles as scalar
 ``rng.random()`` calls, drawn from the generator in blocks, which costs a
-fraction of a scalar call per double.  A block draws ahead of what the
-stream has handed out, so the generator's state no longer matches the
-doubles used.  A stream is therefore used only where the callee owns the
-generator from :func:`make_rng` until it returns: the generators (after
-the labels and activities are drawn), each ``sampling.sample`` call and the
-directed branch of ``trace_from_graph``.  A generator that is passed on
+fraction of a scalar call per double: ``stream.next()`` hands one out
+from C, and ``stream.random()`` through one Python call.  A block draws
+ahead of what the stream has handed out, so the generator's state no
+longer matches the doubles used.  A stream is therefore used only where
+the callee owns the generator from :func:`make_rng` until it returns: the
+generators (after the labels and activities are drawn), each
+``sampling.sample`` call and the directed branch of ``trace_from_graph``.  A generator that is passed on
 keeps scalar draws, for example the one ``graphmix spread`` shares between
 ``seeding`` and ``cascade``: the cascade draws its rolls as arrays, which
 must start where the seeding's draws ended.  The helpers below take either
@@ -23,8 +24,8 @@ a generator or a stream, as they only call ``.random()`` and
 from __future__ import annotations
 
 from bisect import bisect_right
-from collections.abc import Sequence
-from itertools import islice
+from collections.abc import Iterator, Sequence
+from itertools import chain, islice
 
 import numpy as np
 
@@ -61,30 +62,43 @@ class UniformStream:
     ``rng.random()`` would, and ``stream.random(size)`` the next ``size``
     of them as an array.  The stream draws ahead from ``rng``, which the
     caller must not use afterwards.
+
+    The scalar doubles come from an ``itertools.chain`` over the blocks'
+    lists, so ``stream.next``, the chain's bound ``__next__``, hands out a
+    double without a Python frame; a hot loop binds it in place of
+    ``stream.random``.
     """
 
-    __slots__ = ("_rng", "_block", "_left")
+    __slots__ = ("next", "_chain", "_rng", "_current")
 
     def __init__(self, rng: np.random.Generator):
         self._rng = rng
-        self._block = _FIRST_BLOCK
-        self._left = iter(())
+        self._current = [iter(())]  # the iterator over the block being handed out
+        self._chain = chain.from_iterable(_blocks(rng, self._current))
+        self.next = self._chain.__next__
 
     def random(self, size: int | None = None) -> float | np.ndarray:
         if size is None:
-            try:
-                return next(self._left)
-            except StopIteration:
-                block = min(self._block, STREAM_BLOCK_CAP)
-                self._block = 2 * block
-                self._left = iter(self._rng.random(block).tolist())
-                return next(self._left)
+            return next(self._chain)
         # the rest of the current block, then the remainder straight from
         # the generator: the doubles are the same whatever the block sizes
-        head = list(islice(self._left, size))
+        head = list(islice(self._current[0], size))
         if len(head) == size:
             return np.array(head, dtype=np.float64)
         return np.concatenate((head, self._rng.random(size - len(head))))
+
+
+def _blocks(rng: np.random.Generator, current: list) -> Iterator[Iterator[float]]:
+    """A stream's blocks, each published in ``current`` as it starts.
+
+    It holds the generator and ``current``, not the stream, so a stream is
+    freed by reference counting alone."""
+    block = _FIRST_BLOCK
+    while True:
+        block = min(block, STREAM_BLOCK_CAP)  # read at each block
+        current[0] = iter(rng.random(block).tolist())
+        yield current[0]
+        block *= 2
 
 
 def rand_below(rng: np.random.Generator | UniformStream, k: int) -> int:

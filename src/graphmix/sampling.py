@@ -10,11 +10,15 @@ sit from the population values.
 A graph's canonical edge arrays are built once, O(E), when a
 uniform-edge sample first needs them, and kept on the frozen graph;
 after that a sample costs O(budget) steps in Python, and a walk one more
-per revisit (the crawls read rows of the CSR through memoryviews, and
-uniform-node draws its indices in one call) plus a few array calls over
-the n nodes: the degree vector (a count over the E targets when
-directed), the top-degree partition, and the pools of a uniform fill or
-a snowball re-seed.
+per revisit, plus a few array calls over the n nodes: the degree vector
+(a count over the E targets when directed), the top-degree partition,
+and the pools of a uniform fill or a snowball re-seed.  The crawls read
+rows of the CSR through memoryviews, and the walk takes its doubles from
+``UniformStream.next``.  Uniform-node draws its indices in one call, and
+uniform-edge its edges in chunks of ceil(need / 2), need being the nodes
+still missing: an edge adds at most two, so a chunk is exactly the next
+draws of a loop that checks the size after every edge.  ``benchmark``
+samples the seed-free top-degree cell once per budget.
 """
 
 from __future__ import annotations
@@ -145,18 +149,22 @@ def _sample_uniform_edge(g: AttributedGraph, size: int, rng: UniformStream) -> l
     src, dst = (memoryview(a) for a in g.edge_arrays())
     num_edges = len(src)
     covered = int(np.count_nonzero(g.total_degree_vector()))
-    random = rng.random
     sampled: set[int] = set()
     add = sampled.add
     # sampled only ever holds edge endpoints, so it covers them all once it
     # is as large as the covered set; then only isolated nodes remain
     target = min(size, covered)
     while len(sampled) < target:
-        i = int(random() * num_edges)  # rand_below(rng, num_edges)
-        add(src[i])
-        # on overshoot the second endpoint is dropped
-        if len(sampled) < size:
-            add(dst[i])
+        # an edge adds at most two nodes, so a loop of one draw per size
+        # check would draw at least these ceil(need / 2) edges next; each
+        # index is rand_below(rng, num_edges) of the same double
+        need = target - len(sampled)
+        for i in (rng.random((need + 1) // 2) * num_edges).astype(np.int64).tolist():
+            add(src[i])
+            # on overshoot the second endpoint is dropped; only a chunk's
+            # last edge can overshoot
+            if len(sampled) < size:
+                add(dst[i])
     if len(sampled) < size:
         _uniform_fill(sampled, g.n, size, rng)
     return list(sampled)
@@ -237,21 +245,24 @@ def _sample_random_walk(g: AttributedGraph, size: int, rng: UniformStream) -> li
     csr = g.csr()
     ptr, idx = memoryview(csr.indptr), memoryview(csr.indices)
     n = g.n
-    random = rng.random
+    random = rng.next
     # each int(random() * k) below is rand_below(rng, k), with k >= 1
     current = int(random() * n)
     sampled: set[int] = {current}
+    add = sampled.add
     while len(sampled) < size:
-        if random() < RESTART_PROB:
-            current = int(random() * n)
-        else:
-            start = ptr[current]
-            degree = ptr[current + 1] - start
-            if degree:
-                current = idx[start + int(random() * degree)]
-            else:  # a sink forces a teleport
+        # a step adds at most one node, so these steps cannot overshoot
+        for _ in range(size - len(sampled)):
+            if random() < RESTART_PROB:
                 current = int(random() * n)
-        sampled.add(current)
+            else:
+                start = ptr[current]
+                degree = ptr[current + 1] - start
+                if degree:
+                    current = idx[start + int(random() * degree)]
+                else:  # a sink forces a teleport
+                    current = int(random() * n)
+            add(current)
     return list(sampled)
 
 
@@ -305,10 +316,15 @@ def benchmark(
         for budget in budgets:
             fm_bias = np.empty(reps)
             deg_bias = np.empty(reps)
+            # top-degree ignores its seed: one sample serves every repetition
+            seed_free = strategy == "top-degree"
+            nodes = sample(g, strategy, budget, seed).nodes if seed_free else None
             for rep in range(reps):
-                res = sample(g, strategy, budget, cell_seed(seed, strategy, budget, rep))
-                sample_fm = float(labels[res.nodes].mean())
-                sample_deg = float(degrees[res.nodes].mean())
+                if not seed_free:
+                    nodes = sample(g, strategy, budget, cell_seed(seed, strategy, budget, rep)).nodes
+                # np.mean's float64 sum and division, without its Python wrapper
+                sample_fm = float(labels[nodes].sum(dtype=np.float64) / nodes.size)
+                sample_deg = float(degrees[nodes].sum(dtype=np.float64) / nodes.size)
                 records.append(
                     SampleStats(strategy, budget, rep, sample_fm, sample_deg)
                 )

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _check
-from .graph import AttributedGraph
+from .graph import AttributedGraph, distinct
 from .ranking import top_degree_nodes
 from .rng import sample_without_replacement
 
@@ -93,7 +93,7 @@ def _check_seeds(g: AttributedGraph, seeds) -> np.ndarray:
         raise ValueError(f"seed ids must be integers, got {arr.dtype}")
     if arr.min() < 0 or arr.max() >= g.n:
         raise ValueError("seed ids out of range")
-    return np.unique(arr.astype(np.int64))
+    return distinct(arr.astype(np.int64))
 
 
 def _step_cap(g: AttributedGraph, max_steps: int | None) -> int:

@@ -16,7 +16,7 @@ from graphmix.inference import replay_loglik, trace_from_graph
 from graphmix.netio import format_value, read_config, write_network
 from graphmix.ranking import pagerank, top_degree_nodes
 from graphmix.rng import make_rng, rand_below, sample_without_replacement
-from graphmix.sampling import benchmark, sample
+from graphmix.sampling import STRATEGIES, benchmark, sample
 from graphmix.spreading import cascade, crossing_time, equality_report, seeding, threshold_cascade
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
@@ -773,17 +773,27 @@ def test_cli_chain_runs_with_scipy_blocked(tmp_path):
          "--directed", "--models", "dpa,dh,dpah", *out, "--prefix", "ds"],
         ["rank", "--network", str(tmp_path / "d"), "--directed", "--metric", "pagerank",
          *out, "--prefix", "rk"],
-        ["sample", "--network", str(tmp_path / "u"), "--strategies", "uniform-node,snowball",
+        ["sample", "--network", str(tmp_path / "u"), "--strategies", ",".join(STRATEGIES),
          "--budgets", "30", "--reps", "2", *out, "--prefix", "sm"],
         ["spread", "--network", str(tmp_path / "u"), "--mode", "ic", "--p-in", "0.3",
          "--p-out", "0.3", "--seed-condition", "top-degree", "--seed-count", "3",
          *out, "--prefix", "sp"],
+        ["spread", "--network", str(tmp_path / "u"), "--mode", "threshold", "--theta", "0.2",
+         "--seed-condition", "uniform", "--seed-count", "5", *out, "--prefix", "th"],
+        ["spread", "--network", str(tmp_path / "d"), "--directed", "--mode", "threshold",
+         "--theta", "0.1", "--seed-condition", "top-degree", "--seed-count", "20",
+         *out, "--prefix", "dth"],
     ]
-    # a None entry in sys.modules makes every later `import scipy...` raise ImportError
+    # a None entry in sys.modules makes every later `import scipy...` raise ImportError;
+    # no command needs numpy.ma, which a plain np.unique imports at its first call on
+    # numpy 2 (about 9 ms of a CLI call), and numpy 1.x imports with numpy itself
     code = (
-        "import sys; sys.modules['scipy'] = None; from graphmix.cli import main\n"
+        "import sys; sys.modules['scipy'] = None; import numpy\n"
+        "eager = 'numpy.ma' in sys.modules\n"
+        "from graphmix.cli import main\n"
         f"for argv in {chain!r}:\n"
         "    if main(argv) != 0: sys.exit(f'{argv[0]} failed')\n"
+        "    if not eager and 'numpy.ma' in sys.modules: sys.exit(f'{argv[-1]} imported numpy.ma')\n"
     )
     proc = _run_same_package([sys.executable, "-c", code])
     assert proc.returncode == 0, proc.stderr
@@ -794,5 +804,5 @@ def test_cli_chain_runs_with_scipy_blocked(tmp_path):
         tested = {(r[0], r[1]) for r in rows if r[col]}
         assert tested == nested
         assert all(0.0 <= float(r[col]) <= 1.0 for r in rows if r[col])
-    for suffix in ("rk_visibility.csv", "sm_bias.csv", "sp_series.csv"):
+    for suffix in ("rk_visibility.csv", "sm_bias.csv", "sp_series.csv", "dth_summary.csv"):
         assert (tmp_path / suffix).is_file()

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -155,6 +158,48 @@ def test_uniform_stream_arrays_match_scalar_draws(cap, monkeypatch):
             got = stream.random(size)
             assert got.dtype == np.float64 and got.shape == (size,)
             assert got.tolist() == [scalar.random() for _ in range(size)], size
+
+
+@pytest.mark.parametrize("cap", [1, 7, None])
+def test_uniform_stream_next_interleaves_with_random(cap, monkeypatch):
+    if cap is not None:
+        monkeypatch.setattr(graphmix.rng, "STREAM_BLOCK_CAP", cap)
+    # "n" is stream.next(), None stream.random(), an int stream.random(size)
+    calls = ["n", None, 0, "n", 3, "n", "n", 20, None, "n", 200, "n", 9000, "n", None]
+    pick = np.random.default_rng(cap or 0)
+    calls += [("n", None, int(pick.integers(0, 40)))[pick.integers(0, 3)] for _ in range(600)]
+    stream = UniformStream(make_rng(29))
+    scalar = make_rng(29)
+    for call in calls:
+        if call == "n":
+            assert stream.next() == scalar.random()
+        elif call is None:
+            assert stream.random() == scalar.random()
+        else:
+            assert stream.random(call).tolist() == [scalar.random() for _ in range(call)], call
+
+
+def test_a_drawn_stream_is_freed_by_reference_counting():
+    class Source:  # a generator that takes weak references
+        def __init__(self):
+            self.rng = make_rng(31)
+
+        def random(self, size):
+            return self.rng.random(size)
+
+    source = Source()
+    stream = UniformStream(source)
+    stream.random(), stream.next(), stream.random(40), stream.next()
+    freed = weakref.ref(source)
+    del source  # the stream now holds the only reference
+    gc.collect()
+    gc.disable()
+    try:
+        del stream
+        assert freed() is None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_sample_without_replacement_leaves_a_generator_where_scalar_draws_do():

@@ -237,6 +237,19 @@ def test_benchmark_shapes_and_determinism():
     assert a.mean_degree == pytest.approx(g.total_degree_vector().mean())
 
 
+@pytest.mark.parametrize("directed", [False, True])
+def test_benchmark_records_are_the_samples_means(directed):
+    # top-degree is sampled once per budget; the means skip np.mean's wrapper
+    g = random_graph(60, directed=directed, p=0.08, rng=make_rng(12))
+    degrees = g.total_degree_vector().astype(np.float64)
+    rep = benchmark(g, list(STRATEGIES), [1, 7, 30], reps=3, seed=5)
+    assert len(rep.records) == len(STRATEGIES) * 3 * 3
+    for r in rep.records:
+        nodes = sample(g, r.strategy, r.budget, cell_seed(5, r.strategy, r.budget, r.rep)).nodes
+        assert r.minority_fraction == float(np.mean(g.labels[nodes]))
+        assert r.mean_degree == float(np.mean(degrees[nodes]))
+
+
 def test_benchmark_validation():
     g = random_graph(10, directed=False, p=0.3, rng=make_rng(6))
     with pytest.raises(ValueError):
