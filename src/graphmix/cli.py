@@ -340,7 +340,8 @@ def _load_network(cfg):
     return read_network(cfg["network"], directed=bool(cfg["directed"]))
 
 
-def _load_trace(cfg, g):
+def _load_trace(cfg):
+    g = _load_network(cfg)  # dropped on return: scoring holds one copy, trace.graph
     if cfg["trace"] is not None:
         return read_trace(cfg["trace"], g)
     return trace_from_graph(g, seed=cfg["seed"])
@@ -366,14 +367,12 @@ def _selection_table(fits) -> Output:
 
 def _cmd_fit(cfg) -> list[Output]:
     _require(cfg, "model")
-    g = _load_network(cfg)
-    return [_selection_table([fit_model(_load_trace(cfg, g), cfg["model"])])]
+    return [_selection_table([fit_model(_load_trace(cfg), cfg["model"])])]
 
 
 def _cmd_select(cfg) -> list[Output]:
     _require(cfg, "models")
-    g = _load_network(cfg)
-    table = select_model(_load_trace(cfg, g), cfg["models"].split(","), criterion=cfg["criterion"])
+    table = select_model(_load_trace(cfg), cfg["models"].split(","), criterion=cfg["criterion"])
     return [
         _selection_table(table.fits),
         _table(

@@ -23,7 +23,7 @@ likelihoods (see :mod:`graphmix.inference`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from enum import IntEnum
 
 import numpy as np
@@ -46,7 +46,6 @@ __all__ = [
     "gen_directed",
     "sample_activity",
     "activity_from_uniform",
-    "rebuild_graph",
 ]
 
 UNDIRECTED_MODELS = ("pa", "pah", "patch")
@@ -105,11 +104,14 @@ class GrowthTrace:
     ``directed`` or ``order_assumed`` flag that is not a bool, event arrays
     that are not flat integer (not bool, not float) arrays of one length,
     an id outside ``0..n-1``, a kind code not of the trace's family, labels
-    that are not n 0s and 1s, or an ``m`` on a directed trace, outside
-    ``1..n-1`` or without m events per arrival.  The trace keeps read-only
-    copies: int8 labels and kinds, int64 sources and targets.  A repeated
-    edge is refused by :func:`rebuild_graph`'s graph, the growth order when
-    the trace is scored.  Traces compare equal field by field.
+    that are not n 0s and 1s, an ``m`` on a directed trace, outside
+    ``1..n-1`` or without m events per arrival, an undirected event whose
+    target is not below its source or whose source is below the one
+    before, and a replay that repeats an edge or makes a self-loop.  The
+    trace keeps read-only copies: int8 labels and kinds, int64 sources and
+    targets, and ``graph``, the :class:`AttributedGraph` its replay builds
+    (the start clique and every event).  Traces compare equal field by
+    field; ``graph`` follows from the fields and is not compared.
     """
 
     directed: bool
@@ -119,6 +121,7 @@ class GrowthTrace:
     kinds: np.ndarray
     m: int | None = None
     order_assumed: bool = False
+    graph: AttributedGraph = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("directed", "order_assumed"):
@@ -152,11 +155,24 @@ class GrowthTrace:
             m = _check.count("m", self.m, 1, n - 1)
             if not is_growth_layout(src, n, m):
                 raise ValueError("trace does not have m events per arrival for every node >= m")
+        if not self.directed:  # growth order
+            bad = np.flatnonzero((tgt >= src) | (src < np.concatenate(([0], src[:-1]))))
+            if bad.size:
+                i = int(bad[0])
+                if tgt[i] >= src[i]:
+                    raise ValueError(f"event {i}: target {tgt[i]} not below source {src[i]}; not a growth trace")
+                raise ValueError(f"event {i}: source {src[i]} out of arrival order")
         for name, a in zip(names, events):
             a = a.astype(np.int8 if name == "kinds" else np.int64)  # a copy of its own, as the labels
             a.setflags(write=False)
             object.__setattr__(self, name, a)
         object.__setattr__(self, "labels", labels)
+        start = np.column_stack(np.triu_indices(self.m or 0, 1))
+        edges = np.concatenate((start, np.column_stack((self.sources, self.targets))))
+        try:
+            object.__setattr__(self, "graph", AttributedGraph(self.directed, labels, edges))
+        except EdgeError as exc:
+            raise ValueError(f"trace replays an invalid edge: {exc.reason}") from None
 
     @property
     def n(self) -> int:
@@ -168,7 +184,7 @@ class GrowthTrace:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, GrowthTrace):
             return NotImplemented
-        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
 
     __hash__ = None
 
@@ -429,7 +445,7 @@ def _grow(
                 nbrs[t].append(v)
 
     trace = GrowthTrace(False, labels, srcs, tgts, kinds, m=m)
-    return rebuild_graph(trace), trace
+    return trace.graph, trace
 
 
 # ---------------------------------------------------------------------------
@@ -546,19 +562,4 @@ def _place_directed(
         failures = 0
 
     trace = GrowthTrace(True, labels, srcs, tgts, np.full(len(srcs), int(EventKind.DIRECTED_PICK), dtype=np.int8))
-    return rebuild_graph(trace), trace
-
-
-# ---------------------------------------------------------------------------
-# trace replay (structure only; likelihoods live in graphmix.inference)
-# ---------------------------------------------------------------------------
-
-def rebuild_graph(trace: GrowthTrace) -> AttributedGraph:
-    """Reconstruct the final graph from a trace; ValueError if it replays a self-loop or a repeated edge."""
-    m = trace.m or 0
-    start = np.column_stack(np.triu_indices(m, 1))
-    edges = np.concatenate((start, np.column_stack((trace.sources, trace.targets))))
-    try:
-        return AttributedGraph(trace.directed, trace.labels, edges)
-    except EdgeError as exc:
-        raise ValueError(f"trace replays an invalid edge: {exc.reason}") from None
+    return trace.graph, trace

@@ -21,15 +21,15 @@ probability under the candidate's weights is accumulated.  Scoring rules:
 Replay is done once per trace, as array operations, to extract per-event
 sufficient statistics; evaluating the likelihood over a whole parameter grid
 is then a vectorized array computation.  A :class:`GrowthTrace` is
-checked, and its arrays frozen, when it is built; it must also rebuild a
-simple graph: one that repeats an edge (the same target twice in one
-arrival, or a directed pair twice) raises ``ValueError`` before anything
-is scored.
+checked whole, and its arrays frozen, when it is built: growth order and
+a simple replayed graph, ``trace.graph``, included.  So every trace can be
+scored, and scoring reads the trace's graph without building or checking
+one.
 
 * Undirected: in a growth trace, and in the order-assumed trace of
   :func:`trace_from_graph`, edge {u, w} exists before arrival v exactly when
   max(u, w) < v.  So what arrival v sees of a node's neighbourhood is the
-  prefix below v of its row in the rebuilt graph's CSR: snapshot degrees are
+  prefix below v of its row in the trace graph's CSR: snapshot degrees are
   one ``searchsorted``, and class degree totals and the mass already chosen
   in an arrival are (grouped) cumulative sums: O(E log E).  Only patch
   reads the triadic-closure sets, so they are built only when patch is
@@ -74,12 +74,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _check
-from .generate import (
-    DIRECTED_MODELS,
-    EventKind,
-    GrowthTrace,
-    rebuild_graph,
-)
+from .generate import DIRECTED_MODELS, EventKind, GrowthTrace
 from .graph import AttributedGraph, distinct
 from .rng import UniformStream, check_seed, make_rng, sample_without_replacement
 
@@ -177,17 +172,8 @@ _KEY_BITS = 63
 
 
 def _arrival_groups(trace: GrowthTrace) -> np.ndarray:
-    """Validate growth order; return where each source's run of events starts, then len(trace)."""
-    src, tgt = trace.sources, trace.targets
-    bad_target = tgt >= src
-    bad_order = src < np.concatenate(([-1], src[:-1]))
-    bad = np.flatnonzero(bad_target | bad_order)
-    if bad.size:
-        i = int(bad[0])
-        s, t = int(src[i]), int(tgt[i])
-        if bad_target[i]:
-            raise ValueError(f"event {i}: target {t} not below source {s}; not a growth trace")
-        raise ValueError(f"event {i}: source {s} out of arrival order")
+    """Where each source's run of events starts, then len(trace)."""
+    src = trace.sources
     new = np.ones(src.size, dtype=bool)
     new[1:] = src[1:] != src[:-1]
     return np.append(np.flatnonzero(new), src.size)
@@ -209,7 +195,7 @@ def _chunk_cuts(cum: np.ndarray) -> np.ndarray:
 def _undirected_stats(trace: GrowthTrace, triadic: bool) -> _Stats:
     """The per-event statistics of an undirected trace; with ``triadic``,
     the triadic-closure sets too (patch reads them, pa and pah do not)."""
-    csr = rebuild_graph(trace).csr()
+    csr = trace.graph.csr()
     starts = _arrival_groups(trace)
     n, labels = trace.n, trace.labels
     src, tgt = trace.sources, trace.targets
@@ -333,7 +319,6 @@ def _key_chunks(starts, exposed, n: int) -> tuple[np.ndarray, int, int]:
 
 
 def _directed_stats(trace: GrowthTrace) -> _Stats:
-    rebuild_graph(trace)  # rejects repeated edges
     n, labels = trace.n, trace.labels
     src, tgt = trace.sources, trace.targets
     n_events = src.size
@@ -967,9 +952,17 @@ def lrt(nested: FitReport, full: FitReport) -> tuple[float, int, float]:
     Returns ``(statistic, df, p)``: the statistic clamped at zero and its
     chi-square tail, ``erfc(sqrt(stat / 2))`` at df 1, ``exp(-stat / 2)`` at
     df 2 (the only dfs: each nested pair adds h, p_tc or both).
+
+    Both fits must come from one trace.  Fits whose ``n_events``,
+    ``n_fallback`` or ``order_assumed`` differ cannot, and are refused; the
+    check is partial, so fits of two traces with equal counts still pass.
     """
     if (nested.model, full.model) not in NESTED_PAIRS:
         raise ValueError(f"models {nested.model!r} and {full.model!r} are not nested")
+    for name in ("n_events", "n_fallback", "order_assumed"):
+        a, b = getattr(nested, name), getattr(full, name)
+        if a != b:
+            raise ValueError(f"the fits come from different traces: {name} {a} and {b}")
     stat = max(0.0, 2.0 * (full.log_lik - nested.log_lik))
     df = full.k - nested.k
     p = math.erfc(math.sqrt(stat / 2.0)) if df == 1 else math.exp(-stat / 2.0)
@@ -1064,14 +1057,13 @@ def replay_event_probabilities(
     model = model.lower()
     _check_family(trace, model)
     h, p_tc = _checked_params(model, h, p_tc)
-    csr = rebuild_graph(trace).csr()  # rejects repeated edges
     if trace.directed:
         return _replay_vectors_directed(trace, model, h)
-    return _replay_vectors_undirected(trace, model, h, p_tc, _arrival_groups(trace), csr)
+    return _replay_vectors_undirected(trace, model, h, p_tc)
 
 
-def _replay_vectors_undirected(trace, model, h, p_tc, starts, csr):
-    labels = trace.labels
+def _replay_vectors_undirected(trace, model, h, p_tc):
+    labels, csr, starts = trace.labels, trace.graph.csr(), _arrival_groups(trace)
     m = trace.m or 0
     deg = np.zeros(trace.n, dtype=np.float64)
     deg[:m] = max(m - 1, 0)

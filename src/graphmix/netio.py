@@ -47,7 +47,6 @@ from .generate import (
     EventKind,
     GrowthTrace,
     is_growth_layout,
-    rebuild_graph,
 )
 from .graph import AttributedGraph, EdgeError
 
@@ -324,8 +323,9 @@ def read_trace(path: str | Path, g: AttributedGraph) -> GrowthTrace:
     replayed from an empty start), the form
     :func:`graphmix.inference.trace_from_graph` builds.  The reader makes
     the checks that name a line of the file; the trace's own are those of
-    :class:`GrowthTrace`.  A trace whose replay does not rebuild ``g``
-    exactly is rejected.
+    :class:`GrowthTrace` (growth order and a simple replay among them),
+    raised as :class:`NetworkFormatError` naming the file.  A trace whose
+    ``trace.graph`` is not ``g`` exactly is rejected.
     """
     path = Path(path)
     table = _read_table(path, _TRACE_HEADER, ("source", "target"))
@@ -346,13 +346,12 @@ def read_trace(path: str | Path, g: AttributedGraph) -> GrowthTrace:
     m = int(sources[0])
     # an order-assumed rebuild has no start clique
     growth = not g.directed and len(sources) + m * (m - 1) // 2 == g.num_edges and is_growth_layout(sources, g.n, m)
-    trace = GrowthTrace(g.directed, g.labels, sources, targets, kinds, m=m if growth else None,
-                        order_assumed=not (growth or g.directed))
     try:
-        same = rebuild_graph(trace) == g
+        trace = GrowthTrace(g.directed, g.labels, sources, targets, kinds, m=m if growth else None,
+                            order_assumed=not (growth or g.directed))
     except ValueError as exc:
         raise NetworkFormatError(f"{path}: {exc}") from None
-    if not same:
+    if trace.graph != g:
         raise NetworkFormatError(f"{path}: trace does not rebuild the network it was read with")
     return trace
 

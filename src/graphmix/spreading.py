@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _check
-from .graph import AttributedGraph, distinct
+from .graph import AttributedGraph, distinct, own_labels
 from .ranking import top_degree_nodes
 from .rng import sample_without_replacement
 
@@ -254,7 +254,7 @@ def threshold_cascade(
 
 def equality_report(trace: CascadeTrace, labels: np.ndarray) -> EqualityReport:
     """Equality index series, time-to-half coverage, terminal fractions."""
-    labels = np.asarray(labels)
+    labels = own_labels(labels)
     if labels.size != trace.activation_time.size:
         raise ValueError("labels length does not match the cascade")
     rows, counts = _fractions_from_times(trace.activation_time, labels)

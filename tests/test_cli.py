@@ -149,6 +149,20 @@ def test_trace_of_another_network_is_rejected(tmp_path, capsys, command, model_f
     assert not (tmp_path / "out_selection.csv").exists()
 
 
+@pytest.mark.parametrize("command,model_flag", [("fit", ["--model", "patch"]), ("select", ["--models", "pa,pah,patch"])])
+def test_scoring_a_trace_file_builds_the_network_twice(tmp_path, monkeypatch, command, model_flag):
+    prefix = _generate(tmp_path)
+    builds = []
+    init = AttributedGraph.__init__
+    monkeypatch.setattr(AttributedGraph, "__init__", lambda self, *args: builds.append(args) or init(self, *args))
+    assert run(
+        command, "--network", str(prefix), "--trace", str(tmp_path / "net_trace.csv"), *model_flag,
+        "--out", str(tmp_path), "--prefix", "out",
+    ) == 0
+    # read_network, then the trace read with it; the replay builds none (once a third)
+    assert len(builds) == 2
+
+
 # -- rank -------------------------------------------------------------------------
 
 

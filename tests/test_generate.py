@@ -24,7 +24,6 @@ from graphmix.generate import (
     gen_pah,
     gen_patch,
     generate,
-    rebuild_graph,
     sample_activity,
 )
 from graphmix.graph import AttributedGraph, MixingMatrix
@@ -61,14 +60,28 @@ def test_patch_edge_count():
     assert g.num_edges == undirected_edge_count(150, 4)
 
 
-def test_trace_rebuild_matches_generated_graph():
-    for g, trace in [
+def _generated_pairs():
+    return [
         gen_pa(60, 2, seed=0),
         gen_pah(60, 3, 0.3, 0.2, seed=1),
         gen_patch(60, 3, 0.3, 0.8, 0.6, seed=2),
         gen_directed("dpah", 50, 0.02, 0.3, 0.7, seed=3),
-    ]:
-        assert rebuild_graph(trace) == g
+    ]
+
+
+def test_trace_rebuild_matches_generated_graph():
+    for g, trace in _generated_pairs():
+        m = trace.m or 0
+        clique = [(u, v) for u in range(m) for v in range(u + 1, m)]
+        events = list(zip(trace.sources.tolist(), trace.targets.tolist()))
+        assert AttributedGraph(trace.directed, trace.labels, clique + events) == g
+
+
+def test_a_generated_network_is_its_traces_graph():
+    for g, trace in _generated_pairs():
+        assert g is trace.graph
+    with pytest.raises(AttributeError):
+        trace.graph = g  # a trace cannot change, its graph included
 
 
 def test_a_written_source_array_changes_no_generated_network():
@@ -92,7 +105,7 @@ def test_package_attribute_is_the_generate_module():
     names = "generate graph inference netio ranking rng sampling spreading".split()
     modules = [importlib.import_module(f"graphmix.{name}") for name in names]
     assert graphmix.__all__ == [name for m in modules for name in m.__all__]
-    assert len(set(graphmix.__all__)) == len(graphmix.__all__) == 63
+    assert len(set(graphmix.__all__)) == len(graphmix.__all__) == 62
     for m in modules:
         assert not set(m.__all__) & {*names, "cli"}, m.__name__
         for name in m.__all__:
@@ -196,6 +209,14 @@ def _trace_fields(directed, **changes):
         (False, dict(sources=[2, 2, 3], targets=[0, 1, 0], kinds=[0, 0, 0]),
          "trace does not have m events per arrival for every node >= m"),
         (False, dict(m=1), "trace does not have m events per arrival for every node >= m"),
+        # growth order and a simple replay: once refused only when the trace was scored
+        (False, dict(sources=[1, 2, 3], targets=[2, 0, 0], kinds=[0, 0, 0], m=1),
+         "event 0: target 2 not below source 1; "),
+        (False, dict(sources=[2, 1], targets=[0, 0], kinds=[0, 0], m=None), "event 1: source 1 out of arrival order"),
+        # an edge repeated within an arrival would be scored with its degree counted twice
+        (False, dict(targets=[0, 0, 0, 1]), "duplicate edge"),
+        (True, dict(sources=[0, 1, 0], targets=[1, 2, 1], kinds=[3, 3, 3]), "duplicate edge"),
+        (True, dict(sources=[0, 2], targets=[1, 2]), "trace replays an invalid edge: self-loop (2,2)"),
     ],
 )
 def test_trace_constructor_refusals(directed, changes, message):

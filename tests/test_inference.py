@@ -129,6 +129,21 @@ def test_lrt_rejects_non_nested_pairs():
         lrt(pah, pa)  # arguments must be (nested, full)
 
 
+def test_lrt_refuses_fits_of_different_traces():
+    # once scored as (0.0, 1, 1.0): 396 events against 596
+    pa = fit_model(gen_pah(200, 2, 0.3, 0.8, seed=1)[1], "pa")
+    pah = fit_model(gen_pah(300, 2, 0.3, 0.5, seed=2)[1], "pah")
+    with pytest.raises(ValueError, match="the fits come from different traces: n_events 396 and 596"):
+        lrt(pa, pah)
+    nested = FitReport.build("pa", None, None, -12.0, 100, 0)
+    for full, message in [
+        (FitReport.build("pah", 0.5, None, -10.0, 100, 3), "n_fallback 0 and 3"),
+        (FitReport.build("pah", 0.5, None, -10.0, 100, 0, order_assumed=True), "order_assumed False and True"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            lrt(nested, full)
+
+
 # -- oracle agreement -----------------------------------------------------------
 
 
@@ -249,27 +264,21 @@ def test_family_mismatch_rejected():
         replay_loglik(undirected, "pah", h=1.5)
 
 
-def test_corrupt_traces_rejected():
-    # what the constructor refuses is in test_generate.py's refusal table; these
-    # traces are built, then refused when scored
-    labels = np.zeros(4, dtype=np.int8)
-
-    def events(directed, sources, targets, m=None):
-        kinds = np.full(len(sources), int(EventKind.DIRECTED_PICK if directed else EventKind.PAH_PICK), dtype=np.int8)
-        return GrowthTrace(directed, labels, np.array(sources), np.array(targets), kinds, m=m)
-
-    corrupt = [
-        (lambda: events(False, [1, 2, 3], [2, 0, 0], m=1), "pa", "event 0: target 2 not below source 1; "),
-        (lambda: events(False, [2, 1], [0, 0]), "pa", "event 1: source 1 out of arrival order"),
-        # an edge repeated within an arrival would be scored with its degree counted twice
-        (lambda: events(False, [2, 2, 3, 3], [0, 0, 0, 1], m=2), "pa", "duplicate edge"),
-        (lambda: events(True, [0, 1, 0], [1, 2, 1]), "dpa", "duplicate edge"),
-    ]
-    for make, model, message in corrupt:
-        with pytest.raises(ValueError, match=message):
-            replay_loglik(make(), model)
-        with pytest.raises(ValueError, match=message):
-            replay_event_probabilities(make(), model)
+def test_scoring_an_existing_trace_builds_no_graph(monkeypatch):
+    traces = [gen_patch(200, 2, 0.3, 0.8, 0.5, seed=1)[1], gen_directed("dpah", 60, 0.05, 0.3, 0.7, seed=1)[1]]
+    traces += [trace_from_graph(trace.graph, seed=1) for trace in traces]
+    builds = []
+    init = AttributedGraph.__init__
+    monkeypatch.setattr(AttributedGraph, "__init__", lambda self, *args: builds.append(args) or init(self, *args))
+    for trace in traces:
+        plain, affine, third = ("dpa", "dpah", "dh") if trace.directed else ("pa", "pah", "patch")
+        fit_model(trace, third)
+        select_model(trace, [plain, affine, third])
+        replay_loglik(trace, affine, h=0.7)
+        bayes_factor(trace, plain, affine)
+        for _ in replay_event_probabilities(trace, affine, h=0.7):
+            pass
+    assert builds == []  # each call once built the trace's graph again
 
 
 # -- neutrality -----------------------------------------------------------------

@@ -403,10 +403,24 @@ def test_trace_must_rebuild_its_network(tmp_path, generate):
         read_trace(tmp_path / "short_trace.csv", g)
     assert "trace does not rebuild the network" in str(exc.value)
 
-    (tmp_path / "dup_trace.csv").write_text("\n".join([header, *lines[:-1], lines[0]]) + "\n")
+    # the repeat comes right after its first line: at the end, an undirected
+    # trace's arrival order would be refused first
+    (tmp_path / "dup_trace.csv").write_text("\n".join([header, lines[0], *lines[:-1]]) + "\n")
     with pytest.raises(NetworkFormatError) as exc:
         read_trace(tmp_path / "dup_trace.csv", g)
     assert "trace replays an invalid edge: duplicate edge" in str(exc.value)
+
+
+def test_an_undirected_trace_out_of_arrival_order_is_refused_when_read(tmp_path):
+    # m = 1: no start clique, so the swapped trace replays the network exactly
+    # and was once read, then refused only when scored
+    g, trace = gen_pah(60, 1, 0.3, 0.8, seed=1)
+    header, *lines = write_trace(trace, tmp_path / "t_trace.csv").read_text().splitlines()
+    path = tmp_path / "swapped_trace.csv"  # the two last arrivals, 58 and 59, swapped
+    path.write_text("\n".join([header, *lines[:-2], lines[-1], lines[-2]]) + "\n")
+    with pytest.raises(NetworkFormatError) as exc:
+        read_trace(path, g)
+    assert str(exc.value) == f"{path}: event 58: source 58 out of arrival order"
 
 
 def _two_lower_neighbours_graph(n=80):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -309,6 +311,22 @@ def test_equality_report_rejects_wrong_label_length():
     trace = cascade(g, [0], 1.0, 1.0, rng=make_rng(0))
     with pytest.raises(ValueError):
         equality_report(trace, np.zeros(3, dtype=np.int8))
+
+
+@pytest.mark.parametrize(
+    "labels,message",
+    [
+        ([2] * 200, "labels must be 0 (majority) or 1 (minority)"),
+        ([0.5] * 200, "labels must be 0 (majority) or 1 (minority)"),
+        (np.zeros((10, 20)), "labels must be one per node, a flat list; got shape (10, 20)"),
+    ],
+)
+def test_equality_report_rejects_labels_that_are_not_classes(labels, message):
+    # such labels once gave terminal fractions (0, 0), a NaN overall series, or a broadcast error
+    g = random_graph(200, False, 0.05, make_rng(1))
+    trace = cascade(g, [0, 1], 0.3, 0.1, make_rng(1))
+    with pytest.raises(ValueError, match=re.escape(message)):
+        equality_report(trace, labels)
 
 
 # -- crossing time ------------------------------------------------------------------
