@@ -23,6 +23,7 @@ likelihoods (see :mod:`graphmix.inference`).
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field, fields
 from enum import IntEnum
 
@@ -56,8 +57,9 @@ ALL_MODELS = UNDIRECTED_MODELS + DIRECTED_MODELS
 # declares the density target unreachable.
 SATURATION_RETRIES = 1000
 
-# Rejected trials of the endpoint sampler before a pick switches to the
-# exact O(n) scan; any cap leaves the pick distribution unchanged.
+# Rejected trials of a rejection-sampled pick (an endpoint, or a later
+# triadic-closure target) before it switches to its exact draw (the O(n)
+# scan, or the sorted union); any cap leaves the pick distribution unchanged.
 _MAX_REJECTIONS = 8
 
 
@@ -314,7 +316,10 @@ def gen_patch(
     pick.  Each later edge attempts, with probability ``p_tc``, a uniform
     pick among neighbors of the targets already chosen in this arrival
     (triangle closure); an empty candidate set falls back to the
-    affinity-weighted pick.  ``p_tc`` values of exactly 0 or 1 skip the
+    affinity-weighted pick.  Once two or more targets are chosen, the
+    uniform pick is drawn by rejection over their neighbour lists, with the
+    exact draw from their union after ``_MAX_REJECTIONS`` rejected trials
+    (see :func:`_grow`).  ``p_tc`` values of exactly 0 or 1 skip the
     branch draw, so ``p_tc=0`` reproduces ``gen_pah`` draw-for-draw.
     """
     return generate(GenParams("patch", n, seed, m=m, f_m=f_m, H=H, p_tc=p_tc))
@@ -362,9 +367,14 @@ def _grow(
     order: a node's own targets, sorted when it arrives, then each later
     arrival that picks it, appended.  The triangle-closing set of a second
     pick is the first target's list as it stands (no node in it is the
-    arrival or the first target), so it is drawn from directly; later picks
-    draw from the sorted union of the chosen targets' lists minus those
-    targets.
+    arrival or the first target), so it is drawn from directly.  A later
+    pick is rejection-sampled like a scored one (:func:`_closure_pick`): a
+    uniform entry of the chosen targets' lists laid end to end, redrawn when
+    it is a chosen target or an earlier list holds it, so every node of the
+    triangle-closing set comes up with the same probability per trial.
+    After ``_MAX_REJECTIONS`` rejected trials it is drawn exactly from the
+    sorted union of the lists minus the chosen targets; a cap of 0 makes
+    every later pick that exact draw.
 
     ``rng`` is drawn from as a :class:`UniformStream`; the caller gives up
     the generator.
@@ -401,14 +411,11 @@ def _grow(
                 if attempt_tc:
                     if j == 1:
                         candidates = nbrs[chosen[0]]
+                        if candidates:
+                            target = candidates[int(random() * len(candidates))]
                     else:
-                        tc_set = set()
-                        for u in chosen:
-                            tc_set.update(nbrs[u])
-                        tc_set.difference_update(chosen)
-                        candidates = sorted(tc_set)
-                    if candidates:
-                        target = candidates[int(random() * len(candidates))]
+                        target = _closure_pick(random, [nbrs[u] for u in chosen], chosen)
+                    if target >= 0:
                         kind = tc_pick
             if target < 0:
                 if (a0 > 0.0 and len(e0) > chosen_mass[0]) or (a1 > 0.0 and len(e1) > chosen_mass[1]):
@@ -446,6 +453,37 @@ def _grow(
 
     trace = GrowthTrace(False, labels, srcs, tgts, kinds, m=m)
     return trace.graph, trace
+
+
+def _closure_pick(random, lists: list[list[int]], chosen: list[int]) -> int:
+    """A uniform node of the ascending ``lists`` that is not in ``chosen``, or -1 when there is none.
+
+    A trial draws entry ``int(u * T)`` of the lists laid end to end (T
+    entries) and keeps its node when it is not chosen and no earlier list
+    holds it, so each candidate is kept with probability 1/T and a kept
+    node is uniform.  After ``_MAX_REJECTIONS`` rejected trials the node is
+    entry ``int(u * k)`` of the sorted union minus ``chosen`` (k nodes).
+    """
+    total = sum(map(len, lists))
+    if not total:
+        return -1
+    for _ in range(_MAX_REJECTIONS):
+        i = int(random() * total)
+        k = 0
+        while i >= len(lists[k]):
+            i -= len(lists[k])
+            k += 1
+        x = lists[k][i]
+        if x in chosen:
+            continue
+        for earlier in lists[:k]:
+            b = bisect_left(earlier, x)
+            if b < len(earlier) and earlier[b] == x:
+                break
+        else:
+            return x
+    candidates = sorted(set().union(*lists).difference(chosen))
+    return candidates[int(random() * len(candidates))] if candidates else -1
 
 
 # ---------------------------------------------------------------------------

@@ -733,8 +733,8 @@ def _patch_grid(stats: _Stats, h_values, ptc_values) -> np.ndarray:
     ``-inf`` and it is not the argmax; a computed one has the bits of a
     full evaluation, so fits, LRTs and Bayes factors are byte-identical to
     one.  On the benchmark's patch trace (n = 1e4) 40 of 101 rows are
-    found and 29 climbed, 693 cells against 900; at 2e5 events 30 and 12,
-    141 cells against 399.
+    found and 29 climbed, 696 cells against 903; at 2e5 events 30 and 13,
+    144 cells against 399.
     """
     cells = _PatchCells(stats, h_values, ptc_values)
     n_h, n_p = h_values.size, ptc_values.size

@@ -77,12 +77,13 @@ def pagerank(
     outdeg = csr.out_degree()
     dangling = outdeg == 0
     outdeg_safe = np.maximum(outdeg, 1)
+    heads = csr.indices.copy()  # np.bincount copies a read-only input on every call; copy it once
 
     pr = np.full(n, 1.0 / n)
     base = (1.0 - damping) / n
     for it in range(1, max_iter + 1):
         contrib = pr / outdeg_safe
-        flow = np.bincount(csr.indices, weights=np.repeat(contrib, outdeg), minlength=n)
+        flow = np.bincount(heads, weights=np.repeat(contrib, outdeg), minlength=n)
         dangling_mass = float(pr[dangling].sum())
         new = base + damping * (flow + dangling_mass / n)
         delta = float(np.abs(new - pr).sum())

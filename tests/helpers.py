@@ -29,7 +29,8 @@ first bad edge's ``EdgeError``; the constructor must agree bit for bit.
 
 ``reference_generate`` grows a trace by the generator kernels as they
 were with one call per draw: ``reference_endpoint_pick`` for every
-rejection-sampled target, ``rand_below`` for every uniform index, and a
+rejection-sampled target, ``reference_tc_pick`` for every triadic-closure
+target, ``rand_below`` for every uniform index, and a
 per-edge ``indeg + 1`` array for the directed exact scan.  It stays a
 kernel, not a definition: the draw protocol is what fixes the bits of a
 seeded trace, and no shorter statement draws the same doubles.  The
@@ -501,6 +502,17 @@ def reference_endpoint_pick(rng, affinity, heads, tails, excluded, max_rejection
     return -1
 
 
+def reference_tc_pick(rng, lists, chosen, max_rejections: int) -> int:
+    """One triadic-closure target: an entry of ``lists`` end to end, kept unless chosen or in an earlier list; or -1."""
+    entries = [(k, u) for k, nodes in enumerate(lists) for u in nodes]
+    for _ in range(max_rejections if entries else 0):
+        k, u = entries[rand_below(rng, len(entries))]
+        if u not in chosen and all(u not in nodes for nodes in lists[:k]):
+            return u
+    candidates = sorted(set().union(*lists).difference(chosen))
+    return candidates[rand_below(rng, len(candidates))] if candidates else -1
+
+
 def reference_grow(labels, m: int, H, p_tc, rng, max_rejections: int) -> GrowthTrace:
     """The undirected growth loop with one ``reference_endpoint_pick`` and ``rand_below`` call per draw."""
     rng = UniformStream(rng)
@@ -525,16 +537,8 @@ def reference_grow(labels, m: int, H, p_tc, rng, max_rejections: int) -> GrowthT
             if p_tc is not None and j >= 1 and p_tc > 0.0:
                 attempt_tc = True if p_tc >= 1.0 else rng.random() < p_tc
                 if attempt_tc:
-                    if j == 1:
-                        candidates = nbrs[chosen[0]]
-                    else:
-                        tc_set = set()
-                        for u in chosen:
-                            tc_set.update(nbrs[u])
-                        tc_set.difference_update(chosen)
-                        candidates = sorted(tc_set)
-                    if candidates:
-                        target = candidates[rand_below(rng, len(candidates))]
+                    target = reference_tc_pick(rng, [nbrs[u] for u in chosen], chosen, max_rejections)
+                    if target >= 0:
                         kind = EventKind.TC_PICK
             if target < 0:
                 if (a0 > 0.0 and len(ends[0]) > chosen_mass[0]) or (a1 > 0.0 and len(ends[1]) > chosen_mass[1]):

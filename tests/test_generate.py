@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import math
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy.stats import kstest
+from scipy.stats import chisquare, kstest
 
 import graphmix.generate
 from graphmix.generate import (
@@ -438,6 +439,52 @@ def test_generated_picks_follow_the_replayed_pick_distribution(case, path, monke
         assert 0 < len(scans) < scored / 4, "the exact scan never ran, or took over the sampler's work"
 
 
+# (generator, h, cap); p_tc = 1 makes every later pick a triadic-closure one, and the
+# dense case, under a cap of one trial, sends many of them to the exact draw
+LATER_TC_CASES = {
+    "m3": (lambda seed: gen_patch(200, 3, 0.3, 0.8, 1.0, seed), 0.8, 8),
+    "m4": (lambda seed: gen_patch(200, 4, 0.3, 0.8, 1.0, seed), 0.8, 8),
+    "dense": (lambda seed: gen_patch(30, 8, 0.5, 0.5, 1.0, seed), 0.5, 1),
+}
+
+
+def test_later_closure_picks_are_uniform_over_the_triangle_closing_set(monkeypatch):
+    # The randomised PIT of every tc pick with two or more chosen targets,
+    # nodes in id order, under the exact per-event probabilities.  A draw that
+    # kept an entry another chosen target's list also holds would favour the
+    # common neighbours of the chosen targets.
+    exact = []
+    closure_pick = graphmix.generate._closure_pick
+
+    def counted(random, lists, chosen):
+        draws = []
+        target = closure_pick(lambda: draws.append(1) or random(), lists, chosen)
+        exact.append(len(draws) > graphmix.generate._MAX_REJECTIONS)
+        return target
+
+    monkeypatch.setattr(graphmix.generate, "_closure_pick", counted)
+    rng = np.random.default_rng(2)
+    counts = {}
+    for case, (make, h, cap) in LATER_TC_CASES.items():
+        monkeypatch.setattr(graphmix.generate, "_MAX_REJECTIONS", cap)
+        exact.clear()
+        pits = []
+        for seed in range(30):
+            _, trace = make(seed)
+            later = (np.arange(len(trace)) % trace.m >= 2) & (trace.kinds == EventKind.TC_PICK)
+            events = replay_event_probabilities(trace, "patch", h, 1.0)
+            for (eligible, probs), t, keep in zip(events, trace.targets, later):
+                if keep:
+                    k = int(np.searchsorted(eligible, t))
+                    assert eligible[k] == t and probs[k] > 0.0
+                    pits.append(probs[:k].sum() + rng.random() * probs[k])
+        counts[case] = np.histogram(pits, bins=10, range=(0.0, 1.0))[0]
+        assert chisquare(counts[case]).pvalue > 1e-3, (case, counts[case])
+        if case == "dense":
+            assert 0.1 * len(exact) < sum(exact) < len(exact), "the exact draw never ran, or always ran"
+    assert chisquare(sum(counts.values())).pvalue > 1e-3
+
+
 # -- the inlined draws against the one-call-per-draw kernels --------------------------
 
 
@@ -478,6 +525,19 @@ def test_generators_grow_the_reference_kernels_trace(params, cap):
     with mock.patch.object(graphmix.generate, "_MAX_REJECTIONS", cap):
         got = _trace_or_error(lambda: generate(params)[1])
     assert got == _trace_or_error(lambda: reference_generate(params, cap))
+
+
+@pytest.mark.parametrize("args,digest", [
+    ((2000, 3, 0.3, 0.8, 0.5, 1), "52034d7960330540f374e63c2d171bb7b3a579987e1a3be9ce1bab19e01e9939"),
+    ((2000, 4, 0.3, 0.8, 0.7, 2), "714f925542b2068f6dcf91f9fccce112357b9fa637286c760d071c3b30f3f55f"),
+])
+def test_no_rejected_trial_draws_the_sorted_union_seeded_traces(args, digest, tmp_path, monkeypatch):
+    # With no rejected trial allowed, every later closure pick is the exact
+    # draw from the sorted union, and every scored pick the exact scan: the
+    # trace bytes recorded before later closure picks were rejection-sampled.
+    monkeypatch.setattr(graphmix.generate, "_MAX_REJECTIONS", 0)
+    write_trace(gen_patch(*args)[1], tmp_path / "trace.csv")
+    assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == digest
 
 
 # -- activity -------------------------------------------------------------------

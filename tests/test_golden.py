@@ -89,25 +89,25 @@ GOLDEN = {
     "pah_nodes.csv": "e1c11829b8148c105fa84026233db0fcff4f943d8661a47e75e8034194750c9b",
     "pah_trace.csv": "67ab41f65d76c915313d24d10264e4d029bf58845a196e219bb4b9379c1f76ee",
     "patch-ic_config.txt": "e39775cf0bc54227002519284150658f0bb333768c93a26ca4ea7035b9c5be0c",
-    "patch-ic_equality.csv": "39846d9a6a892f0f9c7a3491773c9043951d581f4f27b89a250fadcedb667577",
-    "patch-ic_series.csv": "0972ebc317dd2199caf38a211e20b48377a311683a2c8dd753c2210078394ee4",
-    "patch-ic_summary.csv": "2feff165713289a4548bb0725c33ae893ab67c3e3ef06ea49641ef562dc4d042",
-    "patch-order_trace.csv": "52dcab9d6bcab62ddbc82f1fce56407e59ac6769e3a0780c07a3208db519be3b",
+    "patch-ic_equality.csv": "db44c77bcec688cf51573851866bf33e73d8897aa809f573408f4c401089332c",
+    "patch-ic_series.csv": "9d99b9cbf394d97f4557632fa20c93519a7342a75eb2b7b2e3e5a9fb5d60dc69",
+    "patch-ic_summary.csv": "88ebe21aeb9c421f4b85163a17aeb347f91daa2652ac8fa6d7d34eab38b42be6",
+    "patch-order_trace.csv": "ade1c6e4a4dee33b2fbc6fa6054c4c12aca988ee04ae160cb53f928e21c9e325",
     "patch-rank-degree_config.txt": "91718353c6b55c7740e8cd102d11f0cf3093ed95a15cf4d8cb3ab30e654d9883",
-    "patch-rank-degree_visibility.csv": "63fa5d5c3fe38d97e2f8648eddb72974d389bcad65d09f6778a30199fc3c835d",
+    "patch-rank-degree_visibility.csv": "59dc7d56eda55380f987828d54b28159191297992369b529f33bfff6e800be59",
     "patch-rank-pagerank_config.txt": "c53dd386da8720b6798df297838b96a25a05237ffc5afafb61e466d81aad52d6",
-    "patch-rank-pagerank_visibility.csv": "fc699c87e0cd9ecb54b80a95a058853a849d004613cd2975b1a217610a7a0607",
-    "patch-sample_bias.csv": "b376df3c4ae689106b7deba5ec8850f608ea153b2a04001f88462f671582b81a",
-    "patch-sample_bias_reps.csv": "f7d385c6f1b333f0a2557908b497865f8614c5eadedcac7b26f6f63cdde9db2f",
+    "patch-rank-pagerank_visibility.csv": "7cc9ce264fc188657b9217f6a080384ec828c49058908fc3d71d5e22fbcdc1dd",
+    "patch-sample_bias.csv": "ff221afe3f03ea245aa111a068307658ca1aceb566765d810118faf67109b878",
+    "patch-sample_bias_reps.csv": "63f979db5b35fa41328da0995e9e9befc47f78a75abe2fcd7b33fec9619b06a9",
     "patch-sample_config.txt": "eafde7f2e9bddd7eee39adbe01157a287fbf8c2a4aa9c0b0253ffc47ca660ae3",
     "patch-threshold_config.txt": "eecc858937c72cb6af1c91199f135df37f1db5938b5165ce0abc4e39981f7371",
-    "patch-threshold_equality.csv": "73d930bc4fc527525e134b8d86dde58bf0fe4fb621e9d042126877f2f8959a42",
-    "patch-threshold_series.csv": "81e526c99514ea38e918c9df594e353f4c91696a97381b0152e5d6d235cb1384",
+    "patch-threshold_equality.csv": "2a4f958f9ce05131db3fcf78810fc4af76f5dab4a2fa1cf696ac0f5f380b6475",
+    "patch-threshold_series.csv": "3822abf378a10ccd0afc0b12afdd2e86bd614882cb1b3f729cac3cb2101bbd35",
     "patch-threshold_summary.csv": "92a8793ae672f7404cc746e24499b02c6074c2c17ad00c7a01431bfb2ce06c6f",
     "patch_config.txt": "274e2ad7ee067ffbe9946688553aa4cd5237ca613c7c444a94b24888a759c015",
-    "patch_edges.csv": "fcb3ff37d35a2a40a6ea5ab83aa76c8198f0039cb912f6931c1ae4264047c45a",
+    "patch_edges.csv": "d54c736d908ba0183798b1c4ae8007206bdbb78ab78795d1457357ca3947aed6",
     "patch_nodes.csv": "8d432ef1f2ff827ba951e0dd0660a6dc99ace885cca29af57efed2e214f961e8",
-    "patch_trace.csv": "bdee3312df66072d98c4aa544a435129961afab6d8aaae039e9339ee9db529ec",
+    "patch_trace.csv": "1ab3e9b0e969bb7a328e2718b159a3ab1992fbfe1df1584b42413d6c46cb111f",
 }
 
 
