@@ -29,7 +29,7 @@ def ensemble(h, runs=10):
         t_majority = crossing_time(trace.class_fractions[:, 0], 0.5)
         if t_minority is not None and t_majority is not None:
             gaps.append(t_minority - t_majority)
-        eq_final.append(equality_report(trace, g.labels).equality[-1])
+        eq_final.append(equality_report(trace).equality[-1])
     return float(np.median(gaps)), float(np.median(eq_final))
 
 

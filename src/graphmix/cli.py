@@ -426,7 +426,7 @@ def _cmd_spread(cfg) -> list[Output]:
         trace = threshold_cascade(g, seeds, cfg["theta"], max_steps=cfg["max_steps"])
     else:
         raise _UsageError(f"mode must be 'ic' or 'threshold', got {cfg['mode']!r}")
-    report = equality_report(trace, g.labels)
+    report = equality_report(trace)
     series = [trace.class_fractions[:, 0], trace.class_fractions[:, 1], report.overall]
     return [
         ("_series.csv", partial(_write_series, "t,frac_class0,frac_class1,frac_all", series)),

@@ -134,7 +134,7 @@ class GrowthTrace:
         labels = own_labels(self.labels)
         n = labels.size
         names = ("sources", "targets", "kinds")
-        src, tgt, kinds = events = [np.asarray(getattr(self, name)) for name in names]
+        src, tgt, kinds = events = [np.array(getattr(self, name)) for name in names]  # a copy of its own, as the labels
         shapes = [a.shape for a in events]
         if len(shapes[0]) != 1 or shapes.count(shapes[0]) != 3:
             raise ValueError(f"trace sources, targets and kinds must be flat and of one length, got shapes {shapes}")
@@ -165,9 +165,10 @@ class GrowthTrace:
                     raise ValueError(f"event {i}: target {tgt[i]} not below source {src[i]}; not a growth trace")
                 raise ValueError(f"event {i}: source {src[i]} out of arrival order")
         for name, a in zip(names, events):
-            a = a.astype(np.int8 if name == "kinds" else np.int64)  # a copy of its own, as the labels
+            a = a.astype(np.int8 if name == "kinds" else np.int64, copy=False)
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+        del src, tgt, kinds, events, a  # no copy made for the checks outlives them into the graph build
         object.__setattr__(self, "labels", labels)
         start = np.column_stack(np.triu_indices(self.m or 0, 1))
         edges = np.concatenate((start, np.column_stack((self.sources, self.targets))))
@@ -265,15 +266,19 @@ class GenParams:
 
 
 def generate(params: GenParams) -> tuple[AttributedGraph, GrowthTrace]:
-    """Validate ``params`` once, then grow its network; every ``gen_*`` function runs through here."""
+    """Validate ``params`` once, grow its network, then build its trace from the events once the
+    loop's state is freed; every ``gen_*`` function runs through here."""
     params.validate()
     rng = make_rng(params.seed)
-    if params.model == "pa":
-        return _grow(np.zeros(params.n, dtype=np.int8), params.m, None, None, rng)
-    labels = assign_classes(params.n, params.f_m, rng)
-    if params.model in UNDIRECTED_MODELS:
-        return _grow(labels, params.m, params.H, params.p_tc, rng)
-    return _place_directed(params, labels, rng)
+    n, m = params.n, params.m
+    labels = np.zeros(n, dtype=np.int8) if params.model == "pa" else assign_classes(n, params.f_m, rng)
+    if params.model in DIRECTED_MODELS:
+        sources, targets = _place_directed(params, labels, rng)
+        trace = GrowthTrace(True, labels, sources, targets, np.full(len(sources), EventKind.DIRECTED_PICK, np.int8))
+    else:
+        targets, kinds = _grow(labels, m, params.H, params.p_tc, rng)
+        trace = GrowthTrace(False, labels, np.repeat(np.arange(m, n), m), targets, kinds, m=m)
+    return trace.graph, trace
 
 
 # ---------------------------------------------------------------------------
@@ -315,12 +320,12 @@ def gen_patch(
     The first edge of each arriving node is always an affinity-weighted
     pick.  Each later edge attempts, with probability ``p_tc``, a uniform
     pick among neighbors of the targets already chosen in this arrival
-    (triangle closure); an empty candidate set falls back to the
-    affinity-weighted pick.  Once two or more targets are chosen, the
-    uniform pick is drawn by rejection over their neighbour lists, with the
-    exact draw from their union after ``_MAX_REJECTIONS`` rejected trials
-    (see :func:`_grow`).  ``p_tc`` values of exactly 0 or 1 skip the
-    branch draw, so ``p_tc=0`` reproduces ``gen_pah`` draw-for-draw.
+    (triangle closure), a set that growth from the m-clique never leaves
+    empty.  Once two or more targets are chosen, the uniform pick is drawn
+    by rejection over their neighbour lists, with the exact draw from their
+    union after ``_MAX_REJECTIONS`` rejected trials (see :func:`_grow`).
+    ``p_tc`` values of exactly 0 or 1 skip the branch draw, so ``p_tc=0``
+    reproduces ``gen_pah`` draw-for-draw.
     """
     return generate(GenParams("patch", n, seed, m=m, f_m=f_m, H=H, p_tc=p_tc))
 
@@ -331,8 +336,8 @@ def _grow(
     H: MixingMatrix | None,
     p_tc: float | None,
     rng: np.random.Generator,
-) -> tuple[AttributedGraph, GrowthTrace]:
-    """Shared growth loop for pa (H=None), pah, and patch (p_tc set).
+) -> tuple[list[int], list[int]]:
+    """Shared growth loop for pa (H=None), pah, and patch (p_tc set): the events' targets and kind codes.
 
     Degrees seen by an arriving node are a snapshot taken before any of its
     own edges are inserted; the eligible set shrinks as its picks accumulate
@@ -374,7 +379,9 @@ def _grow(
     triangle-closing set comes up with the same probability per trial.
     After ``_MAX_REJECTIONS`` rejected trials it is drawn exactly from the
     sorted union of the lists minus the chosen targets; a cap of 0 makes
-    every later pick that exact draw.
+    every later pick that exact draw.  The set is never empty: a list holds
+    m - 1 or more nodes (clique neighbours, or an arrival's m targets), never
+    its own, and at most j - 1 <= m - 2 of them are chosen before pick j.
 
     ``rng`` is drawn from as a :class:`UniformStream`; the caller gives up
     the generator.
@@ -395,7 +402,6 @@ def _grow(
     pah_pick, tc_pick = int(EventKind.PAH_PICK), int(EventKind.TC_PICK)
     fallback_uniform = int(EventKind.FALLBACK_UNIFORM)
 
-    srcs: list[int] = []
     tgts: list[int] = []
     kinds: list[int] = []
 
@@ -404,41 +410,34 @@ def _grow(
         chosen: list[int] = []
         chosen_mass = [0, 0]  # degree of the targets chosen so far, by class
         for j in range(m):
-            kind = pah_pick
-            target = -1
-            if p_tc is not None and j >= 1 and p_tc > 0.0:
-                attempt_tc = True if p_tc >= 1.0 else random() < p_tc
-                if attempt_tc:
-                    if j == 1:
-                        candidates = nbrs[chosen[0]]
-                        if candidates:
-                            target = candidates[int(random() * len(candidates))]
-                    else:
-                        target = _closure_pick(random, [nbrs[u] for u in chosen], chosen)
-                    if target >= 0:
-                        kind = tc_pick
-            if target < 0:
-                if (a0 > 0.0 and len(e0) > chosen_mass[0]) or (a1 > 0.0 and len(e1) > chosen_mass[1]):
-                    w0 = a0 * len(e0)
-                    w1 = a1 * len(e1)
-                    for _ in range(_MAX_REJECTIONS):
-                        # a class of zero weight never comes up, also when u * total rounds up to w0
-                        e = e0 if random() * (w0 + w1) < w0 or w1 == 0.0 else e1
-                        target = e[int(random() * len(e))]
-                        if target not in chosen:
-                            break
-                    else:
-                        w = affinity[cls[v]][labels[:v]] * np.array(deg[:v], dtype=np.float64)
-                        w[chosen] = 0.0
-                        target = weighted_pick(rng, w)
+            if j and p_tc and (p_tc >= 1.0 or random() < p_tc):
+                kind = tc_pick
+                if j == 1:
+                    candidates = nbrs[chosen[0]]
+                    target = candidates[int(random() * len(candidates))]
                 else:
-                    kind = fallback_uniform
+                    target = _closure_pick(random, [nbrs[u] for u in chosen], chosen)
+            elif (a0 > 0.0 and len(e0) > chosen_mass[0]) or (a1 > 0.0 and len(e1) > chosen_mass[1]):
+                kind = pah_pick
+                w0 = a0 * len(e0)
+                w1 = a1 * len(e1)
+                for _ in range(_MAX_REJECTIONS):
+                    # a class of zero weight never comes up, also when u * total rounds up to w0
+                    e = e0 if random() * (w0 + w1) < w0 or w1 == 0.0 else e1
+                    target = e[int(random() * len(e))]
+                    if target not in chosen:
+                        break
+                else:
+                    w = affinity[cls[v]][labels[:v]] * np.array(deg[:v], dtype=np.float64)
+                    w[chosen] = 0.0
+                    target = weighted_pick(rng, w)
+            else:
+                kind = fallback_uniform
+                target = int(random() * v)
+                while target in chosen:
                     target = int(random() * v)
-                    while target in chosen:
-                        target = int(random() * v)
             chosen.append(target)
             chosen_mass[cls[target]] += deg[target]
-            srcs.append(v)
             tgts.append(target)
             kinds.append(kind)
         for t in chosen:
@@ -451,12 +450,11 @@ def _grow(
             for t in chosen:
                 nbrs[t].append(v)
 
-    trace = GrowthTrace(False, labels, srcs, tgts, kinds, m=m)
-    return trace.graph, trace
+    return tgts, kinds
 
 
 def _closure_pick(random, lists: list[list[int]], chosen: list[int]) -> int:
-    """A uniform node of the ascending ``lists`` that is not in ``chosen``, or -1 when there is none.
+    """A uniform node of the ascending ``lists`` that is not in ``chosen``; :func:`_grow` ensures one exists.
 
     A trial draws entry ``int(u * T)`` of the lists laid end to end (T
     entries) and keeps its node when it is not chosen and no earlier list
@@ -465,8 +463,6 @@ def _closure_pick(random, lists: list[list[int]], chosen: list[int]) -> int:
     entry ``int(u * k)`` of the sorted union minus ``chosen`` (k nodes).
     """
     total = sum(map(len, lists))
-    if not total:
-        return -1
     for _ in range(_MAX_REJECTIONS):
         i = int(random() * total)
         k = 0
@@ -483,7 +479,7 @@ def _closure_pick(random, lists: list[list[int]], chosen: list[int]) -> int:
         else:
             return x
     candidates = sorted(set().union(*lists).difference(chosen))
-    return candidates[int(random() * len(candidates))] if candidates else -1
+    return candidates[int(random() * len(candidates))]
 
 
 # ---------------------------------------------------------------------------
@@ -534,8 +530,8 @@ def gen_directed(
 
 def _place_directed(
     params: GenParams, labels: np.ndarray, rng: np.random.Generator
-) -> tuple[AttributedGraph, GrowthTrace]:
-    """The edge placement loop of :func:`gen_directed`; gives up the generator ``rng``."""
+) -> tuple[list[int], list[int]]:
+    """The edge placement loop of :func:`gen_directed`: the events' sources and targets; gives up the generator ``rng``."""
     model, n, H = params.model, params.n, params.H
     target_edges = round(params.d * n * (n - 1))
     activity = sample_activity(n, params.gamma_a, rng)
@@ -599,5 +595,4 @@ def _place_directed(
         tgts.append(t)
         failures = 0
 
-    trace = GrowthTrace(True, labels, srcs, tgts, np.full(len(srcs), int(EventKind.DIRECTED_PICK), dtype=np.int8))
-    return trace.graph, trace
+    return srcs, tgts

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _check
-from .graph import AttributedGraph, distinct, own_labels
+from .graph import AttributedGraph, distinct
 from .ranking import top_degree_nodes
 from .rng import sample_without_replacement
 
@@ -252,16 +252,13 @@ def threshold_cascade(
     )
 
 
-def equality_report(trace: CascadeTrace, labels: np.ndarray) -> EqualityReport:
-    """Equality index series, time-to-half coverage, terminal fractions."""
-    labels = own_labels(labels)
-    if labels.size != trace.activation_time.size:
-        raise ValueError("labels length does not match the cascade")
-    rows, counts = _fractions_from_times(trace.activation_time, labels)
+def equality_report(trace: CascadeTrace) -> EqualityReport:
+    """Equality index series, time-to-half coverage, terminal fractions, from the cascade's own class series."""
+    rows = trace.class_fractions
     lo = rows.min(axis=1)
     hi = rows.max(axis=1)
     equality = np.where(hi > 0.0, np.divide(lo, np.where(hi > 0.0, hi, 1.0)), 1.0)
-    n0, n1 = counts
+    n0, n1 = trace.class_counts
     overall = (rows[:, 0] * n0 + rows[:, 1] * n1) / (n0 + n1)
     reached = np.nonzero(overall >= 0.5)[0]
     efficiency = int(reached[0]) if reached.size else None

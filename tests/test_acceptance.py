@@ -298,7 +298,7 @@ def test_08_stronger_homophily_widens_the_group_spreading_gap(announce):
                 violations.append((h, seed, "undefined crossing"))
                 continue
             gaps.append(c_minority - c_majority)
-            rep = equality_report(trace, g.labels)
+            rep = equality_report(trace)
             if not np.all((rep.equality >= 0.0) & (rep.equality <= 1.0)):
                 violations.append((h, seed, "equality out of [0,1]"))
             if not np.all(np.diff(trace.class_fractions, axis=0) >= -1e-15):

@@ -283,7 +283,7 @@ def test_spread_tables_match_a_row_writer_on_a_long_cascade(tmp_path):
     ) == 0
 
     trace = threshold_cascade(g, np.arange(block), 0.5)
-    report = equality_report(trace, g.labels)
+    report = equality_report(trace)
     assert trace.n_steps == (n - block) // 2
 
     def table(header, rows):

@@ -1,14 +1,16 @@
 import hashlib
 import importlib.util
+import itertools
 import math
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, kstest
 
@@ -142,13 +144,14 @@ def test_pa_trace_has_only_pah_or_fallback_kinds():
     assert kinds <= {int(EventKind.PAH_PICK), int(EventKind.FALLBACK_UNIFORM)}
 
 
-def test_patch_ptc_one_closes_triangles_when_possible():
-    _, trace = gen_patch(100, 2, 0.3, 0.5, 1.0, seed=4)
-    # with p_tc=1 every non-first pick must be a tc-pick unless the
-    # candidate set was empty, which cannot happen for m=2 after the first
-    # pick on a connected growth graph (the first target has m seed edges).
-    second_picks = trace.kinds.reshape(-1, 2)[:, 1]
-    assert (second_picks == int(EventKind.TC_PICK)).all()
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_patch_ptc_one_closes_triangles_when_possible(m):
+    _, trace = gen_patch(100, m, 0.3, 0.5, 1.0, seed=4)
+    # with p_tc=1 every non-first pick is a tc-pick: growth from the m-clique
+    # leaves each chosen target at least m - 1 neighbours besides itself, and
+    # at most m - 2 of them are chosen, so the candidate set is never empty
+    later_picks = trace.kinds.reshape(-1, m)[:, 1:]
+    assert (later_picks == int(EventKind.TC_PICK)).all()
 
 
 def test_pah_h1_scored_picks_stay_same_class():
@@ -518,8 +521,18 @@ def _trace_or_error(grow):
     return trace.sources.tolist(), trace.targets.tolist(), trace.kinds.tolist()
 
 
+def _later_closure_examples(test):
+    # patch at m = 3 and 4 draws later closure targets by rejection; at caps 1
+    # and 8 each row fails when a trial keeps an entry an earlier list holds,
+    # which the hypothesis draws reach only now and then
+    for m, p_tc, cap in itertools.product((3, 4), (0.5, 1.0), (0, 1, 8)):
+        test = example(params=GenParams("patch", 20, 1, m=m, f_m=0.3, H=0.8, p_tc=p_tc), cap=cap)(test)
+    return test
+
+
 @settings(max_examples=250, deadline=None)
 @given(params=_small_params(), cap=st.sampled_from([0, 1, 8]))
+@_later_closure_examples
 def test_generators_grow_the_reference_kernels_trace(params, cap):
     # a cap of 0 or 1 rejected trials sends many picks to the exact scan
     with mock.patch.object(graphmix.generate, "_MAX_REJECTIONS", cap):
@@ -538,6 +551,23 @@ def test_no_rejected_trial_draws_the_sorted_union_seeded_traces(args, digest, tm
     monkeypatch.setattr(graphmix.generate, "_MAX_REJECTIONS", 0)
     write_trace(gen_patch(*args)[1], tmp_path / "trace.csv")
     assert hashlib.sha256((tmp_path / "trace.csv").read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("grow,bound", [
+    (lambda: gen_directed("dpah", 3000, 0.005, 0.3, 0.8, seed=1), 190),
+    (lambda: gen_patch(10000, 3, 0.3, 0.8, 0.5, seed=1), 150),
+], ids=["dpah", "patch"])
+def test_generator_peak_memory_per_edge(grow, bound):
+    # the loops once built the trace, and with it the graph, before they
+    # returned: the directed loop's per-source sets and the event lists were
+    # still held during the graph build (about 210-230 and 200 B per edge)
+    tracemalloc.start()
+    try:
+        _, trace = grow()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * len(trace), peak / len(trace)
 
 
 # -- activity -------------------------------------------------------------------

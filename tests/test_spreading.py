@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +8,7 @@ from graphmix.rng import make_rng, sample_without_replacement
 from graphmix.spreading import (
     _SCALAR_STEP_ENTRIES,
     SEED_CONDITIONS,
+    CascadeTrace,
     cascade,
     crossing_time,
     equality_report,
@@ -122,7 +121,7 @@ def test_fraction_series_is_monotone_and_seeded_at_zero():
     assert np.all(
         (trace.activation_time[others] == -1) | (trace.activation_time[others] >= 1)
     )
-    overall = equality_report(trace, g.labels).overall
+    overall = equality_report(trace).overall
     assert overall.shape == (trace.n_steps + 1,)
     assert np.all((overall >= 0) & (overall <= 1))
 
@@ -283,7 +282,7 @@ def test_threshold_ignores_isolated_nodes():
 def test_equality_report_full_coverage_is_one():
     g = _complete([0, 0, 1, 1])
     trace = cascade(g, [0], 1.0, 1.0, rng=make_rng(0))
-    rep = equality_report(trace, g.labels)
+    rep = equality_report(trace)
     assert rep.equality[-1] == pytest.approx(1.0)
     assert rep.terminal_fractions == (1.0, 1.0)
     assert rep.efficiency == 1  # overall hits 1/2 at the first step
@@ -292,7 +291,7 @@ def test_equality_report_full_coverage_is_one():
 def test_equality_report_one_sided_cascade():
     g = AttributedGraph(False, [0, 0, 1, 1], [(0, 1)])
     trace = cascade(g, [0], 1.0, 1.0, rng=make_rng(0))
-    rep = equality_report(trace, g.labels)
+    rep = equality_report(trace)
     assert rep.equality.tolist() == [0.0, 0.0]
     assert rep.terminal_fractions == (1.0, 0.0)
     assert rep.efficiency == 1  # 2 of 4 nodes informed at t=1
@@ -301,32 +300,20 @@ def test_equality_report_one_sided_cascade():
 def test_equality_report_efficiency_none_when_half_unreached():
     g = _complete([0, 0, 1, 1])
     trace = cascade(g, [0], 0.0, 0.0, rng=make_rng(0))
-    rep = equality_report(trace, g.labels)
+    rep = equality_report(trace)
     assert rep.efficiency is None
     assert rep.overall.tolist() == [0.25]
 
 
-def test_equality_report_rejects_wrong_label_length():
-    g = _complete([0, 0, 1, 1])
-    trace = cascade(g, [0], 1.0, 1.0, rng=make_rng(0))
-    with pytest.raises(ValueError):
-        equality_report(trace, np.zeros(3, dtype=np.int8))
-
-
-@pytest.mark.parametrize(
-    "labels,message",
-    [
-        ([2] * 200, "labels must be 0 (majority) or 1 (minority)"),
-        ([0.5] * 200, "labels must be 0 (majority) or 1 (minority)"),
-        (np.zeros((10, 20)), "labels must be one per node, a flat list; got shape (10, 20)"),
-    ],
-)
-def test_equality_report_rejects_labels_that_are_not_classes(labels, message):
-    # such labels once gave terminal fractions (0, 0), a NaN overall series, or a broadcast error
-    g = random_graph(200, False, 0.05, make_rng(1))
-    trace = cascade(g, [0, 1], 0.3, 0.1, make_rng(1))
-    with pytest.raises(ValueError, match=re.escape(message)):
-        equality_report(trace, labels)
+def test_equality_report_reads_the_cascades_own_class_series():
+    # nodes 0 (class 0, seed), 1 (class 1, step 1) and 2 (class 0, never): the
+    # report takes no labels, so none from another graph can be given to it
+    trace = CascadeTrace(np.array([0, 1, -1]), np.array([0]), {}, np.array([[0.5, 0.0], [0.5, 1.0]]), (2, 1))
+    rep = equality_report(trace)
+    assert rep.overall.tolist() == [1 / 3, 2 / 3]
+    assert rep.equality.tolist() == [0.0, 0.5]
+    assert rep.terminal_fractions == (0.5, 1.0)
+    assert rep.efficiency == 1
 
 
 # -- crossing time ------------------------------------------------------------------
