@@ -24,14 +24,17 @@ likelihoods (see :mod:`graphmix.inference`).
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass, field, fields
+from dataclasses import KW_ONLY, InitVar, dataclass, field, fields
 from enum import IntEnum
 
 import numpy as np
 
 from . import _check
+from . import rng as _rng
 from .graph import AttributedGraph, EdgeError, MixingMatrix, assign_classes, own_labels
-from .rng import UniformStream, make_rng, pick_from_cumulative, weighted_pick
+from .rng import UniformStream, make_rng, picks_from_cumulative, weighted_pick
+# no longer called here: the benchmark's tracer wraps this name by getattr (bench/tracer.py:135)
+from .rng import pick_from_cumulative  # noqa: F401
 
 __all__ = [
     "EventKind",
@@ -114,6 +117,11 @@ class GrowthTrace:
     targets, and ``graph``, the :class:`AttributedGraph` its replay builds
     (the start clique and every event).  Traces compare equal field by
     field; ``graph`` follows from the fields and is not compared.
+
+    ``replays`` (keyword only) is a graph whose own edges the events are, as
+    in :func:`graphmix.inference.trace_from_graph`: it is kept as ``graph``
+    in place of an equal build, once its labels and edges are checked to be
+    the replay's.
     """
 
     directed: bool
@@ -124,8 +132,10 @@ class GrowthTrace:
     m: int | None = None
     order_assumed: bool = False
     graph: AttributedGraph = field(init=False, repr=False, compare=False)
+    _: KW_ONLY
+    replays: InitVar[AttributedGraph | None] = None
 
-    def __post_init__(self):
+    def __post_init__(self, replays: AttributedGraph | None):
         for name in ("directed", "order_assumed"):
             flag = getattr(self, name)
             if not isinstance(flag, (bool, np.bool_)):  # "no" would read as true
@@ -172,10 +182,15 @@ class GrowthTrace:
         object.__setattr__(self, "labels", labels)
         start = np.column_stack(np.triu_indices(self.m or 0, 1))
         edges = np.concatenate((start, np.column_stack((self.sources, self.targets))))
-        try:
-            object.__setattr__(self, "graph", AttributedGraph(self.directed, labels, edges))
-        except EdgeError as exc:
-            raise ValueError(f"trace replays an invalid edge: {exc.reason}") from None
+        if replays is None:
+            try:
+                replays = AttributedGraph(self.directed, labels, edges)
+            except EdgeError as exc:
+                raise ValueError(f"trace replays an invalid edge: {exc.reason}") from None
+        elif not (replays.directed == self.directed and np.array_equal(replays.labels, labels)
+                  and _holds_exactly(replays, edges)):
+            raise ValueError("trace does not replay to the graph it was given")
+        object.__setattr__(self, "graph", replays)
 
     @property
     def n(self) -> int:
@@ -190,6 +205,16 @@ class GrowthTrace:
         return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self) if f.compare)
 
     __hash__ = None
+
+
+def _holds_exactly(g: AttributedGraph, edges: np.ndarray) -> bool:
+    """Whether ``edges`` are ``g``'s edges, each once: their sorted row-major keys (both ways when undirected) are g's."""
+    n, csr = g.n, g.csr()
+    keys = edges[:, 0] * n + edges[:, 1]
+    if not g.directed:
+        keys = np.concatenate((keys, edges[:, 1] * n + edges[:, 0]))
+    keys.sort()
+    return np.array_equal(keys, np.repeat(np.arange(n, dtype=np.int64) * n, csr.out_degree()) + csr.indices)
 
 
 def is_growth_layout(sources: np.ndarray, n: int, m: int) -> bool:
@@ -504,6 +529,12 @@ def gen_directed(
     whose admissible weights vanish is simply redrawn; the run aborts with
     :class:`SaturationError` after 1000 consecutive failures.
 
+    Sources are i.i.d., one double each, drawn in blocks from a generator
+    of their own on ``rng.bit_generator.jumped()`` taken after the
+    activities, and targets from the run's generator, so no bit depends on
+    the block size.  A saturated source places nothing, and the next source
+    of its block is the redraw.
+
     Target weight ``indeg+1`` is a mixture: the class-c total is
     ``n_c + indeg_c``, so a uniform entry of the members of c followed by
     one entry per unit of in-degree of c (the in-endpoint list) is node u
@@ -530,69 +561,71 @@ def gen_directed(
 
 def _place_directed(
     params: GenParams, labels: np.ndarray, rng: np.random.Generator
-) -> tuple[list[int], list[int]]:
+) -> tuple[np.ndarray, list[int]]:
     """The edge placement loop of :func:`gen_directed`: the events' sources and targets; gives up the generator ``rng``."""
     model, n, H = params.model, params.n, params.H
     target_edges = round(params.d * n * (n - 1))
-    activity = sample_activity(n, params.gamma_a, rng)
-    activity_cum = np.cumsum(activity).tolist()
+    activity_cum = np.cumsum(sample_activity(n, params.gamma_a, rng))
+    source_rng = np.random.Generator(rng.bit_generator.jumped())  # a stream of their own, drawn from in blocks
     rng = UniformStream(rng)
     random = rng.next
 
     cls = labels.tolist()
     affinity = np.ones((2, 2)) if H is None else H.matrix
     aff_rows = affinity.tolist()
-    members0 = [u for u in range(n) if cls[u] == 0]
-    members1 = [u for u in range(n) if cls[u] == 1]
-    n0, n1 = len(members0), len(members1)
-    # one entry per unit of in-degree, by class; dh weighs the members alone and leaves them empty
-    tails = ([], [])
-    tails0, tails1 = tails
+    # per class, the members, then one entry per unit of in-degree (dh weighs the members alone)
+    pools = ([u for u in range(n) if cls[u] == 0], [u for u in range(n) if cls[u] == 1])
+    pool0, pool1 = pools
     count_indeg = model != "dh"
-    # each source's inadmissible targets (itself and its out-neighbours), as a set and by class
+    # each source's inadmissible targets: itself and its out-neighbours, who are all in classes of
+    # positive affinity; it is saturated once they number those classes' members (plus itself when
+    # its own class has zero affinity)
     blocked: list[set[int]] = [{u} for u in range(n)]
-    blocked_count = [[1 - c, c] for c in cls]
+    by_class = [(*row, sum(len(p) for a, p in zip(row, pools) if a > 0.0) + (row[c] == 0.0))
+                for c, row in enumerate(aff_rows)]
+    rows = [by_class[c] for c in cls]  # each source's affinities and the size of its saturated set
 
-    srcs: list[int] = []
+    sources = np.empty(target_edges, dtype=np.int64)
     tgts: list[int] = []
-    failures = 0
-    while len(srcs) < target_edges:
-        s = pick_from_cumulative(rng, activity_cum)
-        a0, a1 = aff_rows[cls[s]]
-        b0, b1 = blocked_count[s]
-        if not ((a0 > 0.0 and n0 > b0) or (a1 > 0.0 and n1 > b1)):
-            failures += 1
-            if failures >= SATURATION_RETRIES:
-                raise SaturationError(len(srcs), target_edges)
-            continue
-        excluded = blocked[s]
-        k0 = n0 + len(tails0)
-        k1 = n1 + len(tails1)
-        w0 = a0 * k0
-        w1 = a1 * k1
-        for _ in range(_MAX_REJECTIONS):
-            # a class of zero weight never comes up, also when u * total rounds up to w0
-            if random() * (w0 + w1) < w0 or w1 == 0.0:
-                i = int(random() * k0)
-                t = members0[i] if i < n0 else tails0[i - n0]
+    indeg, counted = np.zeros(n, dtype=np.int64), 0  # the in-degrees of tgts[:counted], for the exact scan
+    failures = failed_at = 0  # consecutive failed source draws, all with len(tgts) == failed_at
+    trials = range(_MAX_REJECTIONS)
+    place = tgts.append
+    while len(tgts) < target_edges:
+        start = len(tgts)
+        block = picks_from_cumulative(source_rng, activity_cum, min(target_edges - start, _rng.STREAM_BLOCK_CAP))
+        skipped: list[int] = []
+        for s in block.tolist():
+            excluded = blocked[s]
+            a0, a1, need = rows[s]
+            if len(excluded) == need:
+                if failed_at != len(tgts):
+                    failures, failed_at = 0, len(tgts)
+                failures += 1
+                if failures >= SATURATION_RETRIES:
+                    raise SaturationError(len(tgts), target_edges)
+                skipped.append(len(tgts) - start + len(skipped))
+                continue
+            w0 = a0 * len(pool0)
+            w1 = a1 * len(pool1)
+            for _ in trials:
+                # a class of zero weight never comes up, also when u * total rounds up to w0
+                pool = pool0 if random() * (w0 + w1) < w0 or w1 == 0.0 else pool1
+                t = pool[int(random() * len(pool))]
+                if t not in excluded:
+                    break
             else:
-                i = int(random() * k1)
-                t = members1[i] if i < n1 else tails1[i - n1]
-            if t not in excluded:
-                break
-        else:
-            w = affinity[cls[s]][labels]
+                w = affinity[cls[s]][labels]
+                if count_indeg:
+                    indeg += np.bincount(np.array(tgts[counted:], dtype=np.int64), minlength=n)
+                    counted = len(tgts)
+                    w = w * (indeg + 1.0)
+                w[list(excluded)] = 0.0
+                t = weighted_pick(rng, w)
+            excluded.add(t)
             if count_indeg:
-                w = w * (np.bincount(np.array(tgts, dtype=np.int64), minlength=n) + 1.0)
-            w[list(excluded)] = 0.0
-            t = weighted_pick(rng, w)
-        c = cls[t]
-        excluded.add(t)
-        blocked_count[s][c] += 1
-        if count_indeg:
-            tails[c].append(t)
-        srcs.append(s)
-        tgts.append(t)
-        failures = 0
+                pools[cls[t]].append(t)
+            place(t)
+        sources[start:len(tgts)] = np.delete(block, skipped) if skipped else block
 
-    return srcs, tgts
+    return sources, tgts

@@ -1020,7 +1020,8 @@ def trace_from_graph(g: AttributedGraph, seed: int = 0) -> GrowthTrace:
     Undirected graphs are replayed in node-id order: each node's edges to
     lower ids are treated as its arrival picks (ascending target id).
     Directed graphs get a uniformly random edge order drawn from ``seed``.
-    The resulting trace carries ``order_assumed=True``.
+    The resulting trace carries ``order_assumed=True``, and its ``graph``
+    is ``g`` itself: the events are ``g``'s own edges.
     """
     check_seed(seed)  # also where no order is drawn
     if g.directed:
@@ -1033,7 +1034,7 @@ def trace_from_graph(g: AttributedGraph, seed: int = 0) -> GrowthTrace:
         lower = csr.indices < owner
         srcs, tgts = owner[lower], csr.indices[lower]
     kinds = np.full(srcs.size, int(EventKind.DIRECTED_PICK if g.directed else EventKind.PAH_PICK), dtype=np.int8)
-    return GrowthTrace(g.directed, g.labels, srcs, tgts, kinds, order_assumed=True)
+    return GrowthTrace(g.directed, g.labels, srcs, tgts, kinds, order_assumed=True, replays=g)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ ahead of what the stream has handed out, so the generator's state no
 longer matches the doubles used.  A stream is therefore used only where
 the callee owns the generator from :func:`make_rng` until it returns: the
 generators (after the labels and activities are drawn), each
-``sampling.sample`` call and the directed branch of ``trace_from_graph``.  A generator that is passed on
+``sampling.sample`` call and the directed branch of ``trace_from_graph``.
+The directed generator draws its sources through :func:`picks_from_cumulative`
+from a generator of its own, on ``rng.bit_generator.jumped()`` taken after
+the activities (no draw from the run's).  A generator that is passed on
 keeps scalar draws, for example the one ``graphmix spread`` shares between
 ``seeding`` and ``cascade``: the cascade draws its rolls as arrays, which
 must start where the seeding's draws ended.  The helpers below take either
@@ -133,6 +136,16 @@ def pick_from_cumulative(
         while idx > 0 and cum[idx] == cum[idx - 1]:
             idx -= 1
     return idx
+
+
+def picks_from_cumulative(rng: np.random.Generator | UniformStream, cum: np.ndarray, size: int) -> np.ndarray:
+    """``size`` picks of :func:`pick_from_cumulative` as an int64 array, one per double of ``rng.random(size)``."""
+    total = cum[-1]
+    if not total > 0.0:
+        raise ValueError("total weight must be positive")
+    idx = cum.searchsorted(rng.random(size) * total, side="right")
+    # u * total rounded up to the total: the last positive weight, where the sum first reaches it
+    return np.minimum(idx, cum.searchsorted(total))
 
 
 def sample_without_replacement(

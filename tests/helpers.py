@@ -30,8 +30,10 @@ first bad edge's ``EdgeError``; the constructor must agree bit for bit.
 ``reference_generate`` grows a trace by the generator kernels as they
 were with one call per draw: ``reference_endpoint_pick`` for every
 rejection-sampled target, ``reference_tc_pick`` for every triadic-closure
-target, ``rand_below`` for every uniform index, and a
-per-edge ``indeg + 1`` array for the directed exact scan.  It stays a
+target, ``rand_below`` for every uniform index, a per-edge ``indeg + 1``
+array for the directed exact scan, and a scalar ``pick_from_cumulative``
+per directed source, from the sources' own jumped stream, with the
+saturation test by class counts.  It stays a
 kernel, not a definition: the draw protocol is what fixes the bits of a
 seeded trace, and no shorter statement draws the same doubles.  The
 library inlines those draws and must give the same trace, or the same
@@ -576,8 +578,8 @@ def reference_place_directed(params: GenParams, labels, rng, max_rejections: int
     """The directed placement loop with a per-edge ``indeg + 1`` array and one ``reference_endpoint_pick`` per target."""
     model, n, H = params.model, params.n, params.H
     target_edges = round(params.d * n * (n - 1))
-    activity = sample_activity(n, params.gamma_a, rng)
-    activity_cum = np.cumsum(activity).tolist()
+    activity_cum = np.cumsum(sample_activity(n, params.gamma_a, rng)).tolist()
+    source_rng = np.random.Generator(rng.bit_generator.jumped())
     rng = UniformStream(rng)
     cls = labels.tolist()
     affinity = np.ones((2, 2)) if H is None else H.matrix
@@ -592,7 +594,7 @@ def reference_place_directed(params: GenParams, labels, rng, max_rejections: int
     srcs, tgts = [], []
     failures = 0
     while len(srcs) < target_edges:
-        s = pick_from_cumulative(rng, activity_cum)
+        s = pick_from_cumulative(source_rng, activity_cum)
         a0, a1 = aff_rows[cls[s]]
         b0, b1 = blocked_count[s]
         if not ((a0 > 0.0 and len(members[0]) > b0) or (a1 > 0.0 and len(members[1]) > b1)):

@@ -32,7 +32,8 @@ def _generate(tmp_path, name="net", **over):
     opts.update(over)
     argv = ["generate", "--out", str(tmp_path), "--prefix", name]
     for k, v in opts.items():
-        argv += [f"--{k.replace('_', '-')}", v]
+        if v is not None:  # None leaves a default flag out
+            argv += [f"--{k.replace('_', '-')}", v]
     assert run(*argv) == 0
     return tmp_path / name
 
@@ -137,10 +138,18 @@ def test_select_ranks_true_model_first(tmp_path):
     }
 
 
-@pytest.mark.parametrize("command,model_flag", [("fit", ["--model", "pah"]), ("select", ["--models", "pa,pah"])])
-def test_trace_of_another_network_is_rejected(tmp_path, capsys, command, model_flag):
-    a = _generate(tmp_path, "a", seed="1")
-    _generate(tmp_path, "b", seed="2")
+_DIRECTED = {"model": "dpah", "n": "120", "d": "0.02", "fm": "0.3", "h": "0.8", "m": None}
+
+
+@pytest.mark.parametrize("command,model_flag,directed", [
+    ("fit", ["--model", "pah"], False),
+    ("select", ["--models", "pa,pah"], False),
+    ("select", ["--models", "dpa,dh,dpah", "--directed"], True),
+])
+def test_trace_of_another_network_is_rejected(tmp_path, capsys, command, model_flag, directed):
+    opts = _DIRECTED if directed else {}
+    a = _generate(tmp_path, "a", seed="1", **opts)
+    _generate(tmp_path, "b", seed="2", **opts)
     assert run(
         command, "--network", str(a), "--trace", str(tmp_path / "b_trace.csv"), *model_flag,
         "--out", str(tmp_path), "--prefix", "out",

@@ -14,7 +14,10 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare, kstest
 
+import graphmix.cli
 import graphmix.generate
+import graphmix.ranking
+import graphmix.sampling
 from graphmix.generate import (
     ALL_MODELS,
     EventKind,
@@ -29,7 +32,7 @@ from graphmix.generate import (
     generate,
     sample_activity,
 )
-from graphmix.graph import AttributedGraph, MixingMatrix
+from graphmix.graph import AttributedGraph, MixingMatrix, assign_classes
 from graphmix.inference import fit_model, replay_event_probabilities, trace_from_graph
 from graphmix.netio import read_trace, write_trace
 from graphmix.rng import make_rng
@@ -238,6 +241,23 @@ def test_trace_flags_are_bools():
 
 
 @pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
+def test_a_trace_keeps_a_graph_given_only_when_it_replays_to_it(directed):
+    grow = (lambda seed: gen_directed("dpah", 30, 0.1, 0.3, 0.8, seed=seed)) if directed else (
+        lambda seed: gen_pah(30, 2, 0.3, 0.8, seed=seed))
+    g, trace = grow(1)
+    fields = {name: getattr(trace, name) for name in ("directed", "labels", "sources", "targets", "kinds", "m")}
+    assert GrowthTrace(**fields, replays=g).graph is g
+    edges = list(g.edges())
+    assert trace_from_graph(g, seed=2).graph is g
+    same_size = AttributedGraph(directed, g.labels, list(grow(2)[0].edges()))
+    assert same_size.num_edges == g.num_edges and same_size != g
+    for other in (AttributedGraph(not directed, g.labels, edges[:1]), AttributedGraph(directed, 1 - g.labels, edges),
+                  AttributedGraph(directed, g.labels, edges[1:]), same_size):
+        with pytest.raises(ValueError, match="trace does not replay to the graph it was given"):
+            GrowthTrace(**fields, replays=other)
+
+
+@pytest.mark.parametrize("directed", [False, True], ids=["undirected", "directed"])
 def test_a_valid_trace_keeps_read_only_copies(directed):
     fields = _trace_fields(directed, labels=[0, 0, 1, 1.0])
     fields["sources"] = fields["sources"].astype(np.uint16)
@@ -339,6 +359,27 @@ def test_dh_pure_homophily_saturates():
     assert err.value.target == 12
 
 
+def test_directed_sources_follow_the_activities_recomputed_from_the_seed():
+    # Under positive affinities a source saturates only at n - 1 out-edges, so below that
+    # every source draw places an edge and the sources of a trace are i.i.d. draws from
+    # the activities, which the seed fixes: labels first, then activities, as drawn.
+    # The targets draw from another stream, so the three models place the same sources.
+    n, d, f_m, gamma_a = 60, 0.1, 0.3, 3.5
+    observed, expected = [], []
+    for seed in range(40):
+        sources = [gen_directed(model, n, d, f_m, H, gamma_a, seed=seed)[1].sources
+                   for model, H in (("dpah", 0.8), ("dpa", None), ("dh", 0.8))]
+        assert all(np.array_equal(sources[0], other) for other in sources[1:])
+        counts = np.bincount(sources[0], minlength=n)
+        assert counts.max() < n - 1
+        rng = make_rng(seed)
+        assign_classes(n, f_m, rng)
+        activity = sample_activity(n, gamma_a, rng)
+        observed.append(counts)
+        expected.append(counts.sum() * activity / activity.sum())
+    assert chisquare(np.concatenate(observed), np.concatenate(expected)).pvalue > 1e-3
+
+
 def _bench_tracer():
     path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("bench_tracer", path)
@@ -347,18 +388,32 @@ def _bench_tracer():
     return module
 
 
-def test_traced_source_draws_equal_the_directed_event_count():
-    # The benchmark's tracer counts source draws by wrapping the name
-    # pick_from_cumulative in graphmix.generate, so the generator must look
-    # it up there on every draw; this network needs no source redraw.
+# what the benchmark's tracer wraps, by owner; a name that is gone fails its install
+_TRACED_NAMES = {
+    graphmix.cli: ("generate", "read_network", "read_trace", "write_network", "write_trace", "write_config",
+                   "select_model", "rank_report", "benchmark", "seeding", "cascade", "threshold_cascade",
+                   "equality_report"),
+    graphmix.generate: ("weighted_pick", "pick_from_cumulative"),
+    AttributedGraph: ("edges",),
+    graphmix.ranking: ("pagerank",),
+    graphmix.sampling: ("sample",),
+}
+
+
+def test_the_tracer_wraps_its_names_and_changes_no_directed_trace():
+    untraced = gen_directed("dpah", 300, 0.02, 0.3, 0.8, 3.5, seed=1)[1]
+    names = {(owner, attr): getattr(owner, attr) for owner, attrs in _TRACED_NAMES.items() for attr in attrs}
     tracing = _bench_tracer()
     tracer = tracing.Tracer()
     tracing.install(tracer)
     try:
-        _, trace = gen_directed("dpah", 300, 0.02, 0.3, 0.8, 3.5, seed=1)
+        unwrapped = [attr for (owner, attr), orig in names.items() if getattr(owner, attr) is orig]
+        traced = gen_directed("dpah", 300, 0.02, 0.3, 0.8, 3.5, seed=1)[1]
     finally:
         tracer.restore()
-    assert tracer.summary().count("rng.pick_from_cumulative") == len(trace) > 0
+    assert not unwrapped
+    assert all(getattr(owner, attr) is orig for (owner, attr), orig in names.items())
+    assert traced == untraced and len(traced) > 0
 
 
 def test_dpah_h1_edges_same_class_only():
@@ -530,9 +585,20 @@ def _later_closure_examples(test):
     return test
 
 
+def _saturation_examples(test):
+    # a directed source saturates once it blocks every member of its classes of positive
+    # affinity: under a zero off-diagonal, under a zero diagonal (itself blocked besides
+    # them), from the start under an all-zero row, and at density 1 in SaturationError
+    rows = ([[1.0, 0.0], [0.0, 1.0]], [[0.0, 1.0], [1.0, 0.0]], [[0.0, 0.0], [0.8, 0.3]])
+    for model, H, d, cap in itertools.product(("dh", "dpah"), rows, (0.2, 1.0), (0, 8)):
+        test = example(params=GenParams(model, 20, 1, d=d, f_m=0.3, H=MixingMatrix(np.array(H))), cap=cap)(test)
+    return example(params=GenParams("dpa", 20, 1, d=1.0, f_m=0.3), cap=8)(test)
+
+
 @settings(max_examples=250, deadline=None)
 @given(params=_small_params(), cap=st.sampled_from([0, 1, 8]))
 @_later_closure_examples
+@_saturation_examples
 def test_generators_grow_the_reference_kernels_trace(params, cap):
     # a cap of 0 or 1 rejected trials sends many picks to the exact scan
     with mock.patch.object(graphmix.generate, "_MAX_REJECTIONS", cap):

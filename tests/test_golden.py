@@ -31,27 +31,27 @@ NETWORKS = {
 
 GOLDEN = {
     "dpah-ic_config.txt": "3dd62c431c3e9edd063c411a435a71941423ba04749e33da4617417dc9381631",
-    "dpah-ic_equality.csv": "8440258111d1eaeae49d462696c5cc6fe816841f3b1f7c9f4abb8385195f34bf",
-    "dpah-ic_series.csv": "dc530bcbdea469d1182d4df47612a63b85fd0d4e39dd7a9d4919cab12afc81d9",
-    "dpah-ic_summary.csv": "c55357e842e76ea1a0734eba0b05e8272d51edcf197ca7604bffc9b504629456",
-    "dpah-order_trace.csv": "17913889176eb026e5df9991e444bf776d593ee69ad739ac337dfd5bb28800ae",
+    "dpah-ic_equality.csv": "1afe12d16898d5d5d64c16aa944ff53169fb1c6a6da2595709ace573449baf5f",
+    "dpah-ic_series.csv": "adaef0312e3c440f198eddb76548ce32a1f99d6ea6b71c24fc8e97ef2a04552c",
+    "dpah-ic_summary.csv": "e2a598684784466999a7e2cb851e7e79d6c6113f6cebf0439e50bd3294315ae7",
+    "dpah-order_trace.csv": "3e1ef5d6f836bc3f91dc23439ef1fdc4097e8e6d4f224d3ef8a60d6ebed1203a",
     "dpah-rank-degree_config.txt": "daf64d94d61952b8e3850ba432f16ad374d723970405b81e3714af8eb74fb38f",
-    "dpah-rank-degree_visibility.csv": "4e106d61e5db7f0b726ef8cd01f54d46d8add9468692d7517748fb8fd233351a",
+    "dpah-rank-degree_visibility.csv": "5b7f1457ebf3aa102a97e6eb2290c257c48a43a2dc076f8c00e26b28da26583b",
     "dpah-rank-indegree_config.txt": "29ade227fba1e80519e368c3d8ca84025a76f83bdf983b493d259aef9c97adca",
-    "dpah-rank-indegree_visibility.csv": "1bab894d60eb7fde38e6c7ee797cac2c006491d87de0bf18314a1c4a3f6dc93d",
+    "dpah-rank-indegree_visibility.csv": "0dd0e10ca149c5162aea199c104fbfb7d81efab8f0a4c5fb99d85405d9e3f279",
     "dpah-rank-pagerank_config.txt": "ea4ee266c8e44101372784f3bee5888dd70e4f5042a3801f21bbb0df14874ac2",
-    "dpah-rank-pagerank_visibility.csv": "09adc6c777ead73245e7806ba3aa841460449756d81f825b44a24d1baa3d7e6a",
-    "dpah-sample_bias.csv": "51e47ce225a61f14c611ed0c6c107df2ce0ef1c4a6d3c63e738d0fb393f45875",
-    "dpah-sample_bias_reps.csv": "5d3e35b628bc1f4bc904ec3c56c9d076b631b7405115c09a78726b0a846ffd02",
+    "dpah-rank-pagerank_visibility.csv": "d13bcb98bc9fb43beffac57e1d02abcc5db37952851018c201fb2f531dfe58bc",
+    "dpah-sample_bias.csv": "ef22d516a6a4a48830c7a2b807bc90b0977cdb82dec044bb5404e87f03f4aaa4",
+    "dpah-sample_bias_reps.csv": "9ea0ad52974c3d29cd506ac1e819d5d636b7cc01f9d875c92cdca13e722bdc13",
     "dpah-sample_config.txt": "435d43c1c0e0cc85f272c938851cdd2f00d0c73cf519f51db7acb290841ca8ab",
     "dpah-threshold_config.txt": "4e451cc9db6929102c1fc89de28b42a148fb51ffcc357d6dd802f34ff56873d1",
-    "dpah-threshold_equality.csv": "8bc43665e95a83234cce19b8b0b35e696eeb196f68a4977a147678a3e55b670f",
-    "dpah-threshold_series.csv": "1bc597e21dbaf14819ee749818abd9f1267755fb3a4cb74177732b51a3750690",
-    "dpah-threshold_summary.csv": "6ed30f4ff5009461ccb6b6f2169dae92801d6456a4e7e4689a16ff60795e8cb4",
+    "dpah-threshold_equality.csv": "af3efb5b074a4eb003f36d3e52ed4ee28bac1b4f5712f1cba35ba6453705c588",
+    "dpah-threshold_series.csv": "d972a6def93b4c6e38ce2954be68ac6a933fc557f9506ace844f62976507e849",
+    "dpah-threshold_summary.csv": "6019c998d8bda4f84b34bdcf2071444760db626455cc3812173c47dc401ebd37",
     "dpah_config.txt": "dbcee7071f8be029d3e22ece32776aea7b487848f6773a93242a7bff6bf46a06",
-    "dpah_edges.csv": "1e012b4680eecc6f98f0a4b4289de98767992eedb7183ad410c551cfeffb6490",
+    "dpah_edges.csv": "907a2090e482b772c17594e01949adc2ec75bcfb7587027bac264ec6aa7b9f70",
     "dpah_nodes.csv": "1a99c47e5975a61a0149c377ce526dfb1c7d17a063ed71e1972012d7222cefe4",
-    "dpah_trace.csv": "0599cef62b9008727323b461284eae1d734ef3efadbab35e1787b4844e4d648b",
+    "dpah_trace.csv": "7b06c9f52db2e940200628da07121a8a1304a2a0b209c3bf48facd7345bffa70",
     "pa-ic_config.txt": "5c0bb8cbfd05bf065ce408ee372aa7d32917d8a98e35b8ff7b07c76131f920bb",
     "pa-ic_equality.csv": "7cb293fa49caa1c87c6767dc1513040fc0ee4340f10465888e2ca6b0559b4206",
     "pa-ic_series.csv": "d2e3e32f08fc017644d5f5d4e649ef9abe04e1f1ada0791e76e4f417f58d5039",

@@ -426,6 +426,18 @@ def test_trace_from_graph_directed_seeded_shuffle():
     assert sorted(zip(a.sources.tolist(), a.targets.tolist())) == sorted(g.edges())
 
 
+def test_trace_from_graph_keeps_the_network_as_its_graph(monkeypatch):
+    # the events are the network's own edges, so the trace builds no second, equal graph
+    networks = gen_pah(60, 2, 0.3, 0.8, seed=1)[0], gen_directed("dpah", 40, 0.05, 0.3, 0.8, seed=1)[0]
+    with monkeypatch.context() as patched:
+        patched.setattr("graphmix.generate.AttributedGraph", None)  # a build would fail
+        traces = [trace_from_graph(g, seed=2) for g in networks]
+    for g, trace in zip(networks, traces):
+        assert trace.graph is g
+        rebuilt = GrowthTrace(g.directed, g.labels, trace.sources, trace.targets, trace.kinds, order_assumed=True)
+        assert rebuilt == trace and rebuilt.graph == g
+
+
 def test_trace_from_graph_matches_brute_force():
     g, _ = gen_pah(60, 2, 0.3, 0.7, seed=9)
     trace = trace_from_graph(g)
@@ -474,15 +486,15 @@ _FROZEN_SELECTIONS = {
     ),
     "dpah": (
         [
-            ("dpah", "0x1.999999999999ap-1", None, "-0x1.f7a1ccc74ca19p+15",
-             1, 9990, 0, "0x1.f7a3ccc74ca19p+16", "0x1.f7ab025e98e00p+16", False),
-            ("dpa", None, None, "-0x1.01454d19242acp+16",
-             0, 9990, 0, "0x1.01454d19242acp+17", "0x1.01454d19242acp+17", False),
-            ("dh", "0x1.947ae147ae148p-1", None, "-0x1.077c392fe4267p+16",
-             1, 9990, 0, "0x1.077d392fe4267p+17", "0x1.0780d3fb8a45bp+17", False),
+            ("dpah", "0x1.999999999999ap-1", None, "-0x1.f791c44796320p+15",
+             1, 9990, 0, "0x1.f793c44796320p+16", "0x1.f79af9dee2707p+16", False),
+            ("dpa", None, None, "-0x1.016cc4930d84ep+16",
+             0, 9990, 0, "0x1.016cc4930d84ep+17", "0x1.016cc4930d84ep+17", False),
+            ("dh", "0x1.947ae147ae148p-1", None, "-0x1.075362393b338p+16",
+             1, 9990, 0, "0x1.075462393b338p+17", "0x1.0757fd04e152cp+17", False),
         ],
-        [("dpa", "dh", "0x1.5a6dff18532d0p+9"), ("dpa", "dpah", "-0x1.2e530010e18c0p+9"),
-         ("dh", "dpah", "-0x1.44607f949a5c8p+10")],
+        [("dpa", "dh", "0x1.48e9dffd42f6ep+9"), ("dpa", "dpah", "-0x1.38934ca064961p+9"),
+         ("dh", "dpah", "-0x1.40be964ed3c68p+10")],
     ),
 }
 

@@ -14,6 +14,7 @@ from graphmix.rng import (
     UniformStream,
     make_rng,
     pick_from_cumulative,
+    picks_from_cumulative,
     rand_below,
     sample_without_replacement,
     weighted_pick,
@@ -91,6 +92,26 @@ def test_pick_from_cumulative_trailing_zero_weight():
     rng = make_rng(9)
     cum = np.array([1.0, 1.0, 1.0])
     assert all(pick_from_cumulative(rng, cum) == 0 for _ in range(200))
+
+
+def test_picks_from_cumulative_are_the_scalar_picks_of_the_same_doubles():
+    tiny = 2.0**-1074
+    cums = [np.array([tiny, 3 * tiny, 3 * tiny, 3 * tiny]), np.array([1.0, 1.0, 1.0]), np.array([0.0, 2.0, np.inf])]
+    rng = make_rng(5)
+    for _ in range(100):
+        w = rng.random(int(rng.integers(1, 12)))
+        w[rng.random(w.size) < 0.4] = 0.0
+        w[-1] = 1.0 if not w.any() else w[-1]
+        cums.append(np.cumsum(w))
+    for seed, cum in enumerate(cums):
+        picks = picks_from_cumulative(make_rng(seed), cum, 50)
+        one = make_rng(seed)
+        assert picks.dtype == np.int64
+        assert picks.tolist() == [pick_from_cumulative(one, cum) for _ in range(50)]
+    # u * total rounds up to the subnormal total: the last positive weight
+    assert picks_from_cumulative(_Fixed(1.0 - 2.0**-53), cums[0], 3).tolist() == [1, 1, 1]
+    with pytest.raises(ValueError, match="total weight must be positive"):
+        picks_from_cumulative(make_rng(0), np.zeros(3), 1)
 
 
 def test_sample_without_replacement_full_permutation():
@@ -237,8 +258,8 @@ class _Fixed:
     def __init__(self, u):
         self.u = u
 
-    def random(self):
-        return self.u
+    def random(self, size=None):
+        return self.u if size is None else np.full(size, self.u)
 
 
 def test_pick_from_cumulative_list_and_array_agree():
