@@ -32,7 +32,7 @@ import numpy as np
 from . import _check
 from . import rng as _rng
 from .graph import AttributedGraph, EdgeError, MixingMatrix, assign_classes, own_labels
-from .rng import UniformStream, make_rng, picks_from_cumulative, weighted_pick
+from .rng import UniformStream, check_seed, make_rng, picks_from_cumulative, weighted_pick
 # no longer called here: the benchmark's tracer wraps this name by getattr (bench/tracer.py:135)
 from .rng import pick_from_cumulative  # noqa: F401
 
@@ -263,8 +263,8 @@ class GenParams:
             object.__setattr__(self, "gamma_a", 2.5)
 
     def validate(self) -> None:
-        """Reject an unknown model, a missing or unread parameter, a size that is not an
-        integer (``bool`` included), and out-of-range values.
+        """Reject an unknown model, a missing or unread parameter, a size or seed that is
+        not an integer (``bool`` included), and out-of-range values.
 
         The entries of ``H`` are checked where the mixing matrix is built.
         """
@@ -277,6 +277,7 @@ class GenParams:
             if name not in reads and getattr(self, name) is not None:
                 raise ValueError(f"model {self.model} takes no {noun}")
         n = _check.count("n", self.n, 1)
+        check_seed(self.seed)
         if self.m is not None:
             _check.count("m", self.m, 1, n - 1)
         if self.f_m is not None:
@@ -408,8 +409,8 @@ def _grow(
     m - 1 or more nodes (clique neighbours, or an arrival's m targets), never
     its own, and at most j - 1 <= m - 2 of them are chosen before pick j.
 
-    ``rng`` is drawn from as a :class:`UniformStream`; the caller gives up
-    the generator.
+    The loop reads its doubles through a :class:`UniformStream` over
+    ``rng``, which draws ahead, so the caller gives up the generator.
     """
     rng = UniformStream(rng)
     random = rng.next

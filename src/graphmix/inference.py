@@ -76,7 +76,7 @@ import numpy as np
 from . import _check
 from .generate import DIRECTED_MODELS, EventKind, GrowthTrace
 from .graph import AttributedGraph, distinct
-from .rng import UniformStream, check_seed, make_rng, sample_without_replacement
+from .rng import check_seed, make_rng, sample_without_replacement
 
 __all__ = [
     "FitReport",
@@ -1026,7 +1026,7 @@ def trace_from_graph(g: AttributedGraph, seed: int = 0) -> GrowthTrace:
     check_seed(seed)  # also where no order is drawn
     if g.directed:
         srcs, tgts = g.edge_arrays()
-        order = sample_without_replacement(UniformStream(make_rng(seed)), srcs.size, srcs.size)
+        order = sample_without_replacement(make_rng(seed), srcs.size, srcs.size)
         srcs, tgts = srcs[order], tgts[order]
     else:
         csr = g.csr()

@@ -8,27 +8,28 @@ runs and platforms for a given seed, so seeds are portable artifacts.
 A :class:`UniformStream` hands out the same doubles as scalar
 ``rng.random()`` calls, drawn from the generator in blocks, which costs a
 fraction of a scalar call per double: ``stream.next()`` hands one out
-from C, and ``stream.random()`` through one Python call.  A block draws
-ahead of what the stream has handed out, so the generator's state no
-longer matches the doubles used.  A stream is therefore used only where
-the callee owns the generator from :func:`make_rng` until it returns: the
-generators (after the labels and activities are drawn), each
-``sampling.sample`` call and the directed branch of ``trace_from_graph``.
-The directed generator draws its sources through :func:`picks_from_cumulative`
-from a generator of its own, on ``rng.bit_generator.jumped()`` taken after
-the activities (no draw from the run's).  A generator that is passed on
-keeps scalar draws, for example the one ``graphmix spread`` shares between
-``seeding`` and ``cascade``: the cascade draws its rolls as arrays, which
-must start where the seeding's draws ended.  The helpers below take either
-a generator or a stream, as they only call ``.random()`` and
-``.random(size)``, which hand out the same doubles on both.
+from C.  A block draws ahead of what the stream has handed out, so the
+generator's state no longer matches the doubles used.  A stream is
+therefore used only where the callee owns the generator from
+:func:`make_rng` until it returns: the growth loops (after the labels and
+activities are drawn) and the snowball and random-walk crawls.  The
+array draws (uniform-node and uniform-edge sampling, the directed branch
+of ``trace_from_graph``, the directed generator's sources through
+:func:`picks_from_cumulative`, from a generator of its own on
+``rng.bit_generator.jumped()`` taken after the activities) read the
+generator itself, where ``rng.random(size)`` returns the doubles of
+``size`` scalar calls.  A generator that is passed on is drawn from
+directly, never through a stream, for example the one ``graphmix spread``
+shares between ``seeding`` and ``cascade``: the cascade draws its rolls as
+arrays, which must start where the seeding's draws ended.  The scalar
+helpers below take either a generator or a stream, as they only call
+``.random()``.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from collections.abc import Iterator, Sequence
-from itertools import chain, islice
+from collections.abc import Iterator
+from itertools import chain
 
 import numpy as np
 
@@ -62,45 +63,27 @@ class UniformStream:
 
     ``rng.random(size)`` fills its array with the doubles that ``size``
     scalar calls return, so ``stream.random()`` returns exactly what
-    ``rng.random()`` would, and ``stream.random(size)`` the next ``size``
-    of them as an array.  The stream draws ahead from ``rng``, which the
+    ``rng.random()`` would.  The stream draws ahead from ``rng``, which the
     caller must not use afterwards.
 
-    The scalar doubles come from an ``itertools.chain`` over the blocks'
-    lists, so ``stream.next``, the chain's bound ``__next__``, hands out a
-    double without a Python frame; a hot loop binds it in place of
-    ``stream.random``.
+    ``stream.next`` and ``stream.random`` are both the bound ``__next__``
+    of an ``itertools.chain`` over the blocks' lists, so they hand out a
+    double without a Python frame and take no ``size``.  The method holds
+    the chain, the chain the block generator and that ``rng``: no cycle,
+    so a stream is freed by reference counting alone.
     """
 
-    __slots__ = ("next", "_chain", "_rng", "_current")
+    __slots__ = ("next", "random")
 
     def __init__(self, rng: np.random.Generator):
-        self._rng = rng
-        self._current = [iter(())]  # the iterator over the block being handed out
-        self._chain = chain.from_iterable(_blocks(rng, self._current))
-        self.next = self._chain.__next__
-
-    def random(self, size: int | None = None) -> float | np.ndarray:
-        if size is None:
-            return next(self._chain)
-        # the rest of the current block, then the remainder straight from
-        # the generator: the doubles are the same whatever the block sizes
-        head = list(islice(self._current[0], size))
-        if len(head) == size:
-            return np.array(head, dtype=np.float64)
-        return np.concatenate((head, self._rng.random(size - len(head))))
+        self.next = self.random = chain.from_iterable(_blocks(rng)).__next__
 
 
-def _blocks(rng: np.random.Generator, current: list) -> Iterator[Iterator[float]]:
-    """A stream's blocks, each published in ``current`` as it starts.
-
-    It holds the generator and ``current``, not the stream, so a stream is
-    freed by reference counting alone."""
+def _blocks(rng: np.random.Generator) -> Iterator[list[float]]:
     block = _FIRST_BLOCK
     while True:
         block = min(block, STREAM_BLOCK_CAP)  # read at each block
-        current[0] = iter(rng.random(block).tolist())
-        yield current[0]
+        yield rng.random(block).tolist()
         block *= 2
 
 
@@ -118,43 +101,30 @@ def weighted_pick(rng: np.random.Generator | UniformStream, weights: np.ndarray)
     return pick_from_cumulative(rng, np.cumsum(weights))
 
 
-def pick_from_cumulative(
-    rng: np.random.Generator | UniformStream, cum: Sequence[float] | np.ndarray
-) -> int:
-    """Like :func:`weighted_pick` but from a precomputed cumulative sum.
-
-    ``cum`` may be a list or an array; a list bisects faster.  The index
-    is that of ``searchsorted(u * total, side="right")``.
-    """
-    total = cum[-1]
-    if not total > 0.0:
-        raise ValueError("total weight must be positive")
-    idx = bisect_right(cum, rng.random() * total)
-    if idx >= len(cum):
-        # u*total rounded up to the total; step back to the last positive weight.
-        idx = len(cum) - 1
-        while idx > 0 and cum[idx] == cum[idx - 1]:
-            idx -= 1
-    return idx
+def pick_from_cumulative(rng: np.random.Generator | UniformStream, cum: np.ndarray) -> int:
+    """Like :func:`weighted_pick` but from a precomputed cumulative sum array."""
+    return int(_inverse_cdf(cum, rng.random()))
 
 
-def picks_from_cumulative(rng: np.random.Generator | UniformStream, cum: np.ndarray, size: int) -> np.ndarray:
+def picks_from_cumulative(rng: np.random.Generator, cum: np.ndarray, size: int) -> np.ndarray:
     """``size`` picks of :func:`pick_from_cumulative` as an int64 array, one per double of ``rng.random(size)``."""
+    return _inverse_cdf(cum, rng.random(size))
+
+
+def _inverse_cdf(cum: np.ndarray, u: float | np.ndarray):
+    """The index ``searchsorted(u * total, side="right")`` in ``cum`` of each double u."""
     total = cum[-1]
     if not total > 0.0:
         raise ValueError("total weight must be positive")
-    idx = cum.searchsorted(rng.random(size) * total, side="right")
     # u * total rounded up to the total: the last positive weight, where the sum first reaches it
-    return np.minimum(idx, cum.searchsorted(total))
+    return np.minimum(cum.searchsorted(u * total, side="right"), cum.searchsorted(total))
 
 
-def sample_without_replacement(
-    rng: np.random.Generator | UniformStream, n: int, k: int
-) -> np.ndarray:
+def sample_without_replacement(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
     """k distinct uniform indices from range(n), via partial Fisher-Yates.
 
     Swap i takes position ``i + int(u_i * (n - i))``, u_i the i-th of k
-    doubles drawn in one ``random(k)`` call, which are the doubles of k
+    doubles drawn in one ``rng.random(k)`` call, which are the doubles of k
     scalar calls.  The pool is sparse: a dict holds only the positions a
     swap has moved, so time and memory are O(k) whatever n is.
     """

@@ -13,12 +13,12 @@ after that a sample costs O(budget) steps in Python, and a walk one more
 per revisit, plus a few array calls over the n nodes: the degree vector
 (a count over the E targets when directed), the top-degree partition,
 and the pools of a uniform fill or a snowball re-seed.  The crawls read
-rows of the CSR through memoryviews, and the walk takes its doubles from
-``UniformStream.next``.  Uniform-node draws its indices in one call, and
-uniform-edge its edges in chunks of ceil(need / 2), need being the nodes
-still missing: an edge adds at most two, so a chunk is exactly the next
-draws of a loop that checks the size after every edge.  ``benchmark``
-samples the seed-free top-degree cell once per budget.
+rows of the CSR through memoryviews and draw from a ``UniformStream``,
+the walk through its ``next``.  Uniform-node draws its indices in one
+generator call, uniform-edge its edges in chunks of ceil(need / 2), need
+being the nodes still missing: an edge adds at most two, so a chunk is
+exactly the next draws of a loop that checks the size after every edge.
+``benchmark`` samples the seed-free top-degree cell once per budget.
 """
 
 from __future__ import annotations
@@ -120,16 +120,16 @@ def sample(g: AttributedGraph, strategy: str, budget: int, seed: int) -> SampleR
         raise ValueError(f"unknown strategy {strategy!r}; expected one of {STRATEGIES}")
     n = g.n
     size = min(_check.count("budget", budget, 1), n)
-    rng = UniformStream(make_rng(seed))
+    rng = make_rng(seed)
 
     if strategy == "uniform-node":
         nodes = sample_without_replacement(rng, n, size)
     elif strategy == "uniform-edge":
         nodes = _sample_uniform_edge(g, size, rng)
     elif strategy == "snowball":
-        nodes = _sample_snowball(g, size, rng)
+        nodes = _sample_snowball(g, size, UniformStream(rng))
     elif strategy == "random-walk":
-        nodes = _sample_random_walk(g, size, rng)
+        nodes = _sample_random_walk(g, size, UniformStream(rng))
     else:
         nodes = top_degree_nodes(g, size)
 
@@ -137,7 +137,7 @@ def sample(g: AttributedGraph, strategy: str, budget: int, seed: int) -> SampleR
     return SampleResult(strategy=strategy, budget=budget, nodes=out, seed=seed)
 
 
-def _uniform_fill(sampled: set[int], n: int, size: int, rng: UniformStream) -> None:
+def _uniform_fill(sampled: set[int], n: int, size: int, rng: np.random.Generator) -> None:
     free = np.ones(n, dtype=bool)
     free[np.fromiter(sampled, dtype=np.int64, count=len(sampled))] = False
     pool = np.flatnonzero(free)  # the unsampled ids, ascending
@@ -145,7 +145,7 @@ def _uniform_fill(sampled: set[int], n: int, size: int, rng: UniformStream) -> N
     sampled.update(pool[sample_without_replacement(rng, pool.size, need)].tolist())
 
 
-def _sample_uniform_edge(g: AttributedGraph, size: int, rng: UniformStream) -> list[int]:
+def _sample_uniform_edge(g: AttributedGraph, size: int, rng: np.random.Generator) -> list[int]:
     src, dst = (memoryview(a) for a in g.edge_arrays())
     num_edges = len(src)
     covered = int(np.count_nonzero(g.total_degree_vector()))

@@ -578,7 +578,7 @@ def reference_place_directed(params: GenParams, labels, rng, max_rejections: int
     """The directed placement loop with a per-edge ``indeg + 1`` array and one ``reference_endpoint_pick`` per target."""
     model, n, H = params.model, params.n, params.H
     target_edges = round(params.d * n * (n - 1))
-    activity_cum = np.cumsum(sample_activity(n, params.gamma_a, rng)).tolist()
+    activity_cum = np.cumsum(sample_activity(n, params.gamma_a, rng))
     source_rng = np.random.Generator(rng.bit_generator.jumped())
     rng = UniformStream(rng)
     cls = labels.tolist()

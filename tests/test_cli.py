@@ -402,6 +402,19 @@ def test_sweep_bad_range_is_usage_error(tmp_path):
 
 
 
+def test_sweep_bad_seed_is_exit_1_before_any_growth(tmp_path, monkeypatch, capsys):
+    grown = []
+    grow = graphmix.generate._grow
+    monkeypatch.setattr(graphmix.generate, "_grow", lambda *args: grown.append(1) or grow(*args))
+    assert run(
+        "sweep", "--model", "pa", "--n", "2000", "--m", "2", "--seeds", "0,1,2,-1",
+        "--out", str(tmp_path / "out"), "--prefix", "sw",
+    ) == 1
+    assert len(grown) == 0
+    assert "seed must lie in [0, 18446744073709551615], got -1" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--h", "0.1:nan:0.1"), ("--seeds", "0:inf:1"), ("--n", "inf")])
 def test_sweep_non_finite_value_is_usage_error(tmp_path, capsys, flag, value):
     # the two ranges once grew without bound; --n inf raised OverflowError

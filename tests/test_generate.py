@@ -35,7 +35,7 @@ from graphmix.generate import (
 from graphmix.graph import AttributedGraph, MixingMatrix, assign_classes
 from graphmix.inference import fit_model, replay_event_probabilities, trace_from_graph
 from graphmix.netio import read_trace, write_trace
-from graphmix.rng import make_rng
+from graphmix.rng import check_seed, make_rng
 
 from helpers import reference_generate
 
@@ -684,6 +684,14 @@ def test_genparams_validation_messages():
         GenParams(model="dpa", n=10, d=0.1).validate()  # missing f_m
     with pytest.raises(ValueError):
         GenParams(model="dpa", n=10, d=0.1, f_m=0.2, gamma_a=1.0).validate()
+
+
+@pytest.mark.parametrize("seed", [-1, True])
+def test_genparams_validate_checks_the_seed(seed):
+    with pytest.raises(ValueError) as refusal:
+        check_seed(seed)
+    with pytest.raises(ValueError, match=re.escape(str(refusal.value))):
+        GenParams(model="pa", n=10, m=1, seed=seed).validate()
 
 
 def test_genparams_takes_numpy_integer_sizes():

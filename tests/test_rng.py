@@ -131,16 +131,11 @@ def test_sample_without_replacement_properties(n, data):
     assert got.min() >= 0 and got.max() < n
 
 
-@pytest.mark.parametrize("stream", [False, True])
-def test_sample_without_replacement_matches_the_array_swaps(stream):
-    def draw(sampler, seed, n, k):
-        rng = make_rng(seed)
-        return sampler(UniformStream(rng) if stream else rng, n, k)
-
+def test_sample_without_replacement_matches_the_array_swaps():
     for n, k in [(0, 0), (1, 0), (1, 1), (7, 3), (7, 7), (1000, 0), (1000, 10), (1000, 999), (1000, 1000)]:
         for seed in range(4):
-            got = draw(sample_without_replacement, seed, n, k)
-            want = draw(array_sample_without_replacement, seed, n, k)
+            got = sample_without_replacement(make_rng(seed), n, k)
+            want = array_sample_without_replacement(make_rng(seed), n, k)
             assert got.dtype == want.dtype and np.array_equal(got, want), (n, k, seed)
 
 
@@ -162,42 +157,20 @@ def test_uniform_stream_matches_scalar_draws(cap, monkeypatch):
 
 
 @pytest.mark.parametrize("cap", [1, 7, None])
-def test_uniform_stream_arrays_match_scalar_draws(cap, monkeypatch):
-    if cap is not None:
-        monkeypatch.setattr(graphmix.rng, "STREAM_BLOCK_CAP", cap)
-    # size 0, arrays before the first block, inside one, across one and
-    # across many, between scalar calls; then 400 random calls of either kind
-    sizes = [0, 3, None, 5, None, 0, 30, None, 2, 200, None, None, 0, 9000, None]
-    pick = np.random.default_rng(cap or 0)
-    sizes += [None if pick.random() < 0.5 else int(pick.integers(0, 40)) for _ in range(400)]
-    stream = UniformStream(make_rng(23))
-    scalar = make_rng(23)
-    for size in sizes:
-        if size is None:
-            assert stream.random() == scalar.random()
-        else:
-            got = stream.random(size)
-            assert got.dtype == np.float64 and got.shape == (size,)
-            assert got.tolist() == [scalar.random() for _ in range(size)], size
-
-
-@pytest.mark.parametrize("cap", [1, 7, None])
 def test_uniform_stream_next_interleaves_with_random(cap, monkeypatch):
     if cap is not None:
         monkeypatch.setattr(graphmix.rng, "STREAM_BLOCK_CAP", cap)
-    # "n" is stream.next(), None stream.random(), an int stream.random(size)
-    calls = ["n", None, 0, "n", 3, "n", "n", 20, None, "n", 200, "n", 9000, "n", None]
+    # True is stream.next(), False stream.random(), across the first blocks and several at the cap
     pick = np.random.default_rng(cap or 0)
-    calls += [("n", None, int(pick.integers(0, 40)))[pick.integers(0, 3)] for _ in range(600)]
     stream = UniformStream(make_rng(29))
     scalar = make_rng(29)
-    for call in calls:
-        if call == "n":
-            assert stream.next() == scalar.random()
-        elif call is None:
-            assert stream.random() == scalar.random()
-        else:
-            assert stream.random(call).tolist() == [scalar.random() for _ in range(call)], call
+    for call in (pick.random(10_000) < 0.5).tolist():
+        assert (stream.next() if call else stream.random()) == scalar.random()
+
+
+def test_uniform_stream_hands_out_no_arrays():
+    with pytest.raises(TypeError):
+        UniformStream(make_rng(0)).random(3)
 
 
 def test_a_drawn_stream_is_freed_by_reference_counting():
@@ -210,7 +183,8 @@ def test_a_drawn_stream_is_freed_by_reference_counting():
 
     source = Source()
     stream = UniformStream(source)
-    stream.random(), stream.next(), stream.random(40), stream.next()
+    for _ in range(40):  # into the second block
+        stream.random(), stream.next()
     freed = weakref.ref(source)
     del source  # the stream now holds the only reference
     gc.collect()
@@ -262,7 +236,7 @@ class _Fixed:
         return self.u if size is None else np.full(size, self.u)
 
 
-def test_pick_from_cumulative_list_and_array_agree():
+def test_pick_from_cumulative_is_the_right_searchsorted_index():
     rng = make_rng(4)
     for _ in range(200):
         w = rng.random(int(rng.integers(1, 12)))
@@ -273,18 +247,23 @@ def test_pick_from_cumulative_list_and_array_agree():
             u = rng.random()
             expect = int(cum.searchsorted(u * cum[-1], side="right"))
             assert pick_from_cumulative(_Fixed(u), cum) == expect
-            assert pick_from_cumulative(_Fixed(u), cum.tolist()) == expect
 
 
-@pytest.mark.parametrize("as_list", [False, True])
-def test_pick_from_cumulative_round_up_skips_trailing_zero_weights(as_list):
+# the scalar weighted draws of one double u over the weights w
+_WEIGHTED_DRAWS = {
+    "pick_from_cumulative": lambda u, w: pick_from_cumulative(_Fixed(u), np.cumsum(w)),
+    "weighted_pick": lambda u, w: weighted_pick(_Fixed(u), w),
+}
+
+
+@pytest.mark.parametrize("draw", sorted(_WEIGHTED_DRAWS))
+def test_pick_from_cumulative_round_up_skips_trailing_zero_weights(draw):
     # u * total rounds up to a subnormal total: the largest double below 1
     # times 3 * 2**-1074 is 3 * 2**-1074 again
     tiny = 2.0**-1074
     u = 1.0 - 2.0**-53
     assert u * (3 * tiny) == 3 * tiny
-    cum = np.array([tiny, 3 * tiny, 3 * tiny, 3 * tiny])
-    assert pick_from_cumulative(_Fixed(u), cum.tolist() if as_list else cum) == 1
+    assert _WEIGHTED_DRAWS[draw](u, np.array([tiny, 2 * tiny, 0.0, 0.0])) == 1
 
 
 GENERATOR_CASES = {

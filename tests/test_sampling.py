@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from graphmix.generate import gen_pah
 from graphmix.graph import AttributedGraph
 from graphmix.ranking import rank_nodes
-from graphmix.rng import UniformStream, make_rng
+from graphmix.rng import make_rng
 from graphmix.sampling import (
     STRATEGIES,
     benchmark,
@@ -87,7 +87,7 @@ def test_snowball_reseeds_like_a_rebuilt_pool(directed):
         g = AttributedGraph(directed, np.zeros(n, dtype=np.int8), [(int(u), int(u) + 1) for u in starts])
         for budget in (1, n // 3, n // 2 + 1, n):
             for seed in range(3):
-                want = rebuilt_pool_snowball(g, budget, UniformStream(make_rng(seed)))
+                want = rebuilt_pool_snowball(g, budget, make_rng(seed))
                 got = sample(g, "snowball", budget, seed).nodes
                 assert got.tolist() == sorted(want), (n, budget, seed)
 
@@ -100,7 +100,7 @@ def test_snowball_reseeds_like_a_rebuilt_pool_on_many_components(directed):
     starts = rng.permutation(n - 1)[: n // 10]
     g = AttributedGraph(directed, np.zeros(n, dtype=np.int8), [(int(u), int(u) + 1) for u in starts])
     for budget in (n // 2 + 1, n - 1, n):
-        want = rebuilt_pool_snowball(g, budget, UniformStream(make_rng(budget)))
+        want = rebuilt_pool_snowball(g, budget, make_rng(budget))
         got = sample(g, "snowball", budget, budget).nodes
         assert got.tolist() == sorted(want), budget
 
@@ -137,7 +137,7 @@ def test_every_strategy_samples_the_reference_kernels_nodes(g, base_seed):
     for strategy in STRATEGIES:
         for budget in range(1, g.n + 1):
             for seed in (base_seed, base_seed + 1):
-                want = _REFERENCE_KERNELS[strategy](g, budget, UniformStream(make_rng(seed)))
+                want = _REFERENCE_KERNELS[strategy](g, budget, make_rng(seed))
                 got = sample(g, strategy, budget, seed).nodes
                 assert got.tolist() == sorted(want), (strategy, budget, seed)
 
