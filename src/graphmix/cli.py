@@ -234,7 +234,8 @@ _HELP = {
     "prefix": "output file prefix",
     "network": "path prefix of <prefix>_nodes.csv / <prefix>_edges.csv",
     "directed": "read the network as directed",
-    "trace": "growth trace file; omitted => node-order assumption applies",
+    "trace": "growth trace file; omitted => node-order assumption applies: undirected ids are arrival order, "
+             "and a pa/pah/patch fit that picks a node of no degree while others have some has no estimate",
     "models": "comma-separated candidate models",
     "criterion": "ranking criterion: bic or aic",
     "metric": "ranking metric: degree, indegree, or pagerank",
@@ -341,7 +342,7 @@ def _load_network(cfg):
 
 
 def _load_trace(cfg):
-    g = _load_network(cfg)  # dropped on return: scoring holds one copy, trace.graph
+    g = _load_network(cfg)  # the one build: a trace, read or synthesized, keeps g as trace.graph
     if cfg["trace"] is not None:
         return read_trace(cfg["trace"], g)
     return trace_from_graph(g, seed=cfg["seed"])

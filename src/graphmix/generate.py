@@ -78,6 +78,14 @@ class SaturationError(RuntimeError):
         )
 
 
+class TraceError(ValueError):
+    """Event ``event`` of a trace is refused; the message says why."""
+
+    def __init__(self, event: int, message: str):
+        self.event = event
+        super().__init__(message)
+
+
 class EventKind(IntEnum):
     PAH_PICK = 0
     TC_PICK = 1
@@ -105,23 +113,25 @@ class GrowthTrace:
     non-decreasing with arbitrary group sizes).  Directed traces replay from
     an empty n-node graph in event order.
 
-    A trace is checked once, when built: ``ValueError`` names a
+    A trace is checked here, once, when built: ``ValueError`` names a
     ``directed`` or ``order_assumed`` flag that is not a bool, event arrays
     that are not flat integer (not bool, not float) arrays of one length,
-    an id outside ``0..n-1``, a kind code not of the trace's family, labels
-    that are not n 0s and 1s, an ``m`` on a directed trace, outside
-    ``1..n-1`` or without m events per arrival, an undirected event whose
+    labels that are not n 0s and 1s, and an ``m`` on a directed trace,
+    outside ``1..n-1`` or without m events per arrival.  Its subclass
+    :class:`TraceError` names the first event with an id outside
+    ``0..n-1`` or a kind code not of the family, an undirected event whose
     target is not below its source or whose source is below the one
-    before, and a replay that repeats an edge or makes a self-loop.  The
+    before, and a replayed edge that repeats one or is a self-loop.  The
     trace keeps read-only copies: int8 labels and kinds, int64 sources and
     targets, and ``graph``, the :class:`AttributedGraph` its replay builds
     (the start clique and every event).  Traces compare equal field by
     field; ``graph`` follows from the fields and is not compared.
 
-    ``replays`` (keyword only) is a graph whose own edges the events are, as
-    in :func:`graphmix.inference.trace_from_graph`: it is kept as ``graph``
-    in place of an equal build, once its labels and edges are checked to be
-    the replay's.
+    ``replays`` (keyword only) is the graph the events rebuild, as in
+    :func:`graphmix.inference.trace_from_graph`: it is kept as ``graph``
+    and nothing is built.  Any other graph is refused with "trace does not
+    rebuild the network it was given", unless the replay repeats an edge
+    or makes a self-loop: that event's TraceError is raised instead.
     """
 
     directed: bool
@@ -152,15 +162,14 @@ class GrowthTrace:
             # a cast would read 0.7 as node 0 and True as node 1
             if a.dtype == bool or not np.issubdtype(a.dtype, np.integer):
                 raise ValueError(f"trace {name} must be integers, got {a.dtype}")
-        outside = np.flatnonzero((src < 0) | (src >= n) | (tgt < 0) | (tgt >= n))
-        if outside.size:
-            i = int(outside[0])
-            raise ValueError(f"event {i} ({src[i]},{tgt[i]}) references a node outside 0..{n - 1}")
+        outside = (src < 0) | (src >= n) | (tgt < 0) | (tgt >= n)
         last = int(EventKind.DIRECTED_PICK)  # the last kind code, the directed family's only one
-        bad = np.flatnonzero((kinds < 0) | (kinds > last) | ((kinds == last) != self.directed))
+        bad = np.flatnonzero(outside | (kinds < 0) | (kinds > last) | ((kinds == last) != self.directed))
         if bad.size:
             i, family = int(bad[0]), "directed" if self.directed else "undirected"
-            raise ValueError(f"event {i}: kind code {kinds[i]} is not a kind of {family} event")
+            if outside[i]:
+                raise TraceError(i, f"event {i} ({src[i]},{tgt[i]}) references a node outside 0..{n - 1}")
+            raise TraceError(i, f"event {i}: kind code {kinds[i]} is not a kind of {family} event")
         if self.m is not None:
             if self.directed:
                 raise ValueError(f"a directed trace has no per-arrival edge count m, got m={self.m!r}")
@@ -172,8 +181,8 @@ class GrowthTrace:
             if bad.size:
                 i = int(bad[0])
                 if tgt[i] >= src[i]:
-                    raise ValueError(f"event {i}: target {tgt[i]} not below source {src[i]}; not a growth trace")
-                raise ValueError(f"event {i}: source {src[i]} out of arrival order")
+                    raise TraceError(i, f"event {i}: target {tgt[i]} not below source {src[i]}; not a growth trace")
+                raise TraceError(i, f"event {i}: source {src[i]} out of arrival order")
         for name, a in zip(names, events):
             a = a.astype(np.int8 if name == "kinds" else np.int64, copy=False)
             a.setflags(write=False)
@@ -182,14 +191,15 @@ class GrowthTrace:
         object.__setattr__(self, "labels", labels)
         start = np.column_stack(np.triu_indices(self.m or 0, 1))
         edges = np.concatenate((start, np.column_stack((self.sources, self.targets))))
-        if replays is None:
-            try:
-                replays = AttributedGraph(self.directed, labels, edges)
+        if replays is None or not (replays.directed == self.directed and np.array_equal(replays.labels, labels)
+                                   and _holds_exactly(replays, edges)):
+            try:  # with a graph given, built only to name a repeated edge or a self-loop
+                built = AttributedGraph(self.directed, labels, edges)
             except EdgeError as exc:
-                raise ValueError(f"trace replays an invalid edge: {exc.reason}") from None
-        elif not (replays.directed == self.directed and np.array_equal(replays.labels, labels)
-                  and _holds_exactly(replays, edges)):
-            raise ValueError("trace does not replay to the graph it was given")
+                raise TraceError(exc.index - len(start), f"trace replays an invalid edge: {exc.reason}") from None
+            if replays is not None:
+                raise ValueError("trace does not rebuild the network it was given")
+            replays = built
         object.__setattr__(self, "graph", replays)
 
     @property

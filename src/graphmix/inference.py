@@ -854,7 +854,7 @@ def replay_loglik(
 
 @dataclass(frozen=True)
 class FitReport:
-    """Grid-MLE result for one candidate model on one trace."""
+    """Grid-MLE result for one candidate model on one trace; no estimate where every grid value is -inf."""
 
     model: str
     h_hat: float | None
@@ -904,7 +904,7 @@ class SelectionTable:
 
 def _fit_from_grid(model: str, grid: np.ndarray, stats, order_assumed: bool) -> FitReport:
     hi, pi = divmod(int(np.argmax(grid)), grid.shape[1])
-    params = _PARAMS[model]
+    params = _PARAMS[model] if grid[hi, pi] > -np.inf else ()  # no estimate where no value can give the trace
     h_hat = float(H_GRID[hi]) if "h" in params else None
     p_hat = float(PTC_GRID[pi]) if "p_tc" in params else None
     return FitReport.build(
@@ -956,6 +956,7 @@ def lrt(nested: FitReport, full: FitReport) -> tuple[float, int, float]:
     Both fits must come from one trace.  Fits whose ``n_events``,
     ``n_fallback`` or ``order_assumed`` differ cannot, and are refused; the
     check is partial, so fits of two traces with equal counts still pass.
+    A fuller fit of log-likelihood -inf has no ratio and is refused.
     """
     if (nested.model, full.model) not in NESTED_PAIRS:
         raise ValueError(f"models {nested.model!r} and {full.model!r} are not nested")
@@ -963,6 +964,8 @@ def lrt(nested: FitReport, full: FitReport) -> tuple[float, int, float]:
         a, b = getattr(nested, name), getattr(full, name)
         if a != b:
             raise ValueError(f"the fits come from different traces: {name} {a} and {b}")
+    if full.log_lik == -math.inf:
+        raise ValueError(f"no value of model {full.model!r} gives the trace: there is no likelihood ratio")
     stat = max(0.0, 2.0 * (full.log_lik - nested.log_lik))
     df = full.k - nested.k
     p = math.erfc(math.sqrt(stat / 2.0)) if df == 1 else math.exp(-stat / 2.0)
@@ -984,7 +987,7 @@ def select_model(
     Candidates must be distinct and from one family.  Ranking is ascending
     by ``criterion`` (``"bic"`` default, ``"aic"`` supported).  Pairs are
     enumerated with the smaller-k model first; the LRT is filled for nested
-    pairs only, the Bayes factor for all pairs.
+    pairs whose fuller fit is finite, the Bayes factor for all pairs.
     """
     candidates = [c.lower() for c in candidates]
     if not candidates:
@@ -999,7 +1002,7 @@ def select_model(
     comparisons = []
     for a, b in combinations(ordered, 2):
         bf = (marginals[a] - marginals[b]) / math.log(10.0)
-        if (a, b) in NESTED_PAIRS:
+        if (a, b) in NESTED_PAIRS and fits[b].log_lik > -math.inf:
             stat, df, p = lrt(fits[a], fits[b])
             comparisons.append(PairComparison(a, b, bf, stat, df, p))
         else:

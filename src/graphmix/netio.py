@@ -41,13 +41,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .generate import (
-    EVENT_KIND_FROM_NAME,
-    EVENT_KIND_NAMES,
-    EventKind,
-    GrowthTrace,
-    is_growth_layout,
-)
+from .generate import EVENT_KIND_FROM_NAME, EVENT_KIND_NAMES, EventKind, GrowthTrace, TraceError, is_growth_layout
 from .graph import AttributedGraph, EdgeError
 
 __all__ = [
@@ -62,7 +56,7 @@ __all__ = [
 
 
 class NetworkFormatError(ValueError):
-    """Input file violates the documented format; message names the line."""
+    """Input file violates the documented format or, for a trace, its network; message names the file and line."""
 
 
 def _err(path, lineno: int, msg: str) -> NetworkFormatError:
@@ -321,39 +315,29 @@ def read_trace(path: str | Path, g: AttributedGraph) -> GrowthTrace:
     and ``g`` has the m(m-1)/2 edges of the start clique on 0..m-1 besides
     them.  Any other undirected trace is read as order-assumed (``m=None``,
     replayed from an empty start), the form
-    :func:`graphmix.inference.trace_from_graph` builds.  The reader makes
-    the checks that name a line of the file; the trace's own are those of
-    :class:`GrowthTrace` (growth order and a simple replay among them),
-    raised as :class:`NetworkFormatError` naming the file.  A trace whose
-    ``trace.graph`` is not ``g`` exactly is rejected.
+    :func:`graphmix.inference.trace_from_graph` builds.  The reader only
+    parses: the checks are :class:`GrowthTrace`'s, and the trace keeps
+    ``g`` as its ``graph``.  A refused event is a
+    :class:`NetworkFormatError` naming its line, and a trace that does not
+    rebuild ``g`` one naming the file.
     """
     path = Path(path)
     table = _read_table(path, _TRACE_HEADER, ("source", "target"))
     if not len(table):
         raise _err(path, 1, "trace file lists no events")
-    events, kinds = table[:, :2], table[:, 2]
-    wrong_kind = (kinds == EventKind.DIRECTED_PICK) != g.directed
-    bad = np.flatnonzero((kinds < 0) | wrong_kind | ((events < 0) | (events >= g.n)).any(axis=1))
-    if bad.size:
-        i = int(bad[0])
-        if kinds[i] < 0:  # only the line-naming reader lets an unknown name through; quote it
-            raise _err(path, i + 2, f"unknown event kind {_read_rows(path, _TRACE_HEADER)[i][2]!r}")
-        if wrong_kind[i]:
-            name = EVENT_KIND_NAMES[EventKind(kinds[i])]
-            raise _err(path, i + 2, f"event kind {name!r} does not match graph directedness")
-        raise _err(path, i + 2, f"event ({events[i, 0]},{events[i, 1]}) references a node outside 0..{g.n - 1}")
-    sources, targets = events.T
+    sources, targets, kinds = table.T
     m = int(sources[0])
     # an order-assumed rebuild has no start clique
     growth = not g.directed and len(sources) + m * (m - 1) // 2 == g.num_edges and is_growth_layout(sources, g.n, m)
     try:
-        trace = GrowthTrace(g.directed, g.labels, sources, targets, kinds, m=m if growth else None,
-                            order_assumed=not (growth or g.directed))
+        return GrowthTrace(g.directed, g.labels, sources, targets, kinds, m=m if growth else None,
+                           order_assumed=not (growth or g.directed), replays=g)
+    except TraceError as exc:
+        i = exc.event  # only the line-naming reader lets an unknown name (code -1) through; quote it
+        message = f"unknown event kind {_read_rows(path, _TRACE_HEADER)[i][2]!r}" if kinds[i] < 0 else str(exc)
+        raise _err(path, i + 2, message) from None
     except ValueError as exc:
         raise NetworkFormatError(f"{path}: {exc}") from None
-    if trace.graph != g:
-        raise NetworkFormatError(f"{path}: trace does not rebuild the network it was read with")
-    return trace
 
 
 def format_value(value) -> str:

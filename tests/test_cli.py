@@ -138,6 +138,33 @@ def test_select_ranks_true_model_first(tmp_path):
     }
 
 
+def _permuted_pah():
+    # a grown network's ids shuffled: no longer its arrival order
+    g = gen_pah(2000, 2, 0.3, 0.8, seed=1)[0]
+    perm = make_rng(2).permutation(g.n)
+    labels = np.empty_like(g.labels)
+    labels[perm] = g.labels
+    return AttributedGraph(False, labels, perm[np.column_stack(g.edge_arrays())])
+
+
+@pytest.mark.parametrize("network", [
+    _permuted_pah,
+    # node 3 picks node 2, of degree 0, while nodes 0 and 1 have degree 1
+    lambda: AttributedGraph(False, [0, 1, 0, 1, 0, 1], [(0, 1), (0, 5), (1, 4), (2, 3), (3, 5)]),
+], ids=["permuted-pah", "six-nodes"])
+def test_a_fit_no_value_can_give_has_no_estimate(tmp_path, network):
+    # once written as h_hat 0.0, ptc_hat 0.0 (the argmax of an all -inf grid) and LRT p 1.0
+    write_network(network(), tmp_path / "x")
+    assert run(
+        "select", "--network", str(tmp_path / "x"), "--models", "pa,pah,patch",
+        "--out", str(tmp_path), "--prefix", "s",
+    ) == 0
+    _, rows = _rows(tmp_path / "s_selection.csv")
+    assert [row[1:4] for row in rows] == [["", "", "-inf"]] * 3
+    _, rows = _rows(tmp_path / "s_comparisons.csv")
+    assert [row[2:] for row in rows] == [["nan", "", "", ""]] * 3
+
+
 _DIRECTED = {"model": "dpah", "n": "120", "d": "0.02", "fm": "0.3", "h": "0.8", "m": None}
 
 
@@ -159,7 +186,7 @@ def test_trace_of_another_network_is_rejected(tmp_path, capsys, command, model_f
 
 
 @pytest.mark.parametrize("command,model_flag", [("fit", ["--model", "patch"]), ("select", ["--models", "pa,pah,patch"])])
-def test_scoring_a_trace_file_builds_the_network_twice(tmp_path, monkeypatch, command, model_flag):
+def test_scoring_a_trace_file_builds_the_network_once(tmp_path, monkeypatch, command, model_flag):
     prefix = _generate(tmp_path)
     builds = []
     init = AttributedGraph.__init__
@@ -168,8 +195,8 @@ def test_scoring_a_trace_file_builds_the_network_twice(tmp_path, monkeypatch, co
         command, "--network", str(prefix), "--trace", str(tmp_path / "net_trace.csv"), *model_flag,
         "--out", str(tmp_path), "--prefix", "out",
     ) == 0
-    # read_network, then the trace read with it; the replay builds none (once a third)
-    assert len(builds) == 2
+    # read_network; the trace read with it keeps that graph, and the replay builds none
+    assert len(builds) == 1
 
 
 # -- rank -------------------------------------------------------------------------

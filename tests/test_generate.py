@@ -24,6 +24,7 @@ from graphmix.generate import (
     GenParams,
     GrowthTrace,
     SaturationError,
+    TraceError,
     activity_from_uniform,
     gen_directed,
     gen_pa,
@@ -231,6 +232,13 @@ def test_trace_constructor_refusals(directed, changes, message):
         GrowthTrace(**_trace_fields(directed, **changes))
 
 
+def test_the_first_bad_event_is_named_whatever_its_fault():
+    # once the id scan ran first, so the bad id of event 3 hid the bad kind of event 0
+    with pytest.raises(TraceError, match=re.escape("event 0: kind code 3 is not a kind of undirected event")) as exc:
+        GrowthTrace(**_trace_fields(False, sources=[2, 2, 3, 9], kinds=[3, 0, 0, 0]))
+    assert exc.value.event == 0
+
+
 def test_trace_flags_are_bools():
     # a string once passed for true, so the kind check named a good kind code
     with pytest.raises(ValueError, match="trace directed must be a bool, got str 'no'"):
@@ -253,7 +261,7 @@ def test_a_trace_keeps_a_graph_given_only_when_it_replays_to_it(directed):
     assert same_size.num_edges == g.num_edges and same_size != g
     for other in (AttributedGraph(not directed, g.labels, edges[:1]), AttributedGraph(directed, 1 - g.labels, edges),
                   AttributedGraph(directed, g.labels, edges[1:]), same_size):
-        with pytest.raises(ValueError, match="trace does not replay to the graph it was given"):
+        with pytest.raises(ValueError, match="trace does not rebuild the network it was given"):
             GrowthTrace(**fields, replays=other)
 
 

@@ -144,6 +144,13 @@ def test_lrt_refuses_fits_of_different_traces():
             lrt(nested, full)
 
 
+def test_lrt_refuses_a_fuller_fit_no_value_can_give():
+    # once scored as (0.0, 1, 1.0)
+    pa, pah = (FitReport.build(model, None, None, -np.inf, 100, 0) for model in ("pa", "pah"))
+    with pytest.raises(ValueError, match="no value of model 'pah' gives the trace"):
+        lrt(pa, pah)
+
+
 # -- oracle agreement -----------------------------------------------------------
 
 

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import graphmix.netio
-from graphmix.generate import EventKind, gen_directed, gen_pah
+from graphmix.generate import EVENT_KIND_NAMES, EventKind, gen_directed, gen_pah
 from graphmix.graph import AttributedGraph
 from graphmix.inference import fit_model, replay_loglik, trace_from_graph
 from graphmix.netio import (
@@ -171,6 +171,51 @@ def test_injected_edge_fault_is_reported_with_its_line(tmp_path_factory, data, d
     with pytest.raises(NetworkFormatError) as exc:
         read_network(prefix, directed)
     assert str(exc.value) == f"{edges_path}:{i + 2}: {want}"
+
+
+_TRACE_FAULTS = ("outside", "other-family", "unknown-name", "reversed", "self-loop", "swap", "copy")
+# the faults a trace of each kind cannot show: directed traces have no arrival order, and
+# an undirected self-loop is a target not below its source
+_NOT_FOR_DIRECTED = {False: ("self-loop",), True: ("reversed", "swap")}
+
+
+@given(st.data(), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_injected_trace_fault_is_reported_with_its_line(tmp_path_factory, data, directed, seed):
+    g, trace = gen_directed("dpah", 15, 0.1, 0.3, 0.8, seed=seed) if directed else gen_pah(15, 2, 0.3, 0.8, seed=seed)
+    path = write_trace(trace, tmp_path_factory.mktemp("fault") / "t_trace.csv")
+    header, *lines = path.read_text().splitlines()
+    fault = data.draw(st.sampled_from([f for f in _TRACE_FAULTS if f not in _NOT_FOR_DIRECTED[directed]]))
+    # a swapped line needs a later arrival
+    i = data.draw(st.integers(0, len(lines) - 1 - (trace.m if fault == "swap" else 0)))
+    u, v, kind = lines[i].split(",")
+    u, v = int(u), int(v)
+    if fault == "outside":
+        a, b = data.draw(st.sampled_from([(u, g.n + v), (-1 - u, v)]))
+        lines[i], want = f"{a},{b},{kind}", f"event {i} ({a},{b}) references a node outside 0..{g.n - 1}"
+    elif fault == "other-family":
+        other = EventKind.PAH_PICK if directed else EventKind.DIRECTED_PICK
+        family = "directed" if directed else "undirected"
+        lines[i] = f"{u},{v},{EVENT_KIND_NAMES[other]}"
+        want = f"event {i}: kind code {int(other)} is not a kind of {family} event"
+    elif fault == "unknown-name":
+        name = data.draw(st.sampled_from(["teleport", "PAH-PICK", ""]))
+        lines[i], want = f"{u},{v},{name}", f"unknown event kind {name!r}"
+    elif fault == "reversed":
+        lines[i], want = f"{v},{u},{kind}", f"event {i}: target {u} not below source {v}; not a growth trace"
+    elif fault == "self-loop":
+        lines[i], want = f"{u},{u},{kind}", f"trace replays an invalid edge: self-loop ({u},{u})"
+    elif fault == "swap":  # with the first line of the next arrival: the line after i names the smaller source
+        j = next(j for j in range(i + 1, len(lines)) if int(lines[j].split(",")[0]) > u)
+        lines[i], lines[j] = lines[j], lines[i]
+        i, want = i + 1, f"event {i + 1}: source {u} out of arrival order"
+    else:  # a copy right below its line
+        lines.insert(i + 1, lines[i])
+        i, want = i + 1, f"trace replays an invalid edge: duplicate edge ({u},{v})"
+    path.write_text("\n".join([header, *lines]) + "\n")
+    with pytest.raises(NetworkFormatError) as exc:
+        read_trace(path, g)
+    assert str(exc.value) == f"{path}:{i + 2}: {want}"
 
 
 # -- the numpy parse and the line-naming reader -------------------------------------
@@ -359,7 +404,7 @@ def test_trace_kind_must_match_directedness(tmp_path):
     p.write_text("source,target,kind\n1,0,directed-pick\n")
     with pytest.raises(NetworkFormatError) as exc:
         read_trace(p, und)
-    assert "does not match graph directedness" in str(exc.value)
+    assert f"{p}:2: event 0: kind code 3 is not a kind of undirected event" in str(exc.value)
     p.write_text("source,target,kind\n1,0,pah-pick\n")
     with pytest.raises(NetworkFormatError):
         read_trace(p, dir_)
@@ -420,7 +465,24 @@ def test_an_undirected_trace_out_of_arrival_order_is_refused_when_read(tmp_path)
     path.write_text("\n".join([header, *lines[:-2], lines[-1], lines[-2]]) + "\n")
     with pytest.raises(NetworkFormatError) as exc:
         read_trace(path, g)
-    assert str(exc.value) == f"{path}: event 58: source 58 out of arrival order"
+    assert str(exc.value) == f"{path}:60: event 58: source 58 out of arrival order"
+
+
+def _pah_and_its_order_assumed_trace():
+    g = gen_pah(60, 2, 0.3, 0.8, seed=1)[0]
+    return g, trace_from_graph(g)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: gen_pah(60, 2, 0.3, 0.8, seed=1), _pah_and_its_order_assumed_trace,
+     lambda: gen_directed("dpah", 40, 0.05, 0.3, 0.8, seed=1)],
+    ids=["growth", "order-assumed", "directed"],
+)
+def test_a_trace_read_from_a_file_keeps_its_network(tmp_path, make):
+    g, trace = make()
+    read = read_trace(write_trace(trace, tmp_path / "t_trace.csv"), g)
+    assert read.graph is g and read == trace
 
 
 def _two_lower_neighbours_graph(n=80):
