@@ -56,10 +56,6 @@ UNDIRECTED_MODELS = ("pa", "pah", "patch")
 DIRECTED_MODELS = ("dpa", "dh", "dpah")
 ALL_MODELS = UNDIRECTED_MODELS + DIRECTED_MODELS
 
-# Consecutive failed source draws tolerated before a directed generator
-# declares the density target unreachable.
-SATURATION_RETRIES = 1000
-
 # Rejected trials of a rejection-sampled pick (an endpoint, or a later
 # triadic-closure target) before it switches to its exact draw (the O(n)
 # scan, or the sorted union); any cap leaves the pick distribution unchanged.
@@ -67,15 +63,12 @@ _MAX_REJECTIONS = 8
 
 
 class SaturationError(RuntimeError):
-    """Directed generator cannot place the density-mandated edge count."""
+    """A directed density target above the capacity the affinities admit (see :meth:`GenParams.validate`)."""
 
-    def __init__(self, placed: int, target: int):
-        self.placed = placed
+    def __init__(self, capacity: int, target: int):
+        self.capacity = capacity
         self.target = target
-        super().__init__(
-            f"saturated after {SATURATION_RETRIES} consecutive failed source draws: "
-            f"placed {placed} of {target} edges"
-        )
+        super().__init__(f"density target of {target} edges is more than the {capacity} the affinities admit")
 
 
 class TraceError(ValueError):
@@ -274,7 +267,9 @@ class GenParams:
 
     def validate(self) -> None:
         """Reject an unknown model, a missing or unread parameter, a size or seed that is
-        not an integer (``bool`` included), and out-of-range values.
+        not an integer (``bool`` included), and out-of-range values, then, with
+        :class:`SaturationError`, a directed density target above the capacity: the sum of
+        the n sources' :func:`_rooms`, over the class sizes :func:`assign_classes` gives.
 
         The entries of ``H`` are checked where the mixing matrix is built.
         """
@@ -294,11 +289,22 @@ class GenParams:
             _check.interval("minority fraction", self.f_m, 0, 0.5)
         if self.p_tc is not None:
             _check.interval("p_tc", self.p_tc, 0, 1)
-        if self.d is not None:
-            _check.interval("density d", self.d, 0, 1, open_low=True)
-            _check.count("density target round(d*n*(n-1))", round(self.d * n * (n - 1)), 1)
         if self.gamma_a is not None:
             _check.interval("gamma_a", self.gamma_a, 1, open_low=True)
+        if self.d is not None:
+            _check.interval("density d", self.d, 0, 1, open_low=True)
+            target = _check.count("density target round(d*n*(n-1))", round(self.d * n * (n - 1)), 1)
+            sizes = [n - round(n * self.f_m), round(n * self.f_m)]
+            capacity = sum(size * room for size, room in zip(sizes, _rooms(sizes, self.H)))
+            if target > capacity:
+                raise SaturationError(capacity, target)
+
+
+def _rooms(sizes: list[int], H: MixingMatrix | None) -> list[int]:
+    """Per class c, how many targets a source of c can link to: the classes of positive affinity, less itself."""
+    affinity = np.ones((2, 2)) if H is None else H.matrix
+    return [sum(size for a, size in zip(row, sizes) if a > 0.0) - (row[c] > 0.0)
+            for c, row in enumerate(affinity.tolist())]
 
 
 def generate(params: GenParams) -> tuple[AttributedGraph, GrowthTrace]:
@@ -536,15 +542,17 @@ def gen_directed(
     All n nodes exist upfront with labels and Pareto activity.  Edges are
     placed one at a time until ``round(d*n*(n-1))`` exist: the source is
     drawn proportionally to activity, the target from the admissible set
-    (no self-loop, edge absent) under the model's weights.  A source draw
-    whose admissible weights vanish is simply redrawn; the run aborts with
-    :class:`SaturationError` after 1000 consecutive failures.
+    (no self-loop, edge absent) under the model's weights.  A target above
+    what the affinities admit is refused before any draw with
+    :class:`SaturationError` (see :meth:`GenParams.validate`).
 
     Sources are i.i.d., one double each, drawn in blocks from a generator
     of their own on ``rng.bit_generator.jumped()`` taken after the
     activities, and targets from the run's generator, so no bit depends on
-    the block size.  A saturated source places nothing, and the next source
-    of its block is the redraw.
+    the block size.  A source whose out-edges fill its room gets activity 0,
+    and the rest of its block maps over the new cumulative activities: as
+    redrawing an i.i.d. draw that lands on it samples the other sources'
+    activities, this is placement with redraws, in distribution.
 
     Target weight ``indeg+1`` is a mixture: the class-c total is
     ``n_c + indeg_c``, so a uniform entry of the members of c followed by
@@ -561,9 +569,6 @@ def gen_directed(
     a member).  The scan weighs node u by ``H[c_s, c_u] * (indeg(u) + 1)``
     (dh: ``H[c_s, c_u]``), the in-degrees counted from the targets placed
     so far.
-    Whether any admissible weight is left is decided on integers: class c
-    has some when its affinity is positive and it has a member that is
-    neither s nor an out-neighbour of s.
     """
     if model.lower() not in DIRECTED_MODELS:
         raise ValueError(f"model must be one of {DIRECTED_MODELS}, got {model!r}")
@@ -576,7 +581,7 @@ def _place_directed(
     """The edge placement loop of :func:`gen_directed`: the events' sources and targets; gives up the generator ``rng``."""
     model, n, H = params.model, params.n, params.H
     target_edges = round(params.d * n * (n - 1))
-    activity_cum = np.cumsum(sample_activity(n, params.gamma_a, rng))
+    activity = sample_activity(n, params.gamma_a, rng)
     source_rng = np.random.Generator(rng.bit_generator.jumped())  # a stream of their own, drawn from in blocks
     rng = UniformStream(rng)
     random = rng.next
@@ -589,54 +594,52 @@ def _place_directed(
     pool0, pool1 = pools
     count_indeg = model != "dh"
     # each source's inadmissible targets: itself and its out-neighbours, who are all in classes of
-    # positive affinity; it is saturated once they number those classes' members (plus itself when
-    # its own class has zero affinity)
+    # positive affinity; it is saturated once they number its room plus itself
     blocked: list[set[int]] = [{u} for u in range(n)]
-    by_class = [(*row, sum(len(p) for a, p in zip(row, pools) if a > 0.0) + (row[c] == 0.0))
-                for c, row in enumerate(aff_rows)]
+    rooms = _rooms([len(pool0), len(pool1)], H)
+    by_class = [(*row, room + 1) for row, room in zip(aff_rows, rooms)]
     rows = [by_class[c] for c in cls]  # each source's affinities and the size of its saturated set
+    activity[np.take(rooms, labels) == 0] = 0.0  # a saturated source never comes up
+    activity_cum = np.cumsum(activity)
 
     sources = np.empty(target_edges, dtype=np.int64)
     tgts: list[int] = []
     indeg, counted = np.zeros(n, dtype=np.int64), 0  # the in-degrees of tgts[:counted], for the exact scan
-    failures = failed_at = 0  # consecutive failed source draws, all with len(tgts) == failed_at
     trials = range(_MAX_REJECTIONS)
     place = tgts.append
     while len(tgts) < target_edges:
-        start = len(tgts)
-        block = picks_from_cumulative(source_rng, activity_cum, min(target_edges - start, _rng.STREAM_BLOCK_CAP))
-        skipped: list[int] = []
-        for s in block.tolist():
-            excluded = blocked[s]
-            a0, a1, need = rows[s]
-            if len(excluded) == need:
-                if failed_at != len(tgts):
-                    failures, failed_at = 0, len(tgts)
-                failures += 1
-                if failures >= SATURATION_RETRIES:
-                    raise SaturationError(len(tgts), target_edges)
-                skipped.append(len(tgts) - start + len(skipped))
-                continue
-            w0 = a0 * len(pool0)
-            w1 = a1 * len(pool1)
-            for _ in trials:
-                # a class of zero weight never comes up, also when u * total rounds up to w0
-                pool = pool0 if random() * (w0 + w1) < w0 or w1 == 0.0 else pool1
-                t = pool[int(random() * len(pool))]
-                if t not in excluded:
-                    break
-            else:
-                w = affinity[cls[s]][labels]
+        doubles = source_rng.random(min(target_edges - len(tgts), _rng.STREAM_BLOCK_CAP))
+        while len(doubles):
+            start = len(tgts)
+            block = picks_from_cumulative(activity_cum, doubles)
+            for s in block.tolist():
+                excluded = blocked[s]
+                a0, a1, full = rows[s]
+                w0 = a0 * len(pool0)
+                w1 = a1 * len(pool1)
+                for _ in trials:
+                    # a class of zero weight never comes up, also when u * total rounds up to w0
+                    pool = pool0 if random() * (w0 + w1) < w0 or w1 == 0.0 else pool1
+                    t = pool[int(random() * len(pool))]
+                    if t not in excluded:
+                        break
+                else:
+                    w = affinity[cls[s]][labels]
+                    if count_indeg:
+                        indeg += np.bincount(np.array(tgts[counted:], dtype=np.int64), minlength=n)
+                        counted = len(tgts)
+                        w = w * (indeg + 1.0)
+                    w[list(excluded)] = 0.0
+                    t = weighted_pick(rng, w)
+                excluded.add(t)
                 if count_indeg:
-                    indeg += np.bincount(np.array(tgts[counted:], dtype=np.int64), minlength=n)
-                    counted = len(tgts)
-                    w = w * (indeg + 1.0)
-                w[list(excluded)] = 0.0
-                t = weighted_pick(rng, w)
-            excluded.add(t)
-            if count_indeg:
-                pools[cls[t]].append(t)
-            place(t)
-        sources[start:len(tgts)] = np.delete(block, skipped) if skipped else block
+                    pools[cls[t]].append(t)
+                place(t)
+                if len(excluded) == full:  # s is saturated: the rest of the block is drawn without it
+                    activity[s] = 0.0
+                    activity_cum = np.cumsum(activity)
+                    break
+            sources[start:len(tgts)] = block[:len(tgts) - start]
+            doubles = doubles[len(tgts) - start:]
 
     return sources, tgts

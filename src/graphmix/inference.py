@@ -898,8 +898,9 @@ class SelectionTable:
     criterion: str
 
     @property
-    def best(self) -> FitReport:
-        return self.fits[0]
+    def best(self) -> FitReport | None:
+        """The first fit by the criterion, or None when no fit's logL is finite: no candidate can give the trace."""
+        return self.fits[0] if math.isfinite(self.fits[0].log_lik) else None
 
 
 def _fit_from_grid(model: str, grid: np.ndarray, stats, order_assumed: bool) -> FitReport:

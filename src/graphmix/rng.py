@@ -103,16 +103,11 @@ def weighted_pick(rng: np.random.Generator | UniformStream, weights: np.ndarray)
 
 def pick_from_cumulative(rng: np.random.Generator | UniformStream, cum: np.ndarray) -> int:
     """Like :func:`weighted_pick` but from a precomputed cumulative sum array."""
-    return int(_inverse_cdf(cum, rng.random()))
+    return int(picks_from_cumulative(cum, rng.random()))
 
 
-def picks_from_cumulative(rng: np.random.Generator, cum: np.ndarray, size: int) -> np.ndarray:
-    """``size`` picks of :func:`pick_from_cumulative` as an int64 array, one per double of ``rng.random(size)``."""
-    return _inverse_cdf(cum, rng.random(size))
-
-
-def _inverse_cdf(cum: np.ndarray, u: float | np.ndarray):
-    """The index ``searchsorted(u * total, side="right")`` in ``cum`` of each double u."""
+def picks_from_cumulative(cum: np.ndarray, u: float | np.ndarray):
+    """The pick of :func:`pick_from_cumulative` for each double u: its ``searchsorted(u * total, side="right")`` in ``cum``."""
     total = cum[-1]
     if not total > 0.0:
         raise ValueError("total weight must be positive")

@@ -32,14 +32,14 @@ were with one call per draw: ``reference_endpoint_pick`` for every
 rejection-sampled target, ``reference_tc_pick`` for every triadic-closure
 target, ``rand_below`` for every uniform index, a per-edge ``indeg + 1``
 array for the directed exact scan, and a scalar ``pick_from_cumulative``
-per directed source, from the sources' own jumped stream, with the
-saturation test by class counts.  It stays a
-kernel, not a definition: the draw protocol is what fixes the bits of a
-seeded trace, and no shorter statement draws the same doubles.  The
-library inlines those draws and must give the same trace, or the same
-``SaturationError``.  ``reference_write_network`` and
-``reference_write_trace`` are the writers as one f-string per row; the
-library's numpy byte writer must give the same bytes.
+per directed source, from the sources' own jumped stream, over the
+activities with those of saturated sources (by class counts) set to 0.
+It stays a kernel, not a definition: the draw protocol is what fixes the
+bits of a seeded trace, and no shorter statement draws the same doubles.
+The library inlines those draws and must give the same trace.
+``reference_write_network`` and ``reference_write_trace`` are the writers
+as one f-string per row; the library's numpy byte writer must give the
+same bytes.
 """
 
 from __future__ import annotations
@@ -53,12 +53,10 @@ from scipy.special import zeta
 
 from graphmix.generate import (
     EVENT_KIND_NAMES,
-    SATURATION_RETRIES,
     UNDIRECTED_MODELS,
     EventKind,
     GenParams,
     GrowthTrace,
-    SaturationError,
     sample_activity,
 )
 from graphmix.graph import AttributedGraph, EdgeError, assign_classes
@@ -578,7 +576,7 @@ def reference_place_directed(params: GenParams, labels, rng, max_rejections: int
     """The directed placement loop with a per-edge ``indeg + 1`` array and one ``reference_endpoint_pick`` per target."""
     model, n, H = params.model, params.n, params.H
     target_edges = round(params.d * n * (n - 1))
-    activity_cum = np.cumsum(sample_activity(n, params.gamma_a, rng))
+    activity = sample_activity(n, params.gamma_a, rng)
     source_rng = np.random.Generator(rng.bit_generator.jumped())
     rng = UniformStream(rng)
     cls = labels.tolist()
@@ -589,20 +587,17 @@ def reference_place_directed(params: GenParams, labels, rng, max_rejections: int
     tails = _NO_ENTRIES if model == "dh" else in_ends
     blocked: list[set[int]] = [{u} for u in range(n)]
     blocked_count = [[1 - c, c] for c in cls]
-    ind1 = np.ones(n, dtype=np.float64)
 
+    def saturated(s: int) -> bool:
+        (a0, a1), (b0, b1) = aff_rows[cls[s]], blocked_count[s]
+        return not ((a0 > 0.0 and len(members[0]) > b0) or (a1 > 0.0 and len(members[1]) > b1))
+
+    activity[[saturated(u) for u in range(n)]] = 0.0  # a saturated source has activity 0
+    ind1 = np.ones(n, dtype=np.float64)
     srcs, tgts = [], []
-    failures = 0
     while len(srcs) < target_edges:
-        s = pick_from_cumulative(source_rng, activity_cum)
-        a0, a1 = aff_rows[cls[s]]
-        b0, b1 = blocked_count[s]
-        if not ((a0 > 0.0 and len(members[0]) > b0) or (a1 > 0.0 and len(members[1]) > b1)):
-            failures += 1
-            if failures >= SATURATION_RETRIES:
-                raise SaturationError(len(srcs), target_edges)
-            continue
-        t = reference_endpoint_pick(rng, (a0, a1), members, tails, blocked[s], max_rejections)
+        s = pick_from_cumulative(source_rng, np.cumsum(activity))
+        t = reference_endpoint_pick(rng, aff_rows[cls[s]], members, tails, blocked[s], max_rejections)
         if t < 0:
             w = affinity[cls[s]][labels]
             if model != "dh":
@@ -615,7 +610,8 @@ def reference_place_directed(params: GenParams, labels, rng, max_rejections: int
         ind1[t] += 1.0
         srcs.append(s)
         tgts.append(t)
-        failures = 0
+        if saturated(s):
+            activity[s] = 0.0
     return GrowthTrace(
         directed=True, labels=labels, sources=np.asarray(srcs, dtype=np.int64),
         targets=np.asarray(tgts, dtype=np.int64),

@@ -88,7 +88,7 @@ def test_01_edge_counts_exact_for_random_parameters(announce):
         except SaturationError as exc:
             # documented outcome: generator ran out of admissible dyads
             saturated += 1
-            if not (0 <= exc.placed < exc.target):
+            if not (0 <= exc.capacity < exc.target):
                 bad.append((i, model, "bad saturation bookkeeping"))
             continue
         if g.num_edges != expected:

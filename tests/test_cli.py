@@ -442,6 +442,21 @@ def test_sweep_bad_seed_is_exit_1_before_any_growth(tmp_path, monkeypatch, capsy
     assert not (tmp_path / "out").exists()
 
 
+def test_sweep_cell_past_its_capacity_is_exit_2_before_any_growth(tmp_path, monkeypatch, capsys):
+    # at h = 1 only 492 same-class pairs exist on 30 nodes, short of d = 0.9's 783 edges;
+    # the h = 0.5 cell could be grown, but no cell is
+    placed = []
+    place = graphmix.generate._place_directed
+    monkeypatch.setattr(graphmix.generate, "_place_directed", lambda *args: placed.append(1) or place(*args))
+    assert run(
+        "sweep", "--model", "dh", "--n", "30", "--d", "0.9", "--fm", "0.3", "--h", "0.5,1.0",
+        "--out", str(tmp_path / "out"), "--prefix", "sw",
+    ) == 2
+    assert placed == []
+    assert "density target of 783 edges is more than the 492 the affinities admit" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag,value", [("--h", "0.1:nan:0.1"), ("--seeds", "0:inf:1"), ("--n", "inf")])
 def test_sweep_non_finite_value_is_usage_error(tmp_path, capsys, flag, value):
     # the two ranges once grew without bound; --n inf raised OverflowError

@@ -358,13 +358,30 @@ def test_directed_no_self_loops_or_duplicates():
         seen.add((u, v))
 
 
-def test_dh_pure_homophily_saturates():
+def test_dh_pure_homophily_saturates(monkeypatch):
     # h=1.0 with two classes of 2 nodes allows only 4 same-class ordered
-    # pairs; a density of 1.0 demands 12 edges, so the generator must abort.
-    with pytest.raises(SaturationError) as err:
+    # pairs; a density of 1.0 demands 12 edges, so validation refuses it before any draw.
+    placed = []
+    place = graphmix.generate._place_directed
+    monkeypatch.setattr(graphmix.generate, "_place_directed", lambda *args: placed.append(1) or place(*args))
+    with pytest.raises(SaturationError, match="density target of 12 edges is more than the 4 the affinities admit") as err:
         gen_directed("dh", 4, 1.0, 0.5, 1.0, seed=0)
-    assert err.value.placed == 4
+    assert err.value.capacity == 4
     assert err.value.target == 12
+    assert placed == []
+
+
+@pytest.mark.parametrize("model,n,d,f_m,h,gamma_a,seed", [
+    # heavy-tailed activities send hubs to their n - 1 out-edges long before the target
+    *[("dpa", 100, 0.9, 0.3, None, 1.2, seed) for seed in range(5)],
+    *[("dpa", 100, 1.0, 0.3, None, 2.0, seed) for seed in (0, 5, 6, 9)],
+    # a target equal to the capacity: every source fills its room
+    ("dh", 4, 1 / 3, 0.5, 1.0, 2.5, 0),
+    ("dh", 30, 492 / 870, 0.3, 1.0, 2.5, 1),
+])
+def test_a_target_within_the_capacity_places_every_edge(model, n, d, f_m, h, gamma_a, seed):
+    g, trace = gen_directed(model, n, d, f_m, h, gamma_a, seed)
+    assert g.num_edges == len(trace) == round(d * n * (n - 1))
 
 
 def test_directed_sources_follow_the_activities_recomputed_from_the_seed():

@@ -336,6 +336,14 @@ def test_select_model_orders_by_criterion_and_shares_n_events():
         assert c.lrt_p is not None  # all three undirected pairs are nested
 
 
+def test_select_model_names_no_best_when_no_model_can_give_the_trace():
+    # node 3 picks node 2, of degree 0, while nodes 0 and 1 have degree 1
+    g = AttributedGraph(False, [0, 1, 0, 1, 0, 1], [(0, 1), (0, 5), (1, 4), (2, 3), (3, 5)])
+    table = select_model(trace_from_graph(g), ["pah", "patch", "pa"])
+    assert [f.log_lik for f in table.fits] == [-math.inf] * 3
+    assert table.best is None
+
+
 def test_select_model_directed_nested_flags():
     _, trace = gen_directed("dpah", 150, 0.01, 0.3, 0.8, seed=6)
     table = select_model(trace, ["dh", "dpa", "dpah"])

@@ -104,14 +104,14 @@ def test_picks_from_cumulative_are_the_scalar_picks_of_the_same_doubles():
         w[-1] = 1.0 if not w.any() else w[-1]
         cums.append(np.cumsum(w))
     for seed, cum in enumerate(cums):
-        picks = picks_from_cumulative(make_rng(seed), cum, 50)
+        picks = picks_from_cumulative(cum, make_rng(seed).random(50))
         one = make_rng(seed)
         assert picks.dtype == np.int64
         assert picks.tolist() == [pick_from_cumulative(one, cum) for _ in range(50)]
     # u * total rounds up to the subnormal total: the last positive weight
-    assert picks_from_cumulative(_Fixed(1.0 - 2.0**-53), cums[0], 3).tolist() == [1, 1, 1]
+    assert picks_from_cumulative(cums[0], np.full(3, 1.0 - 2.0**-53)).tolist() == [1, 1, 1]
     with pytest.raises(ValueError, match="total weight must be positive"):
-        picks_from_cumulative(make_rng(0), np.zeros(3), 1)
+        picks_from_cumulative(np.zeros(3), make_rng(0).random(1))
 
 
 def test_sample_without_replacement_full_permutation():
@@ -274,6 +274,7 @@ GENERATOR_CASES = {
     "dpa": lambda: gen_directed("dpa", 80, 0.05, 0.3, seed=5),
     "dh": lambda: gen_directed("dh", 80, 0.05, 0.3, 0.9, seed=5),
     "dpah": lambda: gen_directed("dpah", 80, 0.05, 0.3, 0.8, seed=5),
+    "dpa-saturating": lambda: gen_directed("dpa", 100, 1.0, 0.3, gamma_a=2.0, seed=0),
 }
 
 
