@@ -216,12 +216,6 @@ class CSR:
         offsets = np.arange(total) + np.repeat(starts - ends + lengths, lengths)
         return np.repeat(nodes, lengths), self.indices[offsets]
 
-    def count_below(self, nodes: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-        """For each i, how many entries of row ``nodes[i]`` are less than ``bounds[i]`` (at most n)."""
-        n = self.indptr.size - 1
-        keys = np.repeat(np.arange(n, dtype=np.int64) * n, self.out_degree()) + self.indices
-        return np.searchsorted(keys, nodes * n + bounds) - self.indptr[nodes]
-
     def out_degree(self) -> np.ndarray:
         """Row lengths: the degree, or the out-degree when directed."""
         return np.diff(self.indptr)

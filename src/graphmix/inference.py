@@ -26,15 +26,12 @@ a simple replayed graph, ``trace.graph``, included.  So every trace can be
 scored, and scoring reads the trace's graph without building or checking
 one.
 
-* Undirected: in a growth trace, and in the order-assumed trace of
-  :func:`trace_from_graph`, edge {u, w} exists before arrival v exactly when
-  max(u, w) < v.  So what arrival v sees of a node's neighbourhood is the
-  prefix below v of its row in the trace graph's CSR: snapshot degrees are
-  one ``searchsorted``, and class degree totals and the mass already chosen
-  in an arrival are (grouped) cumulative sums: O(E log E).  Only patch
-  reads the triadic-closure sets, so they are built only when patch is
-  scored: one sort of distinct (arrival, node, event) keys, a key per entry
-  of the picked targets' rows below v (their snapshot degrees summed).
+* Undirected: snapshot degrees are counts of the trace's events (see
+  :func:`_undirected_stats`), and class degree totals and the mass already
+  chosen in an arrival are (grouped) cumulative sums: O(E log E).  Only
+  patch reads the triadic-closure sets, so they are built only when patch
+  is scored: one sort of distinct (arrival, node, event) keys, a key per
+  entry of the picked targets' CSR rows below v (their degrees summed).
 * Directed: target in-degrees, class totals and excluded counts are
   stable-sort ranks and grouped cumulative sums.  The (indeg + 1) mass of a
   source's earlier targets is path dependent.  Its part that grows after an
@@ -194,33 +191,38 @@ def _chunk_cuts(cum: np.ndarray) -> np.ndarray:
 
 def _undirected_stats(trace: GrowthTrace, triadic: bool) -> _Stats:
     """The per-event statistics of an undirected trace; with ``triadic``,
-    the triadic-closure sets too (patch reads them, pa and pah do not)."""
-    csr = trace.graph.csr()
+    the triadic-closure sets too (patch reads them, pa and pah do not).
+
+    In every undirected trace each target lies below its source and the
+    sources come in arrival order, so an edge {u, w} exists before arrival
+    v exactly when max(u, w) < v.  A target t then has all its edges to
+    lower ids (the start clique's, t's own picks) and, of those to higher
+    ids, the start clique's and one per earlier event that picks t (an
+    arrival picks t at most once): its own events, plus m - 1 in the start
+    clique, plus the event's rank among the events that pick t.
+    """
     starts = _arrival_groups(trace)
-    n, labels = trace.n, trace.labels
+    n, m, labels = trace.n, trace.m or 0, trace.labels
     src, tgt = trace.sources, trace.targets
     first = np.repeat(starts[:-1], np.diff(starts))  # first event of each event's arrival
     n_elig = src - (np.arange(src.size) - first)
 
-    # An edge {u, w} exists before arrival v exactly when max(u, w) < v, so
-    # a target's neighbourhood at arrival v is its CSR row below v.
-    deg = csr.count_below(tgt, src)
+    own = np.bincount(src, minlength=n)
+    own[:m] += m - 1
+    picked = _key_runs(tgt, n)
+    deg = own[tgt] + picked.place - picked.start[tgt]
+    del picked  # its sort arrays are freed before the sums
     cls_v = labels[src]
     same = labels[tgt] == cls_v
-    # degree totals by class over the nodes below v: the endpoint classes of
-    # every edge, counted from its later endpoint on
-    later = np.repeat(np.arange(n, dtype=np.int64), csr.out_degree())
-    lower = csr.indices < later
-    later = later[lower]
-    ends = np.bincount(
-        np.concatenate((2 * later + labels[later], 2 * later + labels[csr.indices[lower]])),
-        minlength=2 * n,
-    )
-    tot = np.zeros((n + 1, 2), dtype=np.int64)
-    tot[1:] = ends.reshape(n, 2).cumsum(axis=0)
-    # minus the degree mass the arrival has already chosen
-    sum_same = tot[src, cls_v] - _group_exclusive_cumsum(np.where(same, deg, 0), first)
-    sum_diff = tot[src, 1 - cls_v] - _group_exclusive_cumsum(np.where(same, 0, deg), first)
+    # degree totals over the nodes below v: both ends of each event of an
+    # earlier arrival, and m - 1 per start-clique node (class 1's, then all)
+    ends1 = labels[src] + labels[tgt]
+    tot1 = (np.cumsum(ends1) - ends1)[first] + (m - 1) * int(labels[:m].sum())
+    tot = 2 * first + m * (m - 1)
+    # less the degree mass the arrival has already chosen: v's class, then the other
+    sum_same = np.where(cls_v == 1, tot1, tot - tot1) - _group_exclusive_cumsum(np.where(same, deg, 0), first)
+    sum_diff = tot - _group_exclusive_cumsum(deg, first) - sum_same
+    del ends1, tot1, tot  # freed before the float fields
 
     fallback = trace.kinds == EventKind.FALLBACK_UNIFORM
     const = 0.0
@@ -238,7 +240,7 @@ def _undirected_stats(trace: GrowthTrace, triadic: bool) -> _Stats:
         fill=-np.log(n_elig[scored].astype(np.float64)),
     )
     if triadic:
-        tc_size, tc_hit = _triadic_sets(csr, tgt, deg, starts, first)
+        tc_size, tc_hit = _triadic_sets(trace.graph.csr(), tgt, deg, starts, first)
         stats.mixture = tc_size[scored] > 0
         stats.tc_size = tc_size[scored].astype(np.float64)
         stats.tc_hit = tc_hit[scored]

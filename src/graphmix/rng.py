@@ -103,16 +103,20 @@ def weighted_pick(rng: np.random.Generator | UniformStream, weights: np.ndarray)
 
 def pick_from_cumulative(rng: np.random.Generator | UniformStream, cum: np.ndarray) -> int:
     """Like :func:`weighted_pick` but from a precomputed cumulative sum array."""
-    return int(picks_from_cumulative(cum, rng.random()))
+    return int(min(_pick_and_last(cum, rng.random())))  # the builtin min: no numpy call on two scalars
 
 
-def picks_from_cumulative(cum: np.ndarray, u: float | np.ndarray):
-    """The pick of :func:`pick_from_cumulative` for each double u: its ``searchsorted(u * total, side="right")`` in ``cum``."""
+def picks_from_cumulative(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The pick of :func:`pick_from_cumulative` for each double u."""
+    return np.minimum(*_pick_and_last(cum, u))
+
+
+def _pick_and_last(cum: np.ndarray, u):
+    """The ``searchsorted(u * total, side="right")`` index, and its cap: the last positive weight."""
     total = cum[-1]
     if not total > 0.0:
         raise ValueError("total weight must be positive")
-    # u * total rounded up to the total: the last positive weight, where the sum first reaches it
-    return np.minimum(cum.searchsorted(u * total, side="right"), cum.searchsorted(total))
+    return cum.searchsorted(u * total, side="right"), cum.searchsorted(total)  # u * total may round up to the total
 
 
 def sample_without_replacement(rng: np.random.Generator, n: int, k: int) -> np.ndarray:

@@ -839,6 +839,69 @@ def test_hub_traces_list_pairs_from_both_sides(hub):
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
 
+# -- the undirected replay statistics against their definition ----------------------
+
+
+def _undirected_stats_by_definition(trace):
+    """Each event's target degree, eligible mass in the source's class and
+    in the other, eligible count and triadic-closure set size, counted from
+    the edges of ``trace.graph``: at arrival v the edges {t, w} with
+    max(t, w) < v exist, and the nodes below v not yet picked by v are eligible."""
+    u, w = trace.graph.edge_arrays()
+    labels = trace.labels
+    fields = np.zeros((5, len(trace)), dtype=np.int64)
+    chosen = []
+    for i, (v, t) in enumerate(zip(trace.sources.tolist(), trace.targets.tolist())):
+        if i and trace.sources[i - 1] != v:
+            chosen = []
+        before = np.maximum(u, w) < v
+        deg = np.bincount(np.concatenate((u[before], w[before])), minlength=trace.n)
+        eligible = np.arange(trace.n) < v
+        eligible[chosen] = False
+        own = labels == labels[v]
+        # the triadic-closure set: the neighbours below v of the arrival's picks, less those picks
+        closing = set(np.concatenate((w[before & np.isin(u, chosen)], u[before & np.isin(w, chosen)])).tolist())
+        closing -= set(chosen)
+        fields[:, i] = deg[t], deg[eligible & own].sum(), deg[eligible & ~own].sum(), eligible.sum(), len(closing)
+        chosen.append(t)
+    return fields
+
+
+@given(
+    st.sampled_from(["pa", "pah", "patch"]),
+    st.integers(2, 40),
+    st.integers(1, 4),
+    st.sampled_from([0.0, 0.7, 1.0]),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=100, deadline=None)
+def test_undirected_replay_statistics_match_the_definition(family, n, m, h, p_tc, from_graph, seed):
+    m = min(m, n - 1)
+    if family == "pa":
+        g, trace = gen_pa(n, m, seed=seed)
+    elif family == "pah":
+        g, trace = gen_pah(n, m, 0.3, h, seed=seed)
+    else:
+        g, trace = gen_patch(n, m, 0.3, h, p_tc, seed=seed)
+    if from_graph:  # arrivals of any length, in node-id order, from an empty start
+        trace = trace_from_graph(g)
+    deg, mass_same, mass_diff, n_elig, tc_size = _undirected_stats_by_definition(trace)
+    fallback = trace.kinds == EventKind.FALLBACK_UNIFORM
+    scored = ~fallback
+    stats = inference._undirected_stats(trace, triadic=family == "patch")
+    assert (stats.n_events, stats.n_fallback) == (scored.sum(), fallback.sum())
+    assert stats.const_loglik == -sum(math.log(k) for k in n_elig[fallback].tolist())
+    assert np.array_equal(stats.same, (trace.labels[trace.targets] == trace.labels[trace.sources])[scored])
+    assert np.array_equal(stats.weight, deg[scored])
+    assert np.array_equal(stats.sum_same, mass_same[scored])
+    assert np.array_equal(stats.sum_diff, mass_diff[scored])
+    assert np.array_equal(stats.fill, -np.log(n_elig[scored].astype(np.float64)))
+    if family == "patch":
+        assert np.array_equal(stats.tc_size, tc_size[scored])
+
+
 # -- the triadic-closure sets against their definition -------------------------------
 
 
